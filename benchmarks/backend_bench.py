@@ -2,13 +2,18 @@
 """Benchmark the compiled kernel backend against the pure-numpy fallback.
 
 Times the two hot kernels on benchmark-scenario shapes (2000 nodes, 200-500
-steps) plus a full greedy sweep, and prints a comparison table.
+steps) plus full stability and greedy experiments, and prints a comparison
+table. The fused
+recursion is timed as a greedy sweep runs it: CHAINS chains, in one batched
+numpy call, against one compiled single-chain call per chain.
 
 Usage: python benchmarks/backend_bench.py [--nodes N] [--steps K] [--repeat R]
 """
 
 import argparse
+import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,6 +22,8 @@ from dkfsim._kernels import _pure
 from dkfsim.config import ExperimentConfig
 from dkfsim.harness import run_experiment
 from dkfsim.model import builtin_system, robust_inverse, transition_sequence
+
+CHAINS = 100  # subsets in one greedy sweep (benchmark.cfg iterations)
 
 
 def timeit(fn, repeat):
@@ -36,11 +43,9 @@ def main():
     args = parser.parse_args()
 
     backends = {"python": _pure}
-    try:
-        from dkfsim._kernels import _core
-
-        backends["compiled"] = _core
-    except ImportError:
+    if _kernels._core is not None:
+        backends["compiled"] = _kernels._core
+    else:
         print("compiled backend not built; benchmarking pure python only")
 
     sys_ = builtin_system()
@@ -55,10 +60,22 @@ def main():
         rng.uniform(0.0, 0.5, args.nodes), 1e-6
     )
     info0 = np.zeros_like(l_all)
-    info_inc = np.broadcast_to(l_all.sum(axis=0), (args.steps + 1, 2, 2)).copy()
-    iv_inc = rng.standard_normal((args.steps + 1, 2))
+    # chain b sums a shrinking share of the nodes, like a greedy sweep
+    counts = np.linspace(args.nodes, 1, CHAINS).astype(int)
+    info_inc = np.stack([
+        np.broadcast_to(l_all[:c].sum(axis=0), (args.steps + 1, 2, 2)) for c in counts
+    ])
+    iv_inc = rng.standard_normal((CHAINS, args.steps + 1, 2))
+    prior = (np.zeros((2, 2)), np.zeros(2))
 
-    print(f"{args.nodes} nodes, {args.steps} steps, best of {args.repeat}\n")
+    def fused(mod):
+        if mod is _pure:
+            return lambda: _pure.fused_info_recursion(a_inv, q_inv, info_inc, iv_inc, *prior)
+        return lambda: [mod.fused_info_recursion(a_inv, q_inv, info_inc[b], iv_inc[b], *prior)
+                        for b in range(CHAINS)]
+
+    print(f"{args.nodes} nodes, {args.steps} steps, {CHAINS} fused chains, "
+          f"best of {args.repeat}\n")
     print(f"{'kernel':<28} {'python':>12} {'compiled':>12} {'speedup':>9}")
     results = {}
     for name, mod in backends.items():
@@ -66,12 +83,7 @@ def main():
             "node_info_histories": timeit(
                 lambda: mod.node_info_histories(a_inv, q_inv, l_all, info0), args.repeat
             ),
-            "fused_info_recursion": timeit(
-                lambda: mod.fused_info_recursion(
-                    a_inv, q_inv, info_inc, iv_inc, np.zeros((2, 2)), np.zeros(2)
-                ),
-                args.repeat,
-            ),
+            "fused_info_recursion": timeit(fused(mod), args.repeat),
         }
     for kernel in ("node_info_histories", "fused_info_recursion"):
         py = results["python"][kernel]
@@ -81,19 +93,21 @@ def main():
         else:
             print(f"{kernel:<28} {py * 1e3:>10.1f}ms {'-':>12} {'-':>9}")
 
-    # end-to-end: one full greedy experiment per backend
+    # end-to-end: the backend only moves the stability mode (node histories);
+    # the greedy sweep always runs the batched numpy recursion
     print()
-    cfg = ExperimentConfig(seed=0, mode="greedy", n_sensors=args.nodes,
-                           horizon=min(args.steps, 200))
+    cfg = ExperimentConfig(seed=0, n_sensors=args.nodes, horizon=min(args.steps, 200))
     previous = _kernels.get_backend()
     try:
-        for name in backends:
-            _kernels.use_backend(name)
-            t = timeit(lambda: run_experiment(cfg, out_dir=f"/tmp/bench_{name}"), 1)
-            print(f"greedy experiment ({name:<8}) {t:8.2f}s")
+        with tempfile.TemporaryDirectory() as out:
+            for name in backends:
+                _kernels.use_backend(name)
+                t = timeit(lambda: run_experiment(replace(cfg, mode="stability"), out), 1)
+                print(f"stability experiment ({name:<8}) {t:8.2f}s")
+            t = timeit(lambda: run_experiment(replace(cfg, mode="greedy"), out), 1)
+            print(f"greedy experiment    (any)      {t:8.2f}s")
     finally:
         _kernels._active = previous
-
 
 if __name__ == "__main__":
     main()

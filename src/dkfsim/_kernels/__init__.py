@@ -1,9 +1,17 @@
 """Kernel backend selection.
 
-The hot per-node/per-step recursions live either in the compiled extension
+The per-node information histories run either in the compiled extension
 (dkfsim._kernels._core, built from Cython) or in the pure-numpy fallback.
 The compiled backend is preferred when importable; set DKFSIM_BACKEND=python
 or DKFSIM_BACKEND=compiled to force a choice.
+
+The fused estimator recursion always runs the batched numpy body, on every
+backend: the compiled kernel has no batch axis, and giving it one means
+regenerating _core.c from _core.pyx with Cython. Per chain the compiled
+kernel is faster, but end to end one batched call per greedy sweep beats a
+Python loop of compiled single-chain calls. Single-chain callers (fixed and
+stability runs, the information-bound pilot pass) take the batched body with
+one row.
 """
 
 import os
@@ -56,4 +64,4 @@ def node_info_histories(a_inv_seq, q_inv, l_all, info0):
 
 
 def fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0):
-    return get_backend().fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0)
+    return _pure.fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0)

@@ -1,13 +1,14 @@
 """Pure-numpy backend for the filter-recursion kernels.
 
-Semantics must match dkfsim._kernels._core exactly: both run the general
-information-matrix time update
+Both kernels run the general information-matrix time update
 
     M = Ainv^T I Ainv,  C = M (M + Q^{-1})^{-1},
     I' = (I - C) M (I - C)^T + C Q^{-1} C^T   (symmetrized),
     yv' = (I - C) Ainv^T yv,
 
-followed by the additive measurement step.
+followed by the additive measurement step. node_info_histories matches
+dkfsim._kernels._core exactly; fused_info_recursion is batched over chains
+and is the only fused recursion the package runs.
 """
 
 import numpy as np
@@ -41,31 +42,32 @@ def node_info_histories(a_inv_seq, q_inv, l_all, info0):
 
 
 def fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0):
-    """Fused estimator chain over one horizon.
+    """B independent fused estimator chains over one horizon.
 
-    info_inc: (N+1, m, m) delivered information sums per step;
-    iv_inc: (N+1, m) delivered IV-delta sums per step;
-    info0/yv0: prior information and information vector at step 0.
-    Returns (info_hist (N+1, m, m), yv_hist (N+1, m)).
+    The chains share A^{-1}(k), Q^{-1} and the prior and differ only in what
+    their nodes deliver. info_inc: (B, N+1, m, m) delivered information sums
+    per step; iv_inc: (B, N+1, m) delivered IV-delta sums per step;
+    info0 (m, m) / yv0 (m,): prior information and information vector at step 0.
+    Returns (info_hist (B, N+1, m, m), yv_hist (B, N+1, m)).
     """
-    n_out, m, _ = info_inc.shape
+    n_chains, n_out, m, _ = info_inc.shape
     eye = np.eye(m)
-    info_hist = np.empty((n_out, m, m))
-    yv_hist = np.empty((n_out, m))
-    info = info0 + info_inc[0]
-    yv = yv0 + iv_inc[0]
-    info_hist[0] = info
-    yv_hist[0] = yv
+    info_hist = np.empty((n_chains, n_out, m, m))
+    yv_hist = np.empty((n_chains, n_out, m))
+    info = info0 + info_inc[:, 0]
+    yv = yv0 + iv_inc[:, 0]
+    info_hist[:, 0] = info
+    yv_hist[:, 0] = yv
     for k in range(1, n_out):
         a_inv = a_inv_seq[k - 1]
         mk = a_inv.T @ info @ a_inv
-        c = np.linalg.solve(mk + q_inv, mk).T
+        c = np.linalg.solve(mk + q_inv, mk).transpose(0, 2, 1)
         d = eye - c
-        pred = d @ mk @ d.T + c @ q_inv @ c.T
-        pred = 0.5 * (pred + pred.T)
-        yv = d @ (a_inv.T @ yv)
-        info = pred + info_inc[k]
-        yv = yv + iv_inc[k]
-        info_hist[k] = info
-        yv_hist[k] = yv
+        pred = d @ mk @ d.transpose(0, 2, 1) + c @ q_inv @ c.transpose(0, 2, 1)
+        pred = 0.5 * (pred + pred.transpose(0, 2, 1))
+        yv = (d @ (yv @ a_inv)[..., None])[..., 0]
+        info = pred + info_inc[:, k]
+        yv = yv + iv_inc[:, k]
+        info_hist[:, k] = info
+        yv_hist[:, k] = yv
     return info_hist, yv_hist

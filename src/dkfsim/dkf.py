@@ -14,7 +14,13 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, NumericError, SelectionError, SingularInformationError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    NumericError,
+    SelectionError,
+    SingularInformationError,
+)
 from .model import (
     LtvSystem,
     Trajectory,
@@ -274,26 +280,56 @@ class DkfEngine:
 
     def fused_run(self, subset):
         """Run the estimator over one subset; returns (info_hist, yv_hist, xhat, flags)."""
-        ids, idx = self._subset_indices(subset)
+        _, idx = self._subset_indices(subset)
+        mask = np.zeros((1, len(self.network)), dtype=bool)
+        mask[0, idx] = True
+        return tuple(a[0] for a in self.fused_runs(mask))
+
+    def fused_runs(self, masks):
+        """Run the estimator over B subsets at once, one shared realization.
+
+        masks: (B, n) bool; row b selects the nodes of run b (column i is node
+        id i+1). Returns (info_hist (B, N+1, m, m), yv_hist (B, N+1, m),
+        xhat (B, N+1, m), flags (B, N+1)).
+        """
+        masks = np.asarray(masks)
+        n = len(self.network)
+        if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != n:
+            raise SelectionError(
+                f"masks must be a (B, {n}) bool array, got {masks.dtype} {masks.shape}"
+            )
+        empty = np.flatnonzero(~masks.any(axis=1))
+        if empty.size:
+            raise SelectionError(f"mask row {int(empty[0])} selects no node")
+        n_runs = masks.shape[0]
         n_out = self.n_steps + 1
         m = self.sys.state_dim
-        d = self.delays[idx]
-        live = d <= self.n_steps
-        info_inc = np.zeros((n_out, m, m))
-        np.add.at(info_inc, d[live], self.l_all[idx[live]])
-        info_inc = np.cumsum(info_inc, axis=0)
-        iv_inc = np.zeros((n_out, m))
-        for delay in np.unique(d[live]):
-            rows = idx[d == delay]
-            iv_inc[delay:] += self.div_all[rows, : n_out - delay].sum(axis=0)
+        # delivered sums: each node adds l_i from step d_i on and its IV deltas
+        # d_i steps late; nodes delayed past the horizon deliver nothing
+        used = np.flatnonzero(masks.any(axis=0) & (self.delays <= self.n_steps))
+        used = used[np.argsort(self.delays[used], kind="stable")]
+        group_delays, starts = np.unique(self.delays[used], return_index=True)
+        l_flat = self.l_all.reshape(n, m * m)
+        info_inc = np.zeros((n_runs, n_out, m * m))
+        iv_inc = np.zeros((n_runs, n_out, m))
+        for delay, rows in zip(group_delays, np.split(used, starts[1:])):
+            w_rows = masks[:, rows].astype(float)
+            info_inc[:, delay] = w_rows @ l_flat[rows]
+            div = self.div_all[rows, : n_out - delay].reshape(rows.size, -1)
+            iv_inc[:, delay:] += (w_rows @ div).reshape(n_runs, n_out - delay, m)
+        info_inc = np.cumsum(info_inc, axis=1, out=info_inc).reshape(n_runs, n_out, m, m)
         info_hist, yv_hist = _kernels.fused_info_recursion(
             self.a_inv_seq, self.q_inv, info_inc, iv_inc, self.info0, self.yv0
         )
-        if not np.all(np.isfinite(info_hist)):
-            bad = int(np.nonzero(~np.isfinite(info_hist).all(axis=(1, 2)))[0][0])
-            raise NumericError(f"non-finite fused information at step {bad}")
-        xhat, flags = recover_estimates(info_hist, yv_hist)
-        return info_hist, yv_hist, xhat, flags
+        finite = np.isfinite(info_hist).all(axis=(2, 3))
+        if not finite.all():
+            row, step = (int(v) for v in np.argwhere(~finite)[0])
+            raise DivergenceError(
+                f"non-finite fused information in mask row {row} (0-based) at step {step}",
+                step=step, row=row,
+            )
+        xhat, flags = recover_estimates(info_hist.reshape(-1, m, m), yv_hist.reshape(-1, m))
+        return info_hist, yv_hist, xhat.reshape(n_runs, n_out, m), flags.reshape(n_runs, n_out)
 
     def node_histories(self, subset):
         """Per-node posterior information histories I_i(k|k), shape (len(subset), N+1, m, m)."""

@@ -26,11 +26,13 @@ class NumericError(ArithmeticError):
 
 
 class DivergenceError(NumericError):
-    """A simulated state became non-finite; carries the offending step."""
+    """A simulated state or fused estimate became non-finite; carries the
+    offending step and, for a batch of runs, the 0-based batch row."""
 
-    def __init__(self, message, step=None):
+    def __init__(self, message, step=None, row=None):
         super().__init__(message)
         self.step = step
+        self.row = row
 
 
 class SingularInformationError(NumericError):

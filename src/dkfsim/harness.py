@@ -121,20 +121,17 @@ def make_network(cfg: ExperimentConfig, rng: np.random.Generator) -> SensorNetwo
     )
 
 
-def _metrics_report(engine: DkfEngine, subset, band: float, **extra) -> SelectionReport:
-    _, _, xhat, _ = engine.fused_run(subset)
+def _metrics_report(engine: DkfEngine, subset, xhat, band: float) -> SelectionReport:
     settle = settling_index(engine.truth, band)
     return SelectionReport(
         nodes=frozenset(int(i) for i in subset),
         mse=mse(xhat, engine.truth, settle),
         md=max_deviation(xhat, engine.truth),
         mse_raw=mse_raw(xhat, engine.truth, settle),
-        **extra,
     )
 
 
-def _write_trace(engine: DkfEngine, subset, path: Path):
-    info_hist, _, xhat, _ = engine.fused_run(subset)
+def _write_trace(engine: DkfEngine, info_hist, xhat, path: Path):
     return export_csv(trace_records(engine.truth.states, xhat, info_hist), path)
 
 
@@ -195,9 +192,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
     if "fixed-subset" in modes:
         subset = cfg.subset_ids(network)
-        result.reports["fixed-subset"] = _metrics_report(engine, subset, cfg.band)
+        info_hist, _, xhat, _ = engine.fused_run(subset)
+        result.reports["fixed-subset"] = _metrics_report(engine, subset, xhat, cfg.band)
         result.selected_nodes["fixed-subset"] = sorted(subset)
-        result.files.append(_write_trace(engine, subset, out / "trace_fixed.csv"))
+        result.files.append(_write_trace(engine, info_hist, xhat, out / "trace_fixed.csv"))
 
     if "greedy" in modes:
         reports = greedy_select(
@@ -211,7 +209,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             raise ConfigError("no greedy iteration produced a non-empty subset")
         result.reports["greedy"] = best
         result.selected_nodes["greedy"] = sorted(best.nodes)
-        result.files.append(_write_trace(engine, sorted(best.nodes), out / "trace_greedy_best.csv"))
+        info_hist, _, xhat, _ = engine.fused_run(sorted(best.nodes))
+        result.files.append(_write_trace(engine, info_hist, xhat, out / "trace_greedy_best.csv"))
 
     if "stability" in modes:
         params = compute_params(
@@ -223,8 +222,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         result.files.append(export_csv(stability_records(rows), out / "stability_report.csv"))
         result.selected_nodes["stability"] = sorted(selected)
         if selected:
-            result.reports["stability"] = _metrics_report(engine, sorted(selected), cfg.band)
-            result.files.append(_write_trace(engine, sorted(selected), out / "trace_stability.csv"))
+            info_hist, _, xhat, _ = engine.fused_run(sorted(selected))
+            result.reports["stability"] = _metrics_report(engine, selected, xhat, cfg.band)
+            result.files.append(_write_trace(engine, info_hist, xhat, out / "trace_stability.csv"))
         else:
             log.warning("stability selection returned no nodes")
             result.reports["stability"] = SelectionReport(

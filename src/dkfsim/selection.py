@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dkf import DkfEngine
-from .errors import ConfigError, MetricError
+from .errors import ConfigError, DivergenceError, MetricError
 from .model import LtvSystem, Trajectory, robust_inverse, transition_sequence
 from .sensing import SensorNetwork, delay_steps
 from .stability import StabilityParams, beta_hat_batch, i_tilde_matrices, i_tilde_products
@@ -109,8 +109,15 @@ def max_deviation(x_hat, x) -> float:
     return float(np.abs(a - b).max()) / denom
 
 
-def _node_variance(node) -> float:
-    return float(np.linalg.eigvalsh(node.r).max())
+def _node_variances(network) -> np.ndarray:
+    """Largest eigenvalue of every node's R: one batched eigvalsh per row count p."""
+    rs = [node.r for node in network]
+    sizes = np.array([r.shape[0] for r in rs], dtype=np.int64)
+    out = np.empty(len(rs))
+    for p in np.unique(sizes):
+        idx = np.flatnonzero(sizes == p)
+        out[idx] = np.linalg.eigvalsh(np.stack([rs[i] for i in idx]))[:, -1]
+    return out
 
 
 def _require_resolved(network):
@@ -135,8 +142,9 @@ def greedy_select(
     """Threshold sweep: iteration k admits nodes with R_i <= R0(k) and tau_i <= tau0(k),
     with R0, tau0 shrinking linearly from (r_max, tau_max) toward zero.
 
-    Every iteration runs the DKF against one shared plant/noise realization, so
-    the sweep compares subsets, not sample paths. Needs ground-truth states;
+    All non-empty iterations run as one batched DKF pass (DkfEngine.fused_runs)
+    against one shared plant/noise realization, so the sweep compares subsets,
+    not sample paths. Needs ground-truth states;
     benchmark use only. Iterations with an empty subset record NaN metrics.
     Stochastic delays must be resolved beforehand (sensing.resolve_delays).
     """
@@ -148,28 +156,42 @@ def greedy_select(
     if engine is None:
         engine = DkfEngine(sys, network, n_steps, rng)
     settle = settling_index(engine.truth, band)
-    variances = np.array([_node_variance(node) for node in network])
+    variances = _node_variances(network)
     delays_s = np.array([node.delay.base for node in network])
+    shrink = 1.0 - np.arange(iterations) / iterations  # iteration j + 1 scales by shrink[j]
+    r0 = r_max * shrink
+    tau0 = tau_max * shrink
+    masks = (variances[None, :] <= r0[:, None]) & (delays_s[None, :] <= tau0[:, None])
+    ran = masks.any(axis=1)
+    xhats = None
+    if ran.any():
+        try:
+            xhats = engine.fused_runs(masks[ran])[2]
+        except DivergenceError as exc:
+            iteration = int(np.flatnonzero(ran)[exc.row]) + 1
+            raise DivergenceError(
+                f"non-finite fused information in greedy iteration {iteration} at step {exc.step}",
+                step=exc.step,
+            ) from exc
+    row = np.cumsum(ran) - 1  # row of iteration j + 1 in xhats
     ids = np.array(network.ids())
     reports = []
-    for it in range(1, iterations + 1):
-        r0 = r_max * (1.0 - (it - 1) / iterations)
-        tau0 = tau_max * (1.0 - (it - 1) / iterations)
-        chosen = ids[(variances <= r0) & (delays_s <= tau0)]
-        if chosen.size == 0:
+    for j in range(iterations):
+        thresholds = (float(r0[j]), float(tau0[j]))
+        if not ran[j]:
             reports.append(SelectionReport(
                 nodes=frozenset(), mse=float("nan"), md=float("nan"),
-                iteration=it, thresholds=(r0, tau0),
+                iteration=j + 1, thresholds=thresholds,
             ))
             continue
-        _, _, xhat, _ = engine.fused_run(chosen)
+        xhat = xhats[row[j]]
         reports.append(SelectionReport(
-            nodes=frozenset(int(i) for i in chosen),
+            nodes=frozenset(ids[masks[j]].tolist()),
             mse=mse(xhat, engine.truth, settle),
             md=max_deviation(xhat, engine.truth),
             mse_raw=mse_raw(xhat, engine.truth, settle),
-            iteration=it,
-            thresholds=(r0, tau0),
+            iteration=j + 1,
+            thresholds=thresholds,
         ))
     return reports
 
@@ -225,6 +247,7 @@ def stability_select(
     n = len(network)
     k_bar = params.k_bar
     d = np.array([delay_steps(node, sys.sample_time) for node in network], dtype=np.int64)
+    variances = _node_variances(network) if return_diagnostics else None
 
     # delay-free per-node information histories (the local IF recursions)
     a_seq = transition_sequence(sys, n_steps)
@@ -275,7 +298,7 @@ def stability_select(
         if return_diagnostics:
             rows.append(NodeStabilityRow(
                 node_id=node.id, selected=ok, ct_exp=ct_exp, ct_act=ct_act,
-                delay_s=node.delay.base, variance=_node_variance(node),
+                delay_s=node.delay.base, variance=float(variances[i]),
                 beta_hat=float(betas[i]),
             ))
     if not any_applicable:

@@ -268,10 +268,11 @@ def estimate_info_bound(sys: LtvSystem, network: SensorNetwork, n_steps: int) ->
     l_total = np.zeros((m, m))
     for node in network:
         l_total += node.info_increment()
-    info_inc = np.broadcast_to(l_total, (n_steps + 1, m, m)).copy()
+    info_inc = np.broadcast_to(l_total, (1, n_steps + 1, m, m)).copy()
     info_hist, _ = _kernels.fused_info_recursion(
-        a_inv_seq, q_inv, info_inc, np.zeros((n_steps + 1, m)), np.zeros((m, m)), np.zeros(m)
+        a_inv_seq, q_inv, info_inc, np.zeros((1, n_steps + 1, m)), np.zeros((m, m)), np.zeros(m)
     )
+    info_hist = info_hist[0]
     traces = np.trace(info_hist, axis1=1, axis2=2)
     return _symmetrize(info_hist[int(np.argmax(traces))])
 
@@ -285,18 +286,21 @@ def compute_params(
     beta_hat_override: float | None = None,
     per_node: bool = True,
 ) -> StabilityParams:
-    """StabilityParams for a network: pilot bound plus contraction constant.
+    """StabilityParams for a network: contraction constant and, when it is
+    needed, the pilot bound.
 
     per_node=True leaves beta_hat unset so the selection derives one
     contraction per node from that node's own information history; this is the
     discriminating variant. per_node=False computes a single global beta_hat
-    from the fused pilot bound.
+    from the fused pilot bound (estimate_info_bound), the only case that runs
+    the pilot pass; i_bound is None otherwise.
     """
-    i_bound = estimate_info_bound(sys, network, n_steps)
+    i_bound = None
     if beta_hat_override is not None:
         beta = float(beta_hat_override)
     elif per_node:
         beta = None
     else:
+        i_bound = estimate_info_bound(sys, network, n_steps)
         beta = beta_hat(sys, n_steps, i_bound, alpha)
     return StabilityParams(k_bar=k_bar, alpha=alpha, beta_hat=beta, i_bound=i_bound)

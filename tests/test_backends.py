@@ -44,16 +44,19 @@ def test_node_histories_parity(m):
 def test_fused_recursion_parity(m):
     rng = np.random.default_rng(m + 10)
     a_inv, q_inv, l_all = problem(n=6, n_steps=100, m=m, seed=m + 5)
-    info_inc = np.cumsum(
-        np.concatenate([l_all[:3], np.zeros((98, m, m))]), axis=0
-    )
-    iv_inc = 0.3 * rng.standard_normal((101, m))
+    # numpy runs a batch of chains; the compiled kernel runs one chain per call
+    info_inc = np.stack([
+        np.cumsum(np.concatenate([l_all[b:b + 3], np.zeros((98, m, m))]), axis=0)
+        for b in range(3)
+    ])
+    iv_inc = 0.3 * rng.standard_normal((3, 101, m))
     info0 = np.eye(m)
     yv0 = rng.standard_normal(m)
     f_py = _pure.fused_info_recursion(a_inv, q_inv, info_inc, iv_inc, info0, yv0)
-    f_c = compiled.fused_info_recursion(a_inv, q_inv, info_inc, iv_inc, info0, yv0)
-    assert np.abs(f_py[0] - f_c[0]).max() < 1e-10
-    assert np.abs(f_py[1] - f_c[1]).max() < 1e-10
+    for b in range(3):
+        f_c = compiled.fused_info_recursion(a_inv, q_inv, info_inc[b], iv_inc[b], info0, yv0)
+        assert np.abs(f_py[0][b] - f_c[0]).max() < 1e-10
+        assert np.abs(f_py[1][b] - f_c[1]).max() < 1e-10
 
 
 def test_backend_selection_and_override(monkeypatch):

@@ -11,9 +11,11 @@ from dkfsim.dkf import (
     node_measurement_update,
     node_time_update,
     observer_gain,
+    recover_estimates,
     run_dkf,
+    time_update_general,
 )
-from dkfsim.errors import ConfigError, SelectionError, SingularInformationError
+from dkfsim.errors import ConfigError, NumericError, SelectionError, SingularInformationError
 from dkfsim.model import builtin_system, transition_matrix
 from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode
 from dkfsim.selection import max_deviation
@@ -274,6 +276,106 @@ def test_delays_increase_transient_deviation():
     md_delayed = max_deviation(run_d.xhat, run_d.truth)
     md_zero = max_deviation(run_0.xhat, run_0.truth)
     assert md_delayed > md_zero
+
+
+# ---------------------------------------------------------------------------
+# batched fused runs
+# ---------------------------------------------------------------------------
+
+
+def stepwise_fused_run(engine, ids):
+    """Oracle for one subset: a general time update between steps, then every
+    node whose delay has elapsed adds l_i and its d_i-stale IV delta."""
+    idx = np.array(sorted(ids)) - 1
+    n_out = engine.n_steps + 1
+    m = engine.sys.state_dim
+    info_hist = np.empty((n_out, m, m))
+    yv_hist = np.empty((n_out, m))
+    info, yv = engine.info0, engine.yv0
+    for k in range(n_out):
+        if k > 0:
+            info, yv = time_update_general(info, yv, engine.a_inv_seq[k - 1], engine.q_inv)
+        for i in idx:
+            d = engine.delays[i]
+            if d <= k:
+                info = info + engine.l_all[i]
+                yv = yv + engine.div_all[i, k - d]
+        info_hist[k] = info
+        yv_hist[k] = yv
+    return info_hist, yv_hist
+
+
+def mixed_network():
+    """Single-row nodes, one 2-row node, and one node delayed past a 60-step horizon."""
+    nodes = [single_row_node(i + 1, i % 2, 0.1 + 0.05 * i, base=0.07 * i) for i in range(5)]
+    nodes.append(SensorNode(id=6, h=np.array([[1.0, 0.0], [0.5, 1.0]]),
+                            r=np.array([[0.2, 0.05], [0.05, 0.3]]), delay=DelaySpec(base=0.12)))
+    nodes.append(single_row_node(7, 1, 0.15, base=3.0))
+    return SensorNetwork(tuple(nodes))
+
+
+def assert_rel_close(a, b, rel=1e-12):
+    assert np.abs(a - b).max() <= rel * max(np.abs(b).max(), 1e-300)
+
+
+def test_fused_runs_rows_match_stepwise_oracle():
+    sys_ = builtin_system()
+    net = mixed_network()
+    eng = DkfEngine(sys_, net, 60, np.random.default_rng(4),
+                    info0=0.5 * np.eye(2), x0_hat=np.array([1.0, -1.0]))
+    subsets = [net.ids(), [2, 6], [7], [1, 3, 7]]
+    masks = np.zeros((len(subsets), len(net)), dtype=bool)
+    for b, ids in enumerate(subsets):
+        masks[b, np.array(ids) - 1] = True
+    info_hist, yv_hist, xhat, flags = eng.fused_runs(masks)
+    assert info_hist.shape == (4, 61, 2, 2) and xhat.shape == (4, 61, 2)
+    for b, ids in enumerate(subsets):
+        want_info, want_yv = stepwise_fused_run(eng, ids)
+        want_x, want_flags = recover_estimates(want_info, want_yv)
+        assert_rel_close(info_hist[b], want_info)
+        assert_rel_close(yv_hist[b], want_yv)
+        assert_rel_close(xhat[b], want_x)
+        np.testing.assert_array_equal(flags[b], want_flags)
+    # node 7 never arrives: its run is the prior propagated alone
+    np.testing.assert_array_equal(info_hist[2], stepwise_fused_run(eng, [])[0])
+
+
+def test_fused_run_is_row_zero_of_fused_runs():
+    eng = DkfEngine(builtin_system(), mixed_network(), 60, np.random.default_rng(5))
+    mask = np.zeros((1, 7), dtype=bool)
+    mask[0, [0, 3, 5]] = True
+    single = eng.fused_run([1, 4, 6])
+    batched = eng.fused_runs(mask)
+    for got, want in zip(single, batched):
+        np.testing.assert_array_equal(got, want[0])
+
+
+def test_fused_runs_rejects_bad_masks():
+    eng = DkfEngine(builtin_system(), mixed_network(), 20, np.random.default_rng(0))
+    with pytest.raises(SelectionError, match="row 1"):
+        eng.fused_runs(np.array([[True] * 7, [False] * 7]))
+    with pytest.raises(SelectionError):
+        eng.fused_runs(np.ones((2, 6), dtype=bool))
+    with pytest.raises(SelectionError):
+        eng.fused_runs(np.ones((2, 7)))
+
+
+def test_fused_runs_non_finite_names_row_and_step(monkeypatch):
+    from dkfsim import _kernels
+
+    real = _kernels.fused_info_recursion
+
+    def poisoned(*args):
+        info_hist, yv_hist = real(*args)
+        info_hist[1, 7, 0, 1] = np.nan
+        info_hist[1, 9, 0, 0] = np.inf
+        return info_hist, yv_hist
+
+    monkeypatch.setattr(_kernels, "fused_info_recursion", poisoned)
+    eng = DkfEngine(builtin_system(), mixed_network(), 20, np.random.default_rng(0))
+    with pytest.raises(NumericError, match=r"mask row 1 \(0-based\) at step 7$") as err:
+        eng.fused_runs(np.ones((3, 7), dtype=bool))
+    assert (err.value.row, err.value.step) == (1, 7)
 
 
 # ---------------------------------------------------------------------------

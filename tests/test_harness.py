@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dkfsim.config import ExperimentConfig, load_config, parse_config_text
+from dkfsim.dkf import DkfEngine
 from dkfsim.errors import ConfigError
 from dkfsim.harness import (
     derive_seed,
@@ -210,6 +211,25 @@ def test_run_experiment_all_mode_shares_realization(tmp_path):
     cfg = small_cfg(mode="all")
     res = run_experiment(cfg, out_dir=tmp_path)
     assert set(res.reports) == {"fixed-subset", "greedy", "stability"}
+
+
+def test_run_experiment_runs_each_subset_once(tmp_path, monkeypatch):
+    batch_sizes = []
+    real = DkfEngine.fused_runs
+
+    def counting(self, masks):
+        batch_sizes.append(len(masks))
+        return real(self, masks)
+
+    monkeypatch.setattr(DkfEngine, "fused_runs", counting)
+    res = run_experiment(small_cfg(mode="all"), out_dir=tmp_path)
+    assert res.selected_nodes["stability"]
+    # fixed subset, the whole greedy sweep, the greedy best trace, the stability subset
+    assert len(batch_sizes) == 4
+    assert batch_sizes[0] == batch_sizes[2] == batch_sizes[3] == 1
+    with open(tmp_path / "greedy_report.csv", newline="") as fh:
+        evaluated = sum(1 for row in csv.DictReader(fh) if int(row["n_selected"]) > 0)
+    assert batch_sizes[1] == evaluated > 1
 
 
 def test_run_experiment_deterministic_csvs(tmp_path):

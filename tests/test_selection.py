@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dkfsim.dkf import DkfEngine
-from dkfsim.errors import ConfigError, MetricError
+from dkfsim.errors import ConfigError, MetricError, NumericError
 from dkfsim.model import builtin_system
 from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode, sample_network
 from dkfsim.selection import (
@@ -15,6 +18,8 @@ from dkfsim.selection import (
     stability_select,
 )
 from dkfsim.stability import StabilityParams, compute_params
+
+from conftest import random_system
 
 
 def make_node(node_id, row=0, r=0.25, base=0.0, jitter=0.0):
@@ -165,6 +170,98 @@ def test_greedy_shares_one_realization():
     for r in full[1:]:
         assert r.mse == full[0].mse
         assert r.md == full[0].md
+
+
+def per_iteration_sweep(engine, network, iterations, r_max, tau_max):
+    """The sweep as one engine.fused_run per non-empty iteration (reference).
+
+    Returns (nodes, thresholds, mse, md, mse_raw) per iteration.
+    """
+    settle = settling_index(engine.truth)
+    out = []
+    for it in range(1, iterations + 1):
+        r0 = r_max * (1.0 - (it - 1) / iterations)
+        tau0 = tau_max * (1.0 - (it - 1) / iterations)
+        chosen = [node.id for node in network
+                  if np.linalg.eigvalsh(node.r).max() <= r0 and node.delay.base <= tau0]
+        if not chosen:
+            out.append((frozenset(), (r0, tau0), math.nan, math.nan, math.nan))
+            continue
+        _, _, xhat, _ = engine.fused_run(chosen)
+        out.append((frozenset(chosen), (r0, tau0), mse(xhat, engine.truth, settle),
+                    max_deviation(xhat, engine.truth), mse_raw(xhat, engine.truth, settle)))
+    return out
+
+
+def assert_sweep_matches(reports, expected, rel=1e-12):
+    assert len(reports) == len(expected)
+    for it, (rep, (nodes, thresholds, *metrics)) in enumerate(zip(reports, expected), start=1):
+        assert rep.iteration == it
+        assert rep.nodes == nodes
+        assert rep.thresholds == thresholds
+        for got, want in zip((rep.mse, rep.md, rep.mse_raw), metrics):
+            if math.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert abs(got - want) <= rel * abs(want)
+
+
+def test_greedy_batched_matches_per_iteration_runs():
+    # a 2-row sensor, a node delayed past the 60-step horizon, and trailing
+    # iterations whose thresholds fall below every node
+    sys_ = builtin_system()
+    nodes = [make_node(i + 1, row=i % 2, r=0.1 + 0.04 * i, base=0.15 * i) for i in range(8)]
+    nodes.append(SensorNode(id=9, h=np.array([[1.0, 0.0], [0.5, 1.0]]),
+                            r=np.array([[0.2, 0.05], [0.05, 0.3]]),
+                            delay=DelaySpec(base=0.05)))
+    nodes.append(make_node(10, row=1, r=0.12, base=1.9))
+    net = SensorNetwork(tuple(nodes))
+    engine = DkfEngine(sys_, net, 60, np.random.default_rng(8))
+    reports = greedy_select(sys_, net, 10, 0.5, 2.0, 60, None, engine=engine)
+    assert not reports[-1].ran and reports[0].n_selected == 10
+    assert any(9 in r.nodes for r in reports) and 10 in reports[0].nodes
+    assert_sweep_matches(reports, per_iteration_sweep(engine, net, 10, 0.5, 2.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]),
+       n_nodes=st.integers(1, 8), iterations=st.integers(1, 8), n_steps=st.integers(8, 40))
+def test_greedy_batched_matches_per_iteration_property(seed, m, n_nodes, iterations, n_steps):
+    rng = np.random.default_rng(seed)
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    nodes = []
+    for i in range(n_nodes):
+        p = int(rng.integers(1, 3))
+        a = rng.standard_normal((p, p))
+        nodes.append(SensorNode(
+            id=i + 1, h=rng.standard_normal((p, m)),
+            r=0.1 * a @ a.T + rng.uniform(0.01, 0.5) * np.eye(p),
+            # up to 1.5x the horizon, so some nodes never arrive
+            delay=DelaySpec(base=float(rng.uniform(0.0, 1.5 * n_steps * sys_.sample_time))),
+        ))
+    net = SensorNetwork(tuple(nodes))
+    r_max = float(rng.uniform(0.2, 1.5))
+    tau_max = float(rng.uniform(0.05, 1.5 * n_steps * sys_.sample_time))
+    engine = DkfEngine(sys_, net, n_steps, rng)
+    reports = greedy_select(sys_, net, iterations, r_max, tau_max, n_steps, None, engine=engine)
+    assert_sweep_matches(reports, per_iteration_sweep(engine, net, iterations, r_max, tau_max))
+
+
+def test_greedy_non_finite_names_iteration_and_step(monkeypatch):
+    from dkfsim import _kernels
+
+    real = _kernels.fused_info_recursion
+
+    def poisoned(*args):
+        info_hist, yv_hist = real(*args)
+        info_hist[1, 12, 1, 1] = np.nan  # batch row 1 runs iteration 2
+        return info_hist, yv_hist
+
+    monkeypatch.setattr(_kernels, "fused_info_recursion", poisoned)
+    net = SensorNetwork(tuple(make_node(i + 1, r=0.1 * (i + 1)) for i in range(4)))
+    with pytest.raises(NumericError, match=r"greedy iteration 2 at step 12$") as err:
+        greedy_select(builtin_system(), net, 4, 0.5, 1.0, 30, np.random.default_rng(0))
+    assert err.value.step == 12
 
 
 def test_greedy_requires_resolved_network():

@@ -308,11 +308,13 @@ def test_compute_params_modes():
     node = SensorNode(id=1, h=np.array([[1.0, 0.0]]), r=np.array([[0.3]]))
     net = SensorNetwork((node,))
     per_node = compute_params(sys_, net, 100)
-    assert per_node.beta_hat is None and per_node.i_bound is not None
+    # the pilot bound is computed only where the global beta_hat reads it
+    assert per_node.beta_hat is None and per_node.i_bound is None
     fixed = compute_params(sys_, net, 100, per_node=False)
     assert 0.0 < fixed.beta_hat <= 1.0
+    np.testing.assert_array_equal(fixed.i_bound, estimate_info_bound(sys_, net, 100))
     overridden = compute_params(sys_, net, 100, beta_hat_override=0.25)
-    assert overridden.beta_hat == 0.25
+    assert overridden.beta_hat == 0.25 and overridden.i_bound is None
 
 
 def test_information_inverse_matches_riccati_covariance():
