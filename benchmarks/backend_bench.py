@@ -5,7 +5,9 @@ Times the two hot kernels on benchmark-scenario shapes (2000 nodes, 200-500
 steps) plus full stability and greedy experiments, and prints a comparison
 table. The fused
 recursion is timed as a greedy sweep runs it: CHAINS chains, in one batched
-numpy call, against one compiled single-chain call per chain.
+numpy call, against one compiled single-chain call per chain. The m = 2
+closed-form node histories, which every backend runs for two-state plants,
+are timed next to both generic kernels.
 
 Usage: python benchmarks/backend_bench.py [--nodes N] [--steps K] [--repeat R]
 """
@@ -93,8 +95,16 @@ def main():
         else:
             print(f"{kernel:<28} {py * 1e3:>10.1f}ms {'-':>12} {'-':>9}")
 
-    # end-to-end: the backend only moves the stability mode (node histories);
-    # the greedy sweep always runs the batched numpy recursion
+    closed = timeit(
+        lambda: _pure.node_info_histories_2x2(a_inv, q_inv, l_all, info0), args.repeat
+    )
+    versus = ", ".join(f"{results[name]['node_info_histories'] / closed:.1f}x faster than {name}"
+                       for name in results)
+    print(f"{'node_info_histories_2x2':<28} {closed * 1e3:>10.1f}ms  ({versus})")
+
+    # end-to-end: every backend runs the m = 2 closed form, so for this
+    # two-state plant the backend moves nothing; the greedy sweep always runs
+    # the batched numpy recursion
     print()
     cfg = ExperimentConfig(seed=0, n_sensors=args.nodes, horizon=min(args.steps, 200))
     previous = _kernels.get_backend()

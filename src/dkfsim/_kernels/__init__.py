@@ -1,6 +1,8 @@
 """Kernel backend selection.
 
-The per-node information histories run either in the compiled extension
+The per-node information histories of a two-state plant run the m = 2
+closed form in numpy on every backend; it beats the compiled kernel. For
+other state dimensions they run either in the compiled extension
 (dkfsim._kernels._core, built from Cython) or in the pure-numpy fallback.
 The compiled backend is preferred when importable; set DKFSIM_BACKEND=python
 or DKFSIM_BACKEND=compiled to force a choice.
@@ -60,6 +62,8 @@ def available_backends() -> list:
 
 
 def node_info_histories(a_inv_seq, q_inv, l_all, info0):
+    if l_all.shape[-1] == 2:
+        return _pure.node_info_histories_2x2(a_inv_seq, q_inv, l_all, info0)
     return get_backend().node_info_histories(a_inv_seq, q_inv, l_all, info0)
 
 

@@ -30,13 +30,15 @@ from .model import (
     transition_matrix,
     transition_sequence,
 )
-from .sensing import SensorNetwork, delay_steps
+from .sensing import SensorNetwork, row_groups
 
 PSD_TOL = 1e-9
+NOISE_BLOCK = 256  # nodes per measurement-noise draw in DkfEngine
 
 
 def _symmetrize(a):
-    return 0.5 * (a + a.T)
+    """(a + a^T) / 2 over the last two axes, for one matrix or a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +207,58 @@ def fuse(info_prior, x_prior, reports, step: int = 0) -> FusedEstimate:
 def recover_estimates(info_hist, yv_hist):
     """x(k) = I(k)^{-1} yv(k) for a stacked history, pseudo-inverse where singular.
 
+    Singular means the smallest singular value is below 1e-10 times the
+    largest, or zero; the information matrices are symmetric, so their
+    singular values are the absolute eigenvalues.
     Returns (xhat (N+1, m), pinv_flags (N+1,) bool).
     """
-    svals = np.linalg.svd(info_hist, compute_uv=False)
-    flags = (svals[:, -1] < 1e-10 * svals[:, 0]) | (svals[:, -1] == 0.0)
+    svals = np.abs(np.linalg.eigvalsh(info_hist))
+    s_min, s_max = svals.min(axis=-1), svals.max(axis=-1)
+    flags = (s_min < 1e-10 * s_max) | (s_min == 0.0)
     xhat = np.empty_like(yv_hist)
     ok = ~flags
     if ok.any():
         xhat[ok] = np.linalg.solve(info_hist[ok], yv_hist[ok][..., None])[..., 0]
-    for k in np.nonzero(flags)[0]:
-        xhat[k] = np.linalg.pinv(info_hist[k]) @ yv_hist[k]
+    if flags.any():
+        xhat[flags] = (np.linalg.pinv(info_hist[flags]) @ yv_hist[flags][..., None])[..., 0]
     return xhat, flags
 
 
 # ---------------------------------------------------------------------------
 # Whole-run engine
 # ---------------------------------------------------------------------------
+
+
+class Scenario:
+    """What a plant, a network and a horizon fix before any random draw.
+
+    a_seq / a_inv_seq: A(k) and its inverse for k < n_steps (the
+    pseudo-inverse at the steps listed in a_pinv_steps); q_inv: Q^{-1}; per
+    node hr = H^T R^{-1} (n, m, p), zero past the node's own rows, and
+    l_all = H^T R^{-1} H (n, m, m). network=None prepares the plant part only.
+    The engine, the stability selection and the bound computations read these
+    from one instance instead of deriving them again.
+    """
+
+    def __init__(self, sys: LtvSystem, network: SensorNetwork | None, n_steps: int):
+        self.sys = sys
+        self.a_seq = transition_sequence(sys, n_steps)
+        inv_pairs = [robust_inverse(a) for a in self.a_seq]
+        self.a_inv_seq = np.ascontiguousarray([p[0] for p in inv_pairs])
+        self.a_pinv_steps = [k for k, p in enumerate(inv_pairs) if p[1]]
+        self.q_inv = np.linalg.inv(sys.process_noise_cov)
+        if network is None:
+            return
+        m = sys.state_dim
+        n, p, _ = network.h.shape
+        self.hr = np.zeros((n, m, p))
+        self.l_all = np.empty((n, m, m))
+        # one batch per row count: every node's products keep its own shapes
+        for q, idx in row_groups(network.rows):
+            h = network.h[idx, :q]
+            hr = h.transpose(0, 2, 1) @ np.linalg.inv(network.r[idx, :q, :q])
+            self.hr[idx, :, :q] = hr
+            self.l_all[idx] = _symmetrize(hr @ h)
 
 
 class DkfEngine:
@@ -235,33 +273,38 @@ class DkfEngine:
                  rng: np.random.Generator, info0=None, x0_hat=None):
         if n_steps < 1:
             raise ConfigError("n_steps must be >= 1", keys=("horizon",))
-        for node in network:
-            if node.state_dim != sys.state_dim:
-                raise ConfigError(f"node {node.id} measures a {node.state_dim}-state plant")
+        if len(network) and network.state_dim != sys.state_dim:
+            raise ConfigError(f"nodes measure a {network.state_dim}-state plant, "
+                              f"the system has {sys.state_dim} states")
         self.sys = sys
         self.network = network
         self.n_steps = n_steps
         m = sys.state_dim
-        self.a_seq = transition_sequence(sys, n_steps)
-        inv_pairs = [robust_inverse(a) for a in self.a_seq]
-        self.a_inv_seq = np.ascontiguousarray([p[0] for p in inv_pairs])
-        self.a_pinv_steps = [k for k, p in enumerate(inv_pairs) if p[1]]
-        self.q_inv = np.linalg.inv(sys.process_noise_cov)
+        self.scenario = sc = Scenario(sys, network, n_steps)
+        self.a_seq, self.a_inv_seq, self.a_pinv_steps = sc.a_seq, sc.a_inv_seq, sc.a_pinv_steps
+        self.q_inv, self.l_all = sc.q_inv, sc.l_all
         self.truth = simulate(sys, n_steps, rng)
+        n_out = n_steps + 1
         n = len(network)
-        self.l_all = np.empty((n, m, m))
-        self.div_all = np.empty((n, n_steps + 1, m))
-        self.measurements = []
-        for i, node in enumerate(network):
-            z = node.h @ self.truth.states.T  # (p, N+1)
-            z = z.T + rng.standard_normal((n_steps + 1, node.h.shape[0])) @ np.linalg.cholesky(node.r).T
-            self.measurements.append(z)
-            hr = node.h.T @ np.linalg.inv(node.r)  # (m, p)
-            self.l_all[i] = _symmetrize(hr @ node.h)
-            self.div_all[i] = z @ hr.T
-        self.delays = np.array(
-            [delay_steps(node, sys.sample_time, rng) for node in network], dtype=np.int64
-        )
+        states_t = self.truth.states.T
+        self.measurements = [None] * n
+        self.div_all = np.empty((n, n_out, m))
+        # node i draws its (N+1, p_i) noise block right after node i-1's; one
+        # draw per block of nodes keeps that order and bounds the temporaries
+        for lo in range(0, n, NOISE_BLOCK):
+            rows = network.rows[lo:lo + NOISE_BLOCK]
+            sizes = n_out * rows
+            noise = rng.standard_normal(int(sizes.sum()))
+            offsets = np.cumsum(sizes) - sizes
+            for q, idx in row_groups(rows):
+                w = noise[offsets[idx, None] + np.arange(n_out * q)].reshape(-1, n_out, q)
+                idx = idx + lo
+                chol = np.linalg.cholesky(network.r[idx, :q, :q])
+                z = (network.h[idx, :q] @ states_t).transpose(0, 2, 1) + w @ chol.transpose(0, 2, 1)
+                self.div_all[idx] = z @ sc.hr[idx, :, :q].transpose(0, 2, 1)
+                for i, z_i in zip(idx, z):
+                    self.measurements[i] = z_i
+        self.delays = network.delay_steps(sys.sample_time, rng)
         self.info0 = np.zeros((m, m)) if info0 is None else _symmetrize(np.asarray(info0, dtype=float))
         if x0_hat is None:
             self.yv0 = np.zeros(m)

@@ -218,7 +218,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             k_bar=cfg.k_bar, alpha=cfg.alpha, beta_hat_override=cfg.beta_hat_override,
         )
         selected, rows = stability_select(sys_, network, params, cfg.horizon,
-                                          return_diagnostics=True)
+                                          return_diagnostics=True, engine=engine)
         result.files.append(export_csv(stability_records(rows), out / "stability_report.csv"))
         result.selected_nodes["stability"] = sorted(selected)
         if selected:

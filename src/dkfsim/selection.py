@@ -11,16 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dkf import DkfEngine
+from .dkf import DkfEngine, Scenario, _symmetrize
 from .errors import ConfigError, DivergenceError, MetricError
-from .model import LtvSystem, Trajectory, robust_inverse, transition_sequence
-from .sensing import SensorNetwork, delay_steps
+from .model import LtvSystem, Trajectory, robust_inverse  # noqa: F401 - per-layer tracing wraps this name
+from .sensing import SensorNetwork
 from .stability import StabilityParams, beta_hat_batch, i_tilde_matrices, i_tilde_products
 from . import _kernels
 
 log = logging.getLogger(__name__)
 
 SETTLE_BAND = 0.01
+ADMISSION_CHUNK = 1 << 19  # bound-matrix entries compared per node chunk in stability_select
 
 
 @dataclass(frozen=True)
@@ -109,23 +110,12 @@ def max_deviation(x_hat, x) -> float:
     return float(np.abs(a - b).max()) / denom
 
 
-def _node_variances(network) -> np.ndarray:
-    """Largest eigenvalue of every node's R: one batched eigvalsh per row count p."""
-    rs = [node.r for node in network]
-    sizes = np.array([r.shape[0] for r in rs], dtype=np.int64)
-    out = np.empty(len(rs))
-    for p in np.unique(sizes):
-        idx = np.flatnonzero(sizes == p)
-        out[idx] = np.linalg.eigvalsh(np.stack([rs[i] for i in idx]))[:, -1]
-    return out
-
-
 def _require_resolved(network):
-    for node in network:
-        if node.delay.jitter_std > 0.0:
-            raise ConfigError(
-                f"node {node.id} has unresolved stochastic delay; apply sensing.resolve_delays",
-            )
+    jittered = np.flatnonzero(network.jitter > 0.0)
+    if jittered.size:
+        raise ConfigError(
+            f"node {jittered[0] + 1} has unresolved stochastic delay; apply sensing.resolve_delays",
+        )
 
 
 def greedy_select(
@@ -156,8 +146,8 @@ def greedy_select(
     if engine is None:
         engine = DkfEngine(sys, network, n_steps, rng)
     settle = settling_index(engine.truth, band)
-    variances = _node_variances(network)
-    delays_s = np.array([node.delay.base for node in network])
+    variances = network.variances
+    delays_s = network.base
     shrink = 1.0 - np.arange(iterations) / iterations  # iteration j + 1 scales by shrink[j]
     r0 = r_max * shrink
     tau0 = tau_max * shrink
@@ -215,6 +205,26 @@ class NodeStabilityRow:
     beta_hat: float
 
 
+def _min_eigenvalue(mats) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric matrix in a stack (e, m, m).
+
+    For m = 2 in closed form, the way LAPACK's 2x2 solver (dlae2) takes it:
+    the root of larger magnitude from the trace, the other from the
+    determinant, so a small eigenvalue keeps its relative accuracy.
+    """
+    if mats.shape[-1] != 2:
+        return np.linalg.eigvalsh(mats)[:, 0]
+    a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+    sm = a + c
+    rt = np.hypot(a - c, 2.0 * b)
+    big = 0.5 * (sm + np.where(sm < 0.0, -rt, rt))
+    a_max = np.where(np.abs(a) > np.abs(c), a, c)
+    a_min = np.where(np.abs(a) > np.abs(c), c, a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small = np.where(big != 0.0, (a_max / big) * a_min - (b / big) * b, 0.0)
+    return np.minimum(big, small)
+
+
 def stability_select(
     sys: LtvSystem,
     network: SensorNetwork,
@@ -222,6 +232,7 @@ def stability_select(
     n_steps: int,
     return_diagnostics: bool = False,
     comparison: str = "psd",
+    engine: DkfEngine | None = None,
 ):
     """Admit node i iff its delayed information beats the stability bound at
     every applicable step k in (k_bar, N]: the delayed I_i(k - d_i | k - d_i)
@@ -234,7 +245,8 @@ def stability_select(
 
     Nodes whose delay leaves no applicable step are excluded: they offer no
     evidence of stability. Stochastic delays must be resolved beforehand
-    (sensing.resolve_delays).
+    (sensing.resolve_delays). engine: a DkfEngine built on this network and
+    horizon, whose prepared scenario and delays are reused.
     """
     if comparison not in ("psd", "trace"):
         raise ConfigError(f"unknown comparison {comparison!r}")
@@ -243,64 +255,69 @@ def stability_select(
     if n_steps <= params.k_bar:
         raise ConfigError(f"n_steps must exceed k_bar={params.k_bar}", keys=("horizon", "k_bar"))
     _require_resolved(network)
+    if engine is None:
+        scenario = Scenario(sys, network, n_steps)
+        d = network.delay_steps(sys.sample_time)
+    elif engine.sys is not sys or engine.network is not network or engine.n_steps != n_steps:
+        raise ConfigError("engine was built for another plant, network or horizon")
+    else:
+        scenario, d = engine.scenario, engine.delays
     m = sys.state_dim
     n = len(network)
     k_bar = params.k_bar
-    d = np.array([delay_steps(node, sys.sample_time) for node in network], dtype=np.int64)
-    variances = _node_variances(network) if return_diagnostics else None
+    l_all = scenario.l_all
 
     # delay-free per-node information histories (the local IF recursions)
-    a_seq = transition_sequence(sys, n_steps)
-    a_inv_seq = np.ascontiguousarray([robust_inverse(a)[0] for a in a_seq])
-    q_inv = np.linalg.inv(sys.process_noise_cov)
-    l_all = np.stack([node.info_increment() for node in network])
-    hist = _kernels.node_info_histories(a_inv_seq, q_inv, l_all, np.zeros((n, m, m)))
+    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, l_all,
+                                        np.zeros((n, m, m)))
     traces = np.trace(hist, axis1=2, axis2=3)  # (n, N+1)
 
     if params.beta_hat is not None:
         betas = np.full(n, params.beta_hat)
     else:
         # per-node contraction from each node's own history bound
-        peak = np.argmax(traces, axis=1)
-        bounds = hist[np.arange(n), peak]
-        bounds = 0.5 * (bounds + bounds.transpose(0, 2, 1))
-        betas = beta_hat_batch(sys, bounds, n_steps, params.alpha)
+        bounds = hist[np.arange(n), np.argmax(traces, axis=1)]
+        betas = beta_hat_batch(sys, bounds, n_steps, params.alpha, scenario=scenario)
 
-    ks = np.arange(k_bar + 1, n_steps + 1)
+    # bound position j is step k = k_bar + 1 + j; node i's applicable steps
+    # (k - d_i >= 1) are positions first[i] .. n_pos - 1
+    n_pos = n_steps - k_bar
+    first = np.clip(d - k_bar, 0, n_pos)
+    ct_exp = n_pos - first
+    ct_act = np.zeros(n, dtype=np.int64)
     if comparison == "psd":
-        bound_mats = i_tilde_matrices(sys, k_bar + 1, n_steps, k_bar, betas, l_all)
+        bound = i_tilde_matrices(sys, k_bar + 1, n_steps, k_bar, betas, l_all, scenario=scenario)
     else:
         # tr Itilde_i(k) = sum_tau beta_i^{tau-1} <l_i, G_tau(k) G_tau(k)^T>
-        prods = i_tilde_products(sys, k_bar + 1, n_steps, k_bar)
+        prods = i_tilde_products(sys, k_bar + 1, n_steps, k_bar, scenario=scenario)
         beta_pow = betas[:, None] ** np.arange(k_bar)[None, :]
         thresholds = np.einsum("iab,ktab,it->ik", l_all, prods, beta_pow, optimize=True)
-
-    selected = set()
-    rows = []
-    any_applicable = False
-    for i, node in enumerate(network):
-        applicable = ks - d[i] >= 1
-        ct_exp = int(applicable.sum())
-        if ct_exp > 0:
-            any_applicable = True
-            delayed = ks[applicable] - d[i]
-            if comparison == "psd":
-                diff = hist[i, delayed] - bound_mats[i, applicable]
-                min_eig = np.linalg.eigvalsh(0.5 * (diff + diff.transpose(0, 2, 1)))[:, 0]
-                ct_act = int((min_eig > 0.0).sum())
-            else:
-                ct_act = int((traces[i, delayed] > thresholds[i, applicable]).sum())
+    chunk = max(1, ADMISSION_CHUNK // (n_pos * m * m))
+    for lo in range(0, n, chunk):
+        counts = ct_exp[lo:lo + chunk]
+        # one entry per applicable (node, position) pair of this chunk
+        node = lo + np.repeat(np.arange(counts.size), counts)
+        pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + first[node]
+        delayed = k_bar + 1 + pos - d[node]
+        if comparison == "psd":
+            ok = _min_eigenvalue(_symmetrize(hist[node, delayed] - bound[node, pos])) > 0.0
         else:
-            ct_act = 0
-        ok = ct_exp > 0 and ct_exp == ct_act
-        if ok:
-            selected.add(node.id)
-        if return_diagnostics:
-            rows.append(NodeStabilityRow(
-                node_id=node.id, selected=ok, ct_exp=ct_exp, ct_act=ct_act,
-                delay_s=node.delay.base, variance=float(variances[i]),
-                beta_hat=float(betas[i]),
-            ))
-    if not any_applicable:
+            ok = traces[node, delayed] > thresholds[node, pos]
+        ct_act[lo:lo + chunk] = np.bincount(node - lo, weights=ok, minlength=counts.size)
+
+    admitted = (ct_exp > 0) & (ct_exp == ct_act)
+    if not (ct_exp > 0).any():
         log.warning("no node has an applicable step: delays are larger than the estimation horizon")
-    return (selected, rows) if return_diagnostics else selected
+    selected = set((np.flatnonzero(admitted) + 1).tolist())
+    if not return_diagnostics:
+        return selected
+    variances = network.variances
+    rows = [
+        NodeStabilityRow(
+            node_id=i + 1, selected=bool(admitted[i]), ct_exp=int(ct_exp[i]),
+            ct_act=int(ct_act[i]), delay_s=float(network.base[i]),
+            variance=float(variances[i]), beta_hat=float(betas[i]),
+        )
+        for i in range(n)
+    ]
+    return selected, rows

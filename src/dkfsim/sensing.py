@@ -2,14 +2,48 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
 
 R_MIN = 1e-6  # variance floor; keeps R invertible when sampled ranges touch 0
+
+
+def _delay_faults(base, jitter) -> list:
+    """(bad mask, message, keys) of each delay rule, in check order."""
+    return [
+        (base < 0.0, "delay base must be >= 0", ("delay_range",)),
+        (jitter < 0.0, "jitter_std must be >= 0", ("jitter_std",)),
+    ]
+
+
+def _matrix_faults(h, r, rows) -> list:
+    """(bad mask, message, keys) of each rule on H (n, p, m) and R (n, p, p),
+    in check order; node i uses the first rows[i] rows."""
+    bad_r = np.zeros(h.shape[0], dtype=bool)
+    bad_h = np.zeros(h.shape[0], dtype=bool)
+    for q, idx in row_groups(rows):
+        rq = r[idx, :q, :q]
+        bad_r[idx] = np.linalg.eigvalsh(0.5 * (rq + rq.transpose(0, 2, 1))).min(axis=1) <= 0.0
+        bad_h[idx] = (np.linalg.matrix_rank(h[idx, :q]) < q) | (q > h.shape[2])
+    return [
+        (bad_r, "node {}: R must be positive definite", ()),
+        (bad_h, "node {}: H must have full row rank p <= m", ()),
+    ]
+
+
+def _raise_first_fault(faults, first_id: int = 1) -> None:
+    """Raise the ConfigError of the first faulty node (ids from first_id) and,
+    for that node, of the first rule it breaks."""
+    masks = [np.atleast_1d(mask) for mask, _, _ in faults]
+    bad = np.flatnonzero(np.logical_or.reduce(masks))
+    if bad.size:
+        i = bad[0]
+        message, keys = next((msg, keys) for mask, (_, msg, keys) in zip(masks, faults) if mask[i])
+        raise ConfigError(message.format(first_id + i), keys=keys)
 
 
 @dataclass(frozen=True)
@@ -23,10 +57,7 @@ class DelaySpec:
     jitter_std: float = 0.0
 
     def __post_init__(self):
-        if self.base < 0.0:
-            raise ConfigError("delay base must be >= 0", keys=("delay_range",))
-        if self.jitter_std < 0.0:
-            raise ConfigError("jitter_std must be >= 0", keys=("jitter_std",))
+        _raise_first_fault(_delay_faults(self.base, self.jitter_std))
 
 
 @dataclass(frozen=True)
@@ -44,10 +75,7 @@ class SensorNode:
         p = h.shape[0]
         if r.shape != (p, p):
             raise ConfigError(f"node {self.id}: R shape {r.shape} does not match p={p}")
-        if np.linalg.eigvalsh(0.5 * (r + r.T)).min() <= 0.0:
-            raise ConfigError(f"node {self.id}: R must be positive definite")
-        if np.linalg.matrix_rank(h) < p or p > h.shape[1]:
-            raise ConfigError(f"node {self.id}: H must have full row rank p <= m")
+        _raise_first_fault(_matrix_faults(h[None], r[None], [p]), first_id=self.id)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "r", r)
 
@@ -60,29 +88,121 @@ class SensorNode:
         return self.h.T @ np.linalg.solve(self.r, self.h)
 
 
-@dataclass(frozen=True)
 class SensorNetwork:
-    """Ordered node collection with unique contiguous ids 1..n."""
+    """Nodes with ids 1..n, stored as columns.
 
-    nodes: tuple
+    h (n, p, m), r (n, p, p), base and jitter (n,) delay seconds, rows (n,):
+    node i+1 measures rows[i] <= p rows, and h and r are zero past them. The
+    columns are read-only. SensorNetwork(nodes) builds the columns from
+    SensorNode objects; from_columns builds a network without them.
+    Iteration, node() and nodes give the per-node SensorNode views.
+    """
 
-    def __post_init__(self):
-        ids = [node.id for node in self.nodes]
+    def __init__(self, nodes=()):
+        nodes = tuple(nodes)
+        ids = [node.id for node in nodes]
         if ids != list(range(1, len(ids) + 1)):
             raise ConfigError("node ids must be contiguous 1..n in order")
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        m = nodes[0].state_dim if nodes else 0
+        for node in nodes:
+            if node.state_dim != m:
+                raise ConfigError(f"node {node.id} measures a {node.state_dim}-state plant, "
+                                  f"node 1 a {m}-state one")
+        rows = np.array([node.h.shape[0] for node in nodes], dtype=np.int64)
+        p = int(rows.max()) if nodes else 1
+        h = np.zeros((len(nodes), p, m))
+        r = np.zeros((len(nodes), p, p))
+        for i, node in enumerate(nodes):
+            h[i, : rows[i]] = node.h
+            r[i, : rows[i], : rows[i]] = node.r
+        self._set_columns(h, r, [node.delay.base for node in nodes],
+                          [node.delay.jitter_std for node in nodes], rows)
+        self.__dict__["nodes"] = nodes
+
+    @classmethod
+    def from_columns(cls, h, r, base, jitter, rows=None) -> SensorNetwork:
+        """Network of nodes 1..n from columns, validated in one vectorized pass.
+
+        rows defaults to p for every node. Raises the ConfigError that building
+        the nodes one by one would raise first.
+        """
+        h = np.array(h, dtype=float)
+        r = np.array(r, dtype=float)
+        base = np.array(base, dtype=float)
+        jitter = np.array(jitter, dtype=float)
+        n, p, _ = h.shape
+        rows = np.full(n, p, dtype=np.int64) if rows is None else np.array(rows, dtype=np.int64)
+        if r.shape != (n, p, p) or base.shape != (n,) or jitter.shape != (n,) or rows.shape != (n,):
+            raise ConfigError(f"columns do not describe {n} nodes of up to {p} rows: R {r.shape}, "
+                              f"base {base.shape}, jitter {jitter.shape}, rows {rows.shape}")
+        _raise_first_fault(_delay_faults(base, jitter) + _matrix_faults(h, r, rows))
+        net = cls.__new__(cls)
+        net._set_columns(h, r, base, jitter, rows)
+        return net
+
+    def _set_columns(self, h, r, base, jitter, rows):
+        for name, value in (("h", h), ("r", r), ("base", base), ("jitter", jitter),
+                            ("rows", rows)):
+            value = np.asarray(value, dtype=np.int64 if name == "rows" else float)
+            value.flags.writeable = False
+            setattr(self, name, value)
 
     def __len__(self):
-        return len(self.nodes)
+        return self.h.shape[0]
 
     def __iter__(self):
         return iter(self.nodes)
+
+    @cached_property
+    def nodes(self) -> tuple:
+        """SensorNode view of every node, in id order."""
+        return tuple(
+            SensorNode(id=i + 1, h=self.h[i, :q], r=self.r[i, :q, :q],
+                       delay=DelaySpec(base=float(self.base[i]),
+                                       jitter_std=float(self.jitter[i])))
+            for i, q in enumerate(self.rows)
+        )
+
+    @property
+    def state_dim(self) -> int:
+        return self.h.shape[2]
 
     def node(self, node_id: int) -> SensorNode:
         return self.nodes[node_id - 1]
 
     def ids(self) -> list[int]:
-        return [node.id for node in self.nodes]
+        return list(range(1, len(self) + 1))
+
+    @cached_property
+    def variances(self) -> np.ndarray:
+        """Largest eigenvalue of every node's R."""
+        out = np.empty(len(self))
+        for q, idx in row_groups(self.rows):
+            out[idx] = np.linalg.eigvalsh(self.r[idx, :q, :q])[:, -1]
+        return out
+
+    def delay_steps(self, ts: float, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Every node's delay in filter steps, as delay_steps computes it for one
+        node; stochastic nodes draw their jitter from rng in id order."""
+        if ts <= 0.0:
+            raise ConfigError("ts must be positive", keys=("ts",))
+        eff = self.base.copy()
+        jittered = np.flatnonzero(self.jitter > 0.0)
+        if jittered.size:
+            if rng is None:
+                raise ConfigError(f"node {jittered[0] + 1} has stochastic delay; rng required")
+            eff[jittered] += rng.normal(0.0, self.jitter[jittered])
+        return _round_steps(np.maximum(eff, 0.0), ts).astype(np.int64)
+
+
+def row_groups(rows) -> list:
+    """(p, indices) for each distinct row count p in rows; indices ascend."""
+    return [(int(q), np.flatnonzero(rows == q)) for q in np.unique(rows)]
+
+
+def _round_steps(eff, ts):
+    """Non-negative delay seconds to filter steps, as delay_steps rounds them."""
+    return np.floor(eff / ts + 0.5 + 1e-9)
 
 
 def measure(node: SensorNode, x, rng: np.random.Generator) -> np.ndarray:
@@ -92,13 +212,6 @@ def measure(node: SensorNode, x, rng: np.random.Generator) -> np.ndarray:
         raise ConfigError(f"state dim {x.shape[0]} does not match H columns {node.state_dim}")
     v = rng.standard_normal(node.h.shape[0]) @ np.linalg.cholesky(node.r).T
     return node.h @ x + v
-
-
-def measure_sequence(node: SensorNode, states, rng: np.random.Generator) -> np.ndarray:
-    """Measurements of every state in an (N+1, m) array; shape (N+1, p)."""
-    states = np.asarray(states, dtype=float)
-    v = rng.standard_normal((states.shape[0], node.h.shape[0])) @ np.linalg.cholesky(node.r).T
-    return states @ node.h.T + v
 
 
 def sample_network(
@@ -121,19 +234,9 @@ def sample_network(
     rows = rng.integers(0, state_dim, size=n)
     variances = np.maximum(rng.uniform(variance_range[0], variance_range[1], size=n), R_MIN)
     delays = rng.uniform(delay_range[0], delay_range[1], size=n)
-    nodes = []
-    for i in range(n):
-        h = np.zeros((1, state_dim))
-        h[0, rows[i]] = 1.0
-        nodes.append(
-            SensorNode(
-                id=i + 1,
-                h=h,
-                r=np.array([[variances[i]]]),
-                delay=DelaySpec(base=float(delays[i]), jitter_std=jitter_std),
-            )
-        )
-    return SensorNetwork(tuple(nodes))
+    h = np.zeros((n, 1, state_dim))
+    h[np.arange(n), 0, rows] = 1.0
+    return SensorNetwork.from_columns(h, variances[:, None, None], delays, np.full(n, jitter_std))
 
 
 def delay_steps(node: SensorNode, ts: float, rng: np.random.Generator | None = None) -> int:
@@ -149,8 +252,7 @@ def delay_steps(node: SensorNode, ts: float, rng: np.random.Generator | None = N
         if rng is None:
             raise ConfigError(f"node {node.id} has stochastic delay; rng required")
         eff += rng.normal(0.0, node.delay.jitter_std)
-    eff = max(eff, 0.0)
-    return int(math.floor(eff / ts + 0.5 + 1e-9))
+    return int(_round_steps(max(eff, 0.0), ts))
 
 
 def resolve_delays(network: SensorNetwork, rng: np.random.Generator | None = None) -> SensorNetwork:
@@ -159,21 +261,20 @@ def resolve_delays(network: SensorNetwork, rng: np.random.Generator | None = Non
     Returns an equivalent network with jitter_std = 0 everywhere, suitable for
     the selection algorithms, which require delays to be known.
     """
-    nodes = []
-    for node in network:
-        if node.delay.jitter_std > 0.0:
-            if rng is None:
-                raise ConfigError("network has stochastic delays; rng required")
-            eff = max(node.delay.base + rng.normal(0.0, node.delay.jitter_std), 0.0)
-            nodes.append(replace(node, delay=DelaySpec(base=eff, jitter_std=0.0)))
-        else:
-            nodes.append(node)
-    return SensorNetwork(tuple(nodes))
+    jittered = np.flatnonzero(network.jitter > 0.0)
+    if not jittered.size:
+        return network
+    if rng is None:
+        raise ConfigError("network has stochastic delays; rng required")
+    base = network.base.copy()
+    base[jittered] = np.maximum(base[jittered] + rng.normal(0.0, network.jitter[jittered]), 0.0)
+    return SensorNetwork.from_columns(network.h, network.r, base, np.zeros(len(network)),
+                                      network.rows)
 
 
 def load_network(path, state_dim: int = 2) -> SensorNetwork:
     """Read a network file: one node per line, `id h_row_index variance delay_s jitter_std`."""
-    nodes = []
+    ids, rows, values = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -182,29 +283,29 @@ def load_network(path, state_dim: int = 2) -> SensorNetwork:
             parts = line.split()
             if len(parts) != 5:
                 raise ConfigError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            node_id, row_idx = int(parts[0]), int(parts[1])
-            variance, delay_s, jitter = (float(v) for v in parts[2:])
-            h = np.zeros((1, state_dim))
-            h[0, row_idx] = 1.0
-            nodes.append(
-                SensorNode(
-                    id=node_id,
-                    h=h,
-                    r=np.array([[max(variance, R_MIN)]]),
-                    delay=DelaySpec(base=delay_s, jitter_std=jitter),
-                )
-            )
-    return SensorNetwork(tuple(nodes))
+            ids.append(int(parts[0]))
+            rows.append(int(parts[1]))
+            values.append([float(v) for v in parts[2:]])
+    n = len(ids)
+    values = np.array(values, dtype=float).reshape(n, 3)
+    h = np.zeros((n, 1, state_dim))
+    h[np.arange(n), 0, np.array(rows, dtype=np.int64)] = 1.0
+    network = SensorNetwork.from_columns(
+        h, np.maximum(values[:, 0], R_MIN)[:, None, None], values[:, 1], values[:, 2]
+    )
+    if ids != network.ids():
+        raise ConfigError("node ids must be contiguous 1..n in order")
+    return network
 
 
 def save_network(network: SensorNetwork, path) -> None:
     """Write the single-row network file format read by load_network."""
+    if (network.rows != 1).any():
+        raise ConfigError("network file format supports single-row sensors only")
+    row_idx = np.argmax(np.abs(network.h[:, 0]), axis=1)
     with open(path, "w", encoding="utf-8") as fh:
-        for node in network:
-            if node.h.shape[0] != 1:
-                raise ConfigError("network file format supports single-row sensors only")
-            row_idx = int(np.argmax(np.abs(node.h[0])))
+        for i in range(len(network)):
             fh.write(
-                f"{node.id} {row_idx} {node.r[0, 0]:.17g} "
-                f"{node.delay.base:.17g} {node.delay.jitter_std:.17g}\n"
+                f"{i + 1} {row_idx[i]} {network.r[i, 0, 0]:.17g} "
+                f"{network.base[i]:.17g} {network.jitter[i]:.17g}\n"
             )

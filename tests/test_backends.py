@@ -4,8 +4,13 @@ import pytest
 from dkfsim import _kernels
 from dkfsim._kernels import _pure
 from dkfsim.model import builtin_system, robust_inverse, transition_sequence
+from dkfsim.stability import _gamma_max_2x2
 
-compiled = pytest.importorskip("dkfsim._kernels._core")
+from conftest import random_psd
+
+needs_compiled = pytest.mark.skipif(_kernels._core is None,
+                                    reason="compiled kernel extension not built")
+compiled = _kernels._core
 
 
 def problem(n=40, n_steps=120, m=2, seed=0):
@@ -30,6 +35,50 @@ def problem(n=40, n_steps=120, m=2, seed=0):
     return a_inv, q_inv, l_all
 
 
+def assert_rel_close(a, b, rel=1e-12):
+    assert np.abs(a - b).max() <= rel * max(np.abs(b).max(), 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_node_histories_2x2_matches_generic(seed):
+    # builtin plant, a random plant, random symmetric priors
+    a_inv, q_inv, l_all = problem(n=30, n_steps=150, seed=seed)
+    rng = np.random.default_rng(seed + 20)
+    if seed % 2:
+        a_inv = np.ascontiguousarray(a_inv[::-1] + 0.2 * rng.standard_normal(a_inv.shape))
+    info0 = np.stack([random_psd(rng) for _ in range(30)])
+    assert_rel_close(_pure.node_info_histories_2x2(a_inv, q_inv, l_all, info0),
+                     _pure.node_info_histories(a_inv, q_inv, l_all, info0))
+
+
+def test_m2_node_histories_take_closed_form_on_every_backend(monkeypatch):
+    a_inv, q_inv, l_all = problem(n=5, n_steps=20)
+    monkeypatch.setattr(_pure, "node_info_histories_2x2", lambda *args: "closed form")
+    previous = _kernels.get_backend()
+    try:
+        for name in _kernels.available_backends():
+            _kernels.use_backend(name)
+            assert _kernels.node_info_histories(a_inv, q_inv, l_all, l_all) == "closed form"
+    finally:
+        _kernels._active = previous
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gamma_max_2x2_matches_eigh(seed):
+    # lambda_max(B^1/2 T B^1/2) through eigh, as the generic beta-hat path takes it
+    rng = np.random.default_rng(seed)
+    bounds = np.stack([random_psd(rng, scale=10.0 ** rng.uniform(-2, 3)) + 1e-6 * np.eye(2)
+                       for _ in range(300)])
+    terms = np.stack([random_psd(rng) for _ in range(40)])
+    w, v = np.linalg.eigh(bounds)
+    halves = v @ (np.sqrt(w)[..., None] * v.transpose(0, 2, 1))
+    prods = halves[:, None] @ terms[None] @ halves[:, None]
+    want = np.linalg.eigvalsh(0.5 * (prods + prods.swapaxes(-1, -2)))[..., -1].max(axis=1)
+    got = _gamma_max_2x2(bounds, terms)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+@needs_compiled
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_node_histories_parity(m):
     a_inv, q_inv, l_all = problem(n=25, n_steps=80, m=m, seed=m)
@@ -40,6 +89,7 @@ def test_node_histories_parity(m):
     assert np.abs(h_py - h_c).max() / scale < 1e-12
 
 
+@needs_compiled
 @pytest.mark.parametrize("m", [2, 4])
 def test_fused_recursion_parity(m):
     rng = np.random.default_rng(m + 10)
@@ -59,6 +109,7 @@ def test_fused_recursion_parity(m):
         assert np.abs(f_py[1][b] - f_c[1]).max() < 1e-10
 
 
+@needs_compiled
 def test_backend_selection_and_override(monkeypatch):
     assert _kernels.backend_name() in ("compiled", "python")
     previous = _kernels.get_backend()
@@ -77,6 +128,7 @@ def test_unknown_backend_rejected():
         _kernels.use_backend("fortran")
 
 
+@needs_compiled
 def test_whole_pipeline_identical_across_backends(monkeypatch, tmp_path):
     # run_experiment output should not depend on the backend beyond rounding;
     # the CSVs are formatted at 17 significant digits so compare parsed values

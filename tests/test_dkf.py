@@ -447,3 +447,9 @@ def test_zero_delay_subset_growth_never_decreases_information():
                 diff = info_hist[k] - prev_info[k]
                 assert np.linalg.eigvalsh(diff).min() >= -1e-10
         prev_info = info_hist
+
+
+def test_engine_rejects_network_of_another_state_dim():
+    node = SensorNode(id=1, h=np.array([[0.0, 0.0, 1.0]]), r=np.array([[0.2]]))
+    with pytest.raises(ConfigError, match="^nodes measure a 3-state plant, the system has 2 states$"):
+        DkfEngine(builtin_system(), SensorNetwork((node,)), 10, np.random.default_rng(0))

@@ -4,20 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dkfsim._kernels import _pure
 from dkfsim.dkf import DkfEngine
 from dkfsim.errors import ConfigError, MetricError, NumericError
-from dkfsim.model import builtin_system
-from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode, sample_network
+from dkfsim.model import builtin_system, robust_inverse, transition_matrix
+from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode, delay_steps, sample_network
 from dkfsim.selection import (
     best_report,
     greedy_select,
     max_deviation,
     mse,
     mse_raw,
+    _min_eigenvalue,
     settling_index,
     stability_select,
 )
-from dkfsim.stability import StabilityParams, compute_params
+from dkfsim.stability import StabilityParams, compute_params, gamma_hat, i_tilde
 
 from conftest import random_system
 
@@ -378,6 +380,103 @@ def test_stability_select_rejects_unresolved_jitter():
     net = SensorNetwork((make_node(1, jitter=0.1),))
     with pytest.raises(ConfigError):
         stability_select(builtin_system(), net, StabilityParams(k_bar=5), 50)
+
+
+def per_node_admission(sys_, net, params, n_steps, comparison):
+    """Reference: the per-node admission loop. Returns node id -> (beta, margins),
+    one margin per applicable step: min eig (psd) or trace difference (trace)
+    of the delayed information against the scalar i_tilde bound."""
+    m = sys_.state_dim
+    a_inv = np.stack([robust_inverse(transition_matrix(sys_, k))[0] for k in range(n_steps)])
+    q = sys_.process_noise_cov
+    out = {}
+    for node in net:
+        l_node = node.info_increment()
+        hist = _pure.node_info_histories(a_inv, np.linalg.inv(q), l_node[None],
+                                         np.zeros((1, m, m)))[0]
+        if params.beta_hat is not None:
+            beta = params.beta_hat
+        else:
+            peak = hist[np.argmax(np.trace(hist, axis1=1, axis2=2))]
+            gamma = max(gamma_hat(transition_matrix(sys_, k), q, peak, params.alpha)
+                        for k in range(n_steps))
+            beta = 1.0 / (1.0 + gamma)
+        d = delay_steps(node, sys_.sample_time)
+        margins = []
+        for k in range(params.k_bar + 1, n_steps + 1):
+            if k - d < 1:
+                continue
+            bound = i_tilde(k, params.k_bar, beta, sys_, l_node)
+            if comparison == "psd":
+                diff = hist[k - d] - bound
+                margins.append(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min())
+            else:
+                margins.append(np.trace(hist[k - d]) - np.trace(bound))
+        out[node.id] = (beta, np.array(margins))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]), n_nodes=st.integers(1, 8),
+       k_bar=st.integers(1, 8), extra_steps=st.integers(1, 30),
+       comparison=st.sampled_from(["psd", "trace"]), fixed_beta=st.booleans(),
+       use_engine=st.booleans())
+def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_steps, comparison,
+                                                fixed_beta, use_engine):
+    rng = np.random.default_rng(seed)
+    n_steps = k_bar + extra_steps
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    nodes = []
+    for i in range(n_nodes):
+        p = int(rng.integers(1, 3))
+        a = rng.standard_normal((p, p))
+        nodes.append(SensorNode(
+            id=i + 1, h=rng.standard_normal((p, m)),
+            r=0.1 * a @ a.T + rng.uniform(0.01, 0.5) * np.eye(p),
+            # up to 1.5x the horizon, so some nodes have no applicable step
+            delay=DelaySpec(base=float(rng.uniform(0.0, 1.5 * n_steps * sys_.sample_time))),
+        ))
+    net = SensorNetwork(tuple(nodes))
+    params = StabilityParams(k_bar=k_bar, beta_hat=float(rng.uniform(0.5, 1.0)) if fixed_beta
+                             else None)
+    engine = DkfEngine(sys_, net, n_steps, rng) if use_engine else None
+    selected, rows = stability_select(sys_, net, params, n_steps, return_diagnostics=True,
+                                      comparison=comparison, engine=engine)
+    reference = per_node_admission(sys_, net, params, n_steps, comparison)
+    for row in rows:
+        beta, margins = reference[row.node_id]
+        assert row.beta_hat == pytest.approx(beta, rel=1e-9)
+        assert row.ct_exp == margins.size
+        # a margin within rounding of zero may fall either way
+        tol = 1e-9 * max(1.0, float(np.abs(margins).max(initial=0.0)))
+        assert (margins > tol).sum() <= row.ct_act <= (margins > -tol).sum()
+        assert row.selected == (row.ct_exp > 0 and row.ct_act == row.ct_exp)
+        assert (row.node_id in selected) == row.selected
+
+
+def test_min_eigenvalue_2x2_matches_eigvalsh():
+    rng = np.random.default_rng(3)
+    mats = rng.standard_normal((4000, 2, 2)) * 10.0 ** rng.uniform(-3, 3, (4000, 1, 1))
+    mats = 0.5 * (mats + mats.swapaxes(1, 2))
+    mats[:5] = [np.zeros((2, 2)), np.eye(2), -np.eye(2), [[1.0, 1.0], [1.0, 1.0]],
+                [[1e-9, 0.0], [0.0, 1e6]]]
+    want = np.linalg.eigvalsh(mats)[:, 0]
+    scale = np.abs(mats).max(axis=(1, 2))
+    assert np.all(np.abs(_min_eigenvalue(mats) - want) <= 1e-14 * scale)
+
+
+def test_stability_select_rejects_engine_of_another_network():
+    sys_ = builtin_system()
+    net = SensorNetwork((make_node(1), make_node(2, row=1)))
+    engine = DkfEngine(sys_, net, 40, np.random.default_rng(0))
+    other = SensorNetwork((make_node(1), make_node(2, row=1)))
+    with pytest.raises(ConfigError):
+        stability_select(sys_, other, StabilityParams(k_bar=5), 40, engine=engine)
+    with pytest.raises(ConfigError):
+        stability_select(sys_, net, StabilityParams(k_bar=5), 30, engine=engine)
+    with pytest.raises(ConfigError):
+        stability_select(builtin_system(q_scale=0.2), net, StabilityParams(k_bar=5), 40,
+                         engine=engine)
 
 
 def test_three_state_system_end_to_end():
