@@ -3,10 +3,10 @@
 Per-sensor information filters feed a fusion estimator through delayed
 channels; two subset-selection algorithms (a greedy threshold sweep and a
 stability-criterion check) pick which sensors to fuse. The hot recursions run
-on a compiled kernel when available (see dkfsim._kernels.backend_name).
+in numpy, batched across nodes and subsets (dkfsim._kernels).
 """
 
-from ._kernels import available_backends, backend_name, use_backend
+from ._kernels import backend_name
 from .config import ExperimentConfig, load_config
 from .dkf import (
     DelayedReport,
@@ -56,7 +56,7 @@ __all__ = [
     "DelayedReport", "DelaySpec", "DkfRun", "ExperimentConfig", "FusedEstimate",
     "LtvSystem", "MonteCarloSummary", "NodeFilterState", "SelectionReport",
     "SensorNetwork", "SensorNode", "StabilityParams", "StructuralMatrix",
-    "Trajectory", "available_backends", "backend_name", "beta_hat",
+    "Trajectory", "backend_name", "beta_hat",
     "builtin_system", "check_bound", "delay_steps", "derive_seed", "export_csv",
     "fuse", "gamma_hat", "greedy_select", "i_tilde", "is_effectively_singular",
     "is_structurally_observable", "kf_covariance_form", "load_config",
@@ -64,5 +64,5 @@ __all__ = [
     "node_measurement_update", "node_time_update", "observer_gain", "psi",
     "resolve_delays", "run_dkf", "run_experiment", "sample_network",
     "settling_index", "simulate", "stability_select", "structure_of",
-    "transition_matrix", "use_backend",
+    "transition_matrix",
 ]

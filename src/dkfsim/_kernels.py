@@ -1,20 +1,37 @@
-"""Pure-numpy backend for the filter-recursion kernels.
+"""Filter-recursion kernels in numpy, batched across nodes or chains.
 
-Both kernels run the general information-matrix time update
+Both kernels run the general information-matrix time update (_predict)
 
     M = Ainv^T I Ainv,  C = M (M + Q^{-1})^{-1},
     I' = (I - C) M (I - C)^T + C Q^{-1} C^T   (symmetrized),
     yv' = (I - C) Ainv^T yv,
 
-followed by the additive measurement step. node_info_histories matches
-dkfsim._kernels._core exactly, and node_info_histories_2x2 is its m = 2
-closed form; fused_info_recursion is batched over chains and is the only
-fused recursion the package runs.
+followed by the additive measurement step. node_info_histories takes the
+m = 2 closed form node_info_histories_2x2 for two-state plants and the
+generic body otherwise; fused_info_recursion is batched over chains, and
+single-chain callers run it with one row.
 """
 
 import numpy as np
 
-NAME = "python"
+
+def backend_name() -> str:
+    """The kernel path recorded with benchmark results; numpy is the only one."""
+    return "python"
+
+
+def _predict(info, a_inv, q_inv):
+    """Joseph-form information prediction over a stack of information matrices.
+
+    info: (..., m, m); a_inv, q_inv: (m, m). Returns the symmetrized
+    (I - C) M (I - C)^T + C Q^{-1} C^T and I - C, with M = Ainv^T I Ainv and
+    C = M (M + Q^{-1})^{-1}.
+    """
+    mk = a_inv.T @ info @ a_inv
+    c = np.linalg.solve(mk + q_inv, mk).swapaxes(-1, -2)
+    d = np.eye(mk.shape[-1]) - c
+    pred = d @ mk @ d.swapaxes(-1, -2) + c @ q_inv @ c.swapaxes(-1, -2)
+    return 0.5 * (pred + pred.swapaxes(-1, -2)), d
 
 
 def node_info_histories(a_inv_seq, q_inv, l_all, info0):
@@ -24,19 +41,20 @@ def node_info_histories(a_inv_seq, q_inv, l_all, info0):
     l_all: (n, m, m) per-node H^T R^{-1} H; info0: (n, m, m) priors I_i(0|-1).
     Returns (n, N+1, m, m).
     """
+    if l_all.shape[-1] == 2:
+        return node_info_histories_2x2(a_inv_seq, q_inv, l_all, info0)
+    return node_info_histories_generic(a_inv_seq, q_inv, l_all, info0)
+
+
+def node_info_histories_generic(a_inv_seq, q_inv, l_all, info0):
+    """node_info_histories for any m, one batched _predict per step."""
     n, m, _ = l_all.shape
     n_steps = a_inv_seq.shape[0]
-    eye = np.eye(m)
     hist = np.empty((n, n_steps + 1, m, m))
     info = info0 + l_all
     hist[:, 0] = info
     for k in range(n_steps):
-        a_inv = a_inv_seq[k]
-        mk = a_inv.T[None] @ info @ a_inv[None]
-        c = np.linalg.solve(mk + q_inv[None], mk).transpose(0, 2, 1)
-        d = eye[None] - c
-        pred = d @ mk @ d.transpose(0, 2, 1) + c @ q_inv[None] @ c.transpose(0, 2, 1)
-        pred = 0.5 * (pred + pred.transpose(0, 2, 1))
+        pred, _ = _predict(info, a_inv_seq[k], q_inv)
         info = pred + l_all
         hist[:, k + 1] = info
     return hist
@@ -99,7 +117,6 @@ def fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0):
     Returns (info_hist (B, N+1, m, m), yv_hist (B, N+1, m)).
     """
     n_chains, n_out, m, _ = info_inc.shape
-    eye = np.eye(m)
     info_hist = np.empty((n_chains, n_out, m, m))
     yv_hist = np.empty((n_chains, n_out, m))
     info = info0 + info_inc[:, 0]
@@ -108,11 +125,7 @@ def fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0):
     yv_hist[:, 0] = yv
     for k in range(1, n_out):
         a_inv = a_inv_seq[k - 1]
-        mk = a_inv.T @ info @ a_inv
-        c = np.linalg.solve(mk + q_inv, mk).transpose(0, 2, 1)
-        d = eye - c
-        pred = d @ mk @ d.transpose(0, 2, 1) + c @ q_inv @ c.transpose(0, 2, 1)
-        pred = 0.5 * (pred + pred.transpose(0, 2, 1))
+        pred, d = _predict(info, a_inv, q_inv)
         yv = (d @ (yv @ a_inv)[..., None])[..., 0]
         info = pred + info_inc[:, k]
         yv = yv + iv_inc[:, k]

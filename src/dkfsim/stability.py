@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dkf import Scenario, _symmetrize
+from .dkf import Scenario, _symmetrize, time_update_general
 from .errors import ConfigError, NumericError, OrderingError
 from .model import LtvSystem, is_effectively_singular, robust_inverse, transition_matrix
 from .sensing import SensorNetwork
@@ -48,8 +48,9 @@ class StabilityParams:
 def psi(info, a_k, q) -> np.ndarray:
     """One-step information-matrix time update.
 
-    (A info^{-1} A^T + Q)^{-1} for invertible info; the general form
-    (I-C)^T M (I-C) + C Q^{-1} C^T otherwise.
+    (A info^{-1} A^T + Q)^{-1} for invertible info; otherwise the general
+    form (I-C) M (I-C)^T + C Q^{-1} C^T with M = A^{-T} info A^{-1} and
+    C = M (M + Q^{-1})^{-1} (dkf.time_update_general).
     """
     info = _symmetrize(np.asarray(info, dtype=float))
     a_k = np.asarray(a_k, dtype=float)
@@ -60,11 +61,7 @@ def psi(info, a_k, q) -> np.ndarray:
             raise NumericError("non-finite psi result")
         return _symmetrize(out)
     a_inv, _ = robust_inverse(a_k)
-    q_inv = np.linalg.inv(q)
-    mk = a_inv.T @ info @ a_inv
-    c = np.linalg.solve(mk + q_inv, mk).T
-    d = np.eye(info.shape[0]) - c
-    out = _symmetrize(d @ mk @ d.T + c @ q_inv @ c.T)
+    out, _ = time_update_general(info, np.zeros(info.shape[0]), a_inv, np.linalg.inv(q))
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite psi result")
     return out

@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from dkfsim import _kernels
-from dkfsim._kernels import _pure
+from dkfsim.dkf import time_update_general
 from dkfsim.model import builtin_system, robust_inverse, transition_sequence
 from dkfsim.stability import _gamma_max_2x2
 
 from conftest import random_psd
-
-needs_compiled = pytest.mark.skipif(_kernels._core is None,
-                                    reason="compiled kernel extension not built")
-compiled = _kernels._core
 
 
 def problem(n=40, n_steps=120, m=2, seed=0):
@@ -47,20 +43,14 @@ def test_node_histories_2x2_matches_generic(seed):
     if seed % 2:
         a_inv = np.ascontiguousarray(a_inv[::-1] + 0.2 * rng.standard_normal(a_inv.shape))
     info0 = np.stack([random_psd(rng) for _ in range(30)])
-    assert_rel_close(_pure.node_info_histories_2x2(a_inv, q_inv, l_all, info0),
-                     _pure.node_info_histories(a_inv, q_inv, l_all, info0))
+    assert_rel_close(_kernels.node_info_histories_2x2(a_inv, q_inv, l_all, info0),
+                     _kernels.node_info_histories_generic(a_inv, q_inv, l_all, info0))
 
 
-def test_m2_node_histories_take_closed_form_on_every_backend(monkeypatch):
+def test_m2_node_histories_take_closed_form(monkeypatch):
     a_inv, q_inv, l_all = problem(n=5, n_steps=20)
-    monkeypatch.setattr(_pure, "node_info_histories_2x2", lambda *args: "closed form")
-    previous = _kernels.get_backend()
-    try:
-        for name in _kernels.available_backends():
-            _kernels.use_backend(name)
-            assert _kernels.node_info_histories(a_inv, q_inv, l_all, l_all) == "closed form"
-    finally:
-        _kernels._active = previous
+    monkeypatch.setattr(_kernels, "node_info_histories_2x2", lambda *args: "closed form")
+    assert _kernels.node_info_histories(a_inv, q_inv, l_all, l_all) == "closed form"
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -78,83 +68,19 @@ def test_gamma_max_2x2_matches_eigh(seed):
     assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
-@needs_compiled
 @pytest.mark.parametrize("m", [2, 3, 5])
-def test_node_histories_parity(m):
+def test_node_histories_match_time_update_oracle(m):
+    # the generic body against one node at a time through dkf.time_update_general
     a_inv, q_inv, l_all = problem(n=25, n_steps=80, m=m, seed=m)
-    info0 = np.zeros_like(l_all)
-    h_py = _pure.node_info_histories(a_inv, q_inv, l_all, info0)
-    h_c = compiled.node_info_histories(a_inv, q_inv, l_all, info0)
-    scale = max(np.abs(h_py).max(), 1.0)
-    assert np.abs(h_py - h_c).max() / scale < 1e-12
-
-
-@needs_compiled
-@pytest.mark.parametrize("m", [2, 4])
-def test_fused_recursion_parity(m):
-    rng = np.random.default_rng(m + 10)
-    a_inv, q_inv, l_all = problem(n=6, n_steps=100, m=m, seed=m + 5)
-    # numpy runs a batch of chains; the compiled kernel runs one chain per call
-    info_inc = np.stack([
-        np.cumsum(np.concatenate([l_all[b:b + 3], np.zeros((98, m, m))]), axis=0)
-        for b in range(3)
-    ])
-    iv_inc = 0.3 * rng.standard_normal((3, 101, m))
-    info0 = np.eye(m)
-    yv0 = rng.standard_normal(m)
-    f_py = _pure.fused_info_recursion(a_inv, q_inv, info_inc, iv_inc, info0, yv0)
-    for b in range(3):
-        f_c = compiled.fused_info_recursion(a_inv, q_inv, info_inc[b], iv_inc[b], info0, yv0)
-        assert np.abs(f_py[0][b] - f_c[0]).max() < 1e-10
-        assert np.abs(f_py[1][b] - f_c[1]).max() < 1e-10
-
-
-@needs_compiled
-def test_backend_selection_and_override(monkeypatch):
-    assert _kernels.backend_name() in ("compiled", "python")
-    previous = _kernels.get_backend()
-    try:
-        mod = _kernels.use_backend("python")
-        assert mod.NAME == "python"
-        assert _kernels.backend_name() == "python"
-        mod = _kernels.use_backend("compiled")
-        assert mod.NAME == "compiled"
-    finally:
-        _kernels._active = previous
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        _kernels.use_backend("fortran")
-
-
-@needs_compiled
-def test_whole_pipeline_identical_across_backends(monkeypatch, tmp_path):
-    # run_experiment output should not depend on the backend beyond rounding;
-    # the CSVs are formatted at 17 significant digits so compare parsed values
-    import csv
-
-    from dkfsim.config import ExperimentConfig
-    from dkfsim.harness import run_experiment
-
-    cfg = ExperimentConfig(seed=5, n_sensors=40, horizon=60, iterations=8,
-                           k_bar=10, mode="all")
-    previous = _kernels.get_backend()
-    results = {}
-    try:
-        for name in ("python", "compiled"):
-            _kernels.use_backend(name)
-            run_experiment(cfg, out_dir=tmp_path / name)
-            parsed = {}
-            for fname in ("trace_greedy_best.csv", "trace_fixed.csv"):
-                with open(tmp_path / name / fname, newline="") as fh:
-                    parsed[fname] = [
-                        [float(v) for v in row.values()] for row in csv.DictReader(fh)
-                    ]
-            results[name] = parsed
-    finally:
-        _kernels._active = previous
-    for fname in results["python"]:
-        a = np.array(results["python"][fname])
-        b = np.array(results["compiled"][fname])
-        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
+    rng = np.random.default_rng(m + 30)
+    info0 = np.stack([random_psd(rng, m=m) for _ in range(25)])
+    got = _kernels.node_info_histories_generic(a_inv, q_inv, l_all, info0)
+    want = np.empty_like(got)
+    for i, l_i in enumerate(l_all):
+        info = info0[i] + l_i
+        want[i, 0] = info
+        for k, a_inv_k in enumerate(a_inv):
+            info, _ = time_update_general(info, np.zeros(m), a_inv_k, q_inv)
+            info = info + l_i
+            want[i, k + 1] = info
+    assert_rel_close(got, want)

@@ -24,8 +24,8 @@ from dkfsim.stability import psi
 from conftest import random_system
 
 
-def single_row_node(node_id, row, r, base=0.0):
-    h = np.zeros((1, 2))
+def single_row_node(node_id, row, r, base=0.0, m=2):
+    h = np.zeros((1, m))
     h[0, row] = 1.0
     return SensorNode(id=node_id, h=h, r=np.array([[r]]), delay=DelaySpec(base=base))
 
@@ -305,12 +305,14 @@ def stepwise_fused_run(engine, ids):
     return info_hist, yv_hist
 
 
-def mixed_network():
+def mixed_network(m=2):
     """Single-row nodes, one 2-row node, and one node delayed past a 60-step horizon."""
-    nodes = [single_row_node(i + 1, i % 2, 0.1 + 0.05 * i, base=0.07 * i) for i in range(5)]
-    nodes.append(SensorNode(id=6, h=np.array([[1.0, 0.0], [0.5, 1.0]]),
-                            r=np.array([[0.2, 0.05], [0.05, 0.3]]), delay=DelaySpec(base=0.12)))
-    nodes.append(single_row_node(7, 1, 0.15, base=3.0))
+    nodes = [single_row_node(i + 1, i % m, 0.1 + 0.05 * i, base=0.07 * i, m=m) for i in range(5)]
+    h = np.zeros((2, m))
+    h[0, 0], h[1, :2] = 1.0, (0.5, 1.0)
+    nodes.append(SensorNode(id=6, h=h, r=np.array([[0.2, 0.05], [0.05, 0.3]]),
+                            delay=DelaySpec(base=0.12)))
+    nodes.append(single_row_node(7, 1, 0.15, base=3.0, m=m))
     return SensorNetwork(tuple(nodes))
 
 
@@ -319,25 +321,27 @@ def assert_rel_close(a, b, rel=1e-12):
 
 
 def test_fused_runs_rows_match_stepwise_oracle():
-    sys_ = builtin_system()
-    net = mixed_network()
-    eng = DkfEngine(sys_, net, 60, np.random.default_rng(4),
-                    info0=0.5 * np.eye(2), x0_hat=np.array([1.0, -1.0]))
-    subsets = [net.ids(), [2, 6], [7], [1, 3, 7]]
-    masks = np.zeros((len(subsets), len(net)), dtype=bool)
-    for b, ids in enumerate(subsets):
-        masks[b, np.array(ids) - 1] = True
-    info_hist, yv_hist, xhat, flags = eng.fused_runs(masks)
-    assert info_hist.shape == (4, 61, 2, 2) and xhat.shape == (4, 61, 2)
-    for b, ids in enumerate(subsets):
-        want_info, want_yv = stepwise_fused_run(eng, ids)
-        want_x, want_flags = recover_estimates(want_info, want_yv)
-        assert_rel_close(info_hist[b], want_info)
-        assert_rel_close(yv_hist[b], want_yv)
-        assert_rel_close(xhat[b], want_x)
-        np.testing.assert_array_equal(flags[b], want_flags)
-    # node 7 never arrives: its run is the prior propagated alone
-    np.testing.assert_array_equal(info_hist[2], stepwise_fused_run(eng, [])[0])
+    # the two-state benchmark plant and a random three-state plant
+    for sys_ in (builtin_system(), random_system(np.random.default_rng(8), m=3, n_steps=60)):
+        m = sys_.state_dim
+        net = mixed_network(m)
+        eng = DkfEngine(sys_, net, 60, np.random.default_rng(4),
+                        info0=0.5 * np.eye(m), x0_hat=np.array([1.0, -1.0, 0.5][:m]))
+        subsets = [net.ids(), [2, 6], [7], [1, 3, 7]]
+        masks = np.zeros((len(subsets), len(net)), dtype=bool)
+        for b, ids in enumerate(subsets):
+            masks[b, np.array(ids) - 1] = True
+        info_hist, yv_hist, xhat, flags = eng.fused_runs(masks)
+        assert info_hist.shape == (4, 61, m, m) and xhat.shape == (4, 61, m)
+        for b, ids in enumerate(subsets):
+            want_info, want_yv = stepwise_fused_run(eng, ids)
+            want_x, want_flags = recover_estimates(want_info, want_yv)
+            assert_rel_close(info_hist[b], want_info)
+            assert_rel_close(yv_hist[b], want_yv)
+            assert_rel_close(xhat[b], want_x)
+            np.testing.assert_array_equal(flags[b], want_flags)
+        # node 7 never arrives: its run is the prior propagated alone
+        np.testing.assert_array_equal(info_hist[2], stepwise_fused_run(eng, [])[0])
 
 
 def test_fused_run_is_row_zero_of_fused_runs():

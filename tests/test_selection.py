@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dkfsim._kernels import _pure
+from dkfsim import _kernels
 from dkfsim.dkf import DkfEngine
 from dkfsim.errors import ConfigError, MetricError, NumericError
 from dkfsim.model import builtin_system, robust_inverse, transition_matrix
@@ -250,8 +250,6 @@ def test_greedy_batched_matches_per_iteration_property(seed, m, n_nodes, iterati
 
 
 def test_greedy_non_finite_names_iteration_and_step(monkeypatch):
-    from dkfsim import _kernels
-
     real = _kernels.fused_info_recursion
 
     def poisoned(*args):
@@ -392,8 +390,8 @@ def per_node_admission(sys_, net, params, n_steps, comparison):
     out = {}
     for node in net:
         l_node = node.info_increment()
-        hist = _pure.node_info_histories(a_inv, np.linalg.inv(q), l_node[None],
-                                         np.zeros((1, m, m)))[0]
+        hist = _kernels.node_info_histories_generic(a_inv, np.linalg.inv(q), l_node[None],
+                                                    np.zeros((1, m, m)))[0]
         if params.beta_hat is not None:
             beta = params.beta_hat
         else:
