@@ -10,16 +10,16 @@ from ._kernels import backend_name
 from .config import ExperimentConfig, load_config
 from .dkf import (
     DelayedReport,
-    DkfRun,
+    DkfEngine,
     FusedEstimate,
     NodeFilterState,
+    Scenario,
     fuse,
     kf_covariance_form,
     node_init,
     node_measurement_update,
     node_time_update,
     observer_gain,
-    run_dkf,
 )
 from .harness import MonteCarloSummary, derive_seed, export_csv, monte_carlo, run_experiment
 from .model import (
@@ -53,16 +53,16 @@ from .stability import StabilityParams, beta_hat, check_bound, gamma_hat, i_tild
 __version__ = "0.1.0"
 
 __all__ = [
-    "DelayedReport", "DelaySpec", "DkfRun", "ExperimentConfig", "FusedEstimate",
-    "LtvSystem", "MonteCarloSummary", "NodeFilterState", "SelectionReport",
-    "SensorNetwork", "SensorNode", "StabilityParams", "StructuralMatrix",
+    "DelayedReport", "DelaySpec", "DkfEngine", "ExperimentConfig", "FusedEstimate",
+    "LtvSystem", "MonteCarloSummary", "NodeFilterState", "Scenario",
+    "SelectionReport", "SensorNetwork", "SensorNode", "StabilityParams", "StructuralMatrix",
     "Trajectory", "backend_name", "beta_hat",
     "builtin_system", "check_bound", "delay_steps", "derive_seed", "export_csv",
     "fuse", "gamma_hat", "greedy_select", "i_tilde", "is_effectively_singular",
     "is_structurally_observable", "kf_covariance_form", "load_config",
     "max_deviation", "measure", "monte_carlo", "mse", "node_init",
     "node_measurement_update", "node_time_update", "observer_gain", "psi",
-    "resolve_delays", "run_dkf", "run_experiment", "sample_network",
+    "resolve_delays", "run_experiment", "sample_network",
     "settling_index", "simulate", "stability_select", "structure_of",
     "transition_matrix",
 ]

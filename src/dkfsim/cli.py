@@ -121,7 +121,7 @@ def _cmd_observability(cfg):
     rng = make_rng(cfg.seed)
     network = make_network(cfg, rng)
     a_bar = union_structure(sys_, cfg.horizon)
-    h_bars = [structure_of(node.h) for node in network]
+    h_bars = [structure_of(network.h[i, :q]) for i, q in enumerate(network.rows)]
     observable, certificate = is_structurally_observable(a_bar, h_bars)
     print(certificate)
     return EXIT_OK

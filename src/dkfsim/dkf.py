@@ -9,7 +9,6 @@ of d_i steps and compensates only through its own time updates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .errors import (
 )
 from .model import (
     LtvSystem,
-    Trajectory,
     is_effectively_singular,
     robust_inverse,
     simulate,
@@ -232,16 +230,24 @@ def recover_estimates(info_hist, yv_hist):
 class Scenario:
     """What a plant, a network and a horizon fix before any random draw.
 
-    a_seq / a_inv_seq: A(k) and its inverse for k < n_steps (the
-    pseudo-inverse at the steps listed in a_pinv_steps); q_inv: Q^{-1}; per
-    node hr = H^T R^{-1} (n, m, p), zero past the node's own rows, and
-    l_all = H^T R^{-1} H (n, m, m). network=None prepares the plant part only.
-    The engine, the stability selection and the bound computations read these
-    from one instance instead of deriving them again.
+    sys, network and n_steps are the inputs; a_seq / a_inv_seq: A(k) and its
+    inverse for k < n_steps (the pseudo-inverse at the steps listed in
+    a_pinv_steps); q_inv: Q^{-1}; per node hr = H^T R^{-1} (n, m, p), zero
+    past the node's own rows, and l_all = H^T R^{-1} H (n, m, m).
+    network=None prepares the plant part only. The engine, the stability
+    selection and the bound computations read these from one instance
+    instead of deriving them again.
     """
 
     def __init__(self, sys: LtvSystem, network: SensorNetwork | None, n_steps: int):
+        if n_steps < 1:
+            raise ConfigError("n_steps must be >= 1", keys=("horizon",))
+        if network is not None and len(network) and network.state_dim != sys.state_dim:
+            raise ConfigError(f"nodes measure a {network.state_dim}-state plant, "
+                              f"the system has {sys.state_dim} states")
         self.sys = sys
+        self.network = network
+        self.n_steps = n_steps
         self.a_seq = transition_sequence(sys, n_steps)
         inv_pairs = [robust_inverse(a) for a in self.a_seq]
         self.a_inv_seq = np.ascontiguousarray([p[0] for p in inv_pairs])
@@ -262,7 +268,8 @@ class Scenario:
 
 
 class DkfEngine:
-    """One realization of plant, measurements, and delays, reusable across subsets.
+    """One realization of plant, measurements, and delays, reusable across
+    subsets: the one way to run the estimator (fused_run, fused_runs).
 
     Measurement noise is drawn for every network node (in id order) regardless
     of the subset later filtered on, so runs over different subsets of the same
@@ -271,16 +278,11 @@ class DkfEngine:
 
     def __init__(self, sys: LtvSystem, network: SensorNetwork, n_steps: int,
                  rng: np.random.Generator, info0=None, x0_hat=None):
-        if n_steps < 1:
-            raise ConfigError("n_steps must be >= 1", keys=("horizon",))
-        if len(network) and network.state_dim != sys.state_dim:
-            raise ConfigError(f"nodes measure a {network.state_dim}-state plant, "
-                              f"the system has {sys.state_dim} states")
+        self.scenario = sc = Scenario(sys, network, n_steps)
         self.sys = sys
         self.network = network
         self.n_steps = n_steps
         m = sys.state_dim
-        self.scenario = sc = Scenario(sys, network, n_steps)
         self.a_seq, self.a_inv_seq, self.a_pinv_steps = sc.a_seq, sc.a_inv_seq, sc.a_pinv_steps
         self.q_inv, self.l_all = sc.q_inv, sc.l_all
         self.truth = simulate(sys, n_steps, rng)
@@ -311,21 +313,17 @@ class DkfEngine:
         else:
             self.yv0 = self.info0 @ np.asarray(x0_hat, dtype=float)
 
-    def _subset_indices(self, subset):
+    def fused_run(self, subset):
+        """Run the estimator over one subset; returns (info_hist, yv_hist, xhat, flags)."""
         ids = sorted(set(int(i) for i in subset))
         if not ids:
             raise SelectionError("node subset is empty")
-        known = set(self.network.ids())
-        unknown = [i for i in ids if i not in known]
+        n = len(self.network)
+        unknown = [i for i in ids if not 1 <= i <= n]
         if unknown:
             raise SelectionError(f"unknown node ids in subset: {unknown}")
-        return ids, np.array(ids, dtype=np.int64) - 1
-
-    def fused_run(self, subset):
-        """Run the estimator over one subset; returns (info_hist, yv_hist, xhat, flags)."""
-        _, idx = self._subset_indices(subset)
-        mask = np.zeros((1, len(self.network)), dtype=bool)
-        mask[0, idx] = True
+        mask = np.zeros((1, n), dtype=bool)
+        mask[0, np.array(ids) - 1] = True
         return tuple(a[0] for a in self.fused_runs(mask))
 
     def fused_runs(self, masks):
@@ -373,55 +371,6 @@ class DkfEngine:
             )
         xhat, flags = recover_estimates(info_hist.reshape(-1, m, m), yv_hist.reshape(-1, m))
         return info_hist, yv_hist, xhat.reshape(n_runs, n_out, m), flags.reshape(n_runs, n_out)
-
-    def node_histories(self, subset):
-        """Per-node posterior information histories I_i(k|k), shape (len(subset), N+1, m, m)."""
-        ids, idx = self._subset_indices(subset)
-        info0 = np.broadcast_to(self.info0, self.l_all[idx].shape).copy()
-        return _kernels.node_info_histories(
-            self.a_inv_seq, self.q_inv, self.l_all[idx], info0
-        )
-
-
-@dataclass
-class DkfRun:
-    """Output of run_dkf: truth, fused trajectory, and per-node info histories."""
-
-    truth: Trajectory
-    xhat: np.ndarray
-    info: np.ndarray
-    pinv_steps: np.ndarray
-    node_ids: list
-    node_info: np.ndarray
-    delays: np.ndarray
-    measurements: list
-
-    @cached_property
-    def estimates(self):
-        return [
-            FusedEstimate(info=self.info[k], x_hat=self.xhat[k], step=k,
-                          pinv_fallback=bool(self.pinv_steps[k]))
-            for k in range(self.xhat.shape[0])
-        ]
-
-
-def run_dkf(sys: LtvSystem, network: SensorNetwork, subset, n_steps: int,
-            rng: np.random.Generator, info0=None, x0_hat=None) -> DkfRun:
-    """Simulate the plant once and run the delayed DKF over the given subset."""
-    engine = DkfEngine(sys, network, n_steps, rng, info0=info0, x0_hat=x0_hat)
-    ids, idx = engine._subset_indices(subset)
-    info_hist, _, xhat, flags = engine.fused_run(ids)
-    node_info = engine.node_histories(ids)
-    return DkfRun(
-        truth=engine.truth,
-        xhat=xhat,
-        info=info_hist,
-        pinv_steps=flags,
-        node_ids=ids,
-        node_info=node_info,
-        delays=engine.delays[idx],
-        measurements=[engine.measurements[i] for i in idx],
-    )
 
 
 # ---------------------------------------------------------------------------

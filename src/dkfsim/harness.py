@@ -199,9 +199,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
     if "greedy" in modes:
         reports = greedy_select(
-            sys_, network, cfg.iterations,
-            r_max=cfg.variance_range[1], tau_max=cfg.delay_range[1],
-            n_steps=cfg.horizon, rng=rng, band=cfg.band, engine=engine,
+            engine, cfg.iterations,
+            r_max=cfg.variance_range[1], tau_max=cfg.delay_range[1], band=cfg.band,
         )
         result.files.append(export_csv(greedy_records(reports), out / "greedy_report.csv"))
         best = best_report(reports)
@@ -214,11 +213,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
     if "stability" in modes:
         params = compute_params(
-            sys_, network, cfg.horizon,
+            engine.scenario,
             k_bar=cfg.k_bar, alpha=cfg.alpha, beta_hat_override=cfg.beta_hat_override,
         )
-        selected, rows = stability_select(sys_, network, params, cfg.horizon,
-                                          return_diagnostics=True, engine=engine)
+        selected, rows = stability_select(engine.scenario, params)
         result.files.append(export_csv(stability_records(rows), out / "stability_report.csv"))
         result.selected_nodes["stability"] = sorted(selected)
         if selected:

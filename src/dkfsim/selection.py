@@ -13,9 +13,14 @@ import numpy as np
 
 from .dkf import DkfEngine, Scenario, _symmetrize
 from .errors import ConfigError, DivergenceError, MetricError
-from .model import LtvSystem, Trajectory, robust_inverse  # noqa: F401 - per-layer tracing wraps this name
-from .sensing import SensorNetwork
-from .stability import StabilityParams, beta_hat_batch, i_tilde_matrices, i_tilde_products
+from .model import Trajectory, robust_inverse  # noqa: F401 - per-layer tracing wraps this name
+from .stability import (
+    StabilityParams,
+    _require_network,
+    beta_hat_batch,
+    i_tilde_matrices,
+    i_tilde_products,
+)
 from . import _kernels
 
 log = logging.getLogger(__name__)
@@ -119,32 +124,29 @@ def _require_resolved(network):
 
 
 def greedy_select(
-    sys: LtvSystem,
-    network: SensorNetwork,
+    engine: DkfEngine,
     iterations: int,
     r_max: float,
     tau_max: float,
-    n_steps: int,
-    rng: np.random.Generator,
     band: float = SETTLE_BAND,
-    engine: DkfEngine | None = None,
 ) -> list:
     """Threshold sweep: iteration k admits nodes with R_i <= R0(k) and tau_i <= tau0(k),
     with R0, tau0 shrinking linearly from (r_max, tau_max) toward zero.
 
-    All non-empty iterations run as one batched DKF pass (DkfEngine.fused_runs)
-    against one shared plant/noise realization, so the sweep compares subsets,
-    not sample paths. Needs ground-truth states;
+    The engine's network supplies the variances, delays and ids. All
+    non-empty iterations run as one batched DKF pass (DkfEngine.fused_runs)
+    against the engine's one plant/noise realization, so the sweep compares
+    subsets, not sample paths. Needs the engine's ground-truth states;
     benchmark use only. Iterations with an empty subset record NaN metrics.
-    Stochastic delays must be resolved beforehand (sensing.resolve_delays).
+    Stochastic delays must be resolved before the engine is built
+    (sensing.resolve_delays).
     """
     if iterations < 1:
         raise ConfigError("iterations must be >= 1", keys=("iterations",))
     if r_max <= 0.0 or tau_max <= 0.0:
         raise ConfigError("r_max and tau_max must be positive", keys=("variance_range", "delay_range"))
+    network = engine.network
     _require_resolved(network)
-    if engine is None:
-        engine = DkfEngine(sys, network, n_steps, rng)
     settle = settling_index(engine.truth, band)
     variances = network.variances
     delays_s = network.base
@@ -225,15 +227,7 @@ def _min_eigenvalue(mats) -> np.ndarray:
     return np.minimum(big, small)
 
 
-def stability_select(
-    sys: LtvSystem,
-    network: SensorNetwork,
-    params: StabilityParams,
-    n_steps: int,
-    return_diagnostics: bool = False,
-    comparison: str = "psd",
-    engine: DkfEngine | None = None,
-):
+def stability_select(scenario: Scenario, params: StabilityParams, comparison: str = "psd"):
     """Admit node i iff its delayed information beats the stability bound at
     every applicable step k in (k_bar, N]: the delayed I_i(k - d_i | k - d_i)
     must dominate Itilde_i(k). Needs no ground-truth states.
@@ -243,26 +237,23 @@ def stability_select(
     makes k_bar the tolerated staleness; comparison='trace' is the scalar
     pseudo-code form (check_bound) and admits almost every node.
 
-    Nodes whose delay leaves no applicable step are excluded: they offer no
-    evidence of stability. Stochastic delays must be resolved beforehand
-    (sensing.resolve_delays). engine: a DkfEngine built on this network and
-    horizon, whose prepared scenario and delays are reused.
+    The scenario supplies the plant, the network and the horizon N; a
+    scenario without a network raises ConfigError. Nodes whose delay leaves
+    no applicable step are excluded: they offer no evidence of stability.
+    Stochastic delays must be resolved beforehand (sensing.resolve_delays).
+    Returns (selected ids, one NodeStabilityRow per node).
     """
     if comparison not in ("psd", "trace"):
         raise ConfigError(f"unknown comparison {comparison!r}")
+    network = _require_network(scenario)
     if len(network) == 0:
-        return (set(), []) if return_diagnostics else set()
+        return set(), []
+    n_steps = scenario.n_steps
     if n_steps <= params.k_bar:
         raise ConfigError(f"n_steps must exceed k_bar={params.k_bar}", keys=("horizon", "k_bar"))
     _require_resolved(network)
-    if engine is None:
-        scenario = Scenario(sys, network, n_steps)
-        d = network.delay_steps(sys.sample_time)
-    elif engine.sys is not sys or engine.network is not network or engine.n_steps != n_steps:
-        raise ConfigError("engine was built for another plant, network or horizon")
-    else:
-        scenario, d = engine.scenario, engine.delays
-    m = sys.state_dim
+    d = network.delay_steps(scenario.sys.sample_time)
+    m = scenario.sys.state_dim
     n = len(network)
     k_bar = params.k_bar
     l_all = scenario.l_all
@@ -277,7 +268,7 @@ def stability_select(
     else:
         # per-node contraction from each node's own history bound
         bounds = hist[np.arange(n), np.argmax(traces, axis=1)]
-        betas = beta_hat_batch(sys, bounds, n_steps, params.alpha, scenario=scenario)
+        betas = beta_hat_batch(scenario, bounds, params.alpha)
 
     # bound position j is step k = k_bar + 1 + j; node i's applicable steps
     # (k - d_i >= 1) are positions first[i] .. n_pos - 1
@@ -286,10 +277,10 @@ def stability_select(
     ct_exp = n_pos - first
     ct_act = np.zeros(n, dtype=np.int64)
     if comparison == "psd":
-        bound = i_tilde_matrices(sys, k_bar + 1, n_steps, k_bar, betas, l_all, scenario=scenario)
+        bound = i_tilde_matrices(scenario, k_bar + 1, n_steps, k_bar, betas, l_all)
     else:
         # tr Itilde_i(k) = sum_tau beta_i^{tau-1} <l_i, G_tau(k) G_tau(k)^T>
-        prods = i_tilde_products(sys, k_bar + 1, n_steps, k_bar, scenario=scenario)
+        prods = i_tilde_products(scenario, k_bar + 1, n_steps, k_bar)
         beta_pow = betas[:, None] ** np.arange(k_bar)[None, :]
         thresholds = np.einsum("iab,ktab,it->ik", l_all, prods, beta_pow, optimize=True)
     chunk = max(1, ADMISSION_CHUNK // (n_pos * m * m))
@@ -309,8 +300,6 @@ def stability_select(
     if not (ct_exp > 0).any():
         log.warning("no node has an applicable step: delays are larger than the estimation horizon")
     selected = set((np.flatnonzero(admitted) + 1).tolist())
-    if not return_diagnostics:
-        return selected
     variances = network.variances
     rows = [
         NodeStabilityRow(

@@ -273,7 +273,11 @@ def resolve_delays(network: SensorNetwork, rng: np.random.Generator | None = Non
 
 
 def load_network(path, state_dim: int = 2) -> SensorNetwork:
-    """Read a network file: one node per line, `id h_row_index variance delay_s jitter_std`."""
+    """Read a network file: one node per line, `id h_row_index variance delay_s jitter_std`.
+
+    A field that does not parse, or a row index outside [0, state_dim), raises
+    ConfigError naming path:line.
+    """
     ids, rows, values = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -283,9 +287,16 @@ def load_network(path, state_dim: int = 2) -> SensorNetwork:
             parts = line.split()
             if len(parts) != 5:
                 raise ConfigError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            ids.append(int(parts[0]))
-            rows.append(int(parts[1]))
-            values.append([float(v) for v in parts[2:]])
+            try:
+                node_id, row = int(parts[0]), int(parts[1])
+                row_values = [float(v) for v in parts[2:]]
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+            if not 0 <= row < state_dim:
+                raise ConfigError(f"{path}:{lineno}: h_row_index {row} outside [0, {state_dim})")
+            ids.append(node_id)
+            rows.append(row)
+            values.append(row_values)
     n = len(ids)
     values = np.array(values, dtype=float).reshape(n, 3)
     h = np.zeros((n, 1, state_dim))

@@ -25,7 +25,7 @@ GAMMA_CHUNK = 64  # nodes per chunk in _gamma_max_2x2; 32-64 ran ~30% faster tha
 
 @dataclass
 class StabilityParams:
-    """Inputs for the bound: window length, regularization, contraction, info bound.
+    """Inputs for the bound: window length, regularization, contraction.
 
     beta_hat=None selects the per-node contraction mode, in which each node's
     beta is derived from its own delay-free information history.
@@ -34,7 +34,6 @@ class StabilityParams:
     k_bar: int = DEFAULT_K_BAR
     alpha: float = DEFAULT_ALPHA
     beta_hat: float | None = None
-    i_bound: np.ndarray | None = None
 
     def __post_init__(self):
         if self.k_bar < 1:
@@ -97,18 +96,20 @@ def gamma_hat(a_k, q, info, alpha: float) -> float:
     return float(max(np.linalg.eigvalsh(_symmetrize(half @ t @ half)).max(), 0.0))
 
 
-def _distinct_noise_terms(scenario, horizon_n: int) -> np.ndarray:
-    """Deduplicated A(k)^{-1} Q A(k)^{-T} over k in [0, horizon)."""
+def _distinct_noise_terms(scenario) -> np.ndarray:
+    """Deduplicated A(k)^{-1} Q A(k)^{-T} over the scenario's steps k < n_steps."""
     first = {}
-    for k in range(horizon_n):
-        first.setdefault(scenario.a_seq[k].tobytes(), k)
+    for k, a in enumerate(scenario.a_seq):
+        first.setdefault(a.tobytes(), k)
     a_inv = scenario.a_inv_seq[list(first.values())]
     return a_inv @ scenario.sys.process_noise_cov @ a_inv.transpose(0, 2, 1)
 
 
-def _prepared(sys: LtvSystem, n_steps: int, scenario):
-    """The given scenario, or the plant part of one over n_steps."""
-    return Scenario(sys, None, n_steps) if scenario is None else scenario
+def _require_network(scenario) -> SensorNetwork:
+    """The scenario's network; a plant-only scenario has none to select from."""
+    if scenario.network is None:
+        raise ConfigError("the scenario has no sensor network")
+    return scenario.network
 
 
 def _gamma_max_2x2(bounds, terms) -> np.ndarray:
@@ -130,17 +131,12 @@ def _gamma_max_2x2(bounds, terms) -> np.ndarray:
     return out
 
 
-def beta_hat_batch(sys: LtvSystem, bounds, horizon_n: int, alpha: float,
-                   scenario=None) -> np.ndarray:
-    """beta-hat for a stack of bound matrices (b, m, m) at once; returns (b,).
-
-    scenario: a prepared Scenario covering the horizon, if the caller has one.
-    """
-    if horizon_n < 1:
-        raise ConfigError("horizon must be >= 1", keys=("horizon",))
+def beta_hat_batch(scenario: Scenario, bounds, alpha: float) -> np.ndarray:
+    """beta-hat for a stack of bound matrices (b, m, m) at once, over the
+    scenario's horizon; returns (b,)."""
     bounds = np.asarray(bounds, dtype=float)
     m = bounds.shape[-1]
-    terms = _distinct_noise_terms(_prepared(sys, horizon_n, scenario), horizon_n)
+    terms = _distinct_noise_terms(scenario)
     regularized = _symmetrize(bounds) + alpha * np.eye(m)
     if m == 2:
         gamma_max = _gamma_max_2x2(regularized, terms)
@@ -157,7 +153,7 @@ def beta_hat_batch(sys: LtvSystem, bounds, horizon_n: int, alpha: float,
 def beta_hat(sys: LtvSystem, horizon_n: int, i_bound, alpha: float) -> float:
     """min over k in [0, horizon) of 1 / (1 + gamma_hat(A(k), Q, i_bound, alpha))."""
     i_bound = np.atleast_2d(np.asarray(i_bound, dtype=float))
-    return float(beta_hat_batch(sys, i_bound[None], horizon_n, alpha)[0])
+    return float(beta_hat_batch(Scenario(sys, None, horizon_n), i_bound[None], alpha)[0])
 
 
 def i_tilde(k: int, k_bar: int, beta: float, sys: LtvSystem, l_node) -> np.ndarray:
@@ -191,6 +187,9 @@ def _g_stack(scenario, k_lo: int, k_hi: int, k_bar: int) -> np.ndarray:
     """
     if k_lo < k_bar:
         raise ConfigError(f"k_lo={k_lo} must be >= k_bar={k_bar}", keys=("k_bar",))
+    if k_hi > scenario.n_steps:
+        raise ConfigError(f"k_hi={k_hi} exceeds the scenario's {scenario.n_steps} steps",
+                          keys=("horizon",))
     for j in scenario.a_pinv_steps:
         if k_lo - k_bar + 1 <= j < k_hi:
             log.warning("i_tilde: A(%d) effectively singular, using pseudo-inverse", j)
@@ -203,26 +202,25 @@ def _g_stack(scenario, k_lo: int, k_hi: int, k_bar: int) -> np.ndarray:
     return g
 
 
-def i_tilde_products(sys: LtvSystem, k_lo: int, k_hi: int, k_bar: int,
-                     scenario=None) -> np.ndarray:
+def i_tilde_products(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int) -> np.ndarray:
     """G_tau(k) G_tau(k)^T for k in [k_lo, k_hi], tau in [1, k_bar].
 
     Shape (k_hi - k_lo + 1, k_bar, m, m). Because trace(G^T l G) =
     <l, G G^T>, these products turn per-node bound traces into inner
     products, which is how the selection sweep evaluates thousands of nodes.
     """
-    g = _g_stack(_prepared(sys, k_hi, scenario), k_lo, k_hi, k_bar)
+    g = _g_stack(scenario, k_lo, k_hi, k_bar)
     return g @ g.swapaxes(-1, -2)
 
 
-def i_tilde_matrices(sys: LtvSystem, k_lo: int, k_hi: int, k_bar: int, betas, l_all,
-                     scenario=None) -> np.ndarray:
+def i_tilde_matrices(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int, betas,
+                     l_all) -> np.ndarray:
     """Full bound matrices for a stack of nodes: (n, k_hi - k_lo + 1, m, m).
 
     Itilde_i(k) = sum_tau betas[i]^{tau-1} G_tau(k)^T l_all[i] G_tau(k); the
     G products are shared across nodes, so this is one einsum per sweep.
     """
-    g = _g_stack(_prepared(sys, k_hi, scenario), k_lo, k_hi, k_bar)
+    g = _g_stack(scenario, k_lo, k_hi, k_bar)
     betas = np.asarray(betas, dtype=float)
     l_all = np.asarray(l_all, dtype=float)
     beta_pow = betas[:, None] ** np.arange(k_bar)[None, :]
@@ -253,18 +251,19 @@ def check_bound_psd(info_delayed, i_tilde_k) -> bool:
     return bool(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min() > 0.0)
 
 
-def estimate_info_bound(sys: LtvSystem, network: SensorNetwork, n_steps: int) -> np.ndarray:
+def estimate_info_bound(scenario: Scenario) -> np.ndarray:
     """Pilot delay-free pass: uniform bound on the fused information sequence.
 
-    Runs the fused information recursion with every node delivering at delay 0
-    (measurements do not enter the information flow) and returns the max-trace
-    I(k|k), symmetrized.
+    Runs the fused information recursion with every node of the scenario
+    delivering at delay 0 (measurements do not enter the information flow)
+    and returns the max-trace I(k|k), symmetrized.
     """
-    m = sys.state_dim
-    scenario = Scenario(sys, network, n_steps)
-    info_inc = np.broadcast_to(scenario.l_all.sum(axis=0), (1, n_steps + 1, m, m)).copy()
+    _require_network(scenario)
+    m = scenario.sys.state_dim
+    n_out = scenario.n_steps + 1
+    info_inc = np.broadcast_to(scenario.l_all.sum(axis=0), (1, n_out, m, m)).copy()
     info_hist, _ = _kernels.fused_info_recursion(
-        scenario.a_inv_seq, scenario.q_inv, info_inc, np.zeros((1, n_steps + 1, m)),
+        scenario.a_inv_seq, scenario.q_inv, info_inc, np.zeros((1, n_out, m)),
         np.zeros((m, m)), np.zeros(m),
     )
     info_hist = info_hist[0]
@@ -273,29 +272,24 @@ def estimate_info_bound(sys: LtvSystem, network: SensorNetwork, n_steps: int) ->
 
 
 def compute_params(
-    sys: LtvSystem,
-    network: SensorNetwork,
-    n_steps: int,
+    scenario: Scenario,
     k_bar: int = DEFAULT_K_BAR,
     alpha: float = DEFAULT_ALPHA,
     beta_hat_override: float | None = None,
     per_node: bool = True,
 ) -> StabilityParams:
-    """StabilityParams for a network: contraction constant and, when it is
-    needed, the pilot bound.
+    """StabilityParams for a prepared scenario (plant, network and horizon).
 
     per_node=True leaves beta_hat unset so the selection derives one
     contraction per node from that node's own information history; this is the
     discriminating variant. per_node=False computes a single global beta_hat
     from the fused pilot bound (estimate_info_bound), the only case that runs
-    the pilot pass; i_bound is None otherwise.
+    the pilot pass. beta_hat_override fixes beta_hat and skips both.
     """
-    i_bound = None
     if beta_hat_override is not None:
         beta = float(beta_hat_override)
     elif per_node:
         beta = None
     else:
-        i_bound = estimate_info_bound(sys, network, n_steps)
-        beta = beta_hat(sys, n_steps, i_bound, alpha)
-    return StabilityParams(k_bar=k_bar, alpha=alpha, beta_hat=beta, i_bound=i_bound)
+        beta = float(beta_hat_batch(scenario, estimate_info_bound(scenario)[None], alpha)[0])
+    return StabilityParams(k_bar=k_bar, alpha=alpha, beta_hat=beta)

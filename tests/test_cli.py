@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from dkfsim.cli import main
+from dkfsim.errors import ConfigError
+from dkfsim.sensing import load_network
 
 
 def write_cfg(tmp_path, **overrides):
@@ -112,3 +116,17 @@ def test_subcommands_byte_identical_reruns(tmp_path, command):
         pb = list(outs[1].glob(f"**/{name}"))
         for fa, fb in zip(sorted(pa), sorted(pb)):
             assert fa.read_bytes() == fb.read_bytes()
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("2 -1 0.1 0.0 0.0", r"h_row_index -1 outside \[0, 2\)$"),
+    ("2 5 0.1 0.0 0.0", r"h_row_index 5 outside \[0, 2\)$"),
+    ("2 1 0.1 soon 0.0", r"could not convert string to float: 'soon'$"),
+], ids=["negative-row", "row-past-state-dim", "non-numeric"])
+def test_bad_network_file_is_config_error(tmp_path, bad_line, message):
+    path = tmp_path / "net.txt"
+    path.write_text("1 0 0.1 0.0 0.0\n" + bad_line + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: {message}"):
+        load_network(path, state_dim=2)
+    cfg = write_cfg(tmp_path, network_file=str(path))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1

@@ -5,6 +5,7 @@ from dkfsim.dkf import (
     DelayedReport,
     DkfEngine,
     NodeFilterState,
+    Scenario,
     fuse,
     kf_covariance_form,
     node_init,
@@ -12,7 +13,6 @@ from dkfsim.dkf import (
     node_time_update,
     observer_gain,
     recover_estimates,
-    run_dkf,
     time_update_general,
 )
 from dkfsim.errors import ConfigError, NumericError, SelectionError, SingularInformationError
@@ -201,15 +201,16 @@ def test_delayed_report_staleness_nonnegative():
 def test_single_zero_delay_node_equals_standalone_filter():
     sys_ = builtin_system()
     node = single_row_node(1, 1, 0.2)
-    run = run_dkf(sys_, SensorNetwork((node,)), [1], 120, np.random.default_rng(5))
-    z = run.measurements[0]
+    engine = DkfEngine(sys_, SensorNetwork((node,)), 120, np.random.default_rng(5))
+    _, _, xhat, _ = engine.fused_run([1])
+    z = engine.measurements[0]
     state = node_init(2)
     for k in range(121):
         if k > 0:
             state = node_time_update(state, transition_matrix(sys_, k - 1), sys_.process_noise_cov)
         state = node_measurement_update(state, z[k], node.h, node.r)
         if state.x_post is not None:
-            np.testing.assert_allclose(run.xhat[k], state.x_post, atol=1e-9)
+            np.testing.assert_allclose(xhat[k], state.x_post, atol=1e-9)
 
 
 def test_zero_delay_fusion_matches_centralized_stacked_kf():
@@ -235,33 +236,25 @@ def test_zero_delay_fusion_matches_centralized_stacked_kf():
 # ---------------------------------------------------------------------------
 
 
-def test_run_dkf_deterministic():
+def test_fused_run_deterministic():
     sys_ = builtin_system()
     net = random_network(np.random.default_rng(1), 5, delay_range=(0.0, 0.5))
-    r1 = run_dkf(sys_, net, [1, 3, 5], 80, np.random.default_rng(99))
-    r2 = run_dkf(sys_, net, [1, 3, 5], 80, np.random.default_rng(99))
-    np.testing.assert_array_equal(r1.xhat, r2.xhat)
-    np.testing.assert_array_equal(r1.truth.states, r2.truth.states)
-    np.testing.assert_array_equal(r1.node_info, r2.node_info)
+    e1, e2 = (DkfEngine(sys_, net, 80, np.random.default_rng(99)) for _ in range(2))
+    info1, _, x1, _ = e1.fused_run([1, 3, 5])
+    info2, _, x2, _ = e2.fused_run([1, 3, 5])
+    np.testing.assert_array_equal(x1, x2)
+    np.testing.assert_array_equal(e1.truth.states, e2.truth.states)
+    np.testing.assert_array_equal(info1, info2)
 
 
-def test_run_dkf_rejects_bad_subsets():
+def test_fused_run_rejects_bad_subsets():
     sys_ = builtin_system()
     net = random_network(np.random.default_rng(1), 3)
+    engine = DkfEngine(sys_, net, 10, np.random.default_rng(0))
     with pytest.raises(SelectionError):
-        run_dkf(sys_, net, [], 10, np.random.default_rng(0))
+        engine.fused_run([])
     with pytest.raises(SelectionError):
-        run_dkf(sys_, net, [7], 10, np.random.default_rng(0))
-
-
-def test_run_dkf_returns_node_histories_for_subset():
-    sys_ = builtin_system()
-    net = random_network(np.random.default_rng(2), 6, delay_range=(0.0, 0.3))
-    run = run_dkf(sys_, net, [2, 4], 50, np.random.default_rng(0))
-    assert run.node_info.shape == (2, 51, 2, 2)
-    assert run.node_ids == [2, 4]
-    assert len(run.estimates) == 51
-    assert run.estimates[10].step == 10
+        engine.fused_run([7])
 
 
 def test_delays_increase_transient_deviation():
@@ -271,10 +264,10 @@ def test_delays_increase_transient_deviation():
     nodes_zero = SensorNetwork(tuple(
         SensorNode(id=n.id, h=n.h, r=n.r, delay=DelaySpec(0.0)) for n in nodes_delayed
     ))
-    run_d = run_dkf(sys_, nodes_delayed, nodes_delayed.ids(), 200, np.random.default_rng(12))
-    run_0 = run_dkf(sys_, nodes_zero, nodes_zero.ids(), 200, np.random.default_rng(12))
-    md_delayed = max_deviation(run_d.xhat, run_d.truth)
-    md_zero = max_deviation(run_0.xhat, run_0.truth)
+    eng_d = DkfEngine(sys_, nodes_delayed, 200, np.random.default_rng(12))
+    eng_0 = DkfEngine(sys_, nodes_zero, 200, np.random.default_rng(12))
+    md_delayed = max_deviation(eng_d.fused_run(nodes_delayed.ids())[2], eng_d.truth)
+    md_zero = max_deviation(eng_0.fused_run(nodes_zero.ids())[2], eng_0.truth)
     assert md_delayed > md_zero
 
 
@@ -455,5 +448,9 @@ def test_zero_delay_subset_growth_never_decreases_information():
 
 def test_engine_rejects_network_of_another_state_dim():
     node = SensorNode(id=1, h=np.array([[0.0, 0.0, 1.0]]), r=np.array([[0.2]]))
-    with pytest.raises(ConfigError, match="^nodes measure a 3-state plant, the system has 2 states$"):
-        DkfEngine(builtin_system(), SensorNetwork((node,)), 10, np.random.default_rng(0))
+    net = SensorNetwork((node,))
+    message = "^nodes measure a 3-state plant, the system has 2 states$"
+    with pytest.raises(ConfigError, match=message):
+        DkfEngine(builtin_system(), net, 10, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match=message):
+        Scenario(builtin_system(), net, 10)

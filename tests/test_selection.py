@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dkfsim import _kernels
-from dkfsim.dkf import DkfEngine
+from dkfsim.dkf import DkfEngine, Scenario
 from dkfsim.errors import ConfigError, MetricError, NumericError
 from dkfsim.model import builtin_system, robust_inverse, transition_matrix
 from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode, delay_steps, sample_network
@@ -127,7 +127,7 @@ def test_greedy_first_iteration_selects_everything():
     sys_ = builtin_system()
     rng = np.random.default_rng(3)
     net = sample_network(40, (0.0, 0.5), (0.0, 2.0), rng)
-    reports = greedy_select(sys_, net, 1, 0.5, 2.0, 60, rng)
+    reports = greedy_select(DkfEngine(sys_, net, 60, rng), 1, 0.5, 2.0)
     assert len(reports) == 1
     assert reports[0].n_selected == 40
     assert reports[0].thresholds == (0.5, 2.0)
@@ -137,7 +137,7 @@ def test_greedy_boundary_inclusion():
     # a node sitting exactly at the thresholds is included (<= comparison)
     sys_ = builtin_system()
     net = SensorNetwork((make_node(1, r=0.5, base=2.0), make_node(2, r=0.1, base=0.1)))
-    reports = greedy_select(sys_, net, 1, 0.5, 2.0, 40, np.random.default_rng(0))
+    reports = greedy_select(DkfEngine(sys_, net, 40, np.random.default_rng(0)), 1, 0.5, 2.0)
     assert reports[0].nodes == frozenset({1, 2})
 
 
@@ -145,7 +145,7 @@ def test_greedy_thresholds_nonincreasing_and_subsets_nested():
     sys_ = builtin_system()
     rng = np.random.default_rng(4)
     net = sample_network(60, (0.0, 0.5), (0.0, 2.0), rng)
-    reports = greedy_select(sys_, net, 12, 0.5, 2.0, 50, rng)
+    reports = greedy_select(DkfEngine(sys_, net, 50, rng), 12, 0.5, 2.0)
     for prev, cur in zip(reports, reports[1:]):
         assert cur.thresholds[0] <= prev.thresholds[0]
         assert cur.thresholds[1] <= prev.thresholds[1]
@@ -155,7 +155,7 @@ def test_greedy_thresholds_nonincreasing_and_subsets_nested():
 def test_greedy_empty_iteration_records_sentinel():
     sys_ = builtin_system()
     net = SensorNetwork((make_node(1, r=0.5, base=2.0),))
-    reports = greedy_select(sys_, net, 10, 0.5, 2.0, 40, np.random.default_rng(0))
+    reports = greedy_select(DkfEngine(sys_, net, 40, np.random.default_rng(0)), 10, 0.5, 2.0)
     assert reports[0].ran
     assert not reports[-1].ran  # thresholds shrank below the node
     assert np.isnan(reports[-1].mse) and np.isnan(reports[-1].md)
@@ -166,7 +166,7 @@ def test_greedy_shares_one_realization():
     # two reports over the same subset content must carry identical metrics
     sys_ = builtin_system()
     net = SensorNetwork((make_node(1, r=0.05, base=0.0), make_node(2, r=0.06, base=0.05)))
-    reports = greedy_select(sys_, net, 5, 0.5, 2.0, 60, np.random.default_rng(1))
+    reports = greedy_select(DkfEngine(sys_, net, 60, np.random.default_rng(1)), 5, 0.5, 2.0)
     full = [r for r in reports if r.n_selected == 2]
     assert len(full) >= 2
     for r in full[1:]:
@@ -219,7 +219,7 @@ def test_greedy_batched_matches_per_iteration_runs():
     nodes.append(make_node(10, row=1, r=0.12, base=1.9))
     net = SensorNetwork(tuple(nodes))
     engine = DkfEngine(sys_, net, 60, np.random.default_rng(8))
-    reports = greedy_select(sys_, net, 10, 0.5, 2.0, 60, None, engine=engine)
+    reports = greedy_select(engine, 10, 0.5, 2.0)
     assert not reports[-1].ran and reports[0].n_selected == 10
     assert any(9 in r.nodes for r in reports) and 10 in reports[0].nodes
     assert_sweep_matches(reports, per_iteration_sweep(engine, net, 10, 0.5, 2.0))
@@ -245,7 +245,7 @@ def test_greedy_batched_matches_per_iteration_property(seed, m, n_nodes, iterati
     r_max = float(rng.uniform(0.2, 1.5))
     tau_max = float(rng.uniform(0.05, 1.5 * n_steps * sys_.sample_time))
     engine = DkfEngine(sys_, net, n_steps, rng)
-    reports = greedy_select(sys_, net, iterations, r_max, tau_max, n_steps, None, engine=engine)
+    reports = greedy_select(engine, iterations, r_max, tau_max)
     assert_sweep_matches(reports, per_iteration_sweep(engine, net, iterations, r_max, tau_max))
 
 
@@ -260,7 +260,7 @@ def test_greedy_non_finite_names_iteration_and_step(monkeypatch):
     monkeypatch.setattr(_kernels, "fused_info_recursion", poisoned)
     net = SensorNetwork(tuple(make_node(i + 1, r=0.1 * (i + 1)) for i in range(4)))
     with pytest.raises(NumericError, match=r"greedy iteration 2 at step 12$") as err:
-        greedy_select(builtin_system(), net, 4, 0.5, 1.0, 30, np.random.default_rng(0))
+        greedy_select(DkfEngine(builtin_system(), net, 30, np.random.default_rng(0)), 4, 0.5, 1.0)
     assert err.value.step == 12
 
 
@@ -268,13 +268,13 @@ def test_greedy_requires_resolved_network():
     sys_ = builtin_system()
     net = SensorNetwork((make_node(1, jitter=0.1),))
     with pytest.raises(ConfigError):
-        greedy_select(sys_, net, 2, 0.5, 2.0, 30, np.random.default_rng(0))
+        greedy_select(DkfEngine(sys_, net, 30, np.random.default_rng(0)), 2, 0.5, 2.0)
 
 
 def test_best_report_ignores_sentinels():
     sys_ = builtin_system()
     net = SensorNetwork((make_node(1, r=0.5, base=2.0),))
-    reports = greedy_select(sys_, net, 10, 0.5, 2.0, 40, np.random.default_rng(0))
+    reports = greedy_select(DkfEngine(sys_, net, 40, np.random.default_rng(0)), 10, 0.5, 2.0)
     best = best_report(reports)
     assert best is not None and best.ran
 
@@ -291,7 +291,7 @@ def test_stability_select_excludes_delay_beyond_horizon(caplog):
         make_node(2, row=0, r=0.1, base=3.0),  # 300 steps > horizon
     ))
     params = StabilityParams(k_bar=10)
-    selected, rows = stability_select(sys_, net, params, 60, return_diagnostics=True)
+    selected, rows = stability_select(Scenario(sys_, net, 60), params)
     assert 2 not in selected
     assert rows[1].ct_exp == 0
     assert 1 in selected
@@ -301,13 +301,14 @@ def test_stability_select_all_delays_beyond_horizon_warns(caplog):
     sys_ = builtin_system()
     net = SensorNetwork((make_node(1, base=5.0), make_node(2, base=9.0)))
     with caplog.at_level("WARNING"):
-        selected = stability_select(sys_, net, StabilityParams(k_bar=10), 50)
+        selected, _ = stability_select(Scenario(sys_, net, 50), StabilityParams(k_bar=10))
     assert selected == set()
     assert any("larger than the estimation horizon" in rec.message for rec in caplog.records)
 
 
 def test_stability_select_empty_network():
-    assert stability_select(builtin_system(), SensorNetwork(()), StabilityParams(), 100) == set()
+    scenario = Scenario(builtin_system(), SensorNetwork(()), 100)
+    assert stability_select(scenario, StabilityParams()) == (set(), [])
 
 
 def test_stability_select_order_invariance():
@@ -318,14 +319,14 @@ def test_stability_select_order_invariance():
              for i in range(12)]
     net_a = SensorNetwork(tuple(nodes))
     params = StabilityParams(k_bar=10)
-    sel_a = stability_select(sys_, net_a, params, 80)
+    sel_a, _ = stability_select(Scenario(sys_, net_a, 80), params)
     # permute physical order, renumber ids, map back
     perm = rng.permutation(12)
     renumbered = tuple(
         SensorNode(id=j + 1, h=nodes[p].h, r=nodes[p].r, delay=nodes[p].delay)
         for j, p in enumerate(perm)
     )
-    sel_b = stability_select(sys_, SensorNetwork(renumbered), params, 80)
+    sel_b, _ = stability_select(Scenario(sys_, SensorNetwork(renumbered), 80), params)
     mapped = {int(perm[j - 1]) + 1 for j in sel_b}
     assert mapped == sel_a
 
@@ -336,8 +337,8 @@ def test_stability_select_fresh_low_noise_nodes_admitted():
         make_node(1, row=0, r=1e-6, base=0.0),
         make_node(2, row=1, r=1e-6, base=0.0),
     ))
-    params = compute_params(sys_, net, 150)
-    selected = stability_select(sys_, net, params, 150)
+    scenario = Scenario(sys_, net, 150)
+    selected, _ = stability_select(scenario, compute_params(scenario))
     assert selected == {1, 2}
 
 
@@ -346,7 +347,7 @@ def test_stability_select_prefers_low_staleness():
     nodes = tuple(make_node(i + 1, row=i % 2, r=0.2, base=i * 0.05) for i in range(10))
     net = SensorNetwork(nodes)
     params = StabilityParams(k_bar=10)
-    selected, rows = stability_select(sys_, net, params, 120, return_diagnostics=True)
+    selected, rows = stability_select(Scenario(sys_, net, 120), params)
     delays = {row.node_id: row.delay_s for row in rows}
     if selected:
         worst_selected = max(delays[i] for i in selected)
@@ -363,21 +364,27 @@ def test_stability_select_trace_mode_more_permissive():
                             base=float(rng.uniform(0.0, 1.5))) for i in range(40))
     net = SensorNetwork(nodes)
     params = StabilityParams(k_bar=12)
-    sel_psd = stability_select(sys_, net, params, 160, comparison="psd")
-    sel_trace = stability_select(sys_, net, params, 160, comparison="trace")
+    scenario = Scenario(sys_, net, 160)
+    sel_psd, _ = stability_select(scenario, params, comparison="psd")
+    sel_trace, _ = stability_select(scenario, params, comparison="trace")
     assert sel_psd <= sel_trace
 
 
 def test_stability_select_requires_horizon_beyond_window():
     with pytest.raises(ConfigError):
-        stability_select(builtin_system(), SensorNetwork((make_node(1),)),
-                         StabilityParams(k_bar=30), 30)
+        stability_select(Scenario(builtin_system(), SensorNetwork((make_node(1),)), 30),
+                         StabilityParams(k_bar=30))
+
+
+def test_stability_select_requires_a_network():
+    with pytest.raises(ConfigError, match="no sensor network"):
+        stability_select(Scenario(builtin_system(), None, 50), StabilityParams(k_bar=5))
 
 
 def test_stability_select_rejects_unresolved_jitter():
     net = SensorNetwork((make_node(1, jitter=0.1),))
     with pytest.raises(ConfigError):
-        stability_select(builtin_system(), net, StabilityParams(k_bar=5), 50)
+        stability_select(Scenario(builtin_system(), net, 50), StabilityParams(k_bar=5))
 
 
 def per_node_admission(sys_, net, params, n_steps, comparison):
@@ -417,10 +424,9 @@ def per_node_admission(sys_, net, params, n_steps, comparison):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]), n_nodes=st.integers(1, 8),
        k_bar=st.integers(1, 8), extra_steps=st.integers(1, 30),
-       comparison=st.sampled_from(["psd", "trace"]), fixed_beta=st.booleans(),
-       use_engine=st.booleans())
+       comparison=st.sampled_from(["psd", "trace"]), fixed_beta=st.booleans())
 def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_steps, comparison,
-                                                fixed_beta, use_engine):
+                                                fixed_beta):
     rng = np.random.default_rng(seed)
     n_steps = k_bar + extra_steps
     sys_ = random_system(rng, m=m, n_steps=n_steps)
@@ -437,9 +443,7 @@ def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_s
     net = SensorNetwork(tuple(nodes))
     params = StabilityParams(k_bar=k_bar, beta_hat=float(rng.uniform(0.5, 1.0)) if fixed_beta
                              else None)
-    engine = DkfEngine(sys_, net, n_steps, rng) if use_engine else None
-    selected, rows = stability_select(sys_, net, params, n_steps, return_diagnostics=True,
-                                      comparison=comparison, engine=engine)
+    selected, rows = stability_select(Scenario(sys_, net, n_steps), params, comparison=comparison)
     reference = per_node_admission(sys_, net, params, n_steps, comparison)
     for row in rows:
         beta, margins = reference[row.node_id]
@@ -463,20 +467,6 @@ def test_min_eigenvalue_2x2_matches_eigvalsh():
     assert np.all(np.abs(_min_eigenvalue(mats) - want) <= 1e-14 * scale)
 
 
-def test_stability_select_rejects_engine_of_another_network():
-    sys_ = builtin_system()
-    net = SensorNetwork((make_node(1), make_node(2, row=1)))
-    engine = DkfEngine(sys_, net, 40, np.random.default_rng(0))
-    other = SensorNetwork((make_node(1), make_node(2, row=1)))
-    with pytest.raises(ConfigError):
-        stability_select(sys_, other, StabilityParams(k_bar=5), 40, engine=engine)
-    with pytest.raises(ConfigError):
-        stability_select(sys_, net, StabilityParams(k_bar=5), 30, engine=engine)
-    with pytest.raises(ConfigError):
-        stability_select(builtin_system(q_scale=0.2), net, StabilityParams(k_bar=5), 40,
-                         engine=engine)
-
-
 def test_three_state_system_end_to_end():
     # basis-row sensors generalize beyond two states; run both selectors
     from dkfsim.model import LtvSystem, MatrixTable
@@ -492,7 +482,7 @@ def test_three_state_system_end_to_end():
         sample_time=0.01,
     )
     net = sample_network(30, (0.0, 0.3), (0.0, 0.3), rng, state_dim=3)
-    reports = greedy_select(sys_, net, 8, 0.3, 0.3, n_steps, rng)
+    reports = greedy_select(DkfEngine(sys_, net, n_steps, rng), 8, 0.3, 0.3)
     assert best_report(reports) is not None
-    selected = stability_select(sys_, net, StabilityParams(k_bar=8), n_steps)
+    selected, _ = stability_select(Scenario(sys_, net, n_steps), StabilityParams(k_bar=8))
     assert selected <= set(net.ids())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dkfsim.dkf import Scenario
 from dkfsim.errors import ConfigError, OrderingError
 from dkfsim.model import builtin_system, transition_matrix
 from dkfsim.sensing import SensorNetwork, SensorNode
@@ -156,7 +157,7 @@ def test_beta_hat_batch_matches_single():
     sys_ = builtin_system()
     rng = np.random.default_rng(3)
     bounds = np.stack([random_psd(rng, scale=3.0) for _ in range(5)])
-    batch = beta_hat_batch(sys_, bounds, 120, alpha=1e-6)
+    batch = beta_hat_batch(Scenario(sys_, None, 120), bounds, alpha=1e-6)
     for i in range(5):
         assert batch[i] == pytest.approx(beta_hat(sys_, 120, bounds[i], 1e-6), rel=1e-9)
 
@@ -232,7 +233,7 @@ def test_i_tilde_products_consistent_with_direct():
     rng = np.random.default_rng(15)
     l_node = random_psd(rng)
     k_bar, k_lo, k_hi = 6, 40, 60
-    prods = i_tilde_products(sys_, k_lo, k_hi, k_bar)
+    prods = i_tilde_products(Scenario(sys_, None, k_hi), k_lo, k_hi, k_bar)
     beta = 0.37
     weights = beta ** np.arange(k_bar)
     for pos, k in enumerate(range(k_lo, k_hi + 1)):
@@ -246,12 +247,18 @@ def test_i_tilde_matrices_consistent_with_direct():
     rng = np.random.default_rng(16)
     l_all = np.stack([random_psd(rng) for _ in range(3)])
     betas = np.array([0.2, 0.5, 0.9])
-    mats = i_tilde_matrices(sys_, 30, 45, 5, betas, l_all)
+    mats = i_tilde_matrices(Scenario(sys_, None, 45), 30, 45, 5, betas, l_all)
     for i in range(3):
         for pos, k in enumerate(range(30, 46)):
             np.testing.assert_allclose(
                 mats[i, pos], i_tilde(k, 5, betas[i], sys_, l_all[i]), atol=1e-11
             )
+
+
+def test_i_tilde_window_must_fit_the_scenario():
+    scenario = Scenario(builtin_system(), None, 45)
+    with pytest.raises(ConfigError, match="^k_hi=46 exceeds the scenario's 45 steps$"):
+        i_tilde_products(scenario, 30, 46, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +305,7 @@ def test_estimate_info_bound_dominates_history_traces():
         h[0, int(rng.integers(0, 2))] = 1.0
         nodes.append(SensorNode(id=i + 1, h=h, r=np.array([[float(rng.uniform(0.1, 0.5))]])))
     net = SensorNetwork(tuple(nodes))
-    bound = estimate_info_bound(sys_, net, 150)
+    bound = estimate_info_bound(Scenario(sys_, net, 150))
     np.testing.assert_allclose(bound, bound.T, atol=1e-12)
     assert np.linalg.eigvalsh(bound).min() > 0
 
@@ -307,14 +314,14 @@ def test_compute_params_modes():
     sys_ = builtin_system()
     node = SensorNode(id=1, h=np.array([[1.0, 0.0]]), r=np.array([[0.3]]))
     net = SensorNetwork((node,))
-    per_node = compute_params(sys_, net, 100)
-    # the pilot bound is computed only where the global beta_hat reads it
-    assert per_node.beta_hat is None and per_node.i_bound is None
-    fixed = compute_params(sys_, net, 100, per_node=False)
+    scenario = Scenario(sys_, net, 100)
+    per_node = compute_params(scenario)
+    assert per_node.beta_hat is None
+    fixed = compute_params(scenario, per_node=False)
     assert 0.0 < fixed.beta_hat <= 1.0
-    np.testing.assert_array_equal(fixed.i_bound, estimate_info_bound(sys_, net, 100))
-    overridden = compute_params(sys_, net, 100, beta_hat_override=0.25)
-    assert overridden.beta_hat == 0.25 and overridden.i_bound is None
+    assert fixed.beta_hat == beta_hat(sys_, 100, estimate_info_bound(scenario), 1e-6)
+    overridden = compute_params(scenario, beta_hat_override=0.25)
+    assert overridden.beta_hat == 0.25
 
 
 def test_information_inverse_matches_riccati_covariance():
