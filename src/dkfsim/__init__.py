@@ -9,17 +9,13 @@ in numpy, batched across nodes and subsets (dkfsim._kernels).
 from ._kernels import backend_name
 from .config import ExperimentConfig, load_config
 from .dkf import (
-    DelayedReport,
     DkfEngine,
-    FusedEstimate,
     NodeFilterState,
     Scenario,
-    fuse,
     kf_covariance_form,
     node_init,
     node_measurement_update,
     node_time_update,
-    observer_gain,
 )
 from .harness import MonteCarloSummary, derive_seed, export_csv, monte_carlo, run_experiment
 from .model import (
@@ -36,7 +32,6 @@ from .sensing import (
     SensorNetwork,
     SensorNode,
     delay_steps,
-    measure,
     resolve_delays,
     sample_network,
 )
@@ -48,21 +43,18 @@ from .selection import (
     settling_index,
     stability_select,
 )
-from .stability import StabilityParams, beta_hat, check_bound, gamma_hat, i_tilde, psi
+from .stability import StabilityParams, beta_hat, gamma_hat, i_tilde, psi
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DelayedReport", "DelaySpec", "DkfEngine", "ExperimentConfig", "FusedEstimate",
-    "LtvSystem", "MonteCarloSummary", "NodeFilterState", "Scenario",
-    "SelectionReport", "SensorNetwork", "SensorNode", "StabilityParams", "StructuralMatrix",
-    "Trajectory", "backend_name", "beta_hat",
-    "builtin_system", "check_bound", "delay_steps", "derive_seed", "export_csv",
-    "fuse", "gamma_hat", "greedy_select", "i_tilde", "is_effectively_singular",
-    "is_structurally_observable", "kf_covariance_form", "load_config",
-    "max_deviation", "measure", "monte_carlo", "mse", "node_init",
-    "node_measurement_update", "node_time_update", "observer_gain", "psi",
-    "resolve_delays", "run_experiment", "sample_network",
-    "settling_index", "simulate", "stability_select", "structure_of",
+    "DelaySpec", "DkfEngine", "ExperimentConfig", "LtvSystem", "MonteCarloSummary",
+    "NodeFilterState", "Scenario", "SelectionReport", "SensorNetwork", "SensorNode",
+    "StabilityParams", "StructuralMatrix", "Trajectory", "backend_name", "beta_hat",
+    "builtin_system", "delay_steps", "derive_seed", "export_csv", "gamma_hat",
+    "greedy_select", "i_tilde", "is_effectively_singular", "is_structurally_observable",
+    "kf_covariance_form", "load_config", "max_deviation", "monte_carlo", "mse", "node_init",
+    "node_measurement_update", "node_time_update", "psi", "resolve_delays", "run_experiment",
+    "sample_network", "settling_index", "simulate", "stability_select", "structure_of",
     "transition_matrix",
 ]

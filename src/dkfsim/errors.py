@@ -35,13 +35,5 @@ class DivergenceError(NumericError):
         self.row = row
 
 
-class SingularInformationError(NumericError):
-    """An information matrix was singular where an inverse was required."""
-
-
 class MetricError(ValueError):
     """A metric is undefined for the given trajectories."""
-
-
-class OrderingError(ValueError):
-    """A required positive-semidefinite ordering between inputs is violated."""

@@ -1,5 +1,5 @@
 """Sensor subset selection: the greedy threshold sweep (benchmark, needs ground
-truth) and the stability-criterion selection (needs only information traces),
+truth) and the stability-criterion selection (needs only information histories),
 plus the MSE / maximum-deviation metrics both report.
 """
 
@@ -14,13 +14,7 @@ import numpy as np
 from .dkf import DkfEngine, Scenario, _symmetrize
 from .errors import ConfigError, DivergenceError, MetricError
 from .model import Trajectory, robust_inverse  # noqa: F401 - per-layer tracing wraps this name
-from .stability import (
-    StabilityParams,
-    _require_network,
-    beta_hat_batch,
-    i_tilde_matrices,
-    i_tilde_products,
-)
+from .stability import StabilityParams, _require_network, beta_hat_batch, i_tilde_matrices
 from . import _kernels
 
 log = logging.getLogger(__name__)
@@ -227,15 +221,12 @@ def _min_eigenvalue(mats) -> np.ndarray:
     return np.minimum(big, small)
 
 
-def stability_select(scenario: Scenario, params: StabilityParams, comparison: str = "psd"):
+def stability_select(scenario: Scenario, params: StabilityParams):
     """Admit node i iff its delayed information beats the stability bound at
     every applicable step k in (k_bar, N]: the delayed I_i(k - d_i | k - d_i)
-    must dominate Itilde_i(k). Needs no ground-truth states.
-
-    comparison='psd' requires matrix-order domination (min eig of the
-    difference > 0), which is what the stability bound actually asserts and
-    makes k_bar the tolerated staleness; comparison='trace' is the scalar
-    pseudo-code form (check_bound) and admits almost every node.
+    must strictly dominate Itilde_i(k) in matrix order (min eig of the
+    difference > 0), which is what the stability bound asserts and makes k_bar
+    the tolerated staleness. Needs no ground-truth states.
 
     The scenario supplies the plant, the network and the horizon N; a
     scenario without a network raises ConfigError. Nodes whose delay leaves
@@ -243,8 +234,6 @@ def stability_select(scenario: Scenario, params: StabilityParams, comparison: st
     Stochastic delays must be resolved beforehand (sensing.resolve_delays).
     Returns (selected ids, one NodeStabilityRow per node).
     """
-    if comparison not in ("psd", "trace"):
-        raise ConfigError(f"unknown comparison {comparison!r}")
     network = _require_network(scenario)
     if len(network) == 0:
         return set(), []
@@ -261,12 +250,12 @@ def stability_select(scenario: Scenario, params: StabilityParams, comparison: st
     # delay-free per-node information histories (the local IF recursions)
     hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, l_all,
                                         np.zeros((n, m, m)))
-    traces = np.trace(hist, axis1=2, axis2=3)  # (n, N+1)
 
     if params.beta_hat is not None:
         betas = np.full(n, params.beta_hat)
     else:
         # per-node contraction from each node's own history bound
+        traces = np.trace(hist, axis1=2, axis2=3)  # (n, N+1)
         bounds = hist[np.arange(n), np.argmax(traces, axis=1)]
         betas = beta_hat_batch(scenario, bounds, params.alpha)
 
@@ -276,13 +265,7 @@ def stability_select(scenario: Scenario, params: StabilityParams, comparison: st
     first = np.clip(d - k_bar, 0, n_pos)
     ct_exp = n_pos - first
     ct_act = np.zeros(n, dtype=np.int64)
-    if comparison == "psd":
-        bound = i_tilde_matrices(scenario, k_bar + 1, n_steps, k_bar, betas, l_all)
-    else:
-        # tr Itilde_i(k) = sum_tau beta_i^{tau-1} <l_i, G_tau(k) G_tau(k)^T>
-        prods = i_tilde_products(scenario, k_bar + 1, n_steps, k_bar)
-        beta_pow = betas[:, None] ** np.arange(k_bar)[None, :]
-        thresholds = np.einsum("iab,ktab,it->ik", l_all, prods, beta_pow, optimize=True)
+    bound = i_tilde_matrices(scenario, k_bar + 1, n_steps, k_bar, betas, l_all)
     chunk = max(1, ADMISSION_CHUNK // (n_pos * m * m))
     for lo in range(0, n, chunk):
         counts = ct_exp[lo:lo + chunk]
@@ -290,10 +273,7 @@ def stability_select(scenario: Scenario, params: StabilityParams, comparison: st
         node = lo + np.repeat(np.arange(counts.size), counts)
         pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + first[node]
         delayed = k_bar + 1 + pos - d[node]
-        if comparison == "psd":
-            ok = _min_eigenvalue(_symmetrize(hist[node, delayed] - bound[node, pos])) > 0.0
-        else:
-            ok = traces[node, delayed] > thresholds[node, pos]
+        ok = _min_eigenvalue(_symmetrize(hist[node, delayed] - bound[node, pos])) > 0.0
         ct_act[lo:lo + chunk] = np.bincount(node - lo, weights=ok, minlength=counts.size)
 
     admitted = (ct_exp > 0) & (ct_exp == ct_act)

@@ -205,15 +205,6 @@ def _round_steps(eff, ts):
     return np.floor(eff / ts + 0.5 + 1e-9)
 
 
-def measure(node: SensorNode, x, rng: np.random.Generator) -> np.ndarray:
-    """z = H x + v with v ~ N(0, R)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != node.state_dim:
-        raise ConfigError(f"state dim {x.shape[0]} does not match H columns {node.state_dim}")
-    v = rng.standard_normal(node.h.shape[0]) @ np.linalg.cholesky(node.r).T
-    return node.h @ x + v
-
-
 def sample_network(
     n: int,
     variance_range,
@@ -276,7 +267,7 @@ def load_network(path, state_dim: int = 2) -> SensorNetwork:
     """Read a network file: one node per line, `id h_row_index variance delay_s jitter_std`.
 
     A field that does not parse, or a row index outside [0, state_dim), raises
-    ConfigError naming path:line.
+    ConfigError naming path:line; a file without node lines raises ConfigError.
     """
     ids, rows, values = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -298,6 +289,8 @@ def load_network(path, state_dim: int = 2) -> SensorNetwork:
             rows.append(row)
             values.append(row_values)
     n = len(ids)
+    if n == 0:
+        raise ConfigError(f"{path}: no nodes")
     values = np.array(values, dtype=float).reshape(n, 3)
     h = np.zeros((n, 1, state_dim))
     h[np.arange(n), 0, np.array(rows, dtype=np.int64)] = 1.0

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _kernels
 from .dkf import Scenario, _symmetrize, time_update_general
-from .errors import ConfigError, NumericError, OrderingError
+from .errors import ConfigError, NumericError
 from .model import LtvSystem, is_effectively_singular, robust_inverse, transition_matrix
 from .sensing import SensorNetwork
 
@@ -64,16 +64,6 @@ def psi(info, a_k, q) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite psi result")
     return out
-
-
-def psi_monotone_check(i1, i2, a_k, q, tol: float = 1e-9) -> bool:
-    """True when psi preserves the ordering i1 <= i2 (up to tol)."""
-    i1 = np.asarray(i1, dtype=float)
-    i2 = np.asarray(i2, dtype=float)
-    if np.linalg.eigvalsh(_symmetrize(i2 - i1)).min() < -tol:
-        raise OrderingError("precondition i1 <= i2 (PSD order) violated")
-    diff = psi(i2, a_k, q) - psi(i1, a_k, q)
-    return bool(np.linalg.eigvalsh(_symmetrize(diff)).min() >= -tol)
 
 
 def _psd_sqrt(b):
@@ -180,10 +170,13 @@ def i_tilde(k: int, k_bar: int, beta: float, sys: LtvSystem, l_node) -> np.ndarr
     return _symmetrize(total)
 
 
-def _g_stack(scenario, k_lo: int, k_hi: int, k_bar: int) -> np.ndarray:
-    """G_tau(k) = (A(k-1) ... A(k-tau+1))^{-1} for k in [k_lo, k_hi], tau in [1, k_bar].
+def i_tilde_matrices(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int, betas,
+                     l_all) -> np.ndarray:
+    """Full bound matrices for a stack of nodes: (n, k_hi - k_lo + 1, m, m).
 
-    Shape (k_hi - k_lo + 1, k_bar, m, m); G_1 = I.
+    Itilde_i(k) = sum_tau betas[i]^{tau-1} G_tau(k)^T l_all[i] G_tau(k) for k
+    in [k_lo, k_hi], with G_tau(k) = (A(k-1) ... A(k-tau+1))^{-1}, G_1 = I;
+    the G products are shared across nodes, so this is one einsum per sweep.
     """
     if k_lo < k_bar:
         raise ConfigError(f"k_lo={k_lo} must be >= k_bar={k_bar}", keys=("k_bar",))
@@ -199,56 +192,11 @@ def _g_stack(scenario, k_lo: int, k_hi: int, k_bar: int) -> np.ndarray:
     g[:, 0] = np.eye(m)
     for tau in range(2, k_bar + 1):
         g[:, tau - 1] = scenario.a_inv_seq[ks - tau + 1] @ g[:, tau - 2]
-    return g
-
-
-def i_tilde_products(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int) -> np.ndarray:
-    """G_tau(k) G_tau(k)^T for k in [k_lo, k_hi], tau in [1, k_bar].
-
-    Shape (k_hi - k_lo + 1, k_bar, m, m). Because trace(G^T l G) =
-    <l, G G^T>, these products turn per-node bound traces into inner
-    products, which is how the selection sweep evaluates thousands of nodes.
-    """
-    g = _g_stack(scenario, k_lo, k_hi, k_bar)
-    return g @ g.swapaxes(-1, -2)
-
-
-def i_tilde_matrices(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int, betas,
-                     l_all) -> np.ndarray:
-    """Full bound matrices for a stack of nodes: (n, k_hi - k_lo + 1, m, m).
-
-    Itilde_i(k) = sum_tau betas[i]^{tau-1} G_tau(k)^T l_all[i] G_tau(k); the
-    G products are shared across nodes, so this is one einsum per sweep.
-    """
-    g = _g_stack(scenario, k_lo, k_hi, k_bar)
     betas = np.asarray(betas, dtype=float)
     l_all = np.asarray(l_all, dtype=float)
     beta_pow = betas[:, None] ** np.arange(k_bar)[None, :]
     out = np.einsum("ktba,ibc,ktcd,it->ikad", g, l_all, g, beta_pow, optimize=True)
     return _symmetrize(out)
-
-
-def check_bound(info_delayed, i_tilde_k) -> bool:
-    """Trace comparison from the selection pseudo-code: tr(info) > tr(bound)."""
-    info_delayed = np.asarray(info_delayed, dtype=float)
-    i_tilde_k = np.asarray(i_tilde_k, dtype=float)
-    if info_delayed.shape != i_tilde_k.shape:
-        raise ConfigError("bound comparison requires matching dimensions")
-    return bool(np.trace(info_delayed) > np.trace(i_tilde_k))
-
-
-def check_bound_psd(info_delayed, i_tilde_k) -> bool:
-    """Matrix-order comparison: info strictly dominates the bound (min eig > 0).
-
-    This is the form the stability result actually guarantees for admitted
-    nodes; the trace form is its scalar shadow and barely discriminates.
-    """
-    info_delayed = np.asarray(info_delayed, dtype=float)
-    i_tilde_k = np.asarray(i_tilde_k, dtype=float)
-    if info_delayed.shape != i_tilde_k.shape:
-        raise ConfigError("bound comparison requires matching dimensions")
-    diff = info_delayed - i_tilde_k
-    return bool(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min() > 0.0)
 
 
 def estimate_info_bound(scenario: Scenario) -> np.ndarray:

@@ -130,3 +130,19 @@ def test_bad_network_file_is_config_error(tmp_path, bad_line, message):
         load_network(path, state_dim=2)
     cfg = write_cfg(tmp_path, network_file=str(path))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("text", ["", "# id h_row_index variance delay_s jitter_std\n\n"],
+                         ids=["empty", "comment-only"])
+def test_network_file_without_nodes_is_config_error(tmp_path, caplog, text):
+    path = tmp_path / "net.txt"
+    path.write_text(text)
+    message = f"{path}: no nodes"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_network(path, state_dim=2)
+    cfg = write_cfg(tmp_path, network_file=str(path))
+    for command in ("simulate", "select-greedy", "select-stability", "observability-check"):
+        caplog.clear()
+        out = [] if command == "observability-check" else ["--out", str(tmp_path / command)]
+        assert main([command, "--config", str(cfg), *out]) == 1
+        assert caplog.messages == [f"invalid configuration: {message}"]

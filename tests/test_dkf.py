@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 
 from dkfsim.dkf import (
-    DelayedReport,
     DkfEngine,
     NodeFilterState,
     Scenario,
-    fuse,
     kf_covariance_form,
     node_init,
     node_measurement_update,
     node_time_update,
-    observer_gain,
     recover_estimates,
     time_update_general,
 )
-from dkfsim.errors import ConfigError, NumericError, SelectionError, SingularInformationError
+from dkfsim.errors import ConfigError, NumericError, SelectionError
 from dkfsim.model import builtin_system, transition_matrix
 from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode
 from dkfsim.selection import max_deviation
@@ -111,91 +108,9 @@ def test_time_update_matches_psi_operator():
         np.testing.assert_allclose(out.info_prior, psi(info, a, q), atol=1e-10)
 
 
-def test_observer_gain_scalar_case():
-    state = node_init(1, info0=np.array([[2.0]]))
-    gain = observer_gain(state, a_k=np.array([[1.0]]), h=[[1.0]], r=[[1.0]])
-    assert gain[0, 0] == pytest.approx(0.5)
-
-
-def test_observer_gain_zero_h_gives_zero():
-    state = node_init(2, info0=np.eye(2))
-    gain = observer_gain(state, np.eye(2), [[0.0, 0.0]], [[1.0]])
-    np.testing.assert_allclose(gain, np.zeros((2, 1)), atol=0)
-
-
-def test_observer_gain_singular_information_raises():
-    with pytest.raises(SingularInformationError):
-        observer_gain(node_init(2), np.eye(2), [[1.0, 0.0]], [[1.0]])
-
-
-def test_observer_gain_matches_covariance_form_gain():
-    # L_IF = A Sigma(k|k) H^T R^{-1} should equal A times the covariance-form gain
-    rng = np.random.default_rng(3)
-    sys_ = random_system(rng, n_steps=60)
-    node = single_row_node(1, 0, 0.3)
-    p0 = np.eye(2) * 2.0
-    z = rng.standard_normal((61, 1))
-    xs, ps = kf_covariance_form(sys_, node.h, node.r, z, 60, p0=p0)
-    state = node_init(2, info0=np.linalg.inv(p0))
-    for k in range(20):
-        if k > 0:
-            state = node_time_update(state, transition_matrix(sys_, k - 1), sys_.process_noise_cov)
-        state = node_measurement_update(state, z[k], node.h, node.r)
-        a_k = transition_matrix(sys_, k)
-        gain_if = observer_gain(state, a_k, node.h, node.r)
-        gain_cov = a_k @ ps[k] @ node.h.T @ np.linalg.inv(node.r)
-        np.testing.assert_allclose(gain_if, gain_cov, atol=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # fusion
 # ---------------------------------------------------------------------------
-
-
-def test_fuse_no_reports_is_pure_prediction():
-    info_prior = np.array([[2.0, 0.1], [0.1, 1.0]])
-    x_prior = np.array([0.3, -0.7])
-    est = fuse(info_prior, x_prior, [])
-    np.testing.assert_allclose(est.info, info_prior, atol=0)
-    np.testing.assert_allclose(est.x_hat, x_prior, atol=1e-14)
-    assert not est.pinv_fallback
-
-
-def test_fuse_additivity_and_order_invariance():
-    rng = np.random.default_rng(8)
-    info_prior = np.eye(2) * 0.5
-    x_prior = rng.standard_normal(2)
-    reports = []
-    for j in range(4):
-        w = rng.standard_normal((2, 2))
-        reports.append(DelayedReport(
-            node_id=j + 1, dinfo=w @ w.T, div=rng.standard_normal(2), staleness=j,
-        ))
-    all_at_once = fuse(info_prior, x_prior, reports)
-    for perm in ([3, 1, 0, 2], [2, 3, 1, 0]):
-        info, x = info_prior, x_prior
-        for idx in perm:
-            est = fuse(info, x, [reports[idx]])
-            info, x = est.info, est.x_hat
-        np.testing.assert_allclose(info, all_at_once.info, atol=1e-10)
-        np.testing.assert_allclose(x, all_at_once.x_hat, atol=1e-10)
-
-
-def test_fuse_singular_flags_pinv():
-    est = fuse(np.zeros((2, 2)), np.zeros(2),
-               [DelayedReport(1, np.diag([1.0, 0.0]), np.array([2.0, 0.0]), 0)])
-    assert est.pinv_fallback
-    np.testing.assert_allclose(est.x_hat, [2.0, 0.0], atol=1e-12)
-
-
-def test_fuse_rejects_bad_dimensions():
-    with pytest.raises(ConfigError):
-        fuse(np.eye(2), np.zeros(2), [DelayedReport(1, np.eye(3), np.zeros(3), 0)])
-
-
-def test_delayed_report_staleness_nonnegative():
-    with pytest.raises(ConfigError):
-        DelayedReport(1, np.eye(2), np.zeros(2), -1)
 
 
 def test_single_zero_delay_node_equals_standalone_filter():
@@ -287,11 +202,12 @@ def stepwise_fused_run(engine, ids):
     info, yv = engine.info0, engine.yv0
     for k in range(n_out):
         if k > 0:
-            info, yv = time_update_general(info, yv, engine.a_inv_seq[k - 1], engine.q_inv)
+            info, yv = time_update_general(info, yv, engine.scenario.a_inv_seq[k - 1],
+                                           engine.scenario.q_inv)
         for i in idx:
             d = engine.delays[i]
             if d <= k:
-                info = info + engine.l_all[i]
+                info = info + engine.scenario.l_all[i]
                 yv = yv + engine.div_all[i, k - d]
         info_hist[k] = info
         yv_hist[k] = yv

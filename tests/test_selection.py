@@ -356,20 +356,6 @@ def test_stability_select_prefers_low_staleness():
             assert min(delays[i] for i in rejected) >= worst_selected
 
 
-def test_stability_select_trace_mode_more_permissive():
-    sys_ = builtin_system()
-    rng = np.random.default_rng(6)
-    nodes = tuple(make_node(i + 1, row=int(rng.integers(0, 2)),
-                            r=float(rng.uniform(0.05, 0.5)),
-                            base=float(rng.uniform(0.0, 1.5))) for i in range(40))
-    net = SensorNetwork(nodes)
-    params = StabilityParams(k_bar=12)
-    scenario = Scenario(sys_, net, 160)
-    sel_psd, _ = stability_select(scenario, params, comparison="psd")
-    sel_trace, _ = stability_select(scenario, params, comparison="trace")
-    assert sel_psd <= sel_trace
-
-
 def test_stability_select_requires_horizon_beyond_window():
     with pytest.raises(ConfigError):
         stability_select(Scenario(builtin_system(), SensorNetwork((make_node(1),)), 30),
@@ -387,10 +373,10 @@ def test_stability_select_rejects_unresolved_jitter():
         stability_select(Scenario(builtin_system(), net, 50), StabilityParams(k_bar=5))
 
 
-def per_node_admission(sys_, net, params, n_steps, comparison):
+def per_node_admission(sys_, net, params, n_steps):
     """Reference: the per-node admission loop. Returns node id -> (beta, margins),
-    one margin per applicable step: min eig (psd) or trace difference (trace)
-    of the delayed information against the scalar i_tilde bound."""
+    one margin per applicable step: the min eig of the delayed information
+    minus the scalar i_tilde bound."""
     m = sys_.state_dim
     a_inv = np.stack([robust_inverse(transition_matrix(sys_, k))[0] for k in range(n_steps)])
     q = sys_.process_noise_cov
@@ -411,22 +397,16 @@ def per_node_admission(sys_, net, params, n_steps, comparison):
         for k in range(params.k_bar + 1, n_steps + 1):
             if k - d < 1:
                 continue
-            bound = i_tilde(k, params.k_bar, beta, sys_, l_node)
-            if comparison == "psd":
-                diff = hist[k - d] - bound
-                margins.append(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min())
-            else:
-                margins.append(np.trace(hist[k - d]) - np.trace(bound))
+            diff = hist[k - d] - i_tilde(k, params.k_bar, beta, sys_, l_node)
+            margins.append(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min())
         out[node.id] = (beta, np.array(margins))
     return out
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]), n_nodes=st.integers(1, 8),
-       k_bar=st.integers(1, 8), extra_steps=st.integers(1, 30),
-       comparison=st.sampled_from(["psd", "trace"]), fixed_beta=st.booleans())
-def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_steps, comparison,
-                                                fixed_beta):
+       k_bar=st.integers(1, 8), extra_steps=st.integers(1, 30), fixed_beta=st.booleans())
+def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_steps, fixed_beta):
     rng = np.random.default_rng(seed)
     n_steps = k_bar + extra_steps
     sys_ = random_system(rng, m=m, n_steps=n_steps)
@@ -443,8 +423,8 @@ def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_s
     net = SensorNetwork(tuple(nodes))
     params = StabilityParams(k_bar=k_bar, beta_hat=float(rng.uniform(0.5, 1.0)) if fixed_beta
                              else None)
-    selected, rows = stability_select(Scenario(sys_, net, n_steps), params, comparison=comparison)
-    reference = per_node_admission(sys_, net, params, n_steps, comparison)
+    selected, rows = stability_select(Scenario(sys_, net, n_steps), params)
+    reference = per_node_admission(sys_, net, params, n_steps)
     for row in rows:
         beta, margins = reference[row.node_id]
         assert row.beta_hat == pytest.approx(beta, rel=1e-9)

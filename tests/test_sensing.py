@@ -9,7 +9,6 @@ from dkfsim.sensing import (
     SensorNode,
     delay_steps,
     load_network,
-    measure,
     resolve_delays,
     sample_network,
     save_network,
@@ -23,24 +22,6 @@ def make_node(h_row=(0.0, 1.0), r=0.25, base=0.0, jitter=0.0, node_id=1):
         r=np.array([[r]]),
         delay=DelaySpec(base=base, jitter_std=jitter),
     )
-
-
-def test_measure_selector_rows(zero_rng):
-    assert measure(make_node((0, 1)), [1.0, 2.0], zero_rng) == pytest.approx(2.0)
-    assert measure(make_node((1, 0)), [3.0, -1.0], zero_rng) == pytest.approx(3.0)
-
-
-def test_measure_noise_variance():
-    node = make_node(r=0.25)
-    rng = np.random.default_rng(5)
-    x = np.array([0.3, -1.2])
-    draws = np.array([measure(node, x, rng)[0] for _ in range(10_000)])
-    assert np.var(draws) == pytest.approx(0.25, rel=0.1)
-
-
-def test_measure_dimension_check(zero_rng):
-    with pytest.raises(ConfigError):
-        measure(make_node(), [1.0, 2.0, 3.0], zero_rng)
 
 
 def test_sample_network_scenario_statistics():
@@ -285,7 +266,7 @@ def test_engine_measurements_match_per_node_construction():
         z = (node.h @ truth.T).T + rng.standard_normal((61, node.h.shape[0])) @ np.linalg.cholesky(node.r).T
         hr = node.h.T @ np.linalg.inv(node.r)
         assert np.array_equal(engine.measurements[i], z)
-        assert np.array_equal(engine.l_all[i], 0.5 * ((hr @ node.h) + (hr @ node.h).T))
+        assert np.array_equal(engine.scenario.l_all[i], 0.5 * ((hr @ node.h) + (hr @ node.h).T))
         assert np.array_equal(engine.div_all[i], z @ hr.T)
     np.testing.assert_array_equal(engine.delays, [delay_steps(node, sys_.sample_time, rng)
                                                   for node in nodes])

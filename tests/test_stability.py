@@ -2,23 +2,19 @@ import numpy as np
 import pytest
 
 from dkfsim.dkf import Scenario
-from dkfsim.errors import ConfigError, OrderingError
+from dkfsim.errors import ConfigError
 from dkfsim.model import builtin_system, transition_matrix
 from dkfsim.sensing import SensorNetwork, SensorNode
 from dkfsim.stability import (
     StabilityParams,
     beta_hat,
     beta_hat_batch,
-    check_bound,
-    check_bound_psd,
     compute_params,
     estimate_info_bound,
     gamma_hat,
     i_tilde,
     i_tilde_matrices,
-    i_tilde_products,
     psi,
-    psi_monotone_check,
 )
 
 from conftest import identity_system, random_psd, random_system
@@ -72,32 +68,6 @@ def test_psi_simplified_equals_general_form():
         general = d @ mk @ d.T + c @ q_inv @ c.T
         np.testing.assert_allclose(general, simplified, atol=1e-10)
         np.testing.assert_allclose(psi(info, a, q), simplified, atol=1e-10)
-
-
-def test_psi_monotone_trivial_pair():
-    assert psi_monotone_check(np.zeros((2, 2)), np.eye(2), np.eye(2), np.eye(2))
-
-
-def test_psi_monotone_equal_inputs():
-    i1 = np.array([[2.0, 0.3], [0.3, 1.0]])
-    assert psi_monotone_check(i1, i1.copy(), np.eye(2), 0.5 * np.eye(2))
-
-
-def test_psi_monotone_random_ordered_pairs():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        a = rng.standard_normal((2, 2))
-        while abs(np.linalg.det(a)) < 0.1:
-            a = rng.standard_normal((2, 2))
-        q = random_psd(rng) + 0.2 * np.eye(2)
-        i1 = random_psd(rng)
-        i2 = i1 + random_psd(rng)
-        assert psi_monotone_check(i1, i2, a, q)
-
-
-def test_psi_monotone_rejects_unordered():
-    with pytest.raises(OrderingError):
-        psi_monotone_check(np.eye(2), np.zeros((2, 2)), np.eye(2), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +198,6 @@ def test_i_tilde_symmetric_psd_and_monotone_in_window():
         prev = out
 
 
-def test_i_tilde_products_consistent_with_direct():
-    sys_ = builtin_system()
-    rng = np.random.default_rng(15)
-    l_node = random_psd(rng)
-    k_bar, k_lo, k_hi = 6, 40, 60
-    prods = i_tilde_products(Scenario(sys_, None, k_hi), k_lo, k_hi, k_bar)
-    beta = 0.37
-    weights = beta ** np.arange(k_bar)
-    for pos, k in enumerate(range(k_lo, k_hi + 1)):
-        direct = np.trace(i_tilde(k, k_bar, beta, sys_, l_node))
-        via_products = np.einsum("ab,tab,t->", l_node, prods[pos], weights)
-        assert via_products == pytest.approx(direct, rel=1e-10)
-
-
 def test_i_tilde_matrices_consistent_with_direct():
     sys_ = builtin_system()
     rng = np.random.default_rng(16)
@@ -258,33 +214,12 @@ def test_i_tilde_matrices_consistent_with_direct():
 def test_i_tilde_window_must_fit_the_scenario():
     scenario = Scenario(builtin_system(), None, 45)
     with pytest.raises(ConfigError, match="^k_hi=46 exceeds the scenario's 45 steps$"):
-        i_tilde_products(scenario, 30, 46, 5)
+        i_tilde_matrices(scenario, 30, 46, 5, np.ones(1), np.eye(2)[None])
 
 
 # ---------------------------------------------------------------------------
-# bound checks and parameters
+# parameters
 # ---------------------------------------------------------------------------
-
-
-def test_check_bound_trace_comparison():
-    assert check_bound(2 * np.eye(2), np.eye(2))
-    assert not check_bound(np.eye(2), np.eye(2))  # strict inequality
-    assert not check_bound(np.zeros((2, 2)), np.diag([0.0, 4.0]))
-
-
-def test_check_bound_psd_comparison():
-    assert check_bound_psd(2 * np.eye(2), np.eye(2))
-    assert not check_bound_psd(np.eye(2), np.eye(2))
-    # trace passes but a direction is uncovered: psd must refuse
-    info = np.diag([5.0, 0.1])
-    bound = np.diag([1.0, 1.0])
-    assert check_bound(info, bound)
-    assert not check_bound_psd(info, bound)
-
-
-def test_check_bound_dimension_mismatch():
-    with pytest.raises(ConfigError):
-        check_bound(np.eye(2), np.eye(3))
 
 
 def test_stability_params_validation():
