@@ -49,14 +49,31 @@ def make_rng(base_seed: int, run_index: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _format_value(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
+_FORMATS = {
+    bool: lambda v: "1" if v else "0",
+    int: lambda v: str(int(v)),
+    float: lambda v: f"{float(v):.17g}",
+    str: str,
+}
+
+
+def _kind(t) -> type:
+    """The CSV format a value of type t takes: bool, int, float or str."""
+    if issubclass(t, (bool, np.bool_)):
+        return bool
+    if issubclass(t, (int, np.integer)):
+        return int
+    if issubclass(t, (float, np.floating)):
+        return float
+    return str
+
+
+def _format_column(values) -> list:
+    """Text of one CSV column; a column of one kind picks its format once."""
+    kinds = {_kind(t) for t in set(map(type, values))}
+    if len(kinds) == 1:
+        return list(map(_FORMATS[kinds.pop()], values))
+    return [_FORMATS[_kind(type(v))](v) for v in values]
 
 
 def export_csv(records, path, columns=None) -> Path:
@@ -67,9 +84,8 @@ def export_csv(records, path, columns=None) -> Path:
         if not records:
             raise ConfigError("export_csv needs explicit columns for an empty record list")
         columns = list(records[0].keys())
-    lines = [",".join(columns)]
-    for rec in records:
-        lines.append(",".join(_format_value(rec[c]) for c in columns))
+    text = [_format_column([rec[c] for rec in records]) for c in columns]
+    lines = [",".join(columns), *map(",".join, zip(*text))]
     path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
     return path
 

@@ -14,13 +14,22 @@ import numpy as np
 from .dkf import DkfEngine, Scenario, _symmetrize
 from .errors import ConfigError, DivergenceError, MetricError
 from .model import Trajectory, robust_inverse  # noqa: F401 - per-layer tracing wraps this name
-from .stability import StabilityParams, _require_network, beta_hat_batch, i_tilde_matrices
+from .stability import (
+    StabilityParams,
+    _require_network,
+    beta_hat_batch,
+    i_tilde_matrices,
+    warn_pinv_steps,
+)
 from . import _kernels
 
 log = logging.getLogger(__name__)
 
 SETTLE_BAND = 0.01
-ADMISSION_CHUNK = 1 << 19  # bound-matrix entries compared per node chunk in stability_select
+# history entries ((N + 1) m^2 per node) of one node chunk of stability_select:
+# 2000 nodes at m=2, N=200 fit in one chunk
+STABILITY_CHUNK = 1 << 21
+CHOLESKY_SLACK = 8.0  # c in the bracket shift delta = c m (m + 1) eps max|D|
 
 
 @dataclass(frozen=True)
@@ -202,14 +211,12 @@ class NodeStabilityRow:
 
 
 def _min_eigenvalue(mats) -> np.ndarray:
-    """Smallest eigenvalue of each symmetric matrix in a stack (e, m, m).
+    """Smallest eigenvalue of each symmetric 2x2 matrix in a stack (e, 2, 2).
 
-    For m = 2 in closed form, the way LAPACK's 2x2 solver (dlae2) takes it:
-    the root of larger magnitude from the trace, the other from the
-    determinant, so a small eigenvalue keeps its relative accuracy.
+    In closed form, the way LAPACK's 2x2 solver (dlae2) takes it: the root of
+    larger magnitude from the trace, the other from the determinant, so a
+    small eigenvalue keeps its relative accuracy.
     """
-    if mats.shape[-1] != 2:
-        return np.linalg.eigvalsh(mats)[:, 0]
     a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
     sm = a + c
     rt = np.hypot(a - c, 2.0 * b)
@@ -219,6 +226,62 @@ def _min_eigenvalue(mats) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         small = np.where(big != 0.0, (a_max / big) * a_min - (b / big) * b, 0.0)
     return np.minimum(big, small)
+
+
+def _cholesky_outcome(mats, shift):
+    """(succeeded, broke down) of an unpivoted Cholesky of each D - shift I.
+
+    mats (m, m, e) holds one symmetric matrix per entry along the last axis
+    (structure of arrays), of which the lower triangle is read; shift is (e,).
+    A pivot that is NaN counts as neither outcome.
+    """
+    m = mats.shape[0]
+    w = mats.copy()
+    for j in range(m):
+        w[j, j] -= shift
+    succeeded = np.ones(mats.shape[-1], dtype=bool)
+    broke = np.zeros(mats.shape[-1], dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(m):
+            pivot = w[j, j]
+            succeeded &= pivot > 0.0
+            broke |= pivot <= 0.0
+            col = w[j + 1:, j] / np.sqrt(pivot)  # column j of the factor below the pivot
+            for i in range(j + 1, m):
+                w[i, j + 1:i + 1] -= col[i - j - 1] * col[:i - j]
+    return succeeded, broke
+
+
+def _positive_definite(mats) -> np.ndarray:
+    """Whether lambda_min > 0 for each symmetric matrix of a stack (e, m, m),
+    decided as np.linalg.eigvalsh decides it.
+
+    m = 2 takes the closed form. Otherwise a Cholesky bracket decides: with
+    delta = c m (m + 1) eps max|D|, the computed factor of D - delta I is exact
+    for a perturbation smaller than m (m + 1) eps max|D| (Higham, Accuracy and
+    Stability, Thm 10.3), so success means lambda_min(D) exceeds eigvalsh's
+    own backward error and eigvalsh finds it positive. A breakdown on
+    D + delta I means lambda_min(D) lies below minus that error (Demmel's
+    success condition, Thm 10.7), and eigvalsh finds it negative. The second
+    test runs only where the first fails; eigvalsh decides what neither does,
+    and any entry so small or large that the products could under- or
+    overflow.
+    """
+    if mats.shape[-1] == 2:
+        return _min_eigenvalue(mats) > 0.0
+    m = mats.shape[-1]
+    scale = np.abs(mats).max(axis=(1, 2))
+    delta = CHOLESKY_SLACK * m * (m + 1) * np.finfo(float).eps * scale
+    trusted = (scale > 1e-150) & (scale < 1e150)
+    soa = mats.transpose(1, 2, 0)
+    positive, _ = _cholesky_outcome(soa, delta)
+    positive &= trusted
+    rest = np.flatnonzero(~positive)
+    _, negative = _cholesky_outcome(soa[:, :, rest], -delta[rest])
+    undecided = rest[~(negative & trusted[rest])]
+    if undecided.size:
+        positive[undecided] = np.linalg.eigvalsh(mats[undecided])[:, 0] > 0.0
+    return positive
 
 
 def stability_select(scenario: Scenario, params: StabilityParams):
@@ -233,6 +296,10 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     no applicable step are excluded: they offer no evidence of stability.
     Stochastic delays must be resolved beforehand (sensing.resolve_delays).
     Returns (selected ids, one NodeStabilityRow per node).
+
+    The pass runs over node chunks of STABILITY_CHUNK history entries, each
+    taking its histories, beta-hat, bounds and admission check in turn, so
+    neither the whole network's histories nor its bounds are held at once.
     """
     network = _require_network(scenario)
     if len(network) == 0:
@@ -245,36 +312,24 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     m = scenario.sys.state_dim
     n = len(network)
     k_bar = params.k_bar
-    l_all = scenario.l_all
-
-    # delay-free per-node information histories (the local IF recursions)
-    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, l_all,
-                                        np.zeros((n, m, m)))
-
-    if params.beta_hat is not None:
-        betas = np.full(n, params.beta_hat)
-    else:
-        # per-node contraction from each node's own history bound
-        traces = np.trace(hist, axis1=2, axis2=3)  # (n, N+1)
-        bounds = hist[np.arange(n), np.argmax(traces, axis=1)]
-        betas = beta_hat_batch(scenario, bounds, params.alpha)
 
     # bound position j is step k = k_bar + 1 + j; node i's applicable steps
     # (k - d_i >= 1) are positions first[i] .. n_pos - 1
     n_pos = n_steps - k_bar
     first = np.clip(d - k_bar, 0, n_pos)
     ct_exp = n_pos - first
-    ct_act = np.zeros(n, dtype=np.int64)
-    bound = i_tilde_matrices(scenario, k_bar + 1, n_steps, k_bar, betas, l_all)
-    chunk = max(1, ADMISSION_CHUNK // (n_pos * m * m))
+    warn_pinv_steps(scenario, k_bar + 1, n_steps, k_bar)
+    betas = np.empty(n)
+    ct_act = np.empty(n, dtype=np.int64)
+    # a multiple of 64 nodes keeps the bound contraction's matmul tiles whole,
+    # so a chunk's bounds equal the whole network's to the bit (so measured
+    # with OpenBLAS; 417-node chunks of a 2000-node network differed)
+    chunk = STABILITY_CHUNK // ((n_steps + 1) * m * m)
+    chunk = chunk - chunk % 64 if chunk >= 64 else max(chunk, 1)
     for lo in range(0, n, chunk):
-        counts = ct_exp[lo:lo + chunk]
-        # one entry per applicable (node, position) pair of this chunk
-        node = lo + np.repeat(np.arange(counts.size), counts)
-        pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + first[node]
-        delayed = k_bar + 1 + pos - d[node]
-        ok = _min_eigenvalue(_symmetrize(hist[node, delayed] - bound[node, pos])) > 0.0
-        ct_act[lo:lo + chunk] = np.bincount(node - lo, weights=ok, minlength=counts.size)
+        part = slice(lo, lo + chunk)
+        betas[part], ct_act[part] = _admit_chunk(scenario, params, scenario.l_all[part],
+                                                 d[part], first[part], ct_exp[part])
 
     admitted = (ct_exp > 0) & (ct_exp == ct_act)
     if not (ct_exp > 0).any():
@@ -290,3 +345,34 @@ def stability_select(scenario: Scenario, params: StabilityParams):
         for i in range(n)
     ]
     return selected, rows
+
+
+def _admit_chunk(scenario: Scenario, params: StabilityParams, l_all, d, first, ct_exp):
+    """(beta-hat, steps passed) for one chunk of nodes of stability_select."""
+    n, m, _ = l_all.shape
+    n_steps = scenario.n_steps
+    k_bar = params.k_bar
+    # delay-free per-node information histories (the local IF recursions)
+    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, l_all,
+                                        np.zeros((n, m, m)))
+    if params.beta_hat is not None:
+        betas = np.full(n, params.beta_hat)
+    else:
+        # per-node contraction from each node's own history bound
+        traces = np.trace(hist, axis1=2, axis2=3)  # (n, N+1)
+        bounds = hist[np.arange(n), np.argmax(traces, axis=1)]
+        betas = beta_hat_batch(scenario, bounds, params.alpha)
+    bound = i_tilde_matrices(scenario, k_bar + 1, n_steps, k_bar, betas, l_all)
+    n_pos = bound.shape[1]
+    passed = np.empty(n, dtype=np.int64)
+    # the check holds about four (entry, m, m) stacks at once; blocks of a
+    # quarter of the chunk budget keep them within the size of the histories
+    block = max(1, STABILITY_CHUNK // (4 * n_pos * m * m))
+    for lo in range(0, n, block):
+        counts = ct_exp[lo:lo + block]
+        # one entry per applicable (node, position) pair of this block
+        node = lo + np.repeat(np.arange(counts.size), counts)
+        pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + first[node]
+        ok = _positive_definite(_symmetrize(hist[node, k_bar + 1 + pos - d[node]] - bound[node, pos]))
+        passed[lo:lo + block] = np.bincount(node - lo, weights=ok, minlength=counts.size)
+    return betas, passed

@@ -21,6 +21,7 @@ log = logging.getLogger(__name__)
 DEFAULT_K_BAR = 20
 DEFAULT_ALPHA = 1e-6
 GAMMA_CHUNK = 64  # nodes per chunk in _gamma_max_2x2; 32-64 ran ~30% faster than 256 or unchunked
+PRUNE_MARGIN = 1e-10  # relative slack under which _gamma_max_pruned drops a noise term
 
 
 @dataclass
@@ -121,6 +122,32 @@ def _gamma_max_2x2(bounds, terms) -> np.ndarray:
     return out
 
 
+def _lambda_max(halves, terms) -> np.ndarray:
+    """Largest eigenvalue of H T H for paired stacks H, T (e, m, m)."""
+    return np.linalg.eigvalsh(_symmetrize(halves @ terms @ halves))[:, -1]
+
+
+def _gamma_max_pruned(halves, terms) -> np.ndarray:
+    """max(0, max over terms T of lambda_max(H T H)) for PSD H (n, m, m), T (t, m, m).
+
+    H T H is PSD, so lambda_max(H T H) <= tr(H T H) = <H^2, T>, and one matmul
+    gives every trace. Per node, the exact eigenvalue of the max-trace term is
+    a floor; a term whose trace falls below it (less a relative margin that
+    absorbs rounding) cannot raise the maximum, so eigvalsh runs only on the
+    terms left. Each product is formed as the per-term loop forms it, so the
+    result is that loop's to the bit.
+    """
+    n, m, _ = halves.shape
+    traces = (halves @ halves).reshape(n, m * m) @ terms.reshape(-1, m * m).T  # (n, t)
+    top = np.argmax(traces, axis=1)
+    floor = _lambda_max(halves, terms[top])
+    traces[np.arange(n), top] = -np.inf  # the floor's own term is done
+    node, term = np.nonzero(traces > (floor * (1.0 - PRUNE_MARGIN))[:, None])
+    gamma_max = np.maximum(floor, 0.0)
+    np.maximum.at(gamma_max, node, _lambda_max(halves[node], terms[term]))
+    return gamma_max
+
+
 def beta_hat_batch(scenario: Scenario, bounds, alpha: float) -> np.ndarray:
     """beta-hat for a stack of bound matrices (b, m, m) at once, over the
     scenario's horizon; returns (b,)."""
@@ -133,10 +160,7 @@ def beta_hat_batch(scenario: Scenario, bounds, alpha: float) -> np.ndarray:
     else:
         w, v = np.linalg.eigh(regularized)
         halves = v @ (np.sqrt(np.maximum(w, 0.0))[..., None] * v.transpose(0, 2, 1))
-        gamma_max = np.zeros(bounds.shape[0])
-        for t in terms:
-            prod = _symmetrize(halves @ t @ halves)
-            gamma_max = np.maximum(gamma_max, np.linalg.eigvalsh(prod)[:, -1])
+        gamma_max = _gamma_max_pruned(halves, terms)
     return 1.0 / (1.0 + np.maximum(gamma_max, 0.0))
 
 
@@ -177,15 +201,16 @@ def i_tilde_matrices(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int, betas
     Itilde_i(k) = sum_tau betas[i]^{tau-1} G_tau(k)^T l_all[i] G_tau(k) for k
     in [k_lo, k_hi], with G_tau(k) = (A(k-1) ... A(k-tau+1))^{-1}, G_1 = I;
     the G products are shared across nodes, so this is one einsum per sweep.
+    The einsum's contraction order is fixed from the shapes of the scenario's
+    whole network, so a node chunk of it contracts as the whole network does.
+    The pseudo-inverse steps the G products take are reported by the caller
+    (warn_pinv_steps).
     """
     if k_lo < k_bar:
         raise ConfigError(f"k_lo={k_lo} must be >= k_bar={k_bar}", keys=("k_bar",))
     if k_hi > scenario.n_steps:
         raise ConfigError(f"k_hi={k_hi} exceeds the scenario's {scenario.n_steps} steps",
                           keys=("horizon",))
-    for j in scenario.a_pinv_steps:
-        if k_lo - k_bar + 1 <= j < k_hi:
-            log.warning("i_tilde: A(%d) effectively singular, using pseudo-inverse", j)
     ks = np.arange(k_lo, k_hi + 1)
     m = scenario.sys.state_dim
     g = np.empty((ks.size, k_bar, m, m))
@@ -195,8 +220,20 @@ def i_tilde_matrices(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int, betas
     betas = np.asarray(betas, dtype=float)
     l_all = np.asarray(l_all, dtype=float)
     beta_pow = betas[:, None] ** np.arange(k_bar)[None, :]
-    out = np.einsum("ktba,ibc,ktcd,it->ikad", g, l_all, g, beta_pow, optimize=True)
+    subscripts = "ktba,ibc,ktcd,it->ikad"
+    n_all = len(l_all) if scenario.network is None else len(scenario.network)
+    path = np.einsum_path(subscripts, g, np.broadcast_to(0.0, (n_all, m, m)), g,
+                          np.broadcast_to(0.0, (n_all, k_bar)), optimize=True)[0]
+    out = np.einsum(subscripts, g, l_all, g, beta_pow, optimize=path)
     return _symmetrize(out)
+
+
+def warn_pinv_steps(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int):
+    """Log each step j whose A(j) the bounds for k in [k_lo, k_hi] take as a
+    pseudo-inverse."""
+    for j in scenario.a_pinv_steps:
+        if k_lo - k_bar + 1 <= j < k_hi:
+            log.warning("i_tilde: A(%d) effectively singular, using pseudo-inverse", j)
 
 
 def estimate_info_bound(scenario: Scenario) -> np.ndarray:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dkfsim import _kernels
+from dkfsim import _kernels, selection
 from dkfsim.dkf import DkfEngine, Scenario
 from dkfsim.errors import ConfigError, MetricError, NumericError
-from dkfsim.model import builtin_system, robust_inverse, transition_matrix
+from dkfsim.model import LtvSystem, MatrixTable, builtin_system, robust_inverse, transition_matrix
 from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode, delay_steps, sample_network
 from dkfsim.selection import (
     best_report,
@@ -16,6 +16,7 @@ from dkfsim.selection import (
     mse,
     mse_raw,
     _min_eigenvalue,
+    _positive_definite,
     settling_index,
     stability_select,
 )
@@ -404,7 +405,7 @@ def per_node_admission(sys_, net, params, n_steps):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]), n_nodes=st.integers(1, 8),
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3, 5]), n_nodes=st.integers(1, 8),
        k_bar=st.integers(1, 8), extra_steps=st.integers(1, 30), fixed_beta=st.booleans())
 def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_steps, fixed_beta):
     rng = np.random.default_rng(seed)
@@ -445,6 +446,119 @@ def test_min_eigenvalue_2x2_matches_eigvalsh():
     want = np.linalg.eigvalsh(mats)[:, 0]
     scale = np.abs(mats).max(axis=(1, 2))
     assert np.all(np.abs(_min_eigenvalue(mats) - want) <= 1e-14 * scale)
+
+
+def spectrum_matrices(rng, m, lam_min, count):
+    """count matrices s V diag(lambda) V^T (random orthogonal V, s in 1e-6..1e6)
+    with lambda in [0.1, 1] but for the smallest, set to lam_min(m, max|D|)."""
+    mats = np.empty((count, m, m))
+    for i in range(count):
+        v, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        lam = rng.uniform(0.1, 1.0, m)
+        lam[0] = lam_min(m, np.abs((v * lam) @ v.T).max())
+        mats[i] = 10.0 ** rng.uniform(-6, 6) * ((v * lam) @ v.T)
+    return 0.5 * (mats + mats.swapaxes(1, 2))
+
+
+def bracket_shift(m, peak):
+    return selection.CHOLESKY_SLACK * m * (m + 1) * np.finfo(float).eps * peak
+
+
+LAMBDA_MIN = {
+    "zero": lambda m, peak: 0.0,
+    "tiny+": lambda m, peak: 1e-15 * peak,
+    "tiny-": lambda m, peak: -1e-15 * peak,
+    "shift+": bracket_shift,
+    "shift-": lambda m, peak: -bracket_shift(m, peak),
+    "clear+": lambda m, peak: 1e-3 * peak,
+    "clear-": lambda m, peak: -1e-3 * peak,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([3, 4, 5]),
+       kind=st.sampled_from(sorted(LAMBDA_MIN)))
+def test_positive_definite_matches_eigvalsh(seed, m, kind):
+    # the Cholesky bracket decides as eigvalsh does, also within rounding of zero
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((40, m, m))
+    mats = np.concatenate([spectrum_matrices(rng, m, LAMBDA_MIN[kind], 40),
+                           noise + noise.swapaxes(1, 2)])
+    assert np.array_equal(_positive_definite(mats), np.linalg.eigvalsh(mats)[:, 0] > 0.0)
+
+
+def test_positive_definite_falls_back_to_eigvalsh_near_zero(monkeypatch):
+    rng = np.random.default_rng(4)
+    near = np.concatenate([spectrum_matrices(rng, 4, LAMBDA_MIN[k], 20) for k in ("tiny+", "tiny-")])
+    clear = np.concatenate([spectrum_matrices(rng, 4, LAMBDA_MIN[k], 20) for k in ("clear+", "clear-")])
+    want = np.linalg.eigvalsh(np.concatenate([near, clear]))[:, 0] > 0.0
+    fallback_sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        fallback_sizes.append(len(a))
+        return eigvalsh(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert np.array_equal(_positive_definite(np.concatenate([near, clear])), want)
+    assert fallback_sizes == [len(near)]
+    fallback_sizes.clear()
+    _positive_definite(clear)
+    assert fallback_sizes == []
+
+
+def chunk_test_network(rng, m, n_nodes, n_steps, ts):
+    nodes = []
+    for i in range(n_nodes):
+        p = int(rng.integers(1, m + 1))
+        nodes.append(SensorNode(
+            id=i + 1, h=rng.standard_normal((p, m)), r=rng.uniform(0.01, 0.5) * np.eye(p),
+            delay=DelaySpec(base=float(rng.uniform(0.0, 0.8 * n_steps * ts))),
+        ))
+    return SensorNetwork(tuple(nodes))
+
+
+def spy_chunks(monkeypatch, nodes_per_chunk, n_steps, m):
+    """Make stability_select take nodes_per_chunk nodes per chunk; returns the
+    list the chunk sizes it runs are appended to."""
+    monkeypatch.setattr(selection, "STABILITY_CHUNK", nodes_per_chunk * (n_steps + 1) * m * m)
+    sizes = []
+    histories = _kernels.node_info_histories
+
+    def spy(a_inv_seq, q_inv, l_all, info0):
+        sizes.append(len(l_all))
+        return histories(a_inv_seq, q_inv, l_all, info0)
+    monkeypatch.setattr(_kernels, "node_info_histories", spy)
+    return sizes
+
+
+def test_stability_select_chunks_match_one_chunk(monkeypatch):
+    rng = np.random.default_rng(11)
+    m, n_steps = 5, 30
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    scenario = Scenario(sys_, chunk_test_network(rng, m, 40, n_steps, sys_.sample_time), n_steps)
+    params = StabilityParams(k_bar=6)
+    whole = stability_select(scenario, params)
+    sizes = spy_chunks(monkeypatch, 7, n_steps, m)
+    chunked = stability_select(scenario, params)
+    assert sizes == [7] * 5 + [5]
+    assert chunked == whole
+    assert 0 < len(whole[0]) < 40
+
+
+def test_stability_select_warns_each_pinv_step_once(monkeypatch, caplog):
+    rng = np.random.default_rng(12)
+    m, n_steps = 3, 30
+    mats = list(random_system(rng, m=m, n_steps=n_steps).transition.matrices)
+    mats[10] = np.diag([0.9, 0.8, 0.0])  # A(10) singular: the bounds take its pseudo-inverse
+    sys_ = LtvSystem(state_dim=m, transition=MatrixTable(tuple(mats)),
+                     process_noise_cov=0.3 * np.eye(m), initial_state=np.ones(m), sample_time=0.01)
+    scenario = Scenario(sys_, chunk_test_network(rng, m, 20, n_steps, sys_.sample_time), n_steps)
+    sizes = spy_chunks(monkeypatch, 8, n_steps, m)
+    with caplog.at_level("WARNING"):
+        stability_select(scenario, StabilityParams(k_bar=5))
+    assert sizes == [8, 8, 4]
+    assert [r.message for r in caplog.records if "effectively singular" in r.message] == [
+        "i_tilde: A(10) effectively singular, using pseudo-inverse"]
 
 
 def test_three_state_system_end_to_end():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dkfsim.dkf import Scenario
+from dkfsim.dkf import Scenario, _symmetrize
 from dkfsim.errors import ConfigError
 from dkfsim.model import builtin_system, transition_matrix
 from dkfsim.sensing import SensorNetwork, SensorNode
 from dkfsim.stability import (
     StabilityParams,
+    _distinct_noise_terms,
     beta_hat,
     beta_hat_batch,
     compute_params,
@@ -130,6 +132,34 @@ def test_beta_hat_batch_matches_single():
     batch = beta_hat_batch(Scenario(sys_, None, 120), bounds, alpha=1e-6)
     for i in range(5):
         assert batch[i] == pytest.approx(beta_hat(sys_, 120, bounds[i], 1e-6), rel=1e-9)
+
+
+def beta_hat_per_term_loop(scenario, bounds, alpha):
+    """Reference: beta-hat with one eigvalsh per noise term over every bound."""
+    m = bounds.shape[-1]
+    w, v = np.linalg.eigh(_symmetrize(bounds) + alpha * np.eye(m))
+    halves = v @ (np.sqrt(np.maximum(w, 0.0))[..., None] * v.transpose(0, 2, 1))
+    gamma_max = np.zeros(bounds.shape[0])
+    for t in _distinct_noise_terms(scenario):
+        prod = _symmetrize(halves @ t @ halves)
+        gamma_max = np.maximum(gamma_max, np.linalg.eigvalsh(prod)[:, -1])
+    return 1.0 / (1.0 + np.maximum(gamma_max, 0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([3, 4, 5]), n_bounds=st.integers(1, 25),
+       n_steps=st.integers(1, 60), log_alpha=st.floats(-8.0, 0.0))
+def test_beta_hat_batch_pruned_equals_per_term_loop(seed, m, n_bounds, n_steps, log_alpha):
+    # bounds of any rank and scale, so the trace floor prunes near-ties too
+    rng = np.random.default_rng(seed)
+    scenario = Scenario(random_system(rng, m=m, n_steps=n_steps), None, n_steps)
+    bounds = np.empty((n_bounds, m, m))
+    for i in range(n_bounds):
+        f = rng.standard_normal((m, int(rng.integers(0, m + 1))))
+        bounds[i] = 10.0 ** rng.uniform(-3, 4) * (f @ f.T)
+    alpha = 10.0 ** log_alpha
+    assert np.array_equal(beta_hat_batch(scenario, bounds, alpha),
+                          beta_hat_per_term_loop(scenario, bounds, alpha))
 
 
 def test_contraction_lower_bound_with_computed_beta():
