@@ -8,15 +8,7 @@ in numpy, batched across nodes and subsets (dkfsim._kernels).
 
 from ._kernels import backend_name
 from .config import ExperimentConfig, load_config
-from .dkf import (
-    DkfEngine,
-    NodeFilterState,
-    Scenario,
-    kf_covariance_form,
-    node_init,
-    node_measurement_update,
-    node_time_update,
-)
+from .dkf import DkfEngine, Scenario
 from .harness import MonteCarloSummary, derive_seed, export_csv, monte_carlo, run_experiment
 from .model import (
     LtvSystem,
@@ -27,14 +19,7 @@ from .model import (
     transition_matrix,
 )
 from .observability import StructuralMatrix, is_structurally_observable, structure_of
-from .sensing import (
-    DelaySpec,
-    SensorNetwork,
-    SensorNode,
-    delay_steps,
-    resolve_delays,
-    sample_network,
-)
+from .sensing import DelaySpec, SensorNetwork, SensorNode, resolve_delays, sample_network
 from .selection import (
     SelectionReport,
     greedy_select,
@@ -43,18 +28,16 @@ from .selection import (
     settling_index,
     stability_select,
 )
-from .stability import StabilityParams, beta_hat, gamma_hat, i_tilde, psi
+from .stability import StabilityParams
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DelaySpec", "DkfEngine", "ExperimentConfig", "LtvSystem", "MonteCarloSummary",
-    "NodeFilterState", "Scenario", "SelectionReport", "SensorNetwork", "SensorNode",
-    "StabilityParams", "StructuralMatrix", "Trajectory", "backend_name", "beta_hat",
-    "builtin_system", "delay_steps", "derive_seed", "export_csv", "gamma_hat",
-    "greedy_select", "i_tilde", "is_effectively_singular", "is_structurally_observable",
-    "kf_covariance_form", "load_config", "max_deviation", "monte_carlo", "mse", "node_init",
-    "node_measurement_update", "node_time_update", "psi", "resolve_delays", "run_experiment",
+    "Scenario", "SelectionReport", "SensorNetwork", "SensorNode", "StabilityParams",
+    "StructuralMatrix", "Trajectory", "backend_name", "builtin_system", "derive_seed",
+    "export_csv", "greedy_select", "is_effectively_singular", "is_structurally_observable",
+    "load_config", "max_deviation", "monte_carlo", "mse", "resolve_delays", "run_experiment",
     "sample_network", "settling_index", "simulate", "stability_select", "structure_of",
     "transition_matrix",
 ]

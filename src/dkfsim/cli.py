@@ -117,6 +117,7 @@ def _cmd_montecarlo(cfg):
 
 
 def _cmd_observability(cfg):
+    cfg.validate()
     sys_ = make_system(cfg)
     rng = make_rng(cfg.seed)
     network = make_network(cfg, rng)

@@ -1,6 +1,5 @@
-"""Information-filter node recursions, the whole-run engine that fuses delayed
-node information at the estimator, and a covariance-form Kalman filter used as
-a test oracle.
+"""The whole-run engine that fuses delayed node information at the estimator,
+and the prepared Scenario it reads.
 
 Node filters run on their own delay-free clocks. The estimator receives each
 node's (posterior - prior) information differences with a per-node staleness
@@ -10,20 +9,12 @@ of d_i steps and compensates only through its own time updates
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, DivergenceError, NumericError, SelectionError
-from .model import (
-    LtvSystem,
-    is_effectively_singular,
-    robust_inverse,
-    simulate,
-    transition_matrix,
-    transition_sequence,
-)
+from .errors import ConfigError, DivergenceError, SelectionError
+from .model import LtvSystem, robust_inverse, simulate, transition_sequence
+from .model import transition_matrix  # noqa: F401 - per-layer tracing wraps this name
 from .sensing import SensorNetwork, row_groups
 
 NOISE_BLOCK = 256  # nodes per measurement-noise draw in DkfEngine
@@ -32,111 +23,6 @@ NOISE_BLOCK = 256  # nodes per measurement-noise draw in DkfEngine
 def _symmetrize(a):
     """(a + a^T) / 2 over the last two axes, for one matrix or a stack."""
     return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
-# ---------------------------------------------------------------------------
-# Node-level recursions (reference implementations; the batched kernels in
-# dkfsim._kernels implement the same arithmetic for whole networks at once).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NodeFilterState:
-    """Snapshot of one node filter.
-
-    Before a measurement update the posterior fields equal the priors, so the
-    (posterior - prior) difference is exactly the node's pending report.
-    x estimates are None while the information matrix is singular.
-    """
-
-    info_prior: np.ndarray
-    info_post: np.ndarray
-    iv_prior: np.ndarray
-    iv_post: np.ndarray
-    x_prior: np.ndarray | None = None
-    x_post: np.ndarray | None = None
-
-    @property
-    def state_dim(self) -> int:
-        return self.info_post.shape[0]
-
-
-def _recover(info, iv):
-    if is_effectively_singular(info):
-        return None
-    return np.linalg.solve(info, iv)
-
-
-def node_init(m: int, info0=None, x0_hat=None) -> NodeFilterState:
-    """Initial state with prior information info0 (default 0, i.e. no prior)."""
-    info = np.zeros((m, m)) if info0 is None else _symmetrize(np.asarray(info0, dtype=float))
-    if x0_hat is None:
-        iv = np.zeros(m)
-    else:
-        iv = info @ np.asarray(x0_hat, dtype=float)
-    x = _recover(info, iv)
-    return NodeFilterState(
-        info_prior=info, info_post=info.copy(), iv_prior=iv, iv_post=iv.copy(),
-        x_prior=x, x_post=None if x is None else x.copy(),
-    )
-
-
-def node_measurement_update(state: NodeFilterState, z, h, r) -> NodeFilterState:
-    """info_post = info_prior + H^T R^{-1} H; iv_post = iv_prior + H^T R^{-1} z."""
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if h.shape[1] != state.state_dim or r.shape[0] != h.shape[0] or z.shape[0] != h.shape[0]:
-        raise ConfigError("inconsistent measurement dimensions")
-    if is_effectively_singular(r):
-        raise ConfigError("measurement covariance is singular")
-    hr = h.T @ np.linalg.inv(r)
-    info_post = _symmetrize(state.info_prior + hr @ h)
-    iv_post = state.iv_prior + hr @ z
-    return replace(
-        state,
-        info_post=info_post,
-        iv_post=iv_post,
-        x_post=_recover(info_post, iv_post),
-    )
-
-
-def time_update_general(info, iv, a_inv, q_inv):
-    """One general-form time update of an information pair.
-
-    M = Ainv^T I Ainv, C = M (M + Q^{-1})^{-1},
-    I' = (I-C) M (I-C)^T + C Q^{-1} C^T, yv' = (I-C) Ainv^T yv.
-
-    The Joseph-style product keeps the update valid for singular info; it
-    equals (A I^{-1} A^T + Q)^{-1} whenever info is invertible.
-    """
-    mk = a_inv.T @ info @ a_inv
-    c = np.linalg.solve(mk + q_inv, mk).T
-    d = np.eye(info.shape[0]) - c
-    info_next = _symmetrize(d @ mk @ d.T + c @ q_inv @ c.T)
-    iv_next = d @ (a_inv.T @ iv)
-    return info_next, iv_next
-
-
-def node_time_update(state: NodeFilterState, a_k, q, step=None) -> NodeFilterState:
-    """Propagate the posterior to the next-step prior (general-form update)."""
-    a_inv, _ = robust_inverse(np.asarray(a_k, dtype=float))
-    q_inv = np.linalg.inv(np.asarray(q, dtype=float))
-    info_next, iv_next = time_update_general(state.info_post, state.iv_post, a_inv, q_inv)
-    if not (np.all(np.isfinite(info_next)) and np.all(np.isfinite(iv_next))):
-        where = "" if step is None else f" at step {step}"
-        raise NumericError(f"non-finite information after time update{where}")
-    x = _recover(info_next, iv_next)
-    return NodeFilterState(
-        info_prior=info_next, info_post=info_next.copy(),
-        iv_prior=iv_next, iv_post=iv_next.copy(),
-        x_prior=x, x_post=None if x is None else x.copy(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Whole-run engine
-# ---------------------------------------------------------------------------
 
 
 def recover_estimates(info_hist, yv_hist):
@@ -305,41 +191,3 @@ class DkfEngine:
         xhat, flags = recover_estimates(info_hist.reshape(-1, m, m), yv_hist.reshape(-1, m))
         return info_hist, yv_hist, xhat.reshape(n_runs, n_out, m), flags.reshape(n_runs, n_out)
 
-
-# ---------------------------------------------------------------------------
-# Covariance-form oracle
-# ---------------------------------------------------------------------------
-
-
-def kf_covariance_form(sys: LtvSystem, h_stacked, r_blockdiag, measurements,
-                       n_steps: int, x0_hat=None, p0=None):
-    """Standard covariance-form Kalman filter (Joseph update); test oracle only.
-
-    measurements has shape (n_steps+1, p); returns (xhat (N+1, m), cov (N+1, m, m)).
-    """
-    h = np.atleast_2d(np.asarray(h_stacked, dtype=float))
-    r = np.atleast_2d(np.asarray(r_blockdiag, dtype=float))
-    z = np.asarray(measurements, dtype=float).reshape(n_steps + 1, -1)
-    m = sys.state_dim
-    if h.shape != (z.shape[1], m) or r.shape != (z.shape[1], z.shape[1]):
-        raise ConfigError("inconsistent oracle dimensions")
-    x = np.zeros(m) if x0_hat is None else np.asarray(x0_hat, dtype=float).copy()
-    p = np.eye(m) if p0 is None else np.asarray(p0, dtype=float).copy()
-    eye = np.eye(m)
-    xs = np.empty((n_steps + 1, m))
-    ps = np.empty((n_steps + 1, m, m))
-    for k in range(n_steps + 1):
-        if k > 0:
-            a = transition_matrix(sys, k - 1)
-            x = a @ x
-            p = _symmetrize(a @ p @ a.T + sys.process_noise_cov)
-        s = h @ p @ h.T + r
-        if is_effectively_singular(s):
-            raise NumericError(f"singular innovation covariance at step {k}")
-        gain = p @ h.T @ np.linalg.inv(s)
-        x = x + gain @ (z[k] - h @ x)
-        ikh = eye - gain @ h
-        p = _symmetrize(ikh @ p @ ikh.T + gain @ r @ gain.T)
-        xs[k] = x
-        ps[k] = p
-    return xs, ps

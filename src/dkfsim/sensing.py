@@ -182,8 +182,8 @@ class SensorNetwork:
         return out
 
     def delay_steps(self, ts: float, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Every node's delay in filter steps, as delay_steps computes it for one
-        node; stochastic nodes draw their jitter from rng in id order."""
+        """Every node's delay in filter steps: base plus one jitter draw, clamped
+        at 0; stochastic nodes draw their jitter from rng in id order."""
         if ts <= 0.0:
             raise ConfigError("ts must be positive", keys=("ts",))
         eff = self.base.copy()
@@ -201,7 +201,11 @@ def row_groups(rows) -> list:
 
 
 def _round_steps(eff, ts):
-    """Non-negative delay seconds to filter steps, as delay_steps rounds them."""
+    """Non-negative delay seconds to filter steps.
+
+    Round-to-nearest with ties away from zero; a 1e-9 nudge absorbs binary
+    representation error in ratios like 0.015/0.01.
+    """
     return np.floor(eff / ts + 0.5 + 1e-9)
 
 
@@ -228,22 +232,6 @@ def sample_network(
     h = np.zeros((n, 1, state_dim))
     h[np.arange(n), 0, rows] = 1.0
     return SensorNetwork.from_columns(h, variances[:, None, None], delays, np.full(n, jitter_std))
-
-
-def delay_steps(node: SensorNode, ts: float, rng: np.random.Generator | None = None) -> int:
-    """Effective delay in filter steps: base plus one jitter draw, clamped at 0.
-
-    Round-to-nearest with ties away from zero; a 1e-9 nudge absorbs binary
-    representation error in ratios like 0.015/0.01.
-    """
-    if ts <= 0.0:
-        raise ConfigError("ts must be positive", keys=("ts",))
-    eff = node.delay.base
-    if node.delay.jitter_std > 0.0:
-        if rng is None:
-            raise ConfigError(f"node {node.id} has stochastic delay; rng required")
-        eff += rng.normal(0.0, node.delay.jitter_std)
-    return int(_round_steps(max(eff, 0.0), ts))
 
 
 def resolve_delays(network: SensorNetwork, rng: np.random.Generator | None = None) -> SensorNetwork:

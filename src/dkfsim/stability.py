@@ -1,6 +1,6 @@
-"""Stability machinery for the delayed DKF: the one-step information operator
-psi_k, the contraction constant beta-hat, and the lower-bound matrix used as
-the admission threshold by the stability-based node selection.
+"""Stability machinery for the delayed DKF, batched over nodes: the contraction
+constant beta-hat and the lower-bound matrices used as the admission threshold
+by the stability-based node selection.
 """
 
 from __future__ import annotations
@@ -11,16 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dkf import Scenario, _symmetrize, time_update_general
-from .errors import ConfigError, NumericError
-from .model import LtvSystem, is_effectively_singular, robust_inverse, transition_matrix
+from .dkf import Scenario, _symmetrize
+from .errors import ConfigError
+from .model import robust_inverse, transition_matrix  # noqa: F401 - per-layer tracing wraps these names
 from .sensing import SensorNetwork
 
 log = logging.getLogger(__name__)
 
 DEFAULT_K_BAR = 20
 DEFAULT_ALPHA = 1e-6
-GAMMA_CHUNK = 64  # nodes per chunk in _gamma_max_2x2; 32-64 ran ~30% faster than 256 or unchunked
 PRUNE_MARGIN = 1e-10  # relative slack under which _gamma_max_pruned drops a noise term
 
 
@@ -45,48 +44,6 @@ class StabilityParams:
             raise ConfigError("beta_hat must lie in (0, 1]", keys=("beta_hat_override",))
 
 
-def psi(info, a_k, q) -> np.ndarray:
-    """One-step information-matrix time update.
-
-    (A info^{-1} A^T + Q)^{-1} for invertible info; otherwise the general
-    form (I-C) M (I-C)^T + C Q^{-1} C^T with M = A^{-T} info A^{-1} and
-    C = M (M + Q^{-1})^{-1} (dkf.time_update_general).
-    """
-    info = _symmetrize(np.asarray(info, dtype=float))
-    a_k = np.asarray(a_k, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if not is_effectively_singular(info):
-        out = np.linalg.inv(a_k @ np.linalg.solve(info, a_k.T) + q)
-        if not np.all(np.isfinite(out)):
-            raise NumericError("non-finite psi result")
-        return _symmetrize(out)
-    a_inv, _ = robust_inverse(a_k)
-    out, _ = time_update_general(info, np.zeros(info.shape[0]), a_inv, np.linalg.inv(q))
-    if not np.all(np.isfinite(out)):
-        raise NumericError("non-finite psi result")
-    return out
-
-
-def _psd_sqrt(b):
-    w, v = np.linalg.eigh(_symmetrize(b))
-    return v @ np.diag(np.sqrt(np.maximum(w, 0.0))) @ v.T
-
-
-def gamma_hat(a_k, q, info, alpha: float) -> float:
-    """Smallest gamma with A^{-1} Q A^{-T} <= gamma (info + alpha I)^{-1}.
-
-    Computed as the largest eigenvalue of
-    (info + alpha I)^{1/2} A^{-1} Q A^{-T} (info + alpha I)^{1/2}.
-    """
-    if alpha <= 0.0:
-        raise ConfigError("alpha must be > 0", keys=("alpha",))
-    info = _symmetrize(np.asarray(info, dtype=float))
-    a_inv, _ = robust_inverse(np.asarray(a_k, dtype=float))
-    half = _psd_sqrt(info + alpha * np.eye(info.shape[0]))
-    t = a_inv @ np.asarray(q, dtype=float) @ a_inv.T
-    return float(max(np.linalg.eigvalsh(_symmetrize(half @ t @ half)).max(), 0.0))
-
-
 def _distinct_noise_terms(scenario) -> np.ndarray:
     """Deduplicated A(k)^{-1} Q A(k)^{-T} over the scenario's steps k < n_steps."""
     first = {}
@@ -101,25 +58,6 @@ def _require_network(scenario) -> SensorNetwork:
     if scenario.network is None:
         raise ConfigError("the scenario has no sensor network")
     return scenario.network
-
-
-def _gamma_max_2x2(bounds, terms) -> np.ndarray:
-    """max over terms T of lambda_max(B T) for 2x2 B (n, 2, 2), T (t, 2, 2).
-
-    B^{1/2} T B^{1/2} and B T share their eigenvalues, so no square root of B
-    is needed: for a 2x2 product P they are tr/2 +- sqrt(tr^2/4 - det), with
-    tr^2/4 - det written as ((P11 - P22)/2)^2 + P12 P21 so that near-equal
-    eigenvalues lose no accuracy.
-    """
-    t_cols = terms.transpose(1, 0, 2).reshape(2, -1)  # column (t, s) holds T_t[:, s]
-    out = np.empty(bounds.shape[0])
-    for lo in range(0, bounds.shape[0], GAMMA_CHUNK):
-        b = bounds[lo:lo + GAMMA_CHUNK]
-        prod = (b.reshape(-1, 2) @ t_cols).reshape(b.shape[0], 2, -1, 2)
-        p11, p12, p21, p22 = prod[:, 0, :, 0], prod[:, 0, :, 1], prod[:, 1, :, 0], prod[:, 1, :, 1]
-        disc = np.maximum((0.5 * (p11 - p22)) ** 2 + p12 * p21, 0.0)
-        out[lo:lo + GAMMA_CHUNK] = (0.5 * (p11 + p22) + np.sqrt(disc)).max(axis=1)
-    return out
 
 
 def _lambda_max(halves, terms) -> np.ndarray:
@@ -154,44 +92,9 @@ def beta_hat_batch(scenario: Scenario, bounds, alpha: float) -> np.ndarray:
     bounds = np.asarray(bounds, dtype=float)
     m = bounds.shape[-1]
     terms = _distinct_noise_terms(scenario)
-    regularized = _symmetrize(bounds) + alpha * np.eye(m)
-    if m == 2:
-        gamma_max = _gamma_max_2x2(regularized, terms)
-    else:
-        w, v = np.linalg.eigh(regularized)
-        halves = v @ (np.sqrt(np.maximum(w, 0.0))[..., None] * v.transpose(0, 2, 1))
-        gamma_max = _gamma_max_pruned(halves, terms)
-    return 1.0 / (1.0 + np.maximum(gamma_max, 0.0))
-
-
-def beta_hat(sys: LtvSystem, horizon_n: int, i_bound, alpha: float) -> float:
-    """min over k in [0, horizon) of 1 / (1 + gamma_hat(A(k), Q, i_bound, alpha))."""
-    i_bound = np.atleast_2d(np.asarray(i_bound, dtype=float))
-    return float(beta_hat_batch(Scenario(sys, None, horizon_n), i_bound[None], alpha)[0])
-
-
-def i_tilde(k: int, k_bar: int, beta: float, sys: LtvSystem, l_node) -> np.ndarray:
-    """Lower-bound matrix at step k over a window of k_bar steps:
-
-    sum_{tau=1..k_bar} beta^{tau-1} G_tau^T l G_tau,
-    G_tau = (A(k-1) ... A(k-tau+1))^{-1}, with G_1 = I.
-    """
-    if k < k_bar:
-        raise ConfigError(f"k={k} must be >= k_bar={k_bar}", keys=("k_bar",))
-    l_node = _symmetrize(np.asarray(l_node, dtype=float))
-    m = l_node.shape[0]
-    g = np.eye(m)
-    total = np.zeros((m, m))
-    scale = 1.0
-    for tau in range(1, k_bar + 1):
-        if tau > 1:
-            a_inv, used_pinv = robust_inverse(transition_matrix(sys, k - tau + 1))
-            if used_pinv:
-                log.warning("i_tilde: A(%d) effectively singular, using pseudo-inverse", k - tau + 1)
-            g = a_inv @ g
-            scale *= beta
-        total += scale * (g.T @ l_node @ g)
-    return _symmetrize(total)
+    w, v = np.linalg.eigh(_symmetrize(bounds) + alpha * np.eye(m))
+    halves = v @ (np.sqrt(np.maximum(w, 0.0))[..., None] * v.transpose(0, 2, 1))
+    return 1.0 / (1.0 + _gamma_max_pruned(halves, terms))
 
 
 def i_tilde_matrices(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int, betas,

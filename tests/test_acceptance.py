@@ -14,12 +14,12 @@ import scipy.linalg as sla
 
 from dkfsim.cli import main as cli_main
 from dkfsim.config import ExperimentConfig
-from dkfsim.dkf import DkfEngine, kf_covariance_form
+from dkfsim.dkf import DkfEngine
 from dkfsim.harness import monte_carlo, run_experiment
 from dkfsim.model import builtin_system, transition_matrix
 from dkfsim.observability import StructuralMatrix, is_structurally_observable, structure_of
 from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode
-from dkfsim.stability import beta_hat, i_tilde, psi
+from dkfsim.reference import beta_hat, i_tilde, kf_covariance_form, psi
 from dkfsim import _kernels
 from dkfsim.model import robust_inverse, transition_sequence
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from dkfsim import _kernels
-from dkfsim.dkf import time_update_general
 from dkfsim.model import builtin_system, robust_inverse, transition_sequence
-from dkfsim.stability import _gamma_max_2x2
+from dkfsim.reference import time_update_general
 
 from conftest import random_psd
 
@@ -53,24 +52,9 @@ def test_m2_node_histories_take_closed_form(monkeypatch):
     assert _kernels.node_info_histories(a_inv, q_inv, l_all, l_all) == "closed form"
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_gamma_max_2x2_matches_eigh(seed):
-    # lambda_max(B^1/2 T B^1/2) through eigh, as the generic beta-hat path takes it
-    rng = np.random.default_rng(seed)
-    bounds = np.stack([random_psd(rng, scale=10.0 ** rng.uniform(-2, 3)) + 1e-6 * np.eye(2)
-                       for _ in range(300)])
-    terms = np.stack([random_psd(rng) for _ in range(40)])
-    w, v = np.linalg.eigh(bounds)
-    halves = v @ (np.sqrt(w)[..., None] * v.transpose(0, 2, 1))
-    prods = halves[:, None] @ terms[None] @ halves[:, None]
-    want = np.linalg.eigvalsh(0.5 * (prods + prods.swapaxes(-1, -2)))[..., -1].max(axis=1)
-    got = _gamma_max_2x2(bounds, terms)
-    assert np.all(np.abs(got - want) <= 1e-12 * want)
-
-
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_node_histories_match_time_update_oracle(m):
-    # the generic body against one node at a time through dkf.time_update_general
+    # the generic body against one node at a time through reference.time_update_general
     a_inv, q_inv, l_all = problem(n=25, n_steps=80, m=m, seed=m)
     rng = np.random.default_rng(m + 30)
     info0 = np.stack([random_psd(rng, m=m) for _ in range(25)])

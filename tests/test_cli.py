@@ -66,9 +66,12 @@ def test_observability_check_subcommand(tmp_path, capsys):
 
 
 def test_missing_seed_is_validation_error(tmp_path):
+    # every subcommand refuses an unseeded config instead of drawing from OS entropy
     path = tmp_path / "noseed.cfg"
     path.write_text("n_sensors = 10\n")
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    for command in ("simulate", "select-greedy", "select-stability", "montecarlo",
+                    "observability-check"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1, command
 
 
 def test_bad_config_key_is_validation_error(tmp_path):

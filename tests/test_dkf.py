@@ -1,22 +1,12 @@
 import numpy as np
 import pytest
 
-from dkfsim.dkf import (
-    DkfEngine,
-    NodeFilterState,
-    Scenario,
-    kf_covariance_form,
-    node_init,
-    node_measurement_update,
-    node_time_update,
-    recover_estimates,
-    time_update_general,
-)
+from dkfsim.dkf import DkfEngine, Scenario, recover_estimates
 from dkfsim.errors import ConfigError, NumericError, SelectionError
-from dkfsim.model import builtin_system, transition_matrix
+from dkfsim.model import builtin_system, robust_inverse, transition_matrix
+from dkfsim.reference import kf_covariance_form, psi, time_update_general
 from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode
 from dkfsim.selection import max_deviation
-from dkfsim.stability import psi
 
 from conftest import random_system
 
@@ -42,55 +32,19 @@ def random_network(rng, n, delay_range=(0.0, 0.0)):
 
 
 # ---------------------------------------------------------------------------
-# node-level recursions
+# one-matrix information time update (reference.time_update_general)
 # ---------------------------------------------------------------------------
 
 
-def test_measurement_update_from_zero_prior():
-    state = node_init(2)
-    out = node_measurement_update(state, z=5.0, h=[[1.0, 0.0]], r=[[1.0]])
-    np.testing.assert_allclose(out.info_post, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
-    np.testing.assert_allclose(out.iv_post, [5.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(out.info_prior, np.zeros((2, 2)), atol=0)
-
-
-def test_measurement_update_hand_computed_increment():
-    state = node_init(2, info0=np.eye(2))
-    out = node_measurement_update(state, z=2.0, h=[[0.0, 1.0]], r=[[0.5]])
-    np.testing.assert_allclose(out.info_post, [[1.0, 0.0], [0.0, 3.0]], atol=1e-14)
-    np.testing.assert_allclose(out.iv_post - out.iv_prior, [0.0, 4.0], atol=1e-14)
-
-
-def test_measurement_update_additivity():
-    state = node_init(2)
-    once = node_measurement_update(state, 1.5, [[1.0, 0.0]], [[0.25]])
-    # posterior becomes the next prior for a second identical update
-    again = node_measurement_update(
-        NodeFilterState(
-            info_prior=once.info_post, info_post=once.info_post,
-            iv_prior=once.iv_post, iv_post=once.iv_post,
-        ),
-        1.5, [[1.0, 0.0]], [[0.25]],
-    )
-    np.testing.assert_allclose(again.info_post, 2 * np.array([[4.0, 0.0], [0.0, 0.0]]), atol=1e-12)
-
-
-def test_measurement_update_rejects_singular_r():
-    with pytest.raises(ConfigError):
-        node_measurement_update(node_init(2), 1.0, [[1.0, 0.0]], [[0.0]])
-
-
 def test_time_update_zero_information_stays_zero():
-    state = node_init(2)
-    out = node_time_update(state, np.eye(2), np.eye(2))
-    np.testing.assert_allclose(out.info_prior, np.zeros((2, 2)), atol=1e-15)
-    np.testing.assert_allclose(out.iv_prior, np.zeros(2), atol=1e-15)
+    info, iv = time_update_general(np.zeros((2, 2)), np.zeros(2), np.eye(2), np.eye(2))
+    np.testing.assert_allclose(info, np.zeros((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(iv, np.zeros(2), atol=1e-15)
 
 
 def test_time_update_identity_hand_value():
-    state = node_init(2, info0=np.eye(2))
-    out = node_time_update(state, np.eye(2), np.eye(2))
-    np.testing.assert_allclose(out.info_prior, 0.5 * np.eye(2), atol=1e-14)
+    info, _ = time_update_general(np.eye(2), np.zeros(2), np.eye(2), np.eye(2))
+    np.testing.assert_allclose(info, 0.5 * np.eye(2), atol=1e-14)
 
 
 def test_time_update_matches_psi_operator():
@@ -103,29 +57,13 @@ def test_time_update_matches_psi_operator():
         q = w @ w.T + 0.1 * np.eye(2)
         v = rng.standard_normal((2, 2))
         info = v @ v.T + 0.05 * np.eye(2)
-        state = node_init(2, info0=info)
-        out = node_time_update(state, a, q)
-        np.testing.assert_allclose(out.info_prior, psi(info, a, q), atol=1e-10)
+        out, _ = time_update_general(info, np.zeros(2), robust_inverse(a)[0], np.linalg.inv(q))
+        np.testing.assert_allclose(out, psi(info, a, q), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
 # fusion
 # ---------------------------------------------------------------------------
-
-
-def test_single_zero_delay_node_equals_standalone_filter():
-    sys_ = builtin_system()
-    node = single_row_node(1, 1, 0.2)
-    engine = DkfEngine(sys_, SensorNetwork((node,)), 120, np.random.default_rng(5))
-    _, _, xhat, _ = engine.fused_run([1])
-    z = engine.measurements[0]
-    state = node_init(2)
-    for k in range(121):
-        if k > 0:
-            state = node_time_update(state, transition_matrix(sys_, k - 1), sys_.process_noise_cov)
-        state = node_measurement_update(state, z[k], node.h, node.r)
-        if state.x_post is not None:
-            np.testing.assert_allclose(xhat[k], state.x_post, atol=1e-9)
 
 
 def test_zero_delay_fusion_matches_centralized_stacked_kf():
@@ -331,20 +269,6 @@ def test_if_covariance_duality_on_random_systems():
         assert np.abs(xhat - xs).max() < 1e-8
         for k in range(0, 201, 20):
             np.testing.assert_allclose(np.linalg.inv(info_hist[k]), ps[k], atol=1e-8)
-
-
-def test_info_post_dominates_info_prior():
-    rng = np.random.default_rng(31)
-    state = node_init(2)
-    sys_ = builtin_system()
-    for k in range(60):
-        if k > 0:
-            state = node_time_update(state, transition_matrix(sys_, k - 1), sys_.process_noise_cov)
-        state = node_measurement_update(
-            state, float(rng.standard_normal()), [[1.0, 0.0]], [[0.3]]
-        )
-        diff = state.info_post - state.info_prior
-        assert np.linalg.eigvalsh(diff).min() >= -1e-10
 
 
 def test_zero_delay_subset_growth_never_decreases_information():

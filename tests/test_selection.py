@@ -8,7 +8,8 @@ from dkfsim import _kernels, selection
 from dkfsim.dkf import DkfEngine, Scenario
 from dkfsim.errors import ConfigError, MetricError, NumericError
 from dkfsim.model import LtvSystem, MatrixTable, builtin_system, robust_inverse, transition_matrix
-from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode, delay_steps, sample_network
+from dkfsim.reference import delay_steps, gamma_hat, i_tilde
+from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode, sample_network
 from dkfsim.selection import (
     best_report,
     greedy_select,
@@ -20,7 +21,7 @@ from dkfsim.selection import (
     settling_index,
     stability_select,
 )
-from dkfsim.stability import StabilityParams, compute_params, gamma_hat, i_tilde
+from dkfsim.stability import StabilityParams, compute_params
 
 from conftest import random_system
 

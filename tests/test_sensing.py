@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from dkfsim.errors import ConfigError
+from dkfsim.reference import delay_steps
 from dkfsim.sensing import (
     R_MIN,
     DelaySpec,
     SensorNetwork,
     SensorNode,
-    delay_steps,
     load_network,
     resolve_delays,
     sample_network,

@@ -5,18 +5,15 @@ from hypothesis import given, settings, strategies as st
 from dkfsim.dkf import Scenario, _symmetrize
 from dkfsim.errors import ConfigError
 from dkfsim.model import builtin_system, transition_matrix
+from dkfsim.reference import beta_hat, gamma_hat, i_tilde, psi
 from dkfsim.sensing import SensorNetwork, SensorNode
 from dkfsim.stability import (
     StabilityParams,
     _distinct_noise_terms,
-    beta_hat,
     beta_hat_batch,
     compute_params,
     estimate_info_bound,
-    gamma_hat,
-    i_tilde,
     i_tilde_matrices,
-    psi,
 )
 
 from conftest import identity_system, random_psd, random_system
@@ -147,7 +144,7 @@ def beta_hat_per_term_loop(scenario, bounds, alpha):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([3, 4, 5]), n_bounds=st.integers(1, 25),
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3, 4, 5]), n_bounds=st.integers(1, 25),
        n_steps=st.integers(1, 60), log_alpha=st.floats(-8.0, 0.0))
 def test_beta_hat_batch_pruned_equals_per_term_loop(seed, m, n_bounds, n_steps, log_alpha):
     # bounds of any rank and scale, so the trace floor prunes near-ties too
@@ -247,6 +244,30 @@ def test_i_tilde_window_must_fit_the_scenario():
         i_tilde_matrices(scenario, 30, 46, 5, np.ones(1), np.eye(2)[None])
 
 
+@pytest.mark.parametrize("chunk", [64, 128])
+def test_i_tilde_matrices_chunks_equal_whole_network_rows(chunk):
+    # stability_select bounds node chunks of 64-node multiples and relies on
+    # them equaling the whole network's rows to the bit; the einsum path is
+    # fixed, so this rests on the BLAS giving a matmul's leading rows the same
+    # bits at any row count. A BLAS that breaks it fails here, not as a rare
+    # flipped admission decision.
+    rng = np.random.default_rng(512)
+    m, n, n_steps, k_bar = 5, 512, 60, 20
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    h = np.zeros((n, 1, m))
+    h[np.arange(n), 0, rng.integers(0, m, size=n)] = 1.0
+    network = SensorNetwork.from_columns(h, rng.uniform(0.05, 0.5, size=(n, 1, 1)),
+                                         np.zeros(n), np.zeros(n))
+    scenario = Scenario(sys_, network, n_steps)
+    betas = rng.uniform(0.5, 1.0, size=n)
+    whole = i_tilde_matrices(scenario, k_bar + 1, n_steps, k_bar, betas, scenario.l_all)
+    for lo in range(0, n, chunk):
+        part = slice(lo, lo + chunk)
+        got = i_tilde_matrices(scenario, k_bar + 1, n_steps, k_bar, betas[part],
+                               scenario.l_all[part])
+        assert np.array_equal(got, whole[part]), f"nodes {lo}..{lo + chunk - 1}"
+
+
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
@@ -292,7 +313,8 @@ def test_compute_params_modes():
 def test_information_inverse_matches_riccati_covariance():
     # exact per-node filtering: info_post^{-1} equals the propagated error
     # covariance of the covariance-form recursion at every step
-    from dkfsim.dkf import DkfEngine, kf_covariance_form
+    from dkfsim.dkf import DkfEngine
+    from dkfsim.reference import kf_covariance_form
     from dkfsim.sensing import SensorNetwork
 
     sys_ = builtin_system()
