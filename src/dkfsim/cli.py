@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, select-greedy, select-stability, montecarlo,
-observability-check. Exit codes: 0 success, 1 validation error, 2 I/O error,
-3 numeric failure.
+observability-check. Exit codes: 0 success, 1 validation error, 2 I/O or
+usage error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ EXIT_NUMERIC = 3
 def _add_common(parser):
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, help="base RNG seed (overrides config)")
-    parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--horizon", type=int, help="number of filter steps N (overrides config)")
-    parser.add_argument("--runs", type=int, help="Monte Carlo run count (overrides config)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,6 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=descr)
         _add_common(p)
+        if name != "observability-check":
+            p.add_argument("--out", help="output directory (overrides config)")
+        if name == "montecarlo":
+            p.add_argument("--runs", type=int, help="Monte Carlo run count (overrides config)")
         if name == "select-greedy":
             p.add_argument("--iterations", type=int, help="threshold sweep length")
     return parser
@@ -58,14 +60,11 @@ def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
     if args.horizon is not None:
         cfg.horizon = args.horizon
-    if args.runs is not None:
-        cfg.runs = args.runs
-    if getattr(args, "iterations", None) is not None:
-        cfg.iterations = args.iterations
+    for flag in ("out", "runs", "iterations"):  # registered only where they apply
+        if getattr(args, flag, None) is not None:
+            setattr(cfg, flag, getattr(args, flag))
     return cfg
 
 

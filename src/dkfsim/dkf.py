@@ -107,7 +107,8 @@ class DkfEngine:
         n_out = n_steps + 1
         n = len(network)
         states_t = self.truth.states.T
-        self.measurements = [None] * n
+        # node i's measurements are measurements[i, :, :p_i], zero past its rows
+        self.measurements = np.zeros((n, n_out, network.h.shape[1]))
         self.div_all = np.empty((n, n_out, m))
         # node i draws its (N+1, p_i) noise block right after node i-1's; one
         # draw per block of nodes keeps that order and bounds the temporaries
@@ -121,9 +122,8 @@ class DkfEngine:
                 idx = idx + lo
                 chol = np.linalg.cholesky(network.r[idx, :q, :q])
                 z = (network.h[idx, :q] @ states_t).transpose(0, 2, 1) + w @ chol.transpose(0, 2, 1)
+                self.measurements[idx, :, :q] = z
                 self.div_all[idx] = z @ sc.hr[idx, :, :q].transpose(0, 2, 1)
-                for i, z_i in zip(idx, z):
-                    self.measurements[i] = z_i
         self.delays = network.delay_steps(sys.sample_time, rng)
         self.info0 = np.zeros((m, m)) if info0 is None else _symmetrize(np.asarray(info0, dtype=float))
         if x0_hat is None:

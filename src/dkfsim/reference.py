@@ -17,11 +17,10 @@ import logging
 
 import numpy as np
 
-from .dkf import Scenario, _symmetrize
+from .dkf import _symmetrize
 from .errors import ConfigError, NumericError
 from .model import LtvSystem, is_effectively_singular, robust_inverse, transition_matrix
 from .sensing import SensorNode, _round_steps
-from .stability import beta_hat_batch
 
 log = logging.getLogger(__name__)
 
@@ -120,9 +119,15 @@ def gamma_hat(a_k, q, info, alpha: float) -> float:
 
 
 def beta_hat(sys: LtvSystem, horizon_n: int, i_bound, alpha: float) -> float:
-    """min over k in [0, horizon) of 1 / (1 + gamma_hat(A(k), Q, i_bound, alpha))."""
+    """min over k in [0, horizon) of 1 / (1 + gamma_hat(A(k), Q, i_bound, alpha)),
+    one gamma_hat per distinct A(k)."""
     i_bound = np.atleast_2d(np.asarray(i_bound, dtype=float))
-    return float(beta_hat_batch(Scenario(sys, None, horizon_n), i_bound[None], alpha)[0])
+    distinct = {}
+    for k in range(horizon_n):
+        a_k = transition_matrix(sys, k)
+        distinct.setdefault(a_k.tobytes(), a_k)
+    return min(1.0 / (1.0 + gamma_hat(a_k, sys.process_noise_cov, i_bound, alpha))
+               for a_k in distinct.values())
 
 
 def i_tilde(k: int, k_bar: int, beta: float, sys: LtvSystem, l_node) -> np.ndarray:

@@ -18,6 +18,7 @@ from .stability import (
     StabilityParams,
     _require_network,
     beta_hat_batch,
+    bound_operator,
     i_tilde_matrices,
     warn_pinv_steps,
 )
@@ -321,14 +322,15 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     warn_pinv_steps(scenario, k_bar + 1, n_steps, k_bar)
     betas = np.empty(n)
     ct_act = np.empty(n, dtype=np.int64)
-    # a multiple of 64 nodes keeps the bound contraction's matmul tiles whole,
-    # so a chunk's bounds equal the whole network's to the bit (so measured
-    # with OpenBLAS; 417-node chunks of a 2000-node network differed)
+    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+    # a multiple of 64 nodes keeps the bound matmul's tiles whole, so a chunk's
+    # bounds equal the whole network's to the bit (so measured with OpenBLAS;
+    # 417-node chunks of a 2000-node network differed)
     chunk = STABILITY_CHUNK // ((n_steps + 1) * m * m)
     chunk = chunk - chunk % 64 if chunk >= 64 else max(chunk, 1)
     for lo in range(0, n, chunk):
         part = slice(lo, lo + chunk)
-        betas[part], ct_act[part] = _admit_chunk(scenario, params, scenario.l_all[part],
+        betas[part], ct_act[part] = _admit_chunk(scenario, params, operator, scenario.l_all[part],
                                                  d[part], first[part], ct_exp[part])
 
     admitted = (ct_exp > 0) & (ct_exp == ct_act)
@@ -347,10 +349,10 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     return selected, rows
 
 
-def _admit_chunk(scenario: Scenario, params: StabilityParams, l_all, d, first, ct_exp):
+def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, l_all, d, first,
+                 ct_exp):
     """(beta-hat, steps passed) for one chunk of nodes of stability_select."""
     n, m, _ = l_all.shape
-    n_steps = scenario.n_steps
     k_bar = params.k_bar
     # delay-free per-node information histories (the local IF recursions)
     hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, l_all,
@@ -362,7 +364,7 @@ def _admit_chunk(scenario: Scenario, params: StabilityParams, l_all, d, first, c
         traces = np.trace(hist, axis1=2, axis2=3)  # (n, N+1)
         bounds = hist[np.arange(n), np.argmax(traces, axis=1)]
         betas = beta_hat_batch(scenario, bounds, params.alpha)
-    bound = i_tilde_matrices(scenario, k_bar + 1, n_steps, k_bar, betas, l_all)
+    bound = i_tilde_matrices(operator, betas, l_all)
     n_pos = bound.shape[1]
     passed = np.empty(n, dtype=np.int64)
     # the check holds about four (entry, m, m) stacks at once; blocks of a

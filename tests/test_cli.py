@@ -65,13 +65,31 @@ def test_observability_check_subcommand(tmp_path, capsys):
     assert "structurally observable: True" in text
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("observability-check", "--out"),
+    ("observability-check", "--runs"),
+    ("simulate", "--runs"),
+    ("select-greedy", "--runs"),
+    ("select-stability", "--runs"),
+])
+def test_flag_outside_its_subcommand_is_usage_error(tmp_path, capsys, command, flag):
+    # a flag a subcommand would ignore is refused, not silently accepted
+    cfg = write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert not (tmp_path / "2").exists()
+
+
 def test_missing_seed_is_validation_error(tmp_path):
     # every subcommand refuses an unseeded config instead of drawing from OS entropy
     path = tmp_path / "noseed.cfg"
     path.write_text("n_sensors = 10\n")
     for command in ("simulate", "select-greedy", "select-stability", "montecarlo",
                     "observability-check"):
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1, command
+        out = [] if command == "observability-check" else ["--out", str(tmp_path / "o")]
+        assert main([command, "--config", str(path), *out]) == 1, command
 
 
 def test_bad_config_key_is_validation_error(tmp_path):

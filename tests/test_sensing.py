@@ -265,7 +265,8 @@ def test_engine_measurements_match_per_node_construction():
     for i, node in enumerate(nodes):
         z = (node.h @ truth.T).T + rng.standard_normal((61, node.h.shape[0])) @ np.linalg.cholesky(node.r).T
         hr = node.h.T @ np.linalg.inv(node.r)
-        assert np.array_equal(engine.measurements[i], z)
+        assert np.array_equal(engine.measurements[i, :, :node.h.shape[0]], z)
+        assert not engine.measurements[i, :, node.h.shape[0]:].any()
         assert np.array_equal(engine.scenario.l_all[i], 0.5 * ((hr @ node.h) + (hr @ node.h).T))
         assert np.array_equal(engine.div_all[i], z @ hr.T)
     np.testing.assert_array_equal(engine.delays, [delay_steps(node, sys_.sample_time, rng)

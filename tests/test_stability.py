@@ -11,6 +11,7 @@ from dkfsim.stability import (
     StabilityParams,
     _distinct_noise_terms,
     beta_hat_batch,
+    bound_operator,
     compute_params,
     estimate_info_bound,
     i_tilde_matrices,
@@ -230,7 +231,7 @@ def test_i_tilde_matrices_consistent_with_direct():
     rng = np.random.default_rng(16)
     l_all = np.stack([random_psd(rng) for _ in range(3)])
     betas = np.array([0.2, 0.5, 0.9])
-    mats = i_tilde_matrices(Scenario(sys_, None, 45), 30, 45, 5, betas, l_all)
+    mats = i_tilde_matrices(bound_operator(Scenario(sys_, None, 45), 30, 45, 5), betas, l_all)
     for i in range(3):
         for pos, k in enumerate(range(30, 46)):
             np.testing.assert_allclose(
@@ -238,18 +239,55 @@ def test_i_tilde_matrices_consistent_with_direct():
             )
 
 
+@pytest.mark.parametrize("m", [3, 5])
+def test_i_tilde_matrices_match_reference_multi_row(m):
+    # multi-row sensors give full, non-diagonal l_i: every folded (b, c) row
+    # of the operator carries weight
+    rng = np.random.default_rng(40 + m)
+    n, n_steps, k_bar = 6, 40, 8
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    p = 2
+    h = rng.standard_normal((n, p, m))
+    r = np.stack([random_psd(rng, m=p) + 0.1 * np.eye(p) for _ in range(n)])
+    network = SensorNetwork.from_columns(h, r, np.zeros(n), np.zeros(n))
+    scenario = Scenario(sys_, network, n_steps)
+    betas = rng.uniform(0.3, 1.0, size=n)
+    mats = i_tilde_matrices(bound_operator(scenario, k_bar + 1, n_steps, k_bar), betas,
+                            scenario.l_all)
+    assert np.array_equal(mats, mats.swapaxes(-1, -2))
+    for i in range(n):
+        for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
+            want = i_tilde(k, k_bar, betas[i], sys_, scenario.l_all[i])
+            assert np.abs(mats[i, pos] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_bound_operator_built_once_equals_per_chunk():
+    # stability_select builds the operator once per pass; rebuilding it for
+    # each node chunk gives the same bounds
+    rng = np.random.default_rng(41)
+    m, n, n_steps, k_bar = 4, 10, 30, 6
+    scenario = Scenario(random_system(rng, m=m, n_steps=n_steps), None, n_steps)
+    l_all = np.stack([random_psd(rng, m=m) for _ in range(n)])
+    betas = rng.uniform(0.3, 1.0, size=n)
+    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+    for part in (slice(0, 4), slice(4, 10)):
+        once = i_tilde_matrices(operator, betas[part], l_all[part])
+        rebuilt = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+        assert np.array_equal(once, i_tilde_matrices(rebuilt, betas[part], l_all[part]))
+
+
 def test_i_tilde_window_must_fit_the_scenario():
     scenario = Scenario(builtin_system(), None, 45)
     with pytest.raises(ConfigError, match="^k_hi=46 exceeds the scenario's 45 steps$"):
-        i_tilde_matrices(scenario, 30, 46, 5, np.ones(1), np.eye(2)[None])
+        bound_operator(scenario, 30, 46, 5)
 
 
 @pytest.mark.parametrize("chunk", [64, 128])
 def test_i_tilde_matrices_chunks_equal_whole_network_rows(chunk):
     # stability_select bounds node chunks of 64-node multiples and relies on
-    # them equaling the whole network's rows to the bit; the einsum path is
-    # fixed, so this rests on the BLAS giving a matmul's leading rows the same
-    # bits at any row count. A BLAS that breaks it fails here, not as a rare
+    # them equaling the whole network's rows to the bit; every chunk is one
+    # matmul against the same operator, so this rests on the BLAS giving a
+    # matmul's leading rows the same bits at any row count. A BLAS that breaks it fails here, not as a rare
     # flipped admission decision.
     rng = np.random.default_rng(512)
     m, n, n_steps, k_bar = 5, 512, 60, 20
@@ -260,11 +298,11 @@ def test_i_tilde_matrices_chunks_equal_whole_network_rows(chunk):
                                          np.zeros(n), np.zeros(n))
     scenario = Scenario(sys_, network, n_steps)
     betas = rng.uniform(0.5, 1.0, size=n)
-    whole = i_tilde_matrices(scenario, k_bar + 1, n_steps, k_bar, betas, scenario.l_all)
+    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+    whole = i_tilde_matrices(operator, betas, scenario.l_all)
     for lo in range(0, n, chunk):
         part = slice(lo, lo + chunk)
-        got = i_tilde_matrices(scenario, k_bar + 1, n_steps, k_bar, betas[part],
-                               scenario.l_all[part])
+        got = i_tilde_matrices(operator, betas[part], scenario.l_all[part])
         assert np.array_equal(got, whole[part]), f"nodes {lo}..{lo + chunk - 1}"
 
 
@@ -323,6 +361,6 @@ def test_information_inverse_matches_riccati_covariance():
     eng = DkfEngine(sys_, SensorNetwork((node,)), 200, np.random.default_rng(9),
                     info0=np.linalg.inv(p0))
     info_hist, _, _, _ = eng.fused_run([1])
-    _, ps = kf_covariance_form(sys_, node.h, node.r, eng.measurements[0], 200, p0=p0)
+    _, ps = kf_covariance_form(sys_, node.h, node.r, eng.measurements[0, :, :1], 200, p0=p0)
     for k in range(201):
         np.testing.assert_allclose(np.linalg.inv(info_hist[k]), ps[k], atol=1e-8)
