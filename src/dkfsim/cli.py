@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: simulate, select-greedy, select-stability, montecarlo,
-observability-check. Exit codes: 0 success, 1 validation error, 2 I/O or
-usage error, 3 numeric failure.
+observability-check. Exit codes: 0 success, 1 validation error, 2 I/O error,
+3 numeric failure, 64 usage error (a flag or argument the subcommand does not
+take).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+EXIT_USAGE = 64  # sysexits.h EX_USAGE; argparse's own 2 would read as EXIT_IO
 
 
 def _add_common(parser):
@@ -130,7 +132,10 @@ def _cmd_observability(cfg):
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         cfg = _load(args)
         handler = {

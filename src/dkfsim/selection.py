@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dkf import DkfEngine, Scenario, _symmetrize
+from .dkf import DkfEngine, Scenario
 from .errors import ConfigError, DivergenceError, MetricError
 from .model import Trajectory, robust_inverse  # noqa: F401 - per-layer tracing wraps this name
 from .stability import (
@@ -322,7 +322,7 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     warn_pinv_steps(scenario, k_bar + 1, n_steps, k_bar)
     betas = np.empty(n)
     ct_act = np.empty(n, dtype=np.int64)
-    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all)
     # a multiple of 64 nodes keeps the bound matmul's tiles whole, so a chunk's
     # bounds equal the whole network's to the bit (so measured with OpenBLAS;
     # 417-node chunks of a 2000-node network differed)
@@ -375,6 +375,6 @@ def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, l_all, d
         # one entry per applicable (node, position) pair of this block
         node = lo + np.repeat(np.arange(counts.size), counts)
         pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + first[node]
-        ok = _positive_definite(_symmetrize(hist[node, k_bar + 1 + pos - d[node]] - bound[node, pos]))
+        ok = _positive_definite(hist[node, k_bar + 1 + pos - d[node]] - bound[node, pos])
         passed[lo:lo + block] = np.bincount(node - lo, weights=ok, minlength=counts.size)
     return betas, passed

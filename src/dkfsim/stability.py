@@ -97,17 +97,21 @@ def beta_hat_batch(scenario: Scenario, bounds, alpha: float) -> np.ndarray:
     return 1.0 / (1.0 + _gamma_max_pruned(halves, terms))
 
 
-def bound_operator(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int) -> np.ndarray:
+def bound_operator(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int, l_all):
     """The linear map from a node's window inputs to its bound matrices for k
-    in [k_lo, k_hi]: (k_bar P, K P), P = m (m + 1) / 2, K = k_hi - k_lo + 1.
+    in [k_lo, k_hi]: (live, op), op of shape (k_bar, L, K P), P = m (m + 1) / 2,
+    K = k_hi - k_lo + 1, L = live.size.
 
-    Row (tau, b <= c) and column (k, a <= d) hold G[b, a] G[c, d], plus
-    G[c, a] G[b, d] where b < c, with G = G_tau(k) = (A(k-1) ... A(k-tau+1))^{-1},
-    G_1 = I: every l_i is symmetric, so its (b, c) and (c, b) entries share a
-    row, and every bound is symmetric, so its (a, d) and (d, a) entries share a
-    column. Built once per selection pass and applied per node chunk by
-    i_tilde_matrices; the pseudo-inverse steps the G products take are
-    reported by the caller (warn_pinv_steps).
+    live indexes the pairs b <= c (in np.triu_indices order) where some
+    l_all[i] (n, m, m) is nonzero: a pair no node measures adds only exact
+    zeros, so it gets no rows. Row (tau, b <= c) and column (k, a <= d) hold
+    G[b, a] G[c, d], plus G[c, a] G[b, d] where b < c, with
+    G = G_tau(k) = (A(k-1) ... A(k-tau+1))^{-1}, G_1 = I: every l_i is
+    symmetric, so its (b, c) and (c, b) entries share a row, and every bound
+    is symmetric, so its (a, d) and (d, a) entries share a column. Built once
+    per selection pass, from the whole network's l_all, and applied per node
+    chunk by i_tilde_matrices; the pseudo-inverse steps the G products take
+    are reported by the caller (warn_pinv_steps).
     """
     if k_lo < k_bar:
         raise ConfigError(f"k_lo={k_lo} must be >= k_bar={k_bar}", keys=("k_bar",))
@@ -116,19 +120,21 @@ def bound_operator(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int) -> np.n
                           keys=("horizon",))
     ks = np.arange(k_lo, k_hi + 1)
     m = scenario.sys.state_dim
+    upper = np.triu_indices(m)
+    l_pairs = _symmetrize(np.asarray(l_all, dtype=float))[:, upper[0], upper[1]]
+    live = np.flatnonzero(l_pairs.any(axis=0))
     g = np.empty((ks.size, k_bar, m, m))
     g[:, 0] = np.eye(m)
     for tau in range(2, k_bar + 1):
         g[:, tau - 1] = scenario.a_inv_seq[ks - tau + 1] @ g[:, tau - 2]
     g = g.transpose(1, 2, 0, 3)  # g[tau - 1, b, j, a] = G_tau(k_lo + j)[b, a]
-    upper = np.triu_indices(m)
     g_a, g_d = g[..., upper[0]], g[..., upper[1]]
-    op = np.empty((k_bar, upper[0].size, ks.size, upper[0].size))
-    for p, (b, c) in enumerate(zip(*upper)):
-        op[:, p] = g_a[:, b] * g_d[:, c]
+    op = np.empty((k_bar, live.size, ks.size, upper[0].size))
+    for row, (b, c) in enumerate(zip(upper[0][live], upper[1][live])):
+        op[:, row] = g_a[:, b] * g_d[:, c]
         if b != c:
-            op[:, p] += g_a[:, c] * g_d[:, b]
-    return op.reshape(k_bar * upper[0].size, -1)
+            op[:, row] += g_a[:, c] * g_d[:, b]
+    return live, op.reshape(k_bar, live.size, -1)
 
 
 def i_tilde_matrices(operator, betas, l_all) -> np.ndarray:
@@ -136,21 +142,25 @@ def i_tilde_matrices(operator, betas, l_all) -> np.ndarray:
 
     Itilde_i(k) = sum_tau betas[i]^{tau-1} G_tau(k)^T l_all[i] G_tau(k) over
     the window of bound_operator. Node i's inputs betas[i]^{tau-1} l_all[i][b, c]
-    (b <= c) form one row, so a chunk of nodes is one matmul against the
+    (live b <= c) form one row, so a chunk of nodes is one matmul against the
     shared operator, node-major; each entry (a, d) and its mirror (d, a) are
-    read from the same column, so the bounds are exactly symmetric.
+    read from the same column, so the bounds are exactly symmetric. l_all must
+    vanish on the pairs the operator has no rows for.
     """
+    live, op = operator
     betas = np.asarray(betas, dtype=float)
     l_all = _symmetrize(np.asarray(l_all, dtype=float))
     n, m, _ = l_all.shape
     upper = np.triu_indices(m)
     n_pairs = upper[0].size
-    k_bar = operator.shape[0] // n_pairs
-    beta_pow = betas[:, None] ** np.arange(k_bar)[None, :]
-    inputs = (beta_pow[:, :, None] * l_all[:, upper[0], upper[1]][:, None, :]).reshape(n, -1)
+    l_pairs = l_all[:, upper[0], upper[1]]
+    if np.delete(l_pairs, live, axis=1).any():
+        raise ValueError("l_all is nonzero on a pair the bound operator has no rows for")
+    beta_pow = betas[:, None] ** np.arange(op.shape[0])[None, :]
+    inputs = (beta_pow[:, :, None] * l_pairs[:, None, live]).reshape(n, -1)
     pair = np.empty((m, m), dtype=np.intp)  # column of entry (a, d) among the pairs a <= d
     pair[upper] = pair[upper[::-1]] = np.arange(n_pairs)
-    out = (inputs @ operator).reshape(n, -1, n_pairs)
+    out = (inputs @ op.reshape(-1, op.shape[-1])).reshape(n, -1, n_pairs)
     return np.take(out, pair.ravel(), axis=2).reshape(n, -1, m, m)
 
 

@@ -1,9 +1,13 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dkfsim
 from dkfsim.config import ExperimentConfig, load_config, parse_config_text
 from dkfsim.dkf import DkfEngine
 from dkfsim.errors import ConfigError
@@ -279,3 +283,32 @@ def test_monte_carlo_runs_differ(tmp_path):
     cfg = small_cfg(runs=3, jitter_std=math.sqrt(2 * 0.01))
     summary = monte_carlo(cfg, out_dir=tmp_path)
     assert len(set(summary.node_counts)) > 1 or len(set(summary.mse_values)) == 3
+
+
+def test_run_experiment_byte_identical_across_processes(tmp_path):
+    # two fresh interpreters with different string-hash seeds write the same bytes
+    rng = np.random.default_rng(3)
+    mats = []
+    while len(mats) < 60:
+        a = 0.9 * rng.standard_normal((3, 3)) / math.sqrt(3)
+        if abs(np.linalg.det(a)) > 0.05:
+            mats.append(a)
+    table = tmp_path / "table.txt"
+    table.write_text("\n\n".join("\n".join(" ".join(f"{v:.17g}" for v in row) for row in a)
+                                 for a in mats) + "\n")
+    cfg = tmp_path / "m3.cfg"
+    cfg.write_text(f"state_dim = 3\nx0 = 1 1 1\ntransition = table:{table}\nn_sensors = 200\n"
+                   "horizon = 60\nk_bar = 10\nmode = stability\nseed = 5\n")
+    src = os.path.dirname(os.path.dirname(dkfsim.__file__))
+    script = ("import sys; from dkfsim.config import load_config; "
+              "from dkfsim.harness import run_experiment; "
+              "run_experiment(load_config(sys.argv[1]), out_dir=sys.argv[2])")
+    for run, hash_seed in (("a", "1"), ("b", "2")):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / run)],
+                       env=env, check=True, capture_output=True, timeout=120)
+    written = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+    assert "stability_report.csv" in written
+    assert written == sorted(p.name for p in (tmp_path / "b").glob("*.csv"))
+    for name in written:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name

@@ -385,8 +385,8 @@ def per_node_admission(sys_, net, params, n_steps):
     out = {}
     for node in net:
         l_node = node.info_increment()
-        hist = _kernels.node_info_histories_generic(a_inv, np.linalg.inv(q), l_node[None],
-                                                    np.zeros((1, m, m)))[0]
+        hist = _kernels.node_info_histories(a_inv, np.linalg.inv(q), l_node[None],
+                                            np.zeros((1, m, m)))[0]
         if params.beta_hat is not None:
             beta = params.beta_hat
         else:

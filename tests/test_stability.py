@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dkfsim import _kernels
 from dkfsim.dkf import Scenario, _symmetrize
 from dkfsim.errors import ConfigError
 from dkfsim.model import builtin_system, transition_matrix
@@ -231,7 +232,8 @@ def test_i_tilde_matrices_consistent_with_direct():
     rng = np.random.default_rng(16)
     l_all = np.stack([random_psd(rng) for _ in range(3)])
     betas = np.array([0.2, 0.5, 0.9])
-    mats = i_tilde_matrices(bound_operator(Scenario(sys_, None, 45), 30, 45, 5), betas, l_all)
+    mats = i_tilde_matrices(bound_operator(Scenario(sys_, None, 45), 30, 45, 5, l_all), betas,
+                            l_all)
     for i in range(3):
         for pos, k in enumerate(range(30, 46)):
             np.testing.assert_allclose(
@@ -252,8 +254,8 @@ def test_i_tilde_matrices_match_reference_multi_row(m):
     network = SensorNetwork.from_columns(h, r, np.zeros(n), np.zeros(n))
     scenario = Scenario(sys_, network, n_steps)
     betas = rng.uniform(0.3, 1.0, size=n)
-    mats = i_tilde_matrices(bound_operator(scenario, k_bar + 1, n_steps, k_bar), betas,
-                            scenario.l_all)
+    mats = i_tilde_matrices(bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all),
+                            betas, scenario.l_all)
     assert np.array_equal(mats, mats.swapaxes(-1, -2))
     for i in range(n):
         for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
@@ -269,17 +271,64 @@ def test_bound_operator_built_once_equals_per_chunk():
     scenario = Scenario(random_system(rng, m=m, n_steps=n_steps), None, n_steps)
     l_all = np.stack([random_psd(rng, m=m) for _ in range(n)])
     betas = rng.uniform(0.3, 1.0, size=n)
-    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar, l_all)
     for part in (slice(0, 4), slice(4, 10)):
         once = i_tilde_matrices(operator, betas[part], l_all[part])
-        rebuilt = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+        rebuilt = bound_operator(scenario, k_bar + 1, n_steps, k_bar, l_all)
         assert np.array_equal(once, i_tilde_matrices(rebuilt, betas[part], l_all[part]))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_histories_and_bounds_are_exactly_symmetric(m):
+    # stability_select compares them without symmetrizing: the histories are
+    # 0.5 (p + p^T) + l with l symmetric, the bounds mirror one column
+    rng = np.random.default_rng(60 + m)
+    n, n_steps, k_bar = 12, 40, 6
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    h = rng.standard_normal((n, 2, m))
+    r = np.stack([random_psd(rng) + 0.1 * np.eye(2) for _ in range(n)])
+    network = SensorNetwork.from_columns(h, r, np.zeros(n), np.zeros(n))
+    scenario = Scenario(sys_, network, n_steps)
+    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, scenario.l_all,
+                                        np.zeros((n, m, m)))
+    assert np.array_equal(hist, hist.swapaxes(-1, -2))
+    bounds = i_tilde_matrices(bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all),
+                              rng.uniform(0.3, 1.0, size=n), scenario.l_all)
+    assert np.array_equal(bounds, bounds.swapaxes(-1, -2))
+
+
+def test_pruned_bounds_match_reference_with_one_live_off_diagonal_pair():
+    # basis-row sensors plus one node measuring x0 + x2: the operator keeps the
+    # m diagonal pairs and (0, 2) only
+    rng = np.random.default_rng(61)
+    m, n, n_steps, k_bar = 4, 9, 40, 8
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    h = np.zeros((n, 1, m))
+    h[np.arange(n - 1), 0, np.arange(n - 1) % m] = 1.0
+    h[n - 1, 0, [0, 2]] = 1.0
+    network = SensorNetwork.from_columns(h, rng.uniform(0.05, 0.5, size=(n, 1, 1)),
+                                         np.zeros(n), np.zeros(n))
+    scenario = Scenario(sys_, network, n_steps)
+    live, _ = operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all)
+    upper = np.triu_indices(m)
+    assert [(upper[0][p], upper[1][p]) for p in live] == [(0, 0), (0, 2), (1, 1), (2, 2), (3, 3)]
+    betas = rng.uniform(0.3, 1.0, size=n)
+    mats = i_tilde_matrices(operator, betas, scenario.l_all)
+    for i in range(n):
+        for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
+            want = i_tilde(k, k_bar, betas[i], sys_, scenario.l_all[i])
+            assert np.abs(mats[i, pos] - want).max() <= 1e-12 * np.abs(want).max()
+    # without the one node that measures (0, 2), a chunk's operator has no
+    # row for it, and handing it that node is refused
+    basis = bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all[:-1])
+    with pytest.raises(ValueError, match="no rows for"):
+        i_tilde_matrices(basis, betas, scenario.l_all)
 
 
 def test_i_tilde_window_must_fit_the_scenario():
     scenario = Scenario(builtin_system(), None, 45)
     with pytest.raises(ConfigError, match="^k_hi=46 exceeds the scenario's 45 steps$"):
-        bound_operator(scenario, 30, 46, 5)
+        bound_operator(scenario, 30, 46, 5, np.eye(2)[None])
 
 
 @pytest.mark.parametrize("chunk", [64, 128])
@@ -298,7 +347,7 @@ def test_i_tilde_matrices_chunks_equal_whole_network_rows(chunk):
                                          np.zeros(n), np.zeros(n))
     scenario = Scenario(sys_, network, n_steps)
     betas = rng.uniform(0.5, 1.0, size=n)
-    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all)
     whole = i_tilde_matrices(operator, betas, scenario.l_all)
     for lo in range(0, n, chunk):
         part = slice(lo, lo + chunk)
