@@ -13,7 +13,10 @@ differ only in rounding, and the two kernels take different sides:
   for any m, on an (m, m, n) structure-of-arrays stack: every step is a few
   gemms against the shared A^{-1}(k) and Q^{-1} and an elimination over whole
   node rows, and it predicts with the reduced form Y^T Q^{-1}, Y = S^{-1} M,
-  which needs no Joseph products.
+  which needs no Joseph products. It stores each step packed, node axis last:
+  only the P = m (m + 1) / 2 lower-triangle entries of each symmetric matrix,
+  in np.tril_indices order, as a (P, N+1, n) history. The stability bounds
+  and the admission check keep that layout (unpack restores full matrices).
 - fused_info_recursion runs B <= 100 estimator chains (the greedy sweep's
   subsets; single-chain callers pass one row) through _predict, the Joseph
   form in batched LAPACK over a (B, m, m) stack. Its outputs are the
@@ -21,6 +24,8 @@ differ only in rounding, and the two kernels take different sides:
   the benchmark references were recorded with; the reduced form or the
   structure-of-arrays layout would move their last bits.
 """
+
+import math
 
 import numpy as np
 
@@ -45,11 +50,13 @@ def _predict(info, a_inv, q_inv):
 
 
 def node_info_histories(a_inv_seq, q_inv, l_all, info0):
-    """Posterior information histories I_i(k|k) for every node, k = 0..N.
+    """Posterior information histories I_i(k|k) for every node, k = 0..N, packed.
 
     a_inv_seq: (N, m, m) inverses of A(0..N-1); q_inv: (m, m);
     l_all: (n, m, m) per-node H^T R^{-1} H; info0: (n, m, m) priors I_i(0|-1).
-    Returns (n, N+1, m, m), exactly symmetric when l_all and info0 are.
+    Returns (P, N+1, n): row p holds entry np.tril_indices(m)[p] of every
+    node's matrix at every step. The matrices are exactly symmetric when l_all
+    and info0 are, so the lower triangle is all of them.
 
     The information of all nodes is one (m, m, n) stack, node axis last, so
     every operation below acts on whole (n,) rows: M = Ainv^T I Ainv is two
@@ -59,33 +66,66 @@ def node_info_histories(a_inv_seq, q_inv, l_all, info0):
     """
     n, m, _ = l_all.shape
     n_steps = a_inv_seq.shape[0]
-    hist = np.empty((n, n_steps + 1, m, m))
+    rows, cols = np.tril_indices(m)
+    lower = rows * m + cols  # flat index of each packed entry in an (m, m) matrix
+    hist = np.empty((lower.size, n_steps + 1, n))
     l_soa = np.ascontiguousarray(l_all.transpose(1, 2, 0))
-    info = info0.transpose(1, 2, 0) + l_soa
-    hist[:, 0] = info.transpose(2, 0, 1)
+    # every step reuses these buffers: info, Ainv^T I, [S | M] and the prediction
+    info = np.ascontiguousarray(info0.transpose(1, 2, 0) + l_soa)
+    half = np.empty((m, m * n))
+    aug = np.empty((m, 2 * m, n))
+    pred = np.empty((m, m * n))
+    mk = aug[:, m:]
+    hist[:, 0] = info.reshape(m * m, n)[lower]
     q_col = q_inv[:, :, None]
     for k in range(n_steps):
         a_inv_t = a_inv_seq[k].T
-        mk = a_inv_t @ (a_inv_t @ info.reshape(m, m * n)).reshape(m, m, n)
-        y = _solve_spd_soa(mk + q_col, mk)
-        pred = (q_inv @ y.reshape(m, m * n)).reshape(m, m, n)
-        info = 0.5 * (pred + pred.transpose(1, 0, 2)) + l_soa
-        hist[:, k + 1] = info.transpose(2, 0, 1)
+        np.matmul(a_inv_t, info.reshape(m, m * n), out=half)
+        np.matmul(a_inv_t, half.reshape(m, m, n), out=mk)
+        np.add(mk, q_col, out=aug[:, :m])
+        y = _solve_spd_soa(aug)
+        np.matmul(q_inv, y.reshape(m, m * n), out=pred)
+        pred_3d = pred.reshape(m, m, n)
+        np.add(pred_3d, pred_3d.transpose(1, 0, 2), out=info)
+        info *= 0.5
+        info += l_soa
+        hist[:, k + 1] = info.reshape(m * m, n)[lower]
     return hist
 
 
-def _solve_spd_soa(s, rhs):
-    """S^{-1} rhs for SPD stacks s (m, m, n), rhs (m, m', n), node axis last:
-    Gaussian elimination without pivoting on [S | rhs], then back substitution."""
-    m = s.shape[0]
-    w = np.concatenate([s, rhs], axis=1)
+def packed_dim(n_pairs: int) -> int:
+    """The matrix size m of a packed layout with n_pairs = m (m + 1) / 2 rows."""
+    return (math.isqrt(8 * n_pairs + 1) - 1) // 2
+
+
+def packed_index(m: int) -> np.ndarray:
+    """(m, m) packed row of each entry (i, j) of a symmetric matrix: the
+    position of (max(i, j), min(i, j)) in np.tril_indices(m) order."""
+    rows, cols = np.tril_indices(m)
+    index = np.empty((m, m), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    return index
+
+
+def unpack(packed) -> np.ndarray:
+    """Full symmetric matrices (..., m, m) from packed lower triangles (P, ...)
+    in np.tril_indices order, P = m (m + 1) / 2."""
+    index = packed_index(packed_dim(packed.shape[0]))
+    return np.moveaxis(packed[index], (0, 1), (-2, -1))
+
+
+def _solve_spd_soa(aug):
+    """S^{-1} rhs in place for [S | rhs] stacked as aug (m, m + m', n), S SPD,
+    node axis last: Gaussian elimination without pivoting, then back
+    substitution. Returns the rhs part of aug, which now holds the solution."""
+    m = aug.shape[0]
     for j in range(m - 1):
-        f = w[j + 1:, j] / w[j, j]
-        w[j + 1:, j + 1:] -= f[:, None] * w[j, None, j + 1:]
-    y = w[:, m:]
+        f = aug[j + 1:, j] / aug[j, j]
+        aug[j + 1:, j + 1:] -= f[:, None] * aug[j, None, j + 1:]
+    y = aug[:, m:]
     for j in range(m - 1, -1, -1):
-        y[j] /= w[j, j]
-        y[:j] -= w[:j, j, None] * y[j, None]
+        y[j] /= aug[j, j]
+        y[:j] -= aug[:j, j, None] * y[j, None]
     return y
 
 

@@ -22,13 +22,17 @@ from .stability import (
     i_tilde_matrices,
     warn_pinv_steps,
 )
-from . import _kernels
+from . import _kernels, stability
 
 log = logging.getLogger(__name__)
 
 SETTLE_BAND = 0.01
-# history entries ((N + 1) m^2 per node) of one node chunk of stability_select:
-# 2000 nodes at m=2, N=200 fit in one chunk
+# packed history entries ((N + 1) m (m + 1) / 2 per node) of one node chunk of
+# stability_select: the network splits into the fewest chunks within it, of
+# equal size rounded up to 64 nodes (3 chunks of 704 nodes at m=5, N=200, 2000
+# nodes; one chunk at m=2). The admission check holds about four (P, entries)
+# arrays per node block; blocks of an eighth of the budget, split the same way,
+# keep them within half the chunk's histories
 STABILITY_CHUNK = 1 << 21
 CHOLESKY_SLACK = 8.0  # c in the bracket shift delta = c m (m + 1) eps max|D|
 
@@ -211,77 +215,58 @@ class NodeStabilityRow:
     beta_hat: float
 
 
-def _min_eigenvalue(mats) -> np.ndarray:
-    """Smallest eigenvalue of each symmetric 2x2 matrix in a stack (e, 2, 2).
-
-    In closed form, the way LAPACK's 2x2 solver (dlae2) takes it: the root of
-    larger magnitude from the trace, the other from the determinant, so a
-    small eigenvalue keeps its relative accuracy.
-    """
-    a, b, c = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
-    sm = a + c
-    rt = np.hypot(a - c, 2.0 * b)
-    big = 0.5 * (sm + np.where(sm < 0.0, -rt, rt))
-    a_max = np.where(np.abs(a) > np.abs(c), a, c)
-    a_min = np.where(np.abs(a) > np.abs(c), c, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        small = np.where(big != 0.0, (a_max / big) * a_min - (b / big) * b, 0.0)
-    return np.minimum(big, small)
-
-
-def _cholesky_outcome(mats, shift):
+def _cholesky_outcome(packed, shift):
     """(succeeded, broke down) of an unpivoted Cholesky of each D - shift I.
 
-    mats (m, m, e) holds one symmetric matrix per entry along the last axis
-    (structure of arrays), of which the lower triangle is read; shift is (e,).
-    A pivot that is NaN counts as neither outcome.
+    packed (P, e) holds the lower triangle of one symmetric matrix per column,
+    in np.tril_indices order, so row i of the triangle is one run of packed
+    rows; shift is (e,). A pivot that is NaN counts as neither outcome.
     """
-    m = mats.shape[0]
-    w = mats.copy()
-    for j in range(m):
-        w[j, j] -= shift
-    succeeded = np.ones(mats.shape[-1], dtype=bool)
-    broke = np.zeros(mats.shape[-1], dtype=bool)
+    m = _kernels.packed_dim(packed.shape[0])
+    index = _kernels.packed_index(m)
+    w = packed.copy()
+    w[index.diagonal()] -= shift
+    succeeded = np.ones(packed.shape[-1], dtype=bool)
+    broke = np.zeros(packed.shape[-1], dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for j in range(m):
-            pivot = w[j, j]
+            pivot = w[index[j, j]]
             succeeded &= pivot > 0.0
             broke |= pivot <= 0.0
-            col = w[j + 1:, j] / np.sqrt(pivot)  # column j of the factor below the pivot
+            col = w[index[j + 1:, j]] / np.sqrt(pivot)  # column j of the factor below the pivot
             for i in range(j + 1, m):
-                w[i, j + 1:i + 1] -= col[i - j - 1] * col[:i - j]
+                w[index[i, j + 1]:index[i, i] + 1] -= col[i - j - 1] * col[:i - j]
     return succeeded, broke
 
 
-def _positive_definite(mats) -> np.ndarray:
-    """Whether lambda_min > 0 for each symmetric matrix of a stack (e, m, m),
+def _positive_definite(packed) -> np.ndarray:
+    """Whether lambda_min > 0 for each symmetric matrix of a packed stack
+    (P, e) (lower triangles in np.tril_indices order, one matrix per column),
     decided as np.linalg.eigvalsh decides it.
 
-    m = 2 takes the closed form. Otherwise a Cholesky bracket decides: with
-    delta = c m (m + 1) eps max|D|, the computed factor of D - delta I is exact
-    for a perturbation smaller than m (m + 1) eps max|D| (Higham, Accuracy and
-    Stability, Thm 10.3), so success means lambda_min(D) exceeds eigvalsh's
-    own backward error and eigvalsh finds it positive. A breakdown on
-    D + delta I means lambda_min(D) lies below minus that error (Demmel's
-    success condition, Thm 10.7), and eigvalsh finds it negative. The second
-    test runs only where the first fails; eigvalsh decides what neither does,
-    and any entry so small or large that the products could under- or
-    overflow.
+    A Cholesky bracket decides: with delta = c m (m + 1) eps max|D|, the
+    computed factor of D - delta I is exact for a perturbation smaller than
+    m (m + 1) eps max|D| (Higham, Accuracy and Stability, Thm 10.3), so
+    success means lambda_min(D) exceeds eigvalsh's own backward error and
+    eigvalsh finds it positive. A breakdown on D + delta I means
+    lambda_min(D) lies below minus that error (Demmel's success condition,
+    Thm 10.7), and eigvalsh finds it negative. The second test runs only where
+    the first fails; eigvalsh decides what neither does, and any entry so small
+    or large that the products could under- or overflow, on those entries
+    unpacked.
     """
-    if mats.shape[-1] == 2:
-        return _min_eigenvalue(mats) > 0.0
-    m = mats.shape[-1]
-    scale = np.abs(mats).max(axis=(1, 2))
+    m = _kernels.packed_dim(packed.shape[0])
+    scale = np.maximum(packed.max(axis=0), -packed.min(axis=0))  # max|D|, without an |D| copy
     delta = CHOLESKY_SLACK * m * (m + 1) * np.finfo(float).eps * scale
     trusted = (scale > 1e-150) & (scale < 1e150)
-    soa = mats.transpose(1, 2, 0)
-    positive, _ = _cholesky_outcome(soa, delta)
+    positive, _ = _cholesky_outcome(packed, delta)
     positive &= trusted
     rest = np.flatnonzero(~positive)
-    _, negative = _cholesky_outcome(soa[:, :, rest], -delta[rest])
+    _, negative = _cholesky_outcome(packed[:, rest], -delta[rest])
     undecided = rest[~(negative & trusted[rest])]
     if undecided.size:
-        positive[undecided] = np.linalg.eigvalsh(mats[undecided])[:, 0] > 0.0
+        full = _kernels.unpack(packed[:, undecided])
+        positive[undecided] = np.linalg.eigvalsh(full)[:, 0] > 0.0
     return positive
 
 
@@ -298,9 +283,10 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     Stochastic delays must be resolved beforehand (sensing.resolve_delays).
     Returns (selected ids, one NodeStabilityRow per node).
 
-    The pass runs over node chunks of STABILITY_CHUNK history entries, each
-    taking its histories, beta-hat, bounds and admission check in turn, so
-    neither the whole network's histories nor its bounds are held at once.
+    The pass runs over node chunks of STABILITY_CHUNK packed history entries,
+    each taking its histories and beta-hat, then bounds and admission check
+    block by block, so neither the whole network's histories nor its bounds
+    are held at once.
     """
     network = _require_network(scenario)
     if len(network) == 0:
@@ -313,6 +299,7 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     m = scenario.sys.state_dim
     n = len(network)
     k_bar = params.k_bar
+    n_pairs = m * (m + 1) // 2
 
     # bound position j is step k = k_bar + 1 + j; node i's applicable steps
     # (k - d_i >= 1) are positions first[i] .. n_pos - 1
@@ -323,15 +310,17 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     betas = np.empty(n)
     ct_act = np.empty(n, dtype=np.int64)
     operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all)
-    # a multiple of 64 nodes keeps the bound matmul's tiles whole, so a chunk's
-    # bounds equal the whole network's to the bit (so measured with OpenBLAS;
-    # 417-node chunks of a 2000-node network differed)
-    chunk = STABILITY_CHUNK // ((n_steps + 1) * m * m)
-    chunk = chunk - chunk % 64 if chunk >= 64 else max(chunk, 1)
+    terms = None if params.beta_hat is not None else stability._distinct_noise_terms(scenario)
+    # blocks of 64-node multiples keep the bound matmul's tiles whole, so a
+    # block's bounds equal the whole network's to the bit (so measured with
+    # OpenBLAS; 333-, 417-, 500- and 667-node blocks of 2000 nodes differed)
+    chunk = _split(n, STABILITY_CHUNK // ((n_steps + 1) * n_pairs))
+    block = _split(chunk, STABILITY_CHUNK // (8 * n_pos * n_pairs))
     for lo in range(0, n, chunk):
         part = slice(lo, lo + chunk)
-        betas[part], ct_act[part] = _admit_chunk(scenario, params, operator, scenario.l_all[part],
-                                                 d[part], first[part], ct_exp[part])
+        betas[part], ct_act[part] = _admit_chunk(scenario, params, operator, terms, block,
+                                                 scenario.l_all[part], d[part], first[part],
+                                                 ct_exp[part])
 
     admitted = (ct_exp > 0) & (ct_exp == ct_act)
     if not (ct_exp > 0).any():
@@ -349,32 +338,52 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     return selected, rows
 
 
-def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, l_all, d, first,
-                 ct_exp):
+def _split(n: int, cap: int) -> int:
+    """Size of the fewest equal parts of n nodes with at most cap nodes each,
+    rounded up to a multiple of 64 when cap allows 64."""
+    size = -(-n // -(-n // max(cap, 1)))
+    return -(-size // 64) * 64 if cap >= 64 else size
+
+
+def _max_trace_matrices(hist) -> np.ndarray:
+    """Each node's matrix (n, m, m) at the step of largest trace in its packed
+    history (P, N+1, n); the traces add the diagonal rows in order, as np.trace
+    adds a matrix's diagonal, so ties break as they would on full matrices."""
+    diag = _kernels.packed_index(_kernels.packed_dim(hist.shape[0])).diagonal()
+    traces = hist[diag[0]].copy()  # (N+1, n)
+    for row in diag[1:]:
+        traces += hist[row]
+    n = hist.shape[2]
+    return _kernels.unpack(hist[:, np.argmax(traces, axis=0), np.arange(n)])
+
+
+def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, terms, block, l_all, d,
+                 first, ct_exp):
     """(beta-hat, steps passed) for one chunk of nodes of stability_select."""
     n, m, _ = l_all.shape
     k_bar = params.k_bar
-    # delay-free per-node information histories (the local IF recursions)
+    # delay-free per-node information histories (the local IF recursions), packed
     hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, l_all,
                                         np.zeros((n, m, m)))
+    n_pairs, n_out, _ = hist.shape
     if params.beta_hat is not None:
         betas = np.full(n, params.beta_hat)
     else:
         # per-node contraction from each node's own history bound
-        traces = np.trace(hist, axis1=2, axis2=3)  # (n, N+1)
-        bounds = hist[np.arange(n), np.argmax(traces, axis=1)]
-        betas = beta_hat_batch(scenario, bounds, params.alpha)
-    bound = i_tilde_matrices(operator, betas, l_all)
-    n_pos = bound.shape[1]
+        betas = beta_hat_batch(scenario, _max_trace_matrices(hist), params.alpha, terms)
+    flat_hist = hist.reshape(n_pairs, n_out * n)
     passed = np.empty(n, dtype=np.int64)
-    # the check holds about four (entry, m, m) stacks at once; blocks of a
-    # quarter of the chunk budget keep them within the size of the histories
-    block = max(1, STABILITY_CHUNK // (4 * n_pos * m * m))
     for lo in range(0, n, block):
-        counts = ct_exp[lo:lo + block]
+        nodes = slice(lo, lo + block)
+        counts = ct_exp[nodes]
         # one entry per applicable (node, position) pair of this block
-        node = lo + np.repeat(np.arange(counts.size), counts)
-        pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + first[node]
-        ok = _positive_definite(hist[node, k_bar + 1 + pos - d[node]] - bound[node, pos])
-        passed[lo:lo + block] = np.bincount(node - lo, weights=ok, minlength=counts.size)
+        node = np.repeat(np.arange(counts.size), counts)
+        pos = np.arange(node.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[lo + node]
+        # each entry's bound, gathered from the block's (P, K, b) bounds, then
+        # the delayed history minus it
+        bounds = i_tilde_matrices(operator, betas[nodes], l_all[nodes]).reshape(n_pairs, -1)
+        diff = bounds[:, pos * counts.size + node]
+        del bounds
+        np.subtract(flat_hist[:, (k_bar + 1 + pos - d[lo + node]) * n + lo + node], diff, out=diff)
+        passed[nodes] = np.bincount(node, weights=_positive_definite(diff), minlength=counts.size)
     return betas, passed

@@ -86,32 +86,35 @@ def _gamma_max_pruned(halves, terms) -> np.ndarray:
     return gamma_max
 
 
-def beta_hat_batch(scenario: Scenario, bounds, alpha: float) -> np.ndarray:
+def beta_hat_batch(scenario: Scenario, bounds, alpha: float, terms=None) -> np.ndarray:
     """beta-hat for a stack of bound matrices (b, m, m) at once, over the
-    scenario's horizon; returns (b,)."""
+    scenario's horizon; returns (b,). terms, the scenario's distinct noise
+    terms, lets a caller that runs many batches derive them once."""
     bounds = np.asarray(bounds, dtype=float)
     m = bounds.shape[-1]
-    terms = _distinct_noise_terms(scenario)
+    if terms is None:
+        terms = _distinct_noise_terms(scenario)
     w, v = np.linalg.eigh(_symmetrize(bounds) + alpha * np.eye(m))
     halves = v @ (np.sqrt(np.maximum(w, 0.0))[..., None] * v.transpose(0, 2, 1))
     return 1.0 / (1.0 + _gamma_max_pruned(halves, terms))
 
 
 def bound_operator(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int, l_all):
-    """The linear map from a node's window inputs to its bound matrices for k
-    in [k_lo, k_hi]: (live, op), op of shape (k_bar, L, K P), P = m (m + 1) / 2,
-    K = k_hi - k_lo + 1, L = live.size.
+    """The linear map from a node's window inputs to its packed bound matrices
+    for k in [k_lo, k_hi]: (live, op), op of shape (k_bar, L, P, K),
+    P = m (m + 1) / 2, K = k_hi - k_lo + 1, L = live.size.
 
     live indexes the pairs b <= c (in np.triu_indices order) where some
     l_all[i] (n, m, m) is nonzero: a pair no node measures adds only exact
-    zeros, so it gets no rows. Row (tau, b <= c) and column (k, a <= d) hold
-    G[b, a] G[c, d], plus G[c, a] G[b, d] where b < c, with
-    G = G_tau(k) = (A(k-1) ... A(k-tau+1))^{-1}, G_1 = I: every l_i is
-    symmetric, so its (b, c) and (c, b) entries share a row, and every bound
-    is symmetric, so its (a, d) and (d, a) entries share a column. Built once
-    per selection pass, from the whole network's l_all, and applied per node
-    chunk by i_tilde_matrices; the pseudo-inverse steps the G products take
-    are reported by the caller (warn_pinv_steps).
+    zeros, so it gets no rows. Row (tau, b <= c) and column (a >= d, k), the
+    pairs a >= d in np.tril_indices order, hold G[b, d] G[c, a], plus
+    G[c, d] G[b, a] where b < c, with G = G_tau(k) = (A(k-1) ... A(k-tau+1))^{-1},
+    G_1 = I: every l_i is symmetric, so its (b, c) and (c, b) entries share a
+    row, and every bound is symmetric, so one column gives its (a, d) and
+    (d, a) entries. Built once per selection pass, from the whole network's
+    l_all, and applied per block of nodes by i_tilde_matrices; the
+    pseudo-inverse steps the G products take are reported by the caller
+    (warn_pinv_steps).
     """
     if k_lo < k_bar:
         raise ConfigError(f"k_lo={k_lo} must be >= k_bar={k_bar}", keys=("k_bar",))
@@ -121,47 +124,46 @@ def bound_operator(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int, l_all):
     ks = np.arange(k_lo, k_hi + 1)
     m = scenario.sys.state_dim
     upper = np.triu_indices(m)
+    lower = np.tril_indices(m)
     l_pairs = _symmetrize(np.asarray(l_all, dtype=float))[:, upper[0], upper[1]]
     live = np.flatnonzero(l_pairs.any(axis=0))
     g = np.empty((ks.size, k_bar, m, m))
     g[:, 0] = np.eye(m)
     for tau in range(2, k_bar + 1):
         g[:, tau - 1] = scenario.a_inv_seq[ks - tau + 1] @ g[:, tau - 2]
-    g = g.transpose(1, 2, 0, 3)  # g[tau - 1, b, j, a] = G_tau(k_lo + j)[b, a]
-    g_a, g_d = g[..., upper[0]], g[..., upper[1]]
-    op = np.empty((k_bar, live.size, ks.size, upper[0].size))
+    g = g.transpose(1, 2, 3, 0)  # g[tau - 1, b, a, j] = G_tau(k_lo + j)[b, a]
+    g_d, g_a = g[:, :, lower[1]], g[:, :, lower[0]]
+    op = np.empty((k_bar, live.size, lower[0].size, ks.size))
     for row, (b, c) in enumerate(zip(upper[0][live], upper[1][live])):
-        op[:, row] = g_a[:, b] * g_d[:, c]
+        op[:, row] = g_d[:, b] * g_a[:, c]
         if b != c:
-            op[:, row] += g_a[:, c] * g_d[:, b]
-    return live, op.reshape(k_bar, live.size, -1)
+            op[:, row] += g_d[:, c] * g_a[:, b]
+    return live, op
 
 
 def i_tilde_matrices(operator, betas, l_all) -> np.ndarray:
-    """Full bound matrices for a stack of nodes: (n, K, m, m).
+    """Packed bound matrices for a stack of nodes: (P, K, n), row p holding
+    entry np.tril_indices(m)[p] (the layout of node_info_histories).
 
     Itilde_i(k) = sum_tau betas[i]^{tau-1} G_tau(k)^T l_all[i] G_tau(k) over
     the window of bound_operator. Node i's inputs betas[i]^{tau-1} l_all[i][b, c]
-    (live b <= c) form one row, so a chunk of nodes is one matmul against the
-    shared operator, node-major; each entry (a, d) and its mirror (d, a) are
-    read from the same column, so the bounds are exactly symmetric. l_all must
-    vanish on the pairs the operator has no rows for.
+    (live b <= c) form one column, so a block of nodes is one matmul of the
+    shared operator, transposed, against those columns. l_all must vanish on
+    the pairs the operator has no rows for.
     """
     live, op = operator
     betas = np.asarray(betas, dtype=float)
     l_all = _symmetrize(np.asarray(l_all, dtype=float))
     n, m, _ = l_all.shape
     upper = np.triu_indices(m)
-    n_pairs = upper[0].size
     l_pairs = l_all[:, upper[0], upper[1]]
     if np.delete(l_pairs, live, axis=1).any():
         raise ValueError("l_all is nonzero on a pair the bound operator has no rows for")
-    beta_pow = betas[:, None] ** np.arange(op.shape[0])[None, :]
+    k_bar, n_live, n_pairs, n_pos = op.shape
+    beta_pow = betas[:, None] ** np.arange(k_bar)[None, :]
     inputs = (beta_pow[:, :, None] * l_pairs[:, None, live]).reshape(n, -1)
-    pair = np.empty((m, m), dtype=np.intp)  # column of entry (a, d) among the pairs a <= d
-    pair[upper] = pair[upper[::-1]] = np.arange(n_pairs)
-    out = (inputs @ op.reshape(-1, op.shape[-1])).reshape(n, -1, n_pairs)
-    return np.take(out, pair.ravel(), axis=2).reshape(n, -1, m, m)
+    out = op.reshape(k_bar * n_live, -1).T @ inputs.T
+    return out.reshape(n_pairs, n_pos, n)
 
 
 def warn_pinv_steps(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int):

@@ -41,8 +41,13 @@ def test_node_histories_match_time_update_oracle(m):
     a_inv, q_inv, l_all = problem(n=25, n_steps=80, m=m, seed=m)
     rng = np.random.default_rng(m + 30)
     info0 = np.stack([random_psd(rng, m=m) for _ in range(25)])
-    got = _kernels.node_info_histories(a_inv, q_inv, l_all, info0)
+    got = unpacked_histories(a_inv, q_inv, l_all, info0)
     assert_rel_close(got, oracle_histories(a_inv, q_inv, l_all, info0))
+
+
+def unpacked_histories(a_inv, q_inv, l_all, info0):
+    """node_info_histories as full matrices (n, N+1, m, m)."""
+    return _kernels.unpack(_kernels.node_info_histories(a_inv, q_inv, l_all, info0)).swapaxes(0, 1)
 
 
 def oracle_histories(a_inv, q_inv, l_all, info0):
@@ -77,7 +82,7 @@ def test_soa_node_histories_match_per_node_oracle(seed, m, n, zero_prior):
         l_all[i] = 0.5 * (hr @ h + (hr @ h).T)
     info0 = (np.zeros((n, m, m)) if zero_prior
              else np.stack([random_psd(rng, m=m) for _ in range(n)]))
-    got = _kernels.node_info_histories(a_inv, q_inv, l_all, info0)
+    got = unpacked_histories(a_inv, q_inv, l_all, info0)
     want = oracle_histories(a_inv, q_inv, l_all, info0)
     scale = np.abs(want).max(axis=(2, 3), keepdims=True)
     assert (np.abs(got - want) <= 1e-12 * scale).all()

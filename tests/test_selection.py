@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from dkfsim import _kernels, selection
 from dkfsim.dkf import DkfEngine, Scenario
 from dkfsim.errors import ConfigError, MetricError, NumericError
 from dkfsim.model import LtvSystem, MatrixTable, builtin_system, robust_inverse, transition_matrix
-from dkfsim.reference import delay_steps, gamma_hat, i_tilde
+from dkfsim.reference import delay_steps, gamma_hat, i_tilde, time_update_general
 from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode, sample_network
 from dkfsim.selection import (
     best_report,
@@ -16,7 +17,6 @@ from dkfsim.selection import (
     max_deviation,
     mse,
     mse_raw,
-    _min_eigenvalue,
     _positive_definite,
     settling_index,
     stability_select,
@@ -375,18 +375,27 @@ def test_stability_select_rejects_unresolved_jitter():
         stability_select(Scenario(builtin_system(), net, 50), StabilityParams(k_bar=5))
 
 
+def per_node_history(a_inv, q_inv, l_node):
+    """One node's delay-free posterior information I(k|k), k = 0..N, one step
+    at a time through reference.time_update_general."""
+    m = l_node.shape[0]
+    hist = [l_node]
+    for a_inv_k in a_inv:
+        info, _ = time_update_general(hist[-1], np.zeros(m), a_inv_k, q_inv)
+        hist.append(info + l_node)
+    return np.array(hist)
+
+
 def per_node_admission(sys_, net, params, n_steps):
     """Reference: the per-node admission loop. Returns node id -> (beta, margins),
     one margin per applicable step: the min eig of the delayed information
     minus the scalar i_tilde bound."""
-    m = sys_.state_dim
     a_inv = np.stack([robust_inverse(transition_matrix(sys_, k))[0] for k in range(n_steps)])
     q = sys_.process_noise_cov
     out = {}
     for node in net:
         l_node = node.info_increment()
-        hist = _kernels.node_info_histories(a_inv, np.linalg.inv(q), l_node[None],
-                                            np.zeros((1, m, m)))[0]
+        hist = per_node_history(a_inv, np.linalg.inv(q), l_node)
         if params.beta_hat is not None:
             beta = params.beta_hat
         else:
@@ -438,15 +447,11 @@ def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_s
         assert (row.node_id in selected) == row.selected
 
 
-def test_min_eigenvalue_2x2_matches_eigvalsh():
-    rng = np.random.default_rng(3)
-    mats = rng.standard_normal((4000, 2, 2)) * 10.0 ** rng.uniform(-3, 3, (4000, 1, 1))
-    mats = 0.5 * (mats + mats.swapaxes(1, 2))
-    mats[:5] = [np.zeros((2, 2)), np.eye(2), -np.eye(2), [[1.0, 1.0], [1.0, 1.0]],
-                [[1e-9, 0.0], [0.0, 1e6]]]
-    want = np.linalg.eigvalsh(mats)[:, 0]
-    scale = np.abs(mats).max(axis=(1, 2))
-    assert np.all(np.abs(_min_eigenvalue(mats) - want) <= 1e-14 * scale)
+def pack(mats):
+    """The packed layout _positive_definite reads: lower triangles (P, e) of a
+    stack (e, m, m), in np.tril_indices order."""
+    rows, cols = np.tril_indices(mats.shape[-1])
+    return mats[:, rows, cols].T
 
 
 def spectrum_matrices(rng, m, lam_min, count):
@@ -477,15 +482,16 @@ LAMBDA_MIN = {
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([3, 4, 5]),
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3, 4, 5]),
        kind=st.sampled_from(sorted(LAMBDA_MIN)))
 def test_positive_definite_matches_eigvalsh(seed, m, kind):
-    # the Cholesky bracket decides as eigvalsh does, also within rounding of zero
+    # the Cholesky bracket decides as eigvalsh does, also within rounding of
+    # zero, for every m including 2
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((40, m, m))
     mats = np.concatenate([spectrum_matrices(rng, m, LAMBDA_MIN[kind], 40),
                            noise + noise.swapaxes(1, 2)])
-    assert np.array_equal(_positive_definite(mats), np.linalg.eigvalsh(mats)[:, 0] > 0.0)
+    assert np.array_equal(_positive_definite(pack(mats)), np.linalg.eigvalsh(mats)[:, 0] > 0.0)
 
 
 def test_positive_definite_falls_back_to_eigvalsh_near_zero(monkeypatch):
@@ -500,10 +506,10 @@ def test_positive_definite_falls_back_to_eigvalsh_near_zero(monkeypatch):
         fallback_sizes.append(len(a))
         return eigvalsh(a)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    assert np.array_equal(_positive_definite(np.concatenate([near, clear])), want)
+    assert np.array_equal(_positive_definite(pack(np.concatenate([near, clear]))), want)
     assert fallback_sizes == [len(near)]
     fallback_sizes.clear()
-    _positive_definite(clear)
+    _positive_definite(pack(clear))
     assert fallback_sizes == []
 
 
@@ -519,9 +525,10 @@ def chunk_test_network(rng, m, n_nodes, n_steps, ts):
 
 
 def spy_chunks(monkeypatch, nodes_per_chunk, n_steps, m):
-    """Make stability_select take nodes_per_chunk nodes per chunk; returns the
-    list the chunk sizes it runs are appended to."""
-    monkeypatch.setattr(selection, "STABILITY_CHUNK", nodes_per_chunk * (n_steps + 1) * m * m)
+    """Budget stability_select's chunks at nodes_per_chunk nodes (below 64, so
+    no rounding); returns the list the chunk sizes it runs are appended to."""
+    monkeypatch.setattr(selection, "STABILITY_CHUNK",
+                        nodes_per_chunk * (n_steps + 1) * m * (m + 1) // 2)
     sizes = []
     histories = _kernels.node_info_histories
 
@@ -557,9 +564,50 @@ def test_stability_select_warns_each_pinv_step_once(monkeypatch, caplog):
     sizes = spy_chunks(monkeypatch, 8, n_steps, m)
     with caplog.at_level("WARNING"):
         stability_select(scenario, StabilityParams(k_bar=5))
-    assert sizes == [8, 8, 4]
+    assert sizes == [7, 7, 6]  # the fewest chunks of at most 8, of equal size
     assert [r.message for r in caplog.records if "effectively singular" in r.message] == [
         "i_tilde: A(10) effectively singular, using pseudo-inverse"]
+
+
+def benchmark_shaped_scenario(seed=21):
+    """2000 single-row sensors on a random 5-state plant over N = 200 steps:
+    the shape of the 5-state stability benchmark."""
+    rng = np.random.default_rng(seed)
+    m, n, n_steps = 5, 2000, 200
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    network = SensorNetwork.from_columns(rng.standard_normal((n, 1, m)),
+                                         rng.uniform(0.05, 0.5, size=(n, 1, 1)),
+                                         rng.uniform(0.0, 0.5, size=n), np.zeros(n))
+    return Scenario(sys_, network, n_steps)
+
+
+def test_stability_select_takes_fewest_equal_chunks_of_64_nodes(monkeypatch):
+    # 2000 nodes at 3015 packed entries each: at most 695 nodes per chunk, so
+    # 3 chunks, of 667 nodes rounded up to 704
+    sizes = []
+    histories = _kernels.node_info_histories
+
+    def spy(a_inv_seq, q_inv, l_all, info0):
+        sizes.append(len(l_all))
+        return histories(a_inv_seq, q_inv, l_all, info0)
+    monkeypatch.setattr(_kernels, "node_info_histories", spy)
+    stability_select(benchmark_shaped_scenario(), StabilityParams(k_bar=20, beta_hat=0.9))
+    assert sizes == [704, 704, 592]
+
+
+def test_stability_select_traced_peak_stays_within_chunk_budget():
+    # alive at the peak: one chunk's packed histories (~STABILITY_CHUNK
+    # entries), the bound operator (8.1e5 entries here) and one admission
+    # block's entries, 1.9x in all; unpacked (n, N+1, m, m) histories next to
+    # a whole chunk's bounds reach 2.8x
+    scenario = benchmark_shaped_scenario()
+    tracemalloc.start()
+    try:
+        stability_select(scenario, StabilityParams(k_bar=20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * selection.STABILITY_CHUNK * 8
 
 
 def test_three_state_system_end_to_end():

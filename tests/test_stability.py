@@ -6,7 +6,7 @@ from dkfsim import _kernels
 from dkfsim.dkf import Scenario, _symmetrize
 from dkfsim.errors import ConfigError
 from dkfsim.model import builtin_system, transition_matrix
-from dkfsim.reference import beta_hat, gamma_hat, i_tilde, psi
+from dkfsim.reference import beta_hat, gamma_hat, i_tilde, psi, time_update_general
 from dkfsim.sensing import SensorNetwork, SensorNode
 from dkfsim.stability import (
     StabilityParams,
@@ -232,12 +232,12 @@ def test_i_tilde_matrices_consistent_with_direct():
     rng = np.random.default_rng(16)
     l_all = np.stack([random_psd(rng) for _ in range(3)])
     betas = np.array([0.2, 0.5, 0.9])
-    mats = i_tilde_matrices(bound_operator(Scenario(sys_, None, 45), 30, 45, 5, l_all), betas,
-                            l_all)
+    mats = _kernels.unpack(i_tilde_matrices(bound_operator(Scenario(sys_, None, 45), 30, 45, 5,
+                                                           l_all), betas, l_all))
     for i in range(3):
         for pos, k in enumerate(range(30, 46)):
             np.testing.assert_allclose(
-                mats[i, pos], i_tilde(k, 5, betas[i], sys_, l_all[i]), atol=1e-11
+                mats[pos, i], i_tilde(k, 5, betas[i], sys_, l_all[i]), atol=1e-11
             )
 
 
@@ -254,13 +254,12 @@ def test_i_tilde_matrices_match_reference_multi_row(m):
     network = SensorNetwork.from_columns(h, r, np.zeros(n), np.zeros(n))
     scenario = Scenario(sys_, network, n_steps)
     betas = rng.uniform(0.3, 1.0, size=n)
-    mats = i_tilde_matrices(bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all),
-                            betas, scenario.l_all)
-    assert np.array_equal(mats, mats.swapaxes(-1, -2))
+    mats = _kernels.unpack(i_tilde_matrices(
+        bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all), betas, scenario.l_all))
     for i in range(n):
         for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
             want = i_tilde(k, k_bar, betas[i], sys_, scenario.l_all[i])
-            assert np.abs(mats[i, pos] - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(mats[pos, i] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_bound_operator_built_once_equals_per_chunk():
@@ -280,8 +279,10 @@ def test_bound_operator_built_once_equals_per_chunk():
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_histories_and_bounds_are_exactly_symmetric(m):
-    # stability_select compares them without symmetrizing: the histories are
-    # 0.5 (p + p^T) + l with l symmetric, the bounds mirror one column
+    # the packed layout keeps the lower triangle in np.tril_indices order and
+    # drops the upper one, which stability_select and the eigvalsh fallback
+    # restore by mirroring: each packed entry must match both the (a, d) and
+    # the (d, a) entry of the full-matrix references
     rng = np.random.default_rng(60 + m)
     n, n_steps, k_bar = 12, 40, 6
     sys_ = random_system(rng, m=m, n_steps=n_steps)
@@ -289,12 +290,26 @@ def test_histories_and_bounds_are_exactly_symmetric(m):
     r = np.stack([random_psd(rng) + 0.1 * np.eye(2) for _ in range(n)])
     network = SensorNetwork.from_columns(h, r, np.zeros(n), np.zeros(n))
     scenario = Scenario(sys_, network, n_steps)
+    rows, cols = np.tril_indices(m)
     hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, scenario.l_all,
                                         np.zeros((n, m, m)))
-    assert np.array_equal(hist, hist.swapaxes(-1, -2))
+    betas = rng.uniform(0.3, 1.0, size=n)
     bounds = i_tilde_matrices(bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all),
-                              rng.uniform(0.3, 1.0, size=n), scenario.l_all)
-    assert np.array_equal(bounds, bounds.swapaxes(-1, -2))
+                              betas, scenario.l_all)
+    for i in range(n):
+        info = scenario.l_all[i]
+        for k in range(n_steps + 1):
+            if k:
+                info = time_update_general(info, np.zeros(m), scenario.a_inv_seq[k - 1],
+                                           scenario.q_inv)[0] + scenario.l_all[i]
+            scale = np.abs(info).max()
+            assert np.abs(hist[:, k, i] - info[rows, cols]).max() <= 1e-12 * scale
+            assert np.abs(hist[:, k, i] - info[cols, rows]).max() <= 1e-12 * scale
+        for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
+            want = i_tilde(k, k_bar, betas[i], sys_, scenario.l_all[i])
+            scale = np.abs(want).max()
+            assert np.abs(bounds[:, pos, i] - want[rows, cols]).max() <= 1e-12 * scale
+            assert np.abs(bounds[:, pos, i] - want[cols, rows]).max() <= 1e-12 * scale
 
 
 def test_pruned_bounds_match_reference_with_one_live_off_diagonal_pair():
@@ -313,11 +328,11 @@ def test_pruned_bounds_match_reference_with_one_live_off_diagonal_pair():
     upper = np.triu_indices(m)
     assert [(upper[0][p], upper[1][p]) for p in live] == [(0, 0), (0, 2), (1, 1), (2, 2), (3, 3)]
     betas = rng.uniform(0.3, 1.0, size=n)
-    mats = i_tilde_matrices(operator, betas, scenario.l_all)
+    mats = _kernels.unpack(i_tilde_matrices(operator, betas, scenario.l_all))
     for i in range(n):
         for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
             want = i_tilde(k, k_bar, betas[i], sys_, scenario.l_all[i])
-            assert np.abs(mats[i, pos] - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(mats[pos, i] - want).max() <= 1e-12 * np.abs(want).max()
     # without the one node that measures (0, 2), a chunk's operator has no
     # row for it, and handing it that node is refused
     basis = bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all[:-1])
@@ -333,11 +348,12 @@ def test_i_tilde_window_must_fit_the_scenario():
 
 @pytest.mark.parametrize("chunk", [64, 128])
 def test_i_tilde_matrices_chunks_equal_whole_network_rows(chunk):
-    # stability_select bounds node chunks of 64-node multiples and relies on
-    # them equaling the whole network's rows to the bit; every chunk is one
-    # matmul against the same operator, so this rests on the BLAS giving a
-    # matmul's leading rows the same bits at any row count. A BLAS that breaks it fails here, not as a rare
-    # flipped admission decision.
+    # stability_select bounds node blocks of 64-node multiples (128 and 64
+    # nodes at m=5, N=200) and relies on them equaling the whole network's
+    # columns to the bit; every block is one matmul against the same
+    # operator, so this rests on the BLAS giving a matmul's leading columns the
+    # same bits at any column count. A BLAS that breaks it fails here, not as a
+    # rare flipped admission decision.
     rng = np.random.default_rng(512)
     m, n, n_steps, k_bar = 5, 512, 60, 20
     sys_ = random_system(rng, m=m, n_steps=n_steps)
@@ -352,7 +368,7 @@ def test_i_tilde_matrices_chunks_equal_whole_network_rows(chunk):
     for lo in range(0, n, chunk):
         part = slice(lo, lo + chunk)
         got = i_tilde_matrices(operator, betas[part], scenario.l_all[part])
-        assert np.array_equal(got, whole[part]), f"nodes {lo}..{lo + chunk - 1}"
+        assert np.array_equal(got, whole[..., part]), f"nodes {lo}..{lo + chunk - 1}"
 
 
 # ---------------------------------------------------------------------------
