@@ -12,7 +12,6 @@ from .dkf import DkfEngine, Scenario
 from .harness import MonteCarloSummary, derive_seed, export_csv, monte_carlo, run_experiment
 from .model import (
     LtvSystem,
-    Trajectory,
     builtin_system,
     is_effectively_singular,
     simulate,
@@ -35,9 +34,9 @@ __version__ = "0.1.0"
 __all__ = [
     "DelaySpec", "DkfEngine", "ExperimentConfig", "LtvSystem", "MonteCarloSummary",
     "Scenario", "SelectionReport", "SensorNetwork", "SensorNode", "StabilityParams",
-    "StructuralMatrix", "Trajectory", "backend_name", "builtin_system", "derive_seed",
-    "export_csv", "greedy_select", "is_effectively_singular", "is_structurally_observable",
-    "load_config", "max_deviation", "monte_carlo", "mse", "resolve_delays", "run_experiment",
+    "StructuralMatrix", "backend_name", "builtin_system", "derive_seed", "export_csv",
+    "greedy_select", "is_effectively_singular", "is_structurally_observable", "load_config",
+    "max_deviation", "monte_carlo", "mse", "resolve_delays", "run_experiment",
     "sample_network", "settling_index", "simulate", "stability_select", "structure_of",
     "transition_matrix",
 ]

@@ -49,14 +49,15 @@ def _predict(info, a_inv, q_inv):
     return 0.5 * (pred + pred.swapaxes(-1, -2)), d
 
 
-def node_info_histories(a_inv_seq, q_inv, l_all, info0):
+def node_info_histories(a_inv_seq, q_inv, l_all):
     """Posterior information histories I_i(k|k) for every node, k = 0..N, packed.
 
     a_inv_seq: (N, m, m) inverses of A(0..N-1); q_inv: (m, m);
-    l_all: (n, m, m) per-node H^T R^{-1} H; info0: (n, m, m) priors I_i(0|-1).
+    l_all: (n, m, m) per-node H^T R^{-1} H. Every node starts from zero prior
+    information, so I_i(0|0) = l_all[i].
     Returns (P, N+1, n): row p holds entry np.tril_indices(m)[p] of every
     node's matrix at every step. The matrices are exactly symmetric when l_all
-    and info0 are, so the lower triangle is all of them.
+    is, so the lower triangle is all of them.
 
     The information of all nodes is one (m, m, n) stack, node axis last, so
     every operation below acts on whole (n,) rows: M = Ainv^T I Ainv is two
@@ -71,7 +72,7 @@ def node_info_histories(a_inv_seq, q_inv, l_all, info0):
     hist = np.empty((lower.size, n_steps + 1, n))
     l_soa = np.ascontiguousarray(l_all.transpose(1, 2, 0))
     # every step reuses these buffers: info, Ainv^T I, [S | M] and the prediction
-    info = np.ascontiguousarray(info0.transpose(1, 2, 0) + l_soa)
+    info = l_soa.copy()
     half = np.empty((m, m * n))
     aug = np.empty((m, 2 * m, n))
     pred = np.empty((m, m * n))

@@ -17,7 +17,10 @@ from .model import LtvSystem, robust_inverse, simulate, transition_sequence
 from .model import transition_matrix  # noqa: F401 - per-layer tracing wraps this name
 from .sensing import SensorNetwork, row_groups
 
-NOISE_BLOCK = 256  # nodes per measurement-noise draw in DkfEngine
+# nodes per measurement-noise draw in DkfEngine. One draw for the whole network
+# gives the same bits but holds all of its noise and gathered blocks at once:
+# on configs/benchmark.cfg in greedy mode it raised peak RSS from 55 to 72 MB
+NOISE_BLOCK = 256
 
 
 def _symmetrize(a):
@@ -106,7 +109,7 @@ class DkfEngine:
         self.truth = simulate(sys, n_steps, rng)
         n_out = n_steps + 1
         n = len(network)
-        states_t = self.truth.states.T
+        states_t = self.truth.T
         # node i's measurements are measurements[i, :, :p_i], zero past its rows
         self.measurements = np.zeros((n, n_out, network.h.shape[1]))
         self.div_all = np.empty((n, n_out, m))

@@ -148,7 +148,7 @@ def _metrics_report(engine: DkfEngine, subset, xhat, band: float) -> SelectionRe
 
 
 def _write_trace(engine: DkfEngine, info_hist, xhat, path: Path):
-    return export_csv(trace_records(engine.truth.states, xhat, info_hist), path)
+    return export_csv(trace_records(engine.truth, xhat, info_hist), path)
 
 
 def greedy_records(reports) -> list:

@@ -108,24 +108,6 @@ class LtvSystem:
         self._chol_q = np.linalg.cholesky(q)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """State sequence x(0..N), stored as an (N+1, m) array."""
-
-    states: np.ndarray
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
-        if states.ndim != 2:
-            raise ConfigError("trajectory states must be a 2-d array")
-        if not np.all(np.isfinite(states)):
-            raise DivergenceError("trajectory contains non-finite states")
-        object.__setattr__(self, "states", states)
-
-    def __len__(self):
-        return self.states.shape[0]
-
-
 def transition_matrix(sys: LtvSystem, k: int) -> np.ndarray:
     """A(k) for step k >= 0."""
     if k < 0:
@@ -138,8 +120,9 @@ def transition_sequence(sys: LtvSystem, n_steps: int) -> np.ndarray:
     return np.stack([transition_matrix(sys, k) for k in range(n_steps)])
 
 
-def simulate(sys: LtvSystem, n_steps: int, rng: np.random.Generator) -> Trajectory:
-    """Propagate the plant for n_steps with w(k) ~ N(0, Q) drawn from rng."""
+def simulate(sys: LtvSystem, n_steps: int, rng: np.random.Generator) -> np.ndarray:
+    """Propagate the plant for n_steps with w(k) ~ N(0, Q) drawn from rng;
+    returns the states x(0..N) as an (N+1, m) array."""
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1", keys=("horizon",))
     m = sys.state_dim
@@ -150,7 +133,7 @@ def simulate(sys: LtvSystem, n_steps: int, rng: np.random.Generator) -> Trajecto
         states[k + 1] = transition_matrix(sys, k) @ states[k] + noise[k]
         if not np.all(np.isfinite(states[k + 1])):
             raise DivergenceError(f"state diverged at step {k + 1}", step=k + 1)
-    return Trajectory(states)
+    return states
 
 
 def is_effectively_singular(a, tol: float | None = None) -> bool:

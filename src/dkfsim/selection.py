@@ -13,7 +13,7 @@ import numpy as np
 
 from .dkf import DkfEngine, Scenario
 from .errors import ConfigError, DivergenceError, MetricError
-from .model import Trajectory, robust_inverse  # noqa: F401 - per-layer tracing wraps this name
+from .model import robust_inverse  # noqa: F401 - per-layer tracing wraps this name
 from .stability import (
     StabilityParams,
     _require_network,
@@ -57,10 +57,6 @@ class SelectionReport:
         return not math.isnan(self.mse)
 
 
-def _states(traj):
-    return traj.states if isinstance(traj, Trajectory) else np.asarray(traj, dtype=float)
-
-
 def settling_index(traj, band: float = SETTLE_BAND) -> int:
     """First step after which every state stays within band of its final value.
 
@@ -68,7 +64,7 @@ def settling_index(traj, band: float = SETTLE_BAND) -> int:
     band * max(|final|, max|x|) per state, the max-|x| floor guarding
     trajectories that decay to zero. Never settling returns N/2, flagged.
     """
-    states = _states(traj)
+    states = np.asarray(traj, dtype=float)
     if states.shape[0] < 1:
         raise MetricError("empty trajectory")
     if not (0.0 < band < 1.0):
@@ -100,8 +96,8 @@ def mse_raw(x_hat, x, from_index: int = 0) -> float:
 
 
 def _mse(x_hat, x, from_index, normalize):
-    a = _states(x_hat)
-    b = _states(x)
+    a = np.asarray(x_hat, dtype=float)
+    b = np.asarray(x, dtype=float)
     if a.shape != b.shape:
         raise MetricError(f"trajectory shapes differ: {a.shape} vs {b.shape}")
     if not (0 <= from_index < a.shape[0]):
@@ -113,8 +109,8 @@ def _mse(x_hat, x, from_index, normalize):
 
 def max_deviation(x_hat, x) -> float:
     """max |xhat - x| over steps and components, divided by max |x|."""
-    a = _states(x_hat)
-    b = _states(x)
+    a = np.asarray(x_hat, dtype=float)
+    b = np.asarray(x, dtype=float)
     if a.shape != b.shape:
         raise MetricError(f"trajectory shapes differ: {a.shape} vs {b.shape}")
     denom = float(np.abs(b).max())
@@ -360,11 +356,10 @@ def _max_trace_matrices(hist) -> np.ndarray:
 def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, terms, block, l_all, d,
                  first, ct_exp):
     """(beta-hat, steps passed) for one chunk of nodes of stability_select."""
-    n, m, _ = l_all.shape
+    n = l_all.shape[0]
     k_bar = params.k_bar
     # delay-free per-node information histories (the local IF recursions), packed
-    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, l_all,
-                                        np.zeros((n, m, m)))
+    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, l_all)
     n_pairs, n_out, _ = hist.shape
     if params.beta_hat is not None:
         betas = np.full(n, params.beta_hat)

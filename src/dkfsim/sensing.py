@@ -83,10 +83,6 @@ class SensorNode:
     def state_dim(self) -> int:
         return self.h.shape[1]
 
-    def info_increment(self) -> np.ndarray:
-        """H^T R^{-1} H, the per-update information added by this node."""
-        return self.h.T @ np.linalg.solve(self.r, self.h)
-
 
 class SensorNetwork:
     """Nodes with ids 1..n, stored as columns.
@@ -94,8 +90,8 @@ class SensorNetwork:
     h (n, p, m), r (n, p, p), base and jitter (n,) delay seconds, rows (n,):
     node i+1 measures rows[i] <= p rows, and h and r are zero past them. The
     columns are read-only. SensorNetwork(nodes) builds the columns from
-    SensorNode objects; from_columns builds a network without them.
-    Iteration, node() and nodes give the per-node SensorNode views.
+    SensorNode objects; from_columns builds a network without them. Node i+1
+    is h[i, :rows[i]], r[i, :rows[i], :rows[i]], base[i] and jitter[i].
     """
 
     def __init__(self, nodes=()):
@@ -117,7 +113,6 @@ class SensorNetwork:
             r[i, : rows[i], : rows[i]] = node.r
         self._set_columns(h, r, [node.delay.base for node in nodes],
                           [node.delay.jitter_std for node in nodes], rows)
-        self.__dict__["nodes"] = nodes
 
     @classmethod
     def from_columns(cls, h, r, base, jitter, rows=None) -> SensorNetwork:
@@ -150,25 +145,9 @@ class SensorNetwork:
     def __len__(self):
         return self.h.shape[0]
 
-    def __iter__(self):
-        return iter(self.nodes)
-
-    @cached_property
-    def nodes(self) -> tuple:
-        """SensorNode view of every node, in id order."""
-        return tuple(
-            SensorNode(id=i + 1, h=self.h[i, :q], r=self.r[i, :q, :q],
-                       delay=DelaySpec(base=float(self.base[i]),
-                                       jitter_std=float(self.jitter[i])))
-            for i, q in enumerate(self.rows)
-        )
-
     @property
     def state_dim(self) -> int:
         return self.h.shape[2]
-
-    def node(self, node_id: int) -> SensorNode:
-        return self.nodes[node_id - 1]
 
     def ids(self) -> list[int]:
         return list(range(1, len(self) + 1))
@@ -288,16 +267,3 @@ def load_network(path, state_dim: int = 2) -> SensorNetwork:
     if ids != network.ids():
         raise ConfigError("node ids must be contiguous 1..n in order")
     return network
-
-
-def save_network(network: SensorNetwork, path) -> None:
-    """Write the single-row network file format read by load_network."""
-    if (network.rows != 1).any():
-        raise ConfigError("network file format supports single-row sensors only")
-    row_idx = np.argmax(np.abs(network.h[:, 0]), axis=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(network)):
-            fh.write(
-                f"{i + 1} {row_idx[i]} {network.r[i, 0, 0]:.17g} "
-                f"{network.base[i]:.17g} {network.jitter[i]:.17g}\n"
-            )

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .dkf import Scenario, _symmetrize
 from .errors import ConfigError
 from .model import robust_inverse, transition_matrix  # noqa: F401 - per-layer tracing wraps these names
@@ -27,8 +26,8 @@ PRUNE_MARGIN = 1e-10  # relative slack under which _gamma_max_pruned drops a noi
 class StabilityParams:
     """Inputs for the bound: window length, regularization, contraction.
 
-    beta_hat=None selects the per-node contraction mode, in which each node's
-    beta is derived from its own delay-free information history.
+    beta_hat=None, the paper's selection, derives each node's beta from its
+    own delay-free information history; a number fixes one beta for every node.
     """
 
     k_bar: int = DEFAULT_K_BAR
@@ -174,45 +173,19 @@ def warn_pinv_steps(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int):
             log.warning("i_tilde: A(%d) effectively singular, using pseudo-inverse", j)
 
 
-def estimate_info_bound(scenario: Scenario) -> np.ndarray:
-    """Pilot delay-free pass: uniform bound on the fused information sequence.
-
-    Runs the fused information recursion with every node of the scenario
-    delivering at delay 0 (measurements do not enter the information flow)
-    and returns the max-trace I(k|k), symmetrized.
-    """
-    _require_network(scenario)
-    m = scenario.sys.state_dim
-    n_out = scenario.n_steps + 1
-    info_inc = np.broadcast_to(scenario.l_all.sum(axis=0), (1, n_out, m, m)).copy()
-    info_hist, _ = _kernels.fused_info_recursion(
-        scenario.a_inv_seq, scenario.q_inv, info_inc, np.zeros((1, n_out, m)),
-        np.zeros((m, m)), np.zeros(m),
-    )
-    info_hist = info_hist[0]
-    traces = np.trace(info_hist, axis1=1, axis2=2)
-    return _symmetrize(info_hist[int(np.argmax(traces))])
-
-
 def compute_params(
     scenario: Scenario,
     k_bar: int = DEFAULT_K_BAR,
     alpha: float = DEFAULT_ALPHA,
     beta_hat_override: float | None = None,
-    per_node: bool = True,
 ) -> StabilityParams:
     """StabilityParams for a prepared scenario (plant, network and horizon).
 
-    per_node=True leaves beta_hat unset so the selection derives one
-    contraction per node from that node's own information history; this is the
-    discriminating variant. per_node=False computes a single global beta_hat
-    from the fused pilot bound (estimate_info_bound), the only case that runs
-    the pilot pass. beta_hat_override fixes beta_hat and skips both.
+    Without beta_hat_override, beta_hat stays unset and the selection derives
+    one contraction per node from that node's own information history; the
+    override fixes one beta_hat for every node. The scenario goes unread; the
+    function stays as the one call through which the harness makes the
+    parameters, which perfbench times as its stability.compute_params site.
     """
-    if beta_hat_override is not None:
-        beta = float(beta_hat_override)
-    elif per_node:
-        beta = None
-    else:
-        beta = float(beta_hat_batch(scenario, estimate_info_bound(scenario)[None], alpha)[0])
+    beta = None if beta_hat_override is None else float(beta_hat_override)
     return StabilityParams(k_bar=k_bar, alpha=alpha, beta_hat=beta)

@@ -84,8 +84,8 @@ def test_criterion_02_zero_delay_fusion_equivalence():
         eng = DkfEngine(sys_, net, 200, np.random.default_rng(400 + n),
                         info0=np.linalg.inv(p0), x0_hat=np.array([1.0, 1.0]))
         _, _, xhat, _ = eng.fused_run(net.ids())
-        h_st = np.vstack([node.h for node in net])
-        r_bd = sla.block_diag(*[node.r for node in net])
+        h_st = np.vstack([node.h for node in nodes])
+        r_bd = sla.block_diag(*[node.r for node in nodes])
         z_st = np.hstack(eng.measurements)
         xs, _ = kf_covariance_form(sys_, h_st, r_bd, z_st, 200,
                                    x0_hat=np.array([1.0, 1.0]), p0=p0)
@@ -150,14 +150,14 @@ def test_criterion_05_empirical_error_covariance_floor():
     n_steps, k_bar = 200, 20
     node = single_row_node(1, 1, 0.01)  # zero delay, low noise
     net = SensorNetwork((node,))
-    l_node = node.info_increment()
+    l_node = node.h.T @ np.linalg.solve(node.r, node.h)
 
     a_inv_seq = np.ascontiguousarray(
         [robust_inverse(a)[0] for a in transition_sequence(sys_, n_steps)]
     )
     q_inv = np.linalg.inv(sys_.process_noise_cov)
     hist = _kernels.unpack(
-        _kernels.node_info_histories(a_inv_seq, q_inv, l_node[None], np.zeros((1, 2, 2))))[:, 0]
+        _kernels.node_info_histories(a_inv_seq, q_inv, l_node[None]))[:, 0]
     peak = int(np.argmax(np.trace(hist, axis1=1, axis2=2)))
     i_bound = 0.5 * (hist[peak] + hist[peak].T)
     beta = beta_hat(sys_, n_steps, i_bound, alpha=1e-6)
@@ -169,7 +169,7 @@ def test_criterion_05_empirical_error_covariance_floor():
     for run in range(100):
         eng = DkfEngine(sys_, net, n_steps, np.random.default_rng(700 + run))
         _, _, xhat, _ = eng.fused_run([1])
-        e = eng.truth.states[n_steps] - xhat[n_steps]
+        e = eng.truth[n_steps] - xhat[n_steps]
         errors.append(np.outer(e, e))
     emp_trace = float(np.trace(np.mean(errors, axis=0)))
     bound_trace = float(np.trace(np.linalg.inv(bound_matrix)))

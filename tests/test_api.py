@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import dkfsim
+from dkfsim import harness
+from dkfsim.config import ExperimentConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -32,6 +34,26 @@ def test_traced_sites_exist(monkeypatch):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in sites if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_traced_hooks_read_real_results(monkeypatch, tmp_path):
+    # the hooks read what the wrapped calls return (greedy_select's reports,
+    # the stability rows' ct_exp, the engine's a_pinv_steps, fused_run's
+    # flags): a small mode=all experiment and a one-run Monte Carlo under the
+    # tracer must raise nothing and reach every site each workload expects
+    spans = load_spans(monkeypatch)
+    cfg = ExperimentConfig(seed=3, n_sensors=60, horizon=80, iterations=15, k_bar=10,
+                           mode="all", out=str(tmp_path))
+    tracer = spans.Tracer()
+    with tracer.installed():
+        harness.run_experiment(cfg, out_dir=tmp_path / "all")
+        summary = harness.monte_carlo(cfg, runs=1, out_dir=tmp_path / "mc")
+    assert summary.failed_runs == []
+    assert {w: spans.missing_sites(tracer, w) for w in spans.EXPECTED_SITES} == {
+        w: [] for w in spans.EXPECTED_SITES}
+    assert tracer.counts["selection.greedy.iterations"] == 15
+    assert tracer.counts["selection.applicable"] > 0
+    assert None not in spans.layer_metrics(tracer).values()
 
 
 def imports_reference(tree) -> bool:

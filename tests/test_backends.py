@@ -39,23 +39,22 @@ def assert_rel_close(a, b, rel=1e-12):
 def test_node_histories_match_time_update_oracle(m):
     # the kernel against one node at a time through reference.time_update_general
     a_inv, q_inv, l_all = problem(n=25, n_steps=80, m=m, seed=m)
-    rng = np.random.default_rng(m + 30)
-    info0 = np.stack([random_psd(rng, m=m) for _ in range(25)])
-    got = unpacked_histories(a_inv, q_inv, l_all, info0)
-    assert_rel_close(got, oracle_histories(a_inv, q_inv, l_all, info0))
+    got = unpacked_histories(a_inv, q_inv, l_all)
+    assert_rel_close(got, oracle_histories(a_inv, q_inv, l_all))
 
 
-def unpacked_histories(a_inv, q_inv, l_all, info0):
+def unpacked_histories(a_inv, q_inv, l_all):
     """node_info_histories as full matrices (n, N+1, m, m)."""
-    return _kernels.unpack(_kernels.node_info_histories(a_inv, q_inv, l_all, info0)).swapaxes(0, 1)
+    return _kernels.unpack(_kernels.node_info_histories(a_inv, q_inv, l_all)).swapaxes(0, 1)
 
 
-def oracle_histories(a_inv, q_inv, l_all, info0):
-    """node_info_histories one node and one step at a time through time_update_general."""
+def oracle_histories(a_inv, q_inv, l_all):
+    """node_info_histories one node and one step at a time through
+    time_update_general, from zero prior information."""
     n, m, _ = l_all.shape
     want = np.empty((n, a_inv.shape[0] + 1, m, m))
     for i, l_i in enumerate(l_all):
-        info = info0[i] + l_i
+        info = l_i
         want[i, 0] = info
         for k, a_inv_k in enumerate(a_inv):
             info, _ = time_update_general(info, np.zeros(m), a_inv_k, q_inv)
@@ -65,11 +64,10 @@ def oracle_histories(a_inv, q_inv, l_all, info0):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), n=st.integers(1, 12),
-       zero_prior=st.booleans())
-def test_soa_node_histories_match_per_node_oracle(seed, m, n, zero_prior):
-    # random plants, zero or random PSD priors, and multi-row sensors with fewer
-    # rows than states, so every l_i is rank deficient and not diagonal
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), n=st.integers(1, 12))
+def test_soa_node_histories_match_per_node_oracle(seed, m, n):
+    # random plants and multi-row sensors with fewer rows than states, so
+    # every l_i is rank deficient and not diagonal
     rng = np.random.default_rng(seed)
     sys_ = random_system(rng, m=m, n_steps=40)
     a_inv = np.ascontiguousarray([robust_inverse(a)[0] for a in transition_sequence(sys_, 40)])
@@ -80,9 +78,7 @@ def test_soa_node_histories_match_per_node_oracle(seed, m, n, zero_prior):
         r = random_psd(rng, m=h.shape[0]) + 0.1 * np.eye(h.shape[0])
         hr = h.T @ np.linalg.inv(r)
         l_all[i] = 0.5 * (hr @ h + (hr @ h).T)
-    info0 = (np.zeros((n, m, m)) if zero_prior
-             else np.stack([random_psd(rng, m=m) for _ in range(n)]))
-    got = unpacked_histories(a_inv, q_inv, l_all, info0)
-    want = oracle_histories(a_inv, q_inv, l_all, info0)
+    got = unpacked_histories(a_inv, q_inv, l_all)
+    want = oracle_histories(a_inv, q_inv, l_all)
     scale = np.abs(want).max(axis=(2, 3), keepdims=True)
     assert (np.abs(got - want) <= 1e-12 * scale).all()

@@ -116,7 +116,7 @@ def test_make_network_from_file(tmp_path):
     cfg = small_cfg(network_file=str(net_file))
     net = make_network(cfg, np.random.default_rng(0))
     assert len(net) == 2
-    assert net.node(2).delay.base == 0.0
+    np.testing.assert_array_equal(net.base, [0.5, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,9 @@ def test_run_experiment_runs_each_subset_once(tmp_path, monkeypatch):
     monkeypatch.setattr(DkfEngine, "fused_runs", counting)
     res = run_experiment(small_cfg(mode="all"), out_dir=tmp_path)
     assert res.selected_nodes["stability"]
-    # fixed subset, the whole greedy sweep, the greedy best trace, the stability subset
+    # fixed subset, the whole greedy sweep, the greedy best trace, the stability subset;
+    # the third batch re-runs the sweep's best subset only to write
+    # trace_greedy_best.csv (the sweep's own row for it is not kept)
     assert len(batch_sizes) == 4
     assert batch_sizes[0] == batch_sizes[2] == batch_sizes[3] == 1
     with open(tmp_path / "greedy_report.csv", newline="") as fh:

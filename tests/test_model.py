@@ -63,21 +63,21 @@ def test_simulate_identity_no_noise_keeps_state(zero_rng):
         sample_time=0.01,
     )
     traj = simulate(sys_, 10, zero_rng)
-    np.testing.assert_allclose(traj.states, np.ones((11, 2)), atol=1e-15)
+    np.testing.assert_allclose(traj, np.ones((11, 2)), atol=1e-15)
 
 
 def test_simulate_one_step_hand_product(zero_rng):
     # x(1) = A(0) [1, 1] = [0.75, 1.25] with noise stubbed to zero
     sys_ = builtin_system(q_scale=0.1)
     traj = simulate(sys_, 1, zero_rng)
-    np.testing.assert_allclose(traj.states[1], [0.75, 1.25], atol=1e-15)
+    np.testing.assert_allclose(traj[1], [0.75, 1.25], atol=1e-15)
 
 
 def test_simulate_deterministic_given_seed():
     sys_ = builtin_system()
     t1 = simulate(sys_, 50, np.random.default_rng(123))
     t2 = simulate(sys_, 50, np.random.default_rng(123))
-    np.testing.assert_array_equal(t1.states, t2.states)
+    np.testing.assert_array_equal(t1, t2)
 
 
 def test_simulate_length_matches_horizon():

@@ -176,8 +176,10 @@ def test_greedy_shares_one_realization():
         assert r.md == full[0].md
 
 
-def per_iteration_sweep(engine, network, iterations, r_max, tau_max):
-    """The sweep as one engine.fused_run per non-empty iteration (reference).
+def per_iteration_sweep(engine, nodes, iterations, r_max, tau_max):
+    """The sweep as one engine.fused_run per non-empty iteration (reference),
+    with thresholds read from the SensorNode objects the engine's network was
+    built from.
 
     Returns (nodes, thresholds, mse, md, mse_raw) per iteration.
     """
@@ -186,7 +188,7 @@ def per_iteration_sweep(engine, network, iterations, r_max, tau_max):
     for it in range(1, iterations + 1):
         r0 = r_max * (1.0 - (it - 1) / iterations)
         tau0 = tau_max * (1.0 - (it - 1) / iterations)
-        chosen = [node.id for node in network
+        chosen = [node.id for node in nodes
                   if np.linalg.eigvalsh(node.r).max() <= r0 and node.delay.base <= tau0]
         if not chosen:
             out.append((frozenset(), (r0, tau0), math.nan, math.nan, math.nan))
@@ -224,7 +226,7 @@ def test_greedy_batched_matches_per_iteration_runs():
     reports = greedy_select(engine, 10, 0.5, 2.0)
     assert not reports[-1].ran and reports[0].n_selected == 10
     assert any(9 in r.nodes for r in reports) and 10 in reports[0].nodes
-    assert_sweep_matches(reports, per_iteration_sweep(engine, net, 10, 0.5, 2.0))
+    assert_sweep_matches(reports, per_iteration_sweep(engine, nodes, 10, 0.5, 2.0))
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,7 +250,7 @@ def test_greedy_batched_matches_per_iteration_property(seed, m, n_nodes, iterati
     tau_max = float(rng.uniform(0.05, 1.5 * n_steps * sys_.sample_time))
     engine = DkfEngine(sys_, net, n_steps, rng)
     reports = greedy_select(engine, iterations, r_max, tau_max)
-    assert_sweep_matches(reports, per_iteration_sweep(engine, net, iterations, r_max, tau_max))
+    assert_sweep_matches(reports, per_iteration_sweep(engine, nodes, iterations, r_max, tau_max))
 
 
 def test_greedy_non_finite_names_iteration_and_step(monkeypatch):
@@ -386,15 +388,15 @@ def per_node_history(a_inv, q_inv, l_node):
     return np.array(hist)
 
 
-def per_node_admission(sys_, net, params, n_steps):
-    """Reference: the per-node admission loop. Returns node id -> (beta, margins),
-    one margin per applicable step: the min eig of the delayed information
-    minus the scalar i_tilde bound."""
+def per_node_admission(sys_, nodes, params, n_steps):
+    """Reference: the per-node admission loop over the network's SensorNode
+    objects. Returns node id -> (beta, margins), one margin per applicable step:
+    the min eig of the delayed information minus the scalar i_tilde bound."""
     a_inv = np.stack([robust_inverse(transition_matrix(sys_, k))[0] for k in range(n_steps)])
     q = sys_.process_noise_cov
     out = {}
-    for node in net:
-        l_node = node.info_increment()
+    for node in nodes:
+        l_node = node.h.T @ np.linalg.solve(node.r, node.h)
         hist = per_node_history(a_inv, np.linalg.inv(q), l_node)
         if params.beta_hat is not None:
             beta = params.beta_hat
@@ -435,7 +437,7 @@ def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_s
     params = StabilityParams(k_bar=k_bar, beta_hat=float(rng.uniform(0.5, 1.0)) if fixed_beta
                              else None)
     selected, rows = stability_select(Scenario(sys_, net, n_steps), params)
-    reference = per_node_admission(sys_, net, params, n_steps)
+    reference = per_node_admission(sys_, nodes, params, n_steps)
     for row in rows:
         beta, margins = reference[row.node_id]
         assert row.beta_hat == pytest.approx(beta, rel=1e-9)
@@ -532,9 +534,9 @@ def spy_chunks(monkeypatch, nodes_per_chunk, n_steps, m):
     sizes = []
     histories = _kernels.node_info_histories
 
-    def spy(a_inv_seq, q_inv, l_all, info0):
+    def spy(a_inv_seq, q_inv, l_all):
         sizes.append(len(l_all))
-        return histories(a_inv_seq, q_inv, l_all, info0)
+        return histories(a_inv_seq, q_inv, l_all)
     monkeypatch.setattr(_kernels, "node_info_histories", spy)
     return sizes
 
@@ -587,9 +589,9 @@ def test_stability_select_takes_fewest_equal_chunks_of_64_nodes(monkeypatch):
     sizes = []
     histories = _kernels.node_info_histories
 
-    def spy(a_inv_seq, q_inv, l_all, info0):
+    def spy(a_inv_seq, q_inv, l_all):
         sizes.append(len(l_all))
-        return histories(a_inv_seq, q_inv, l_all, info0)
+        return histories(a_inv_seq, q_inv, l_all)
     monkeypatch.setattr(_kernels, "node_info_histories", spy)
     stability_select(benchmark_shaped_scenario(), StabilityParams(k_bar=20, beta_hat=0.9))
     assert sizes == [704, 704, 592]

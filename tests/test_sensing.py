@@ -11,7 +11,6 @@ from dkfsim.sensing import (
     load_network,
     resolve_delays,
     sample_network,
-    save_network,
 )
 
 
@@ -24,13 +23,20 @@ def make_node(h_row=(0.0, 1.0), r=0.25, base=0.0, jitter=0.0, node_id=1):
     )
 
 
+def assert_same_columns(a, b):
+    """Two networks hold the same nodes: equal ids, H, R, rows and delays."""
+    assert len(a) == len(b)
+    for name in ("h", "r", "rows", "base", "jitter"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
 def test_sample_network_scenario_statistics():
     rng = np.random.default_rng(11)
     net = sample_network(2000, (0.0, 0.5), (0.0, 2.0), rng)
     assert len(net) == 2000
-    variances = np.array([node.r[0, 0] for node in net])
-    delays = np.array([node.delay.base for node in net])
-    rows = np.array([int(np.argmax(node.h[0])) for node in net])
+    variances = net.r[:, 0, 0]
+    delays = net.base
+    rows = np.argmax(net.h[:, 0], axis=1)
     assert np.all((variances >= R_MIN) & (variances <= 0.5))
     assert np.all((delays >= 0.0) & (delays <= 2.0))
     # both measurement rows present in roughly even proportion
@@ -41,19 +47,14 @@ def test_sample_network_scenario_statistics():
 def test_sample_network_degenerate_ranges_clamped():
     rng = np.random.default_rng(3)
     net = sample_network(1, (0.0, 0.0), (0.0, 0.0), rng)
-    node = net.node(1)
-    assert node.r[0, 0] == pytest.approx(R_MIN)
-    assert node.delay.base == 0.0
+    assert net.r[0, 0, 0] == pytest.approx(R_MIN)
+    assert net.base[0] == 0.0
 
 
 def test_sample_network_deterministic():
     net1 = sample_network(50, (0.0, 0.5), (0.0, 2.0), np.random.default_rng(9))
     net2 = sample_network(50, (0.0, 0.5), (0.0, 2.0), np.random.default_rng(9))
-    for a, b in zip(net1, net2):
-        assert a.id == b.id
-        np.testing.assert_array_equal(a.h, b.h)
-        np.testing.assert_array_equal(a.r, b.r)
-        assert a.delay == b.delay
+    assert_same_columns(net1, net2)
 
 
 def test_sample_network_empty_rejected():
@@ -99,10 +100,9 @@ def test_resolve_delays_folds_jitter_once():
     nodes = tuple(make_node(base=1.0, jitter=0.5, node_id=i + 1) for i in range(4))
     net = SensorNetwork(nodes)
     resolved = resolve_delays(net, np.random.default_rng(2))
-    assert all(node.delay.jitter_std == 0.0 for node in resolved)
-    bases = [node.delay.base for node in resolved]
-    assert len(set(bases)) > 1  # distinct draws per node
-    assert all(b >= 0.0 for b in bases)
+    assert (resolved.jitter == 0.0).all()
+    assert len(set(resolved.base.tolist())) > 1  # distinct draws per node
+    assert (resolved.base >= 0.0).all()
 
 
 def test_node_invariants_enforced():
@@ -114,18 +114,23 @@ def test_node_invariants_enforced():
         SensorNetwork((make_node(node_id=1), make_node(node_id=3)))
 
 
-def test_network_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    net = sample_network(10, (0.0, 0.5), (0.0, 2.0), rng, jitter_std=0.05)
+def test_load_network_parses_hand_written_file(tmp_path):
     path = tmp_path / "net.txt"
-    save_network(net, path)
-    loaded = load_network(path)
-    assert len(loaded) == 10
-    for a, b in zip(net, loaded):
-        np.testing.assert_array_equal(a.h, b.h)
-        np.testing.assert_allclose(a.r, b.r)
-        assert a.delay.base == pytest.approx(b.delay.base)
-        assert a.delay.jitter_std == pytest.approx(b.delay.jitter_std)
+    path.write_text(
+        "# id row variance delay_s jitter_std\n"
+        "1 0 0.25 0.5 0.0\n"
+        "\n"
+        "2 2 0.1 0.0 0.05  # trailing comment\n"
+        "3 1 0.0 1.25 0.0\n",
+        encoding="utf-8",
+    )
+    net = load_network(path, state_dim=3)
+    ref = SensorNetwork((
+        make_node((1.0, 0.0, 0.0), r=0.25, base=0.5, node_id=1),
+        make_node((0.0, 0.0, 1.0), r=0.1, jitter=0.05, node_id=2),
+        make_node((0.0, 1.0, 0.0), r=R_MIN, base=1.25, node_id=3),  # variance 0 clamped
+    ))
+    assert_same_columns(net, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +189,14 @@ def test_from_columns_mixed_rows_validated_per_row_count():
         SensorNetwork.from_columns(h, r, np.zeros(3), np.zeros(3), rows=[1, 2, 1])
     h[1, 1] = [0.5, 1.0]
     net = SensorNetwork.from_columns(h, r, np.zeros(3), np.zeros(3), rows=[1, 2, 1])
-    assert [node.h.shape for node in net] == [(1, 2), (2, 2), (1, 2)]
+    np.testing.assert_array_equal(net.rows, [1, 2, 1])
     np.testing.assert_array_equal(net.variances, [0.3, 1.0, 0.3])
     with pytest.raises(ConfigError, match="do not describe 3 nodes"):
         SensorNetwork.from_columns(h, r[:2], np.zeros(3), np.zeros(3), rows=[1, 2, 1])
 
 
 def per_node_sample(n, variance_range, delay_range, rng, state_dim=2, jitter_std=0.0):
-    """Reference: sample_network building one SensorNode per node."""
+    """Reference: sample_network's draws as one SensorNode per node (a tuple)."""
     rows = rng.integers(0, state_dim, size=n)
     variances = np.maximum(rng.uniform(variance_range[0], variance_range[1], size=n), R_MIN)
     delays = rng.uniform(delay_range[0], delay_range[1], size=n)
@@ -201,15 +206,7 @@ def per_node_sample(n, variance_range, delay_range, rng, state_dim=2, jitter_std
         h[0, rows[i]] = 1.0
         nodes.append(SensorNode(id=i + 1, h=h, r=np.array([[variances[i]]]),
                                 delay=DelaySpec(base=float(delays[i]), jitter_std=jitter_std)))
-    return SensorNetwork(tuple(nodes))
-
-
-def assert_same_nodes(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert x.id == y.id and x.delay == y.delay
-        np.testing.assert_array_equal(x.h, y.h)
-        np.testing.assert_array_equal(x.r, y.r)
+    return tuple(nodes)
 
 
 @pytest.mark.parametrize("state_dim", [2, 3])
@@ -217,16 +214,16 @@ def test_sample_and_resolve_match_per_node_construction(state_dim):
     args = (300, (0.0, 0.5), (0.0, 2.0))
     rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
     net = sample_network(*args, rng_a, state_dim=state_dim, jitter_std=0.1)
-    ref = per_node_sample(*args, rng_b, state_dim=state_dim, jitter_std=0.1)
-    assert_same_nodes(net, ref)
+    ref_nodes = per_node_sample(*args, rng_b, state_dim=state_dim, jitter_std=0.1)
+    assert_same_columns(net, SensorNetwork(ref_nodes))
     resolved = resolve_delays(net, rng_a)
     # reference: one jitter draw per node, folded into the base, clamped at 0
     ref_nodes = [
         SensorNode(id=node.id, h=node.h, r=node.r, delay=DelaySpec(
             base=max(node.delay.base + rng_b.normal(0.0, node.delay.jitter_std), 0.0)))
-        for node in ref
+        for node in ref_nodes
     ]
-    assert_same_nodes(resolved, ref_nodes)
+    assert_same_columns(resolved, SensorNetwork(ref_nodes))
     assert rng_a.random() == rng_b.random()  # both consumed the same draws
 
 
@@ -260,8 +257,8 @@ def test_engine_measurements_match_per_node_construction():
     engine = DkfEngine(sys_, net, 60, np.random.default_rng(9))
     # reference: the per-node engine set-up
     rng = np.random.default_rng(9)
-    truth = simulate(sys_, 60, rng).states
-    assert np.array_equal(truth, engine.truth.states)
+    truth = simulate(sys_, 60, rng)
+    assert np.array_equal(truth, engine.truth)
     for i, node in enumerate(nodes):
         z = (node.h @ truth.T).T + rng.standard_normal((61, node.h.shape[0])) @ np.linalg.cholesky(node.r).T
         hr = node.h.T @ np.linalg.inv(node.r)

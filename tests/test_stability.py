@@ -14,7 +14,6 @@ from dkfsim.stability import (
     beta_hat_batch,
     bound_operator,
     compute_params,
-    estimate_info_bound,
     i_tilde_matrices,
 )
 
@@ -203,7 +202,7 @@ def test_i_tilde_rank_one_entry():
     # l from H=[0 1], R=0.25: entry (2,2) = 4 for a window of one step
     sys_ = builtin_system()
     node = SensorNode(id=1, h=np.array([[0.0, 1.0]]), r=np.array([[0.25]]))
-    out = i_tilde(30, 1, 0.9, sys_, node.info_increment())
+    out = i_tilde(30, 1, 0.9, sys_, node.h.T @ np.linalg.solve(node.r, node.h))
     np.testing.assert_allclose(out, [[0.0, 0.0], [0.0, 4.0]], atol=1e-14)
     assert np.linalg.matrix_rank(out) == 1
 
@@ -291,8 +290,7 @@ def test_histories_and_bounds_are_exactly_symmetric(m):
     network = SensorNetwork.from_columns(h, r, np.zeros(n), np.zeros(n))
     scenario = Scenario(sys_, network, n_steps)
     rows, cols = np.tril_indices(m)
-    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, scenario.l_all,
-                                        np.zeros((n, m, m)))
+    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, scenario.l_all)
     betas = rng.uniform(0.3, 1.0, size=n)
     bounds = i_tilde_matrices(bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all),
                               betas, scenario.l_all)
@@ -385,30 +383,13 @@ def test_stability_params_validation():
         StabilityParams(beta_hat=1.5)
 
 
-def test_estimate_info_bound_dominates_history_traces():
-    sys_ = builtin_system()
-    rng = np.random.default_rng(17)
-    nodes = []
-    for i in range(5):
-        h = np.zeros((1, 2))
-        h[0, int(rng.integers(0, 2))] = 1.0
-        nodes.append(SensorNode(id=i + 1, h=h, r=np.array([[float(rng.uniform(0.1, 0.5))]])))
-    net = SensorNetwork(tuple(nodes))
-    bound = estimate_info_bound(Scenario(sys_, net, 150))
-    np.testing.assert_allclose(bound, bound.T, atol=1e-12)
-    assert np.linalg.eigvalsh(bound).min() > 0
-
-
 def test_compute_params_modes():
     sys_ = builtin_system()
     node = SensorNode(id=1, h=np.array([[1.0, 0.0]]), r=np.array([[0.3]]))
     net = SensorNetwork((node,))
     scenario = Scenario(sys_, net, 100)
-    per_node = compute_params(scenario)
-    assert per_node.beta_hat is None
-    fixed = compute_params(scenario, per_node=False)
-    assert 0.0 < fixed.beta_hat <= 1.0
-    assert fixed.beta_hat == beta_hat(sys_, 100, estimate_info_bound(scenario), 1e-6)
+    derived = compute_params(scenario)
+    assert derived.beta_hat is None
     overridden = compute_params(scenario, beta_hat_override=0.25)
     assert overridden.beta_hat == 0.25
 
