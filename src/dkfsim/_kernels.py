@@ -1,28 +1,26 @@
 """Filter-recursion kernels in numpy, batched across nodes or chains.
 
-Both kernels run the information-matrix time update, with S = M + Q^{-1}:
+Both kernels run one information time update, _time_update, with
+S = M + Q^{-1}:
 
-    M = Ainv^T I Ainv,  C = M S^{-1},
-    I' = (I - C) M (I - C)^T + C Q^{-1} C^T = M S^{-1} Q^{-1}   (symmetrized),
-    yv' = (I - C) Ainv^T yv,
+    M = Ainv^T I Ainv,  I' = Q^{-1} S^{-1} M  (symmetrized),
+    yv' = Q^{-1} S^{-1} Ainv^T yv,
 
-followed by the additive measurement step. The two sides of the identity
-differ only in rounding, and the two kernels take different sides:
+followed by the additive measurement step. Since I - C = Q^{-1} S^{-1} for
+the gain C = M S^{-1}, this equals the Joseph form
+(I - C) M (I - C)^T + C Q^{-1} C^T (Anderson & Moore, Optimal Filtering)
+without its products. The step acts on a structure-of-arrays stack, every
+matrix (m, m, n) with the batch axis last: a few gemms against the shared
+A^{-1}(k) and Q^{-1} and an elimination over whole (n,) rows.
 
-- node_info_histories runs one recursion per node over thousands of nodes,
-  for any m, on an (m, m, n) structure-of-arrays stack: every step is a few
-  gemms against the shared A^{-1}(k) and Q^{-1} and an elimination over whole
-  node rows, and it predicts with the reduced form Y^T Q^{-1}, Y = S^{-1} M,
-  which needs no Joseph products. It stores each step packed, node axis last:
-  only the P = m (m + 1) / 2 lower-triangle entries of each symmetric matrix,
-  in np.tril_indices order, as a (P, N+1, n) history. The stability bounds
-  and the admission check keep that layout (unpack restores full matrices).
-- fused_info_recursion runs B <= 100 estimator chains (the greedy sweep's
-  subsets; single-chain callers pass one row) through _predict, the Joseph
-  form in batched LAPACK over a (B, m, m) stack. Its outputs are the
-  estimates every reported MSE and MD comes from, so it keeps the arithmetic
-  the benchmark references were recorded with; the reduced form or the
-  structure-of-arrays layout would move their last bits.
+- node_info_histories runs one recursion per node over thousands of nodes
+  and stores each step packed: the P = m (m + 1) / 2 lower-triangle entries
+  of each symmetric matrix, in np.tril_indices order, as a (P, N+1, n)
+  history, the layout the stability bounds and the admission check keep
+  (unpack restores full matrices).
+- fused_info_recursion runs B estimator chains (the greedy sweep's subsets;
+  single-chain callers pass one row); each chain's information vector is
+  one more right-hand side of the elimination.
 """
 
 import math
@@ -35,18 +33,26 @@ def backend_name() -> str:
     return "python"
 
 
-def _predict(info, a_inv, q_inv):
-    """Joseph-form information prediction over a stack of information matrices.
+def _time_update(info, a_inv, q_inv, aug, half, out):
+    """info <- Q^{-1} S^{-1} M, symmetrized, in place for an (m, m, n) stack.
 
-    info: (..., m, m); a_inv, q_inv: (m, m). Returns the symmetrized
-    (I - C) M (I - C)^T + C Q^{-1} C^T and I - C, with M = Ainv^T I Ainv and
-    C = M (M + Q^{-1})^{-1}.
+    half (m, m n), aug (m, m + r, n) and out (m, r n), r >= m, are the
+    caller's buffers, so no step allocates. Columns 2m: of aug hold extra
+    right-hand sides the caller filled; returns Q^{-1} S^{-1} times them, the
+    (m, r - m, n) view of out.
     """
-    mk = a_inv.T @ info @ a_inv
-    c = np.linalg.solve(mk + q_inv, mk).swapaxes(-1, -2)
-    d = np.eye(mk.shape[-1]) - c
-    pred = d @ mk @ d.swapaxes(-1, -2) + c @ q_inv @ c.swapaxes(-1, -2)
-    return 0.5 * (pred + pred.swapaxes(-1, -2)), d
+    m, _, n = info.shape
+    a_inv_t = a_inv.T
+    mk = aug[:, m:2 * m]
+    np.matmul(a_inv_t, info.reshape(m, m * n), out=half)
+    np.matmul(a_inv_t, half.reshape(m, m, n), out=mk)
+    np.add(mk, q_inv[:, :, None], out=aug[:, :m])
+    y = _solve_spd_soa(aug)
+    np.matmul(q_inv, y.reshape(m, -1), out=out)
+    pred = out.reshape(m, -1, n)
+    np.add(pred[:, :m], pred[:, :m].transpose(1, 0, 2), out=info)
+    info *= 0.5
+    return pred[:, m:]
 
 
 def node_info_histories(a_inv_seq, q_inv, l_all):
@@ -58,12 +64,6 @@ def node_info_histories(a_inv_seq, q_inv, l_all):
     Returns (P, N+1, n): row p holds entry np.tril_indices(m)[p] of every
     node's matrix at every step. The matrices are exactly symmetric when l_all
     is, so the lower triangle is all of them.
-
-    The information of all nodes is one (m, m, n) stack, node axis last, so
-    every operation below acts on whole (n,) rows: M = Ainv^T I Ainv is two
-    gemms against the shared Ainv, Y = S^{-1} M with S = M + Q^{-1} an
-    unpivoted elimination (S is SPD), and the prediction Y^T Q^{-1}, taken as
-    its transpose Q^{-1} Y, one gemm against the shared Q^{-1}, symmetrized.
     """
     n, m, _ = l_all.shape
     n_steps = a_inv_seq.shape[0]
@@ -71,24 +71,13 @@ def node_info_histories(a_inv_seq, q_inv, l_all):
     lower = rows * m + cols  # flat index of each packed entry in an (m, m) matrix
     hist = np.empty((lower.size, n_steps + 1, n))
     l_soa = np.ascontiguousarray(l_all.transpose(1, 2, 0))
-    # every step reuses these buffers: info, Ainv^T I, [S | M] and the prediction
     info = l_soa.copy()
     half = np.empty((m, m * n))
     aug = np.empty((m, 2 * m, n))
-    pred = np.empty((m, m * n))
-    mk = aug[:, m:]
+    out = np.empty((m, m * n))
     hist[:, 0] = info.reshape(m * m, n)[lower]
-    q_col = q_inv[:, :, None]
     for k in range(n_steps):
-        a_inv_t = a_inv_seq[k].T
-        np.matmul(a_inv_t, info.reshape(m, m * n), out=half)
-        np.matmul(a_inv_t, half.reshape(m, m, n), out=mk)
-        np.add(mk, q_col, out=aug[:, :m])
-        y = _solve_spd_soa(aug)
-        np.matmul(q_inv, y.reshape(m, m * n), out=pred)
-        pred_3d = pred.reshape(m, m, n)
-        np.add(pred_3d, pred_3d.transpose(1, 0, 2), out=info)
-        info *= 0.5
+        _time_update(info, a_inv_seq[k], q_inv, aug, half, out)
         info += l_soa
         hist[:, k + 1] = info.reshape(m * m, n)[lower]
     return hist
@@ -117,7 +106,7 @@ def unpack(packed) -> np.ndarray:
 
 def _solve_spd_soa(aug):
     """S^{-1} rhs in place for [S | rhs] stacked as aug (m, m + m', n), S SPD,
-    node axis last: Gaussian elimination without pivoting, then back
+    batch axis last: Gaussian elimination without pivoting, then back
     substitution. Returns the rhs part of aug, which now holds the solution."""
     m = aug.shape[0]
     for j in range(m - 1):
@@ -140,18 +129,24 @@ def fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0):
     Returns (info_hist (B, N+1, m, m), yv_hist (B, N+1, m)).
     """
     n_chains, n_out, m, _ = info_inc.shape
-    info_hist = np.empty((n_chains, n_out, m, m))
-    yv_hist = np.empty((n_chains, n_out, m))
-    info = info0 + info_inc[:, 0]
-    yv = yv0 + iv_inc[:, 0]
-    info_hist[:, 0] = info
-    yv_hist[:, 0] = yv
+    info_inc = info_inc.transpose(1, 2, 3, 0)
+    iv_inc = iv_inc.transpose(1, 2, 0)
+    info_hist = np.empty((n_out, m, m, n_chains))
+    yv_hist = np.empty((n_out, m, n_chains))
+    info = info0[:, :, None] + info_inc[0]
+    yv = yv0[:, None] + iv_inc[0]
+    info_hist[0] = info
+    yv_hist[0] = yv
+    half = np.empty((m, m * n_chains))
+    aug = np.empty((m, 2 * m + 1, n_chains))
+    out = np.empty((m, (m + 1) * n_chains))
     for k in range(1, n_out):
         a_inv = a_inv_seq[k - 1]
-        pred, d = _predict(info, a_inv, q_inv)
-        yv = (d @ (yv @ a_inv)[..., None])[..., 0]
-        info = pred + info_inc[:, k]
-        yv = yv + iv_inc[:, k]
-        info_hist[:, k] = info
-        yv_hist[:, k] = yv
-    return info_hist, yv_hist
+        np.matmul(a_inv.T, yv, out=aug[:, 2 * m])
+        yv_pred = _time_update(info, a_inv, q_inv, aug, half, out)[:, 0]
+        np.add(yv_pred, iv_inc[k], out=yv)
+        info += info_inc[k]
+        info_hist[k] = info
+        yv_hist[k] = yv
+    return (np.ascontiguousarray(info_hist.transpose(3, 0, 1, 2)),
+            np.ascontiguousarray(yv_hist.transpose(2, 0, 1)))

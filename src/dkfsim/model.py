@@ -12,6 +12,7 @@ a22 decays toward its 0.25 plateau.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -163,14 +164,15 @@ def robust_inverse(a, tol: float | None = None) -> tuple[np.ndarray, bool]:
 
 
 def load_matrix_table(path) -> MatrixTable:
-    """Read a transition table: whitespace-separated rows, blank-line-separated blocks."""
+    """Read a transition table: whitespace-separated rows, blocks separated by
+    lines that are empty or hold only whitespace."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        lines = fh.read().splitlines()
     matrices = []
-    for block in text.split("\n\n"):
-        rows = [line.split() for line in block.strip().splitlines() if line.strip()]
-        if not rows:
+    for blank, block in itertools.groupby(lines, key=lambda line: not line.strip()):
+        if blank:
             continue
+        rows = [line.split() for line in block]
         try:
             mat = np.array([[float(v) for v in row] for row in rows])
         except ValueError as exc:

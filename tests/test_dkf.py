@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dkfsim import _kernels
 from dkfsim.dkf import DkfEngine, Scenario, recover_estimates
 from dkfsim.errors import ConfigError, NumericError, SelectionError
 from dkfsim.model import builtin_system, robust_inverse, transition_matrix
@@ -8,7 +10,7 @@ from dkfsim.reference import kf_covariance_form, psi, time_update_general
 from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode
 from dkfsim.selection import max_deviation
 
-from conftest import random_system
+from conftest import random_psd, random_system
 
 
 def single_row_node(node_id, row, r, base=0.0, m=2):
@@ -186,8 +188,71 @@ def test_fused_runs_rows_match_stepwise_oracle():
             assert_rel_close(yv_hist[b], want_yv)
             assert_rel_close(xhat[b], want_x)
             np.testing.assert_array_equal(flags[b], want_flags)
-        # node 7 never arrives: its run is the prior propagated alone
-        np.testing.assert_array_equal(info_hist[2], stepwise_fused_run(eng, [])[0])
+        # node 7 never arrives: its run is the prior propagated alone, bit for bit
+        sc = eng.scenario
+        alone_info, alone_yv = _kernels.fused_info_recursion(
+            sc.a_inv_seq, sc.q_inv, np.zeros((1, 61, m, m)), np.zeros((1, 61, m)),
+            eng.info0, eng.yv0)
+        np.testing.assert_array_equal(info_hist[2], alone_info[0])
+        np.testing.assert_array_equal(yv_hist[2], alone_yv[0])
+
+
+def random_multirow_network(rng, n, m, max_delay=0.0):
+    """n nodes of 1..m random rows each, SPD noise, delays uniform in [0, max_delay] s."""
+    nodes = []
+    for i in range(n):
+        q = int(rng.integers(1, m + 1))
+        r = random_psd(rng, m=q) + 0.1 * np.eye(q)
+        nodes.append(SensorNode(id=i + 1, h=rng.standard_normal((q, m)), r=r,
+                                delay=DelaySpec(base=float(rng.uniform(0.0, max_delay)))))
+    return SensorNetwork(tuple(nodes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), n=st.integers(1, 6),
+       prior=st.booleans())
+def test_fused_runs_match_stepwise_oracle_on_random_plants(seed, m, n, prior):
+    # random LTV plants, multi-row sensors, delays up to 0.4 s on a 0.3 s
+    # horizon (some nodes never arrive), zero or random priors, random masks
+    rng = np.random.default_rng(seed)
+    sys_ = random_system(rng, m=m, n_steps=30)
+    net = random_multirow_network(rng, n, m, max_delay=0.4)
+    info0 = random_psd(rng, m=m) + 0.1 * np.eye(m) if prior else None
+    x0_hat = rng.standard_normal(m) if prior else None
+    eng = DkfEngine(sys_, net, 30, rng, info0=info0, x0_hat=x0_hat)
+    masks = rng.random((int(rng.integers(1, 5)), n)) < 0.5
+    masks[np.arange(len(masks)), rng.integers(0, n, len(masks))] = True
+    info_hist, yv_hist, xhat, flags = eng.fused_runs(masks)
+    for b, mask in enumerate(masks):
+        want_info, want_yv = stepwise_fused_run(eng, np.flatnonzero(mask) + 1)
+        want_x, want_flags = recover_estimates(want_info, want_yv)
+        assert np.abs(info_hist[b] - want_info).max() <= 1e-12 * np.abs(want_info).max()
+        assert np.abs(yv_hist[b] - want_yv).max() <= 1e-12 * np.abs(want_yv).max()
+        np.testing.assert_array_equal(flags[b], want_flags)
+        ok = ~want_flags
+        # x = I^{-1} yv moves by up to cond(I) times the rounding of I and yv
+        cond = np.linalg.cond(want_info[ok])
+        err = np.abs(xhat[b, ok] - want_x[ok]).max(axis=-1)
+        assert (err <= 1e-10 * cond * np.abs(want_x[ok]).max(axis=-1)).all()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), n=st.integers(1, 6))
+def test_zero_delay_fused_run_matches_stacked_kf_on_random_plants(seed, m, n):
+    import scipy.linalg as sla
+
+    rng = np.random.default_rng(seed)
+    sys_ = random_system(rng, m=m, n_steps=30)
+    net = random_multirow_network(rng, n, m)
+    p0 = random_psd(rng, m=m) + 0.1 * np.eye(m)
+    x0_hat = rng.standard_normal(m)
+    eng = DkfEngine(sys_, net, 30, rng, info0=np.linalg.inv(p0), x0_hat=x0_hat)
+    _, _, xhat, _ = eng.fused_run(net.ids())
+    h_st = np.vstack([net.h[i, :q] for i, q in enumerate(net.rows)])
+    r_bd = sla.block_diag(*[net.r[i, :q, :q] for i, q in enumerate(net.rows)])
+    z_st = np.hstack([eng.measurements[i, :, :q] for i, q in enumerate(net.rows)])
+    xs, _ = kf_covariance_form(sys_, h_st, r_bd, z_st, 30, x0_hat=x0_hat, p0=p0)
+    assert np.abs(xhat - xs).max() <= 1e-8 * max(np.abs(xs).max(), 1.0)
 
 
 def test_fused_run_is_row_zero_of_fused_runs():
@@ -211,8 +276,6 @@ def test_fused_runs_rejects_bad_masks():
 
 
 def test_fused_runs_non_finite_names_row_and_step(monkeypatch):
-    from dkfsim import _kernels
-
     real = _kernels.fused_info_recursion
 
     def poisoned(*args):

@@ -170,6 +170,16 @@ def test_matrix_table_roundtrip(tmp_path):
     np.testing.assert_allclose(table.matrices[1], [[0.5, 0.25], [0.25, 1.0]])
 
 
+def test_matrix_table_whitespace_only_separator(tmp_path):
+    # a separator line of spaces and a tab, then two blank lines
+    path = tmp_path / "table.txt"
+    path.write_text("1 0\n0 1\n  \t\n2 0\n0 2\n\n\n3 0\n0 3\n")
+    table = load_matrix_table(path)
+    assert len(table.matrices) == 3
+    np.testing.assert_array_equal(table.matrices[1], 2.0 * np.eye(2))
+    np.testing.assert_array_equal(table.matrices[2], 3.0 * np.eye(2))
+
+
 def test_matrix_table_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 two\n3 4\n")
