@@ -89,12 +89,14 @@ class Scenario:
 
 
 class DkfEngine:
-    """One realization of plant, measurements, and delays, reusable across
-    subsets: the one way to run the estimator (fused_run, fused_runs).
+    """One realization of plant and measurements, reusable across subsets: the
+    one way to run the estimator (fused_run, fused_runs).
 
     Measurement noise is drawn for every network node (in id order) regardless
     of the subset later filtered on, so runs over different subsets of the same
-    engine share one realization; the greedy sweep depends on this.
+    engine share one realization; the greedy sweep depends on this. Delays
+    must be constant: a network with jitter raises ConfigError
+    (sensing.resolve_delays draws it first).
     """
 
     def __init__(self, sys: LtvSystem, network: SensorNetwork, n_steps: int,
@@ -106,6 +108,7 @@ class DkfEngine:
         m = sys.state_dim
         # perfbench's dkf.engine hook counts the pinv steps on the engine itself
         self.a_pinv_steps = sc.a_pinv_steps
+        self.delays = network.delay_steps(sys.sample_time)
         self.truth = simulate(sys, n_steps, rng)
         n_out = n_steps + 1
         n = len(network)
@@ -127,7 +130,6 @@ class DkfEngine:
                 z = (network.h[idx, :q] @ states_t).transpose(0, 2, 1) + w @ chol.transpose(0, 2, 1)
                 self.measurements[idx, :, :q] = z
                 self.div_all[idx] = z @ sc.hr[idx, :, :q].transpose(0, 2, 1)
-        self.delays = network.delay_steps(sys.sample_time, rng)
         self.info0 = np.zeros((m, m)) if info0 is None else _symmetrize(np.asarray(info0, dtype=float))
         if x0_hat is None:
             self.yv0 = np.zeros(m)

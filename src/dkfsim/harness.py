@@ -49,61 +49,37 @@ def make_rng(base_seed: int, run_index: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-_FORMATS = {
-    bool: lambda v: "1" if v else "0",
-    int: lambda v: str(int(v)),
-    float: lambda v: f"{float(v):.17g}",
-    str: str,
-}
+# str.format spec of each column dtype kind: bool as 1/0, integers in decimal,
+# floats at full double precision (17 significant digits)
+_FORMATS = {"b": "{:d}", "i": "{:d}", "u": "{:d}", "f": "{:.17g}"}
 
 
-def _kind(t) -> type:
-    """The CSV format a value of type t takes: bool, int, float or str."""
-    if issubclass(t, (bool, np.bool_)):
-        return bool
-    if issubclass(t, (int, np.integer)):
-        return int
-    if issubclass(t, (float, np.floating)):
-        return float
-    return str
-
-
-def _format_column(values) -> list:
-    """Text of one CSV column; a column of one kind picks its format once."""
-    kinds = {_kind(t) for t in set(map(type, values))}
-    if len(kinds) == 1:
-        return list(map(_FORMATS[kinds.pop()], values))
-    return [_FORMATS[_kind(type(v))](v) for v in values]
-
-
-def export_csv(records, path, columns=None) -> Path:
-    """Write dict records as RFC-4180-style CSV: header row, CRLF, '.' decimals,
-    floats at full double precision (17 significant digits)."""
+def export_csv(table, path) -> Path:
+    """Write a structured array as RFC-4180-style CSV: a header row of its
+    field names, CRLF line ends, '.' decimals; each column is formatted once,
+    by its dtype kind (bool, integer or float)."""
     path = Path(path)
-    if columns is None:
-        if not records:
-            raise ConfigError("export_csv needs explicit columns for an empty record list")
-        columns = list(records[0].keys())
-    text = [_format_column([rec[c] for rec in records]) for c in columns]
-    lines = [",".join(columns), *map(",".join, zip(*text))]
-    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    names = table.dtype.names
+    text = [map(_FORMATS[table.dtype[c].kind].format, table[c].tolist()) for c in names]
+    lines = [",".join(names), *map(",".join, zip(*text))]
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
     return path
 
 
-def trace_records(truth_states, xhat, info_hist):
-    """Rows for the run trace CSV: k, x_true_*, x_hat_*, trace_info."""
-    m = truth_states.shape[1]
-    records = []
-    traces = np.trace(info_hist, axis1=1, axis2=2)
-    for k in range(truth_states.shape[0]):
-        rec = {"k": k}
-        for j in range(m):
-            rec[f"x_true_{j + 1}"] = truth_states[k, j]
-        for j in range(m):
-            rec[f"x_hat_{j + 1}"] = xhat[k, j]
-        rec["trace_info"] = traces[k]
-        records.append(rec)
-    return records
+def _table(**columns) -> np.recarray:
+    """A record array with one field per keyword, in keyword order."""
+    return np.rec.fromarrays(list(columns.values()), names=list(columns))
+
+
+def _trace_table(truth, xhat, info_hist) -> np.recarray:
+    """The run trace: k, x_true_1..m, x_hat_1..m, trace_info."""
+    m = truth.shape[1]
+    return _table(
+        k=np.arange(truth.shape[0]),
+        **{f"x_true_{j + 1}": truth[:, j] for j in range(m)},
+        **{f"x_hat_{j + 1}": xhat[:, j] for j in range(m)},
+        trace_info=np.trace(info_hist, axis1=1, axis2=2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,37 +123,21 @@ def _metrics_report(engine: DkfEngine, subset, xhat, band: float) -> SelectionRe
     )
 
 
-def _write_trace(engine: DkfEngine, info_hist, xhat, path: Path):
-    return export_csv(trace_records(engine.truth, xhat, info_hist), path)
+# the report of a selection that ran no estimator: no nodes, NaN metrics
+_NOT_RUN = SelectionReport(nodes=frozenset(), mse=float("nan"), md=float("nan"))
 
 
-def greedy_records(reports) -> list:
-    return [
-        {
-            "iteration": r.iteration,
-            "r0": r.thresholds[0],
-            "tau0": r.thresholds[1],
-            "n_selected": r.n_selected,
-            "mse": r.mse,
-            "md": r.md,
-            "mse_raw": r.mse_raw,
-        }
-        for r in reports
-    ]
-
-
-def stability_records(rows) -> list:
-    return [
-        {
-            "node_id": r.node_id,
-            "selected": r.selected,
-            "ct_exp": r.ct_exp,
-            "ct_act": r.ct_act,
-            "delay_s": r.delay_s,
-            "variance": r.variance,
-        }
-        for r in rows
-    ]
+def _greedy_table(reports) -> np.recarray:
+    """One row per sweep iteration: thresholds, subset size and metrics."""
+    return _table(
+        iteration=[r.iteration for r in reports],
+        r0=[r.thresholds[0] for r in reports],
+        tau0=[r.thresholds[1] for r in reports],
+        n_selected=[r.n_selected for r in reports],
+        mse=[r.mse for r in reports],
+        md=[r.md for r in reports],
+        mse_raw=[r.mse_raw for r in reports],
+    )
 
 
 @dataclass
@@ -211,39 +171,40 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         info_hist, _, xhat, _ = engine.fused_run(subset)
         result.reports["fixed-subset"] = _metrics_report(engine, subset, xhat, cfg.band)
         result.selected_nodes["fixed-subset"] = sorted(subset)
-        result.files.append(_write_trace(engine, info_hist, xhat, out / "trace_fixed.csv"))
+        result.files.append(export_csv(_trace_table(engine.truth, xhat, info_hist),
+                                       out / "trace_fixed.csv"))
 
     if "greedy" in modes:
         reports = greedy_select(
             engine, cfg.iterations,
             r_max=cfg.variance_range[1], tau_max=cfg.delay_range[1], band=cfg.band,
         )
-        result.files.append(export_csv(greedy_records(reports), out / "greedy_report.csv"))
+        result.files.append(export_csv(_greedy_table(reports), out / "greedy_report.csv"))
         best = best_report(reports)
         if best is None:
             raise ConfigError("no greedy iteration produced a non-empty subset")
         result.reports["greedy"] = best
         result.selected_nodes["greedy"] = sorted(best.nodes)
         info_hist, _, xhat, _ = engine.fused_run(sorted(best.nodes))
-        result.files.append(_write_trace(engine, info_hist, xhat, out / "trace_greedy_best.csv"))
+        result.files.append(export_csv(_trace_table(engine.truth, xhat, info_hist),
+                                       out / "trace_greedy_best.csv"))
 
     if "stability" in modes:
         params = compute_params(
             engine.scenario,
             k_bar=cfg.k_bar, alpha=cfg.alpha, beta_hat_override=cfg.beta_hat_override,
         )
-        selected, rows = stability_select(engine.scenario, params)
-        result.files.append(export_csv(stability_records(rows), out / "stability_report.csv"))
+        selected, report = stability_select(engine.scenario, params)
+        result.files.append(export_csv(report, out / "stability_report.csv"))
         result.selected_nodes["stability"] = sorted(selected)
         if selected:
             info_hist, _, xhat, _ = engine.fused_run(sorted(selected))
             result.reports["stability"] = _metrics_report(engine, selected, xhat, cfg.band)
-            result.files.append(_write_trace(engine, info_hist, xhat, out / "trace_stability.csv"))
+            result.files.append(export_csv(_trace_table(engine.truth, xhat, info_hist),
+                                           out / "trace_stability.csv"))
         else:
             log.warning("stability selection returned no nodes")
-            result.reports["stability"] = SelectionReport(
-                nodes=frozenset(), mse=float("nan"), md=float("nan")
-            )
+            result.reports["stability"] = _NOT_RUN
     return result
 
 
@@ -298,29 +259,24 @@ def monte_carlo(cfg: ExperimentConfig, runs: int | None = None, out_dir=None) ->
     out = Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     mode = cfg.mode if cfg.mode != "all" else "stability"
-    run_records = []
+    table = np.recarray(runs, dtype=[("run", np.int64), ("seed", np.int64), ("failed", bool),
+                                     ("n_selected", np.int64), ("mse", float), ("md", float)])
     summary = MonteCarloSummary([], [], [], [])
     for idx in range(runs):
         run_cfg = replace(cfg, mode=mode, seed=int(derive_seed(cfg.seed, idx).generate_state(1)[0]))
-        rec = {"run": idx, "seed": run_cfg.seed, "failed": False,
-               "n_selected": 0, "mse": float("nan"), "md": float("nan")}
         try:
-            res = run_experiment(run_cfg, out_dir=out / f"run_{idx:03d}")
-            rep = res.report(mode)
-            rec.update(n_selected=rep.n_selected, mse=rep.mse, md=rep.md)
-            if rep.ran:
-                summary.mse_values.append(rep.mse)
-                summary.md_values.append(rep.md)
-                summary.node_counts.append(rep.n_selected)
-            else:
-                rec["failed"] = True
-                summary.failed_runs.append(idx)
+            rep = run_experiment(run_cfg, out_dir=out / f"run_{idx:03d}").report(mode)
         except (ConfigError, ArithmeticError, np.linalg.LinAlgError) as exc:
             log.warning("monte carlo run %d failed: %s", idx, exc)
-            rec["failed"] = True
+            rep = _NOT_RUN
+        if rep.ran:
+            summary.mse_values.append(rep.mse)
+            summary.md_values.append(rep.md)
+            summary.node_counts.append(rep.n_selected)
+        else:
             summary.failed_runs.append(idx)
-        run_records.append(rec)
-    export_csv(run_records, out / "montecarlo_runs.csv",
-               columns=["run", "seed", "failed", "n_selected", "mse", "md"])
-    export_csv([summary.stats()], out / "montecarlo_summary.csv")
+        table[idx] = (idx, run_cfg.seed, not rep.ran, rep.n_selected, rep.mse, rep.md)
+    export_csv(table, out / "montecarlo_runs.csv")
+    export_csv(_table(**{k: [v] for k, v in summary.stats().items()}),
+               out / "montecarlo_summary.csv")
     return summary

@@ -154,17 +154,12 @@ def i_tilde(k: int, k_bar: int, beta: float, sys: LtvSystem, l_node) -> np.ndarr
     return _symmetrize(total)
 
 
-def delay_steps(node: SensorNode, ts: float, rng: np.random.Generator | None = None) -> int:
-    """Effective delay in filter steps: base plus one jitter draw, clamped at 0.
+def delay_steps(node: SensorNode, ts: float) -> int:
+    """A node's constant delay base in filter steps.
 
     Round-to-nearest with ties away from zero; a 1e-9 nudge absorbs binary
     representation error in ratios like 0.015/0.01.
     """
     if ts <= 0.0:
         raise ConfigError("ts must be positive", keys=("ts",))
-    eff = node.delay.base
-    if node.delay.jitter_std > 0.0:
-        if rng is None:
-            raise ConfigError(f"node {node.id} has stochastic delay; rng required")
-        eff += rng.normal(0.0, node.delay.jitter_std)
-    return int(_round_steps(max(eff, 0.0), ts))
+    return int(_round_steps(node.delay.base, ts))

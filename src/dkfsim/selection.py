@@ -119,14 +119,6 @@ def max_deviation(x_hat, x) -> float:
     return float(np.abs(a - b).max()) / denom
 
 
-def _require_resolved(network):
-    jittered = np.flatnonzero(network.jitter > 0.0)
-    if jittered.size:
-        raise ConfigError(
-            f"node {jittered[0] + 1} has unresolved stochastic delay; apply sensing.resolve_delays",
-        )
-
-
 def greedy_select(
     engine: DkfEngine,
     iterations: int,
@@ -142,15 +134,14 @@ def greedy_select(
     against the engine's one plant/noise realization, so the sweep compares
     subsets, not sample paths. Needs the engine's ground-truth states;
     benchmark use only. Iterations with an empty subset record NaN metrics.
-    Stochastic delays must be resolved before the engine is built
-    (sensing.resolve_delays).
+    A zero r_max or tau_max holds that threshold at zero in every iteration,
+    so delay_range = 0 0 sweeps the variance alone.
     """
     if iterations < 1:
         raise ConfigError("iterations must be >= 1", keys=("iterations",))
-    if r_max <= 0.0 or tau_max <= 0.0:
-        raise ConfigError("r_max and tau_max must be positive", keys=("variance_range", "delay_range"))
+    if r_max < 0.0 or tau_max < 0.0:
+        raise ConfigError("r_max and tau_max must be >= 0", keys=("variance_range", "delay_range"))
     network = engine.network
-    _require_resolved(network)
     settle = settling_index(engine.truth, band)
     variances = network.variances
     delays_s = network.base
@@ -198,17 +189,11 @@ def best_report(reports) -> SelectionReport | None:
     return min(ran, key=lambda r: r.mse) if ran else None
 
 
-@dataclass(frozen=True)
-class NodeStabilityRow:
-    """Per-node outcome of the stability check, for the report CSV."""
-
-    node_id: int
-    selected: bool
-    ct_exp: int
-    ct_act: int
-    delay_s: float
-    variance: float
-    beta_hat: float
+# one record per node of stability_select's report, in id order
+STABILITY_REPORT = np.dtype([
+    ("node_id", np.int64), ("selected", bool), ("ct_exp", np.int64), ("ct_act", np.int64),
+    ("delay_s", float), ("variance", float), ("beta_hat", float),
+])
 
 
 def _cholesky_outcome(packed, shift):
@@ -277,7 +262,8 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     scenario without a network raises ConfigError. Nodes whose delay leaves
     no applicable step are excluded: they offer no evidence of stability.
     Stochastic delays must be resolved beforehand (sensing.resolve_delays).
-    Returns (selected ids, one NodeStabilityRow per node).
+    Returns (selected ids, report): report is a STABILITY_REPORT record
+    array with one record per node in id order.
 
     The pass runs over node chunks of STABILITY_CHUNK packed history entries,
     each taking its histories and beta-hat, then bounds and admission check
@@ -286,11 +272,10 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     """
     network = _require_network(scenario)
     if len(network) == 0:
-        return set(), []
+        return set(), np.recarray(0, dtype=STABILITY_REPORT)
     n_steps = scenario.n_steps
     if n_steps <= params.k_bar:
         raise ConfigError(f"n_steps must exceed k_bar={params.k_bar}", keys=("horizon", "k_bar"))
-    _require_resolved(network)
     d = network.delay_steps(scenario.sys.sample_time)
     m = scenario.sys.state_dim
     n = len(network)
@@ -322,16 +307,11 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     if not (ct_exp > 0).any():
         log.warning("no node has an applicable step: delays are larger than the estimation horizon")
     selected = set((np.flatnonzero(admitted) + 1).tolist())
-    variances = network.variances
-    rows = [
-        NodeStabilityRow(
-            node_id=i + 1, selected=bool(admitted[i]), ct_exp=int(ct_exp[i]),
-            ct_act=int(ct_act[i]), delay_s=float(network.base[i]),
-            variance=float(variances[i]), beta_hat=float(betas[i]),
-        )
-        for i in range(n)
-    ]
-    return selected, rows
+    report = np.rec.fromarrays(
+        [np.arange(1, n + 1), admitted, ct_exp, ct_act, network.base, network.variances, betas],
+        dtype=STABILITY_REPORT,
+    )
+    return selected, report
 
 
 def _split(n: int, cap: int) -> int:

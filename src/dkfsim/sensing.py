@@ -160,18 +160,16 @@ class SensorNetwork:
             out[idx] = np.linalg.eigvalsh(self.r[idx, :q, :q])[:, -1]
         return out
 
-    def delay_steps(self, ts: float, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Every node's delay in filter steps: base plus one jitter draw, clamped
-        at 0; stochastic nodes draw their jitter from rng in id order."""
+    def delay_steps(self, ts: float) -> np.ndarray:
+        """Every node's delay in filter steps. A node with jitter raises
+        ConfigError: its delay is drawn by resolve_delays, not here."""
         if ts <= 0.0:
             raise ConfigError("ts must be positive", keys=("ts",))
-        eff = self.base.copy()
         jittered = np.flatnonzero(self.jitter > 0.0)
         if jittered.size:
-            if rng is None:
-                raise ConfigError(f"node {jittered[0] + 1} has stochastic delay; rng required")
-            eff[jittered] += rng.normal(0.0, self.jitter[jittered])
-        return _round_steps(np.maximum(eff, 0.0), ts).astype(np.int64)
+            raise ConfigError(f"node {jittered[0] + 1} has unresolved stochastic delay; "
+                              "apply sensing.resolve_delays")
+        return _round_steps(self.base, ts).astype(np.int64)
 
 
 def row_groups(rows) -> list:

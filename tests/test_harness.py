@@ -18,7 +18,6 @@ from dkfsim.harness import (
     make_system,
     monte_carlo,
     run_experiment,
-    trace_records,
 )
 
 
@@ -146,34 +145,32 @@ def test_disjoint_seeds_give_different_results(tmp_path):
 
 
 def test_export_csv_empty_records_header_only(tmp_path):
-    path = export_csv([], tmp_path / "empty.csv", columns=["a", "b"])
+    path = export_csv(np.recarray(0, dtype=[("a", float), ("b", np.int64)]), tmp_path / "empty.csv")
     assert path.read_bytes() == b"a,b\r\n"
 
 
 def test_export_csv_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
-    records = [{"x": float(v), "k": int(i)} for i, v in enumerate(rng.standard_normal(50))]
-    path = export_csv(records, tmp_path / "vals.csv")
+    x = np.append(rng.standard_normal(50), [np.nan, -0.0, 1e-310, np.inf])
+    table = np.rec.fromarrays([x, np.arange(x.size) - 7, x > 0], names=["x", "k", "pos"])
+    path = export_csv(table, tmp_path / "vals.csv")
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    for rec, row in zip(records, rows):
-        assert float(row["x"]) == rec["x"]
-        assert int(row["k"]) == rec["k"]
+    assert len(rows) == x.size
+    assert np.array([float(row["x"]) for row in rows]).tobytes() == x.tobytes()
+    assert [int(row["k"]) for row in rows] == table.k.tolist()
+    assert [row["pos"] for row in rows] == ["1" if v else "0" for v in table.pos]
+    assert path.read_bytes().count(b"\r\n") == x.size + 1
 
 
-def test_export_csv_needs_columns_for_empty():
-    with pytest.raises(ConfigError):
-        export_csv([], "nowhere.csv")
-
-
-def test_trace_records_layout():
-    truth = np.zeros((3, 2))
-    xhat = np.ones((3, 2))
-    info = np.stack([np.eye(2)] * 3)
-    recs = trace_records(truth, xhat, info)
-    assert list(recs[0].keys()) == ["k", "x_true_1", "x_true_2", "x_hat_1", "x_hat_2", "trace_info"]
-    assert recs[2]["k"] == 2
-    assert recs[1]["trace_info"] == pytest.approx(2.0)
+def test_trace_csv_layout(tmp_path):
+    cfg = small_cfg(mode="fixed-subset", horizon=12, delay_range=(0.0, 0.0))
+    run_experiment(cfg, out_dir=tmp_path)
+    with open(tmp_path / "trace_fixed.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["k", "x_true_1", "x_true_2", "x_hat_1", "x_hat_2", "trace_info"]
+    assert [int(row["k"]) for row in rows] == list(range(13))
+    assert all(float(row["trace_info"]) > 0.0 for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +203,22 @@ def test_run_experiment_stability_writes_per_node_rows(tmp_path):
     with open(tmp_path / "stability_report.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == cfg.n_sensors
-    assert set(rows[0].keys()) == {"node_id", "selected", "ct_exp", "ct_act", "delay_s", "variance"}
+    assert list(rows[0]) == ["node_id", "selected", "ct_exp", "ct_act", "delay_s", "variance",
+                             "beta_hat"]
     n_selected = sum(int(r["selected"]) for r in rows)
     assert n_selected == res.report("stability").n_selected
+    assert all(0.0 < float(r["beta_hat"]) <= 1.0 for r in rows)
+
+
+def test_run_experiment_greedy_without_delays_sweeps_variance(tmp_path):
+    # delay_range = 0 0 passes validation; the sweep holds tau0 at 0
+    cfg = small_cfg(mode="greedy", delay_range=(0.0, 0.0))
+    res = run_experiment(cfg, out_dir=tmp_path)
+    with open(tmp_path / "greedy_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {float(r["tau0"]) for r in rows} == {0.0}
+    assert int(rows[0]["n_selected"]) == cfg.n_sensors
+    assert res.report("greedy").ran
 
 
 def test_run_experiment_all_mode_shares_realization(tmp_path):

@@ -271,7 +271,7 @@ def test_greedy_non_finite_names_iteration_and_step(monkeypatch):
 def test_greedy_requires_resolved_network():
     sys_ = builtin_system()
     net = SensorNetwork((make_node(1, jitter=0.1),))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="node 1 has unresolved stochastic delay"):
         greedy_select(DkfEngine(sys_, net, 30, np.random.default_rng(0)), 2, 0.5, 2.0)
 
 
@@ -295,9 +295,9 @@ def test_stability_select_excludes_delay_beyond_horizon(caplog):
         make_node(2, row=0, r=0.1, base=3.0),  # 300 steps > horizon
     ))
     params = StabilityParams(k_bar=10)
-    selected, rows = stability_select(Scenario(sys_, net, 60), params)
+    selected, report = stability_select(Scenario(sys_, net, 60), params)
     assert 2 not in selected
-    assert rows[1].ct_exp == 0
+    assert report[1].ct_exp == 0
     assert 1 in selected
 
 
@@ -312,7 +312,11 @@ def test_stability_select_all_delays_beyond_horizon_warns(caplog):
 
 def test_stability_select_empty_network():
     scenario = Scenario(builtin_system(), SensorNetwork(()), 100)
-    assert stability_select(scenario, StabilityParams()) == (set(), [])
+    selected, report = stability_select(scenario, StabilityParams())
+    assert selected == set()
+    assert isinstance(report, np.recarray) and report.size == 0
+    assert report.dtype.names == ("node_id", "selected", "ct_exp", "ct_act", "delay_s",
+                                  "variance", "beta_hat")
 
 
 def test_stability_select_order_invariance():
@@ -351,11 +355,11 @@ def test_stability_select_prefers_low_staleness():
     nodes = tuple(make_node(i + 1, row=i % 2, r=0.2, base=i * 0.05) for i in range(10))
     net = SensorNetwork(nodes)
     params = StabilityParams(k_bar=10)
-    selected, rows = stability_select(Scenario(sys_, net, 120), params)
-    delays = {row.node_id: row.delay_s for row in rows}
+    selected, report = stability_select(Scenario(sys_, net, 120), params)
+    delays = dict(zip(report.node_id.tolist(), report.delay_s.tolist()))
     if selected:
         worst_selected = max(delays[i] for i in selected)
-        rejected = [i for i in net.ids() if i not in selected and rows[i - 1].ct_exp > 0]
+        rejected = [i for i in net.ids() if i not in selected and report[i - 1].ct_exp > 0]
         if rejected:
             assert min(delays[i] for i in rejected) >= worst_selected
 
@@ -373,7 +377,7 @@ def test_stability_select_requires_a_network():
 
 def test_stability_select_rejects_unresolved_jitter():
     net = SensorNetwork((make_node(1, jitter=0.1),))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="node 1 has unresolved stochastic delay"):
         stability_select(Scenario(builtin_system(), net, 50), StabilityParams(k_bar=5))
 
 
@@ -436,9 +440,12 @@ def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_s
     net = SensorNetwork(tuple(nodes))
     params = StabilityParams(k_bar=k_bar, beta_hat=float(rng.uniform(0.5, 1.0)) if fixed_beta
                              else None)
-    selected, rows = stability_select(Scenario(sys_, net, n_steps), params)
+    selected, report = stability_select(Scenario(sys_, net, n_steps), params)
     reference = per_node_admission(sys_, nodes, params, n_steps)
-    for row in rows:
+    np.testing.assert_array_equal(report.node_id, net.ids())
+    np.testing.assert_array_equal(report.delay_s, net.base)
+    np.testing.assert_array_equal(report.variance, net.variances)
+    for row in report:
         beta, margins = reference[row.node_id]
         assert row.beta_hat == pytest.approx(beta, rel=1e-9)
         assert row.ct_exp == margins.size
@@ -551,7 +558,8 @@ def test_stability_select_chunks_match_one_chunk(monkeypatch):
     sizes = spy_chunks(monkeypatch, 7, n_steps, m)
     chunked = stability_select(scenario, params)
     assert sizes == [7] * 5 + [5]
-    assert chunked == whole
+    assert chunked[0] == whole[0]
+    assert chunked[1].tobytes() == whole[1].tobytes()
     assert 0 < len(whole[0]) < 40
 
 

@@ -77,18 +77,21 @@ def test_delay_steps_ties_away_from_zero():
     assert delay_steps(make_node(base=0.0149), ts=0.01) == 1
 
 
-def test_delay_steps_negative_jitter_clamped(zero_rng):
+def test_delay_steps_negative_jitter_clamped():
     class NegRng:
         def normal(self, loc, scale):
-            return -0.03
+            return np.full(np.shape(scale), -0.03)
 
-    node = make_node(base=0.0, jitter=0.02)
-    assert delay_steps(node, ts=0.01, rng=NegRng()) == 0
+    net = resolve_delays(SensorNetwork((make_node(base=0.0, jitter=0.02),)), NegRng())
+    assert net.base.tolist() == [0.0]
+    assert net.delay_steps(0.01).tolist() == [0]
 
 
-def test_delay_steps_requires_rng_for_jitter():
-    with pytest.raises(ConfigError):
-        delay_steps(make_node(jitter=0.1), ts=0.01)
+def test_delay_steps_refuses_unresolved_jitter():
+    net = SensorNetwork((make_node(), make_node(jitter=0.1, node_id=2)))
+    with pytest.raises(ConfigError, match="^node 2 has unresolved stochastic delay; "
+                                          "apply sensing.resolve_delays$"):
+        net.delay_steps(0.01)
 
 
 def test_delay_steps_integer_multiple_exact():
@@ -209,6 +212,16 @@ def per_node_sample(n, variance_range, delay_range, rng, state_dim=2, jitter_std
     return tuple(nodes)
 
 
+def resolved_per_node(nodes, rng):
+    """Reference: resolve_delays one node at a time, in id order."""
+    return [
+        SensorNode(id=node.id, h=node.h, r=node.r, delay=DelaySpec(base=max(
+            node.delay.base + rng.normal(0.0, node.delay.jitter_std), 0.0)))
+        if node.delay.jitter_std > 0.0 else node
+        for node in nodes
+    ]
+
+
 @pytest.mark.parametrize("state_dim", [2, 3])
 def test_sample_and_resolve_match_per_node_construction(state_dim):
     args = (300, (0.0, 0.5), (0.0, 2.0))
@@ -218,31 +231,24 @@ def test_sample_and_resolve_match_per_node_construction(state_dim):
     assert_same_columns(net, SensorNetwork(ref_nodes))
     resolved = resolve_delays(net, rng_a)
     # reference: one jitter draw per node, folded into the base, clamped at 0
-    ref_nodes = [
-        SensorNode(id=node.id, h=node.h, r=node.r, delay=DelaySpec(
-            base=max(node.delay.base + rng_b.normal(0.0, node.delay.jitter_std), 0.0)))
-        for node in ref_nodes
-    ]
-    assert_same_columns(resolved, SensorNetwork(ref_nodes))
+    assert_same_columns(resolved, SensorNetwork(resolved_per_node(ref_nodes, rng_b)))
     assert rng_a.random() == rng_b.random()  # both consumed the same draws
 
 
 def test_delay_steps_match_per_node():
     nodes = tuple(make_node(base=0.013 * i, jitter=0.02 * (i % 3), node_id=i + 1)
                   for i in range(40))
-    net = SensorNetwork(nodes)
-    rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
-    want = [delay_steps(node, 0.01, rng_b) for node in nodes]
-    np.testing.assert_array_equal(net.delay_steps(0.01, rng_a), want)
-    with pytest.raises(ConfigError, match="node 2 has stochastic delay"):
-        net.delay_steps(0.01)
+    net = resolve_delays(SensorNetwork(nodes), np.random.default_rng(4))
+    want = [delay_steps(node, 0.01) for node in resolved_per_node(nodes, np.random.default_rng(4))]
+    np.testing.assert_array_equal(net.delay_steps(0.01), want)
 
 
 def test_engine_measurements_match_per_node_construction():
     from dkfsim.dkf import DkfEngine
     from dkfsim.model import builtin_system, simulate
 
-    # single-row and two-row nodes, some jittered, more nodes than one noise block
+    # single-row and two-row nodes, some jittered (resolved before the engine
+    # is built), more nodes than one noise block
     rng = np.random.default_rng(2)
     nodes = []
     for i in range(300):
@@ -252,9 +258,10 @@ def test_engine_measurements_match_per_node_construction():
             id=i + 1, h=rng.standard_normal((p, 2)), r=0.1 * a @ a.T + 0.2 * np.eye(p),
             delay=DelaySpec(base=float(rng.uniform(0.0, 1.0)), jitter_std=0.05 * (i % 2)),
         ))
-    net = SensorNetwork(tuple(nodes))
+    net = resolve_delays(SensorNetwork(tuple(nodes)), np.random.default_rng(8))
     sys_ = builtin_system()
-    engine = DkfEngine(sys_, net, 60, np.random.default_rng(9))
+    engine_rng = np.random.default_rng(9)
+    engine = DkfEngine(sys_, net, 60, engine_rng)
     # reference: the per-node engine set-up
     rng = np.random.default_rng(9)
     truth = simulate(sys_, 60, rng)
@@ -266,5 +273,7 @@ def test_engine_measurements_match_per_node_construction():
         assert not engine.measurements[i, :, node.h.shape[0]:].any()
         assert np.array_equal(engine.scenario.l_all[i], 0.5 * ((hr @ node.h) + (hr @ node.h).T))
         assert np.array_equal(engine.div_all[i], z @ hr.T)
-    np.testing.assert_array_equal(engine.delays, [delay_steps(node, sys_.sample_time, rng)
-                                                  for node in nodes])
+    np.testing.assert_array_equal(engine.delays, [
+        delay_steps(node, sys_.sample_time)
+        for node in resolved_per_node(nodes, np.random.default_rng(8))])
+    assert engine_rng.random() == rng.random()  # the engine drew no delay
