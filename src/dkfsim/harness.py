@@ -17,13 +17,13 @@ from .model import LtvSystem, builtin_system, load_matrix_table
 from .sensing import SensorNetwork, load_network, resolve_delays, sample_network
 from .selection import (
     SelectionReport,
-    best_report,
     greedy_select,
     max_deviation,
     mse,
     mse_raw,
     settling_index,
     stability_select,
+    sweep_masks,
 )
 from .stability import compute_params
 
@@ -113,8 +113,7 @@ def make_network(cfg: ExperimentConfig, rng: np.random.Generator) -> SensorNetwo
     )
 
 
-def _metrics_report(engine: DkfEngine, subset, xhat, band: float) -> SelectionReport:
-    settle = settling_index(engine.truth, band)
+def _metrics_report(engine: DkfEngine, subset, xhat, settle: int) -> SelectionReport:
     return SelectionReport(
         nodes=frozenset(int(i) for i in subset),
         mse=mse(xhat, engine.truth, settle),
@@ -125,19 +124,6 @@ def _metrics_report(engine: DkfEngine, subset, xhat, band: float) -> SelectionRe
 
 # the report of a selection that ran no estimator: no nodes, NaN metrics
 _NOT_RUN = SelectionReport(nodes=frozenset(), mse=float("nan"), md=float("nan"))
-
-
-def _greedy_table(reports) -> np.recarray:
-    """One row per sweep iteration: thresholds, subset size and metrics."""
-    return _table(
-        iteration=[r.iteration for r in reports],
-        r0=[r.thresholds[0] for r in reports],
-        tau0=[r.thresholds[1] for r in reports],
-        n_selected=[r.n_selected for r in reports],
-        mse=[r.mse for r in reports],
-        md=[r.md for r in reports],
-        mse_raw=[r.mse_raw for r in reports],
-    )
 
 
 @dataclass
@@ -162,6 +148,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     network = make_network(cfg, rng)
     network = resolve_delays(network, rng)
     engine = DkfEngine(sys_, network, cfg.horizon, rng)
+    settle = settling_index(engine.truth, cfg.band)  # the first step every MSE counts
     result = ExperimentResult()
 
     modes = ("fixed-subset", "greedy", "stability") if cfg.mode == "all" else (cfg.mode,)
@@ -169,23 +156,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     if "fixed-subset" in modes:
         subset = cfg.subset_ids(network)
         info_hist, _, xhat, _ = engine.fused_run(subset)
-        result.reports["fixed-subset"] = _metrics_report(engine, subset, xhat, cfg.band)
+        result.reports["fixed-subset"] = _metrics_report(engine, subset, xhat, settle)
         result.selected_nodes["fixed-subset"] = sorted(subset)
         result.files.append(export_csv(_trace_table(engine.truth, xhat, info_hist),
                                        out / "trace_fixed.csv"))
 
     if "greedy" in modes:
-        reports = greedy_select(
+        report = greedy_select(
             engine, cfg.iterations,
-            r_max=cfg.variance_range[1], tau_max=cfg.delay_range[1], band=cfg.band,
+            r_max=cfg.variance_range[1], tau_max=cfg.delay_range[1], settle=settle,
         )
-        result.files.append(export_csv(_greedy_table(reports), out / "greedy_report.csv"))
-        best = best_report(reports)
-        if best is None:
+        result.files.append(export_csv(report, out / "greedy_report.csv"))
+        if np.isnan(report.mse).all():
             raise ConfigError("no greedy iteration produced a non-empty subset")
-        result.reports["greedy"] = best
-        result.selected_nodes["greedy"] = sorted(best.nodes)
-        info_hist, _, xhat, _ = engine.fused_run(sorted(best.nodes))
+        best = report[np.nanargmin(report.mse)]  # the first of tied minima
+        nodes = (np.flatnonzero(sweep_masks(network, best.r0, best.tau0)) + 1).tolist()
+        result.reports["greedy"] = SelectionReport(
+            nodes=frozenset(nodes), mse=best.mse, md=best.md, mse_raw=best.mse_raw,
+            iteration=int(best.iteration), thresholds=(float(best.r0), float(best.tau0)),
+        )
+        result.selected_nodes["greedy"] = nodes
+        info_hist, _, xhat, _ = engine.fused_run(nodes)
         result.files.append(export_csv(_trace_table(engine.truth, xhat, info_hist),
                                        out / "trace_greedy_best.csv"))
 
@@ -199,7 +190,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         result.selected_nodes["stability"] = sorted(selected)
         if selected:
             info_hist, _, xhat, _ = engine.fused_run(sorted(selected))
-            result.reports["stability"] = _metrics_report(engine, selected, xhat, cfg.band)
+            result.reports["stability"] = _metrics_report(engine, selected, xhat, settle)
             result.files.append(export_csv(_trace_table(engine.truth, xhat, info_hist),
                                            out / "trace_stability.csv"))
         else:

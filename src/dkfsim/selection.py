@@ -14,6 +14,7 @@ import numpy as np
 from .dkf import DkfEngine, Scenario
 from .errors import ConfigError, DivergenceError, MetricError
 from .model import robust_inverse  # noqa: F401 - per-layer tracing wraps this name
+from .sensing import R_MIN
 from .stability import (
     StabilityParams,
     _require_network,
@@ -39,7 +40,8 @@ CHOLESKY_SLACK = 8.0  # c in the bracket shift delta = c m (m + 1) eps max|D|
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """One evaluated configuration: chosen nodes plus estimation-quality metrics."""
+    """One selection's outcome: chosen nodes plus estimation-quality metrics;
+    iteration and thresholds name the greedy sweep's best record."""
 
     nodes: frozenset
     mse: float
@@ -85,72 +87,88 @@ def settling_index(traj, band: float = SETTLE_BAND) -> int:
     return last_bad + 1
 
 
-def mse(x_hat, x, from_index: int = 0) -> float:
-    """Per-step-normalized squared error: (1/2) sum ||xhat - x||^2 / #steps, k >= from_index."""
-    return _mse(x_hat, x, from_index, normalize=True)
-
-
-def mse_raw(x_hat, x, from_index: int = 0) -> float:
-    """Plain accumulated (1/2) sum ||xhat - x||^2 over k >= from_index."""
-    return _mse(x_hat, x, from_index, normalize=False)
-
-
-def _mse(x_hat, x, from_index, normalize):
+def _pair(x_hat, x):
+    """The estimate (..., N+1, m) and the truth (N+1, m) as float arrays."""
     a = np.asarray(x_hat, dtype=float)
     b = np.asarray(x, dtype=float)
-    if a.shape != b.shape:
+    if b.ndim != 2 or a.shape[-2:] != b.shape:
         raise MetricError(f"trajectory shapes differ: {a.shape} vs {b.shape}")
-    if not (0 <= from_index < a.shape[0]):
-        raise MetricError(f"from_index {from_index} outside trajectory of length {a.shape[0]}")
-    err = a[from_index:] - b[from_index:]
-    total = 0.5 * float(np.sum(err * err))
-    return total / err.shape[0] if normalize else total
+    return a, b
 
 
-def max_deviation(x_hat, x) -> float:
-    """max |xhat - x| over steps and components, divided by max |x|."""
-    a = np.asarray(x_hat, dtype=float)
-    b = np.asarray(x, dtype=float)
-    if a.shape != b.shape:
-        raise MetricError(f"trajectory shapes differ: {a.shape} vs {b.shape}")
+def mse_raw(x_hat, x, from_index: int = 0):
+    """Plain accumulated (1/2) sum ||xhat - x||^2 over k >= from_index.
+
+    x_hat is one (N+1, m) trajectory or a stack (..., N+1, m) of them, each
+    scored against the one truth x; a stack gives one value per trajectory.
+    """
+    a, b = _pair(x_hat, x)
+    if not (0 <= from_index < b.shape[0]):
+        raise MetricError(f"from_index {from_index} outside trajectory of length {b.shape[0]}")
+    err = a[..., from_index:, :] - b[from_index:]
+    return 0.5 * np.sum(err * err, axis=(-2, -1))
+
+
+def mse(x_hat, x, from_index: int = 0):
+    """Per-step-normalized squared error: mse_raw / #steps, k >= from_index."""
+    return mse_raw(x_hat, x, from_index) / (np.shape(x)[0] - from_index)
+
+
+def max_deviation(x_hat, x):
+    """max |xhat - x| over steps and components, divided by max |x|; one value
+    per trajectory of a stack (..., N+1, m), as mse_raw."""
+    a, b = _pair(x_hat, x)
     denom = float(np.abs(b).max())
     if denom == 0.0:
         raise MetricError("maximum deviation undefined for an all-zero true trajectory")
-    return float(np.abs(a - b).max()) / denom
+    return np.abs(a - b).max(axis=(-2, -1)) / denom
 
 
-def greedy_select(
-    engine: DkfEngine,
-    iterations: int,
-    r_max: float,
-    tau_max: float,
-    band: float = SETTLE_BAND,
-) -> list:
-    """Threshold sweep: iteration k admits nodes with R_i <= R0(k) and tau_i <= tau0(k),
+# one record per iteration of greedy_select's sweep: the columns of greedy_report.csv
+GREEDY_REPORT = np.dtype([
+    ("iteration", np.int64), ("r0", float), ("tau0", float), ("n_selected", np.int64),
+    ("mse", float), ("md", float), ("mse_raw", float),
+])
+
+
+def sweep_masks(network, r0, tau0) -> np.ndarray:
+    """The nodes the thresholds (R0, tau0) admit: R_i <= R0 and tau_i <= tau0.
+
+    Scalar thresholds give one (n,) bool mask; arrays of B thresholds give
+    (B, n). R0 counts as at least sensing.R_MIN, the floor of every variance,
+    so R0 = 0 admits on delay alone, as tau0 = 0 admits on variance alone.
+    """
+    r0 = np.expand_dims(np.maximum(r0, R_MIN), -1)
+    tau0 = np.expand_dims(tau0, -1)
+    return (network.variances <= r0) & (network.base <= tau0)
+
+
+def greedy_select(engine: DkfEngine, iterations: int, r_max: float, tau_max: float,
+                  settle: int) -> np.recarray:
+    """Threshold sweep: iteration k admits sweep_masks(network, R0(k), tau0(k)),
     with R0, tau0 shrinking linearly from (r_max, tau_max) toward zero.
 
-    The engine's network supplies the variances, delays and ids. All
-    non-empty iterations run as one batched DKF pass (DkfEngine.fused_runs)
-    against the engine's one plant/noise realization, so the sweep compares
-    subsets, not sample paths. Needs the engine's ground-truth states;
-    benchmark use only. Iterations with an empty subset record NaN metrics.
-    A zero r_max or tau_max holds that threshold at zero in every iteration,
-    so delay_range = 0 0 sweeps the variance alone.
+    The engine's network supplies the variances and delays. All non-empty
+    iterations run as one batched DKF pass (DkfEngine.fused_runs) against the
+    engine's one plant/noise realization, so the sweep compares subsets, not
+    sample paths. Each is scored against the engine's ground-truth states
+    (benchmark use only), the MSE over steps settle..N (the harness passes
+    settling_index of the truth). Returns a GREEDY_REPORT record array, one
+    record per iteration; an iteration with an empty subset holds NaN metrics.
     """
     if iterations < 1:
         raise ConfigError("iterations must be >= 1", keys=("iterations",))
     if r_max < 0.0 or tau_max < 0.0:
         raise ConfigError("r_max and tau_max must be >= 0", keys=("variance_range", "delay_range"))
-    network = engine.network
-    settle = settling_index(engine.truth, band)
-    variances = network.variances
-    delays_s = network.base
     shrink = 1.0 - np.arange(iterations) / iterations  # iteration j + 1 scales by shrink[j]
     r0 = r_max * shrink
     tau0 = tau_max * shrink
-    masks = (variances[None, :] <= r0[:, None]) & (delays_s[None, :] <= tau0[:, None])
-    ran = masks.any(axis=1)
-    xhats = None
+    masks = sweep_masks(engine.network, r0, tau0)
+    n_selected = masks.sum(axis=1)
+    nan = np.full(iterations, np.nan)
+    report = np.rec.fromarrays([np.arange(1, iterations + 1), r0, tau0, n_selected, nan, nan, nan],
+                               dtype=GREEDY_REPORT)
+    ran = n_selected > 0
     if ran.any():
         try:
             xhats = engine.fused_runs(masks[ran])[2]
@@ -160,33 +178,10 @@ def greedy_select(
                 f"non-finite fused information in greedy iteration {iteration} at step {exc.step}",
                 step=exc.step,
             ) from exc
-    row = np.cumsum(ran) - 1  # row of iteration j + 1 in xhats
-    ids = np.array(network.ids())
-    reports = []
-    for j in range(iterations):
-        thresholds = (float(r0[j]), float(tau0[j]))
-        if not ran[j]:
-            reports.append(SelectionReport(
-                nodes=frozenset(), mse=float("nan"), md=float("nan"),
-                iteration=j + 1, thresholds=thresholds,
-            ))
-            continue
-        xhat = xhats[row[j]]
-        reports.append(SelectionReport(
-            nodes=frozenset(ids[masks[j]].tolist()),
-            mse=mse(xhat, engine.truth, settle),
-            md=max_deviation(xhat, engine.truth),
-            mse_raw=mse_raw(xhat, engine.truth, settle),
-            iteration=j + 1,
-            thresholds=thresholds,
-        ))
-    return reports
-
-
-def best_report(reports) -> SelectionReport | None:
-    """The ran report with the smallest MSE, or None when nothing ran."""
-    ran = [r for r in reports if r.ran]
-    return min(ran, key=lambda r: r.mse) if ran else None
+        report.mse[ran] = mse(xhats, engine.truth, settle)
+        report.md[ran] = max_deviation(xhats, engine.truth)
+        report.mse_raw[ran] = mse_raw(xhats, engine.truth, settle)
+    return report
 
 
 # one record per node of stability_select's report, in id order

@@ -221,6 +221,48 @@ def test_run_experiment_greedy_without_delays_sweeps_variance(tmp_path):
     assert res.report("greedy").ran
 
 
+def test_run_experiment_greedy_without_variances_sweeps_delay(tmp_path):
+    # variance_range = 0 0 floors every variance at R_MIN; the sweep holds R0
+    # at 0, which admits the floor, and shrinks tau0 alone
+    cfg = small_cfg(mode="greedy", variance_range=(0.0, 0.0))
+    res = run_experiment(cfg, out_dir=tmp_path)
+    with open(tmp_path / "greedy_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {float(r["r0"]) for r in rows} == {0.0}
+    counts = [int(r["n_selected"]) for r in rows]
+    assert counts[0] == cfg.n_sensors
+    assert counts == sorted(counts, reverse=True) and counts[-1] < counts[0]
+    assert res.report("greedy").ran
+
+
+def test_run_experiment_greedy_reports_first_of_tied_minima(tmp_path):
+    # R0 sweeps 0.5, 0.4, ..., 0.1 over nodes of variance 0.25: iterations 1-3
+    # run the same subset and tie, iterations 4-5 select nothing and hold NaN;
+    # the first of the tied minima is reported
+    net_file = tmp_path / "net.txt"
+    net_file.write_text("".join(f"{i} {i % 2} 0.25 0.0 0.0\n" for i in range(1, 7)))
+    cfg = small_cfg(mode="greedy", network_file=str(net_file), iterations=5)
+    res = run_experiment(cfg, out_dir=tmp_path / "out")
+    with open(tmp_path / "out" / "greedy_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["n_selected"] for r in rows] == ["6", "6", "6", "0", "0"]
+    assert len({r["mse"] for r in rows[:3]}) == 1 and rows[3]["mse"] == rows[4]["mse"] == "nan"
+    best = res.report("greedy")
+    assert best.iteration == 1
+    assert best.thresholds == (float(rows[0]["r0"]), float(rows[0]["tau0"]))
+    assert best.mse == float(rows[0]["mse"])
+    assert res.selected_nodes["greedy"] == list(range(1, 7))
+
+
+def test_run_experiment_all_mode_warns_once_when_truth_never_settles(tmp_path, caplog):
+    # the settling index is computed once per experiment and shared by the
+    # fixed run, the greedy sweep and the stability run
+    with caplog.at_level("WARNING", logger="dkfsim.selection"):
+        res = run_experiment(small_cfg(mode="all"), out_dir=tmp_path)
+    assert res.report("stability").ran
+    assert sum("never settles" in rec.message for rec in caplog.records) == 1
+
+
 def test_run_experiment_all_mode_shares_realization(tmp_path):
     cfg = small_cfg(mode="all")
     res = run_experiment(cfg, out_dir=tmp_path)

@@ -10,9 +10,9 @@ from dkfsim.dkf import DkfEngine, Scenario
 from dkfsim.errors import ConfigError, MetricError, NumericError
 from dkfsim.model import LtvSystem, MatrixTable, builtin_system, robust_inverse, transition_matrix
 from dkfsim.reference import delay_steps, gamma_hat, i_tilde, time_update_general
-from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode, sample_network
+from dkfsim.sensing import R_MIN, DelaySpec, SensorNetwork, SensorNode, sample_network
 from dkfsim.selection import (
-    best_report,
+    GREEDY_REPORT,
     greedy_select,
     max_deviation,
     mse,
@@ -20,6 +20,7 @@ from dkfsim.selection import (
     _positive_definite,
     settling_index,
     stability_select,
+    sweep_masks,
 )
 from dkfsim.stability import StabilityParams, compute_params
 
@@ -120,66 +121,107 @@ def test_metrics_invariant_under_component_permutation():
     assert max_deviation(xh, x) == pytest.approx(max_deviation(xh[:, perm], x[:, perm]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 6), n_steps=st.integers(1, 210),
+       m=st.integers(1, 4), data=st.data())
+def test_metrics_on_a_stack_equal_per_row_calls(seed, batch, n_steps, m, data):
+    # up to 840 entries per row, past numpy's 128-entry pairwise-summation block
+    rng = np.random.default_rng(seed)
+    truth = rng.standard_normal((n_steps, m))
+    stack = truth + rng.uniform(0.0, 2.0, (batch, 1, 1)) * rng.standard_normal((batch, n_steps, m))
+    stack[data.draw(st.integers(0, batch - 1))] = truth  # one row equal to the truth
+    from_index = data.draw(st.integers(0, n_steps - 1))
+    for metric, args in ((mse, (from_index,)), (mse_raw, (from_index,)), (max_deviation, ())):
+        batched = metric(stack, truth, *args)
+        assert batched.shape == (batch,)
+        assert np.array_equal(batched, [metric(row, truth, *args) for row in stack])
+
+
+@pytest.mark.parametrize("metric", [mse, mse_raw, max_deviation])
+@pytest.mark.parametrize("shape", [(3, 5, 2), (3, 6, 3), (6,), (2, 3, 6, 1)])
+def test_metrics_reject_a_stack_of_other_trailing_shape(metric, shape):
+    with pytest.raises(MetricError, match="shapes differ"):
+        metric(np.ones(shape), np.ones((6, 2)))
+
+
 # ---------------------------------------------------------------------------
 # greedy sweep
 # ---------------------------------------------------------------------------
+
+
+def sweep(engine, iterations, r_max, tau_max):
+    return greedy_select(engine, iterations, r_max, tau_max, settling_index(engine.truth))
 
 
 def test_greedy_first_iteration_selects_everything():
     sys_ = builtin_system()
     rng = np.random.default_rng(3)
     net = sample_network(40, (0.0, 0.5), (0.0, 2.0), rng)
-    reports = greedy_select(DkfEngine(sys_, net, 60, rng), 1, 0.5, 2.0)
-    assert len(reports) == 1
-    assert reports[0].n_selected == 40
-    assert reports[0].thresholds == (0.5, 2.0)
+    report = sweep(DkfEngine(sys_, net, 60, rng), 1, 0.5, 2.0)
+    assert isinstance(report, np.recarray) and report.dtype == GREEDY_REPORT
+    assert report.dtype.names == ("iteration", "r0", "tau0", "n_selected", "mse", "md",
+                                  "mse_raw")
+    assert len(report) == 1
+    assert report[0].n_selected == 40
+    assert (report[0].r0, report[0].tau0) == (0.5, 2.0)
 
 
 def test_greedy_boundary_inclusion():
     # a node sitting exactly at the thresholds is included (<= comparison)
     sys_ = builtin_system()
     net = SensorNetwork((make_node(1, r=0.5, base=2.0), make_node(2, r=0.1, base=0.1)))
-    reports = greedy_select(DkfEngine(sys_, net, 40, np.random.default_rng(0)), 1, 0.5, 2.0)
-    assert reports[0].nodes == frozenset({1, 2})
+    assert sweep_masks(net, 0.5, 2.0).tolist() == [True, True]
+    assert sweep_masks(net, 0.49, 2.0).tolist() == [False, True]
+    report = sweep(DkfEngine(sys_, net, 40, np.random.default_rng(0)), 1, 0.5, 2.0)
+    assert report[0].n_selected == 2
+
+
+def test_sweep_masks_zero_variance_threshold_admits_the_floor():
+    # variances are clamped up to R_MIN, so R0 = 0 admits the floored nodes on
+    # delay alone; a node above the floor stays out
+    net = SensorNetwork((make_node(1, r=R_MIN, base=0.5), make_node(2, r=2 * R_MIN, base=0.0),
+                         make_node(3, r=R_MIN, base=1.5)))
+    assert sweep_masks(net, 0.0, 1.0).tolist() == [True, False, False]
+    assert sweep_masks(net, np.zeros(2), np.array([2.0, 0.0])).tolist() == [
+        [True, False, True], [False, False, False]]
 
 
 def test_greedy_thresholds_nonincreasing_and_subsets_nested():
     sys_ = builtin_system()
     rng = np.random.default_rng(4)
     net = sample_network(60, (0.0, 0.5), (0.0, 2.0), rng)
-    reports = greedy_select(DkfEngine(sys_, net, 50, rng), 12, 0.5, 2.0)
-    for prev, cur in zip(reports, reports[1:]):
-        assert cur.thresholds[0] <= prev.thresholds[0]
-        assert cur.thresholds[1] <= prev.thresholds[1]
-        assert cur.nodes <= prev.nodes
+    report = sweep(DkfEngine(sys_, net, 50, rng), 12, 0.5, 2.0)
+    assert (np.diff(report.r0) <= 0).all() and (np.diff(report.tau0) <= 0).all()
+    masks = sweep_masks(net, report.r0, report.tau0)
+    assert masks.shape == (12, 60)
+    assert (masks[1:] <= masks[:-1]).all()  # each subset inside the one before
+    assert report.n_selected.tolist() == masks.sum(axis=1).tolist()
 
 
 def test_greedy_empty_iteration_records_sentinel():
     sys_ = builtin_system()
     net = SensorNetwork((make_node(1, r=0.5, base=2.0),))
-    reports = greedy_select(DkfEngine(sys_, net, 40, np.random.default_rng(0)), 10, 0.5, 2.0)
-    assert reports[0].ran
-    assert not reports[-1].ran  # thresholds shrank below the node
-    assert np.isnan(reports[-1].mse) and np.isnan(reports[-1].md)
-    assert reports[-1].nodes == frozenset()
+    report = sweep(DkfEngine(sys_, net, 40, np.random.default_rng(0)), 10, 0.5, 2.0)
+    assert report[0].n_selected == 1 and np.isfinite(report[0].mse)
+    assert report[-1].n_selected == 0  # thresholds shrank below the node
+    assert np.isnan(report[-1].mse) and np.isnan(report[-1].md) and np.isnan(report[-1].mse_raw)
 
 
 def test_greedy_shares_one_realization():
-    # two reports over the same subset content must carry identical metrics
+    # two records over the same subset content must carry identical metrics
     sys_ = builtin_system()
     net = SensorNetwork((make_node(1, r=0.05, base=0.0), make_node(2, r=0.06, base=0.05)))
-    reports = greedy_select(DkfEngine(sys_, net, 60, np.random.default_rng(1)), 5, 0.5, 2.0)
-    full = [r for r in reports if r.n_selected == 2]
+    report = sweep(DkfEngine(sys_, net, 60, np.random.default_rng(1)), 5, 0.5, 2.0)
+    full = report[report.n_selected == 2]
     assert len(full) >= 2
-    for r in full[1:]:
-        assert r.mse == full[0].mse
-        assert r.md == full[0].md
+    assert (full.mse == full.mse[0]).all()
+    assert (full.md == full.md[0]).all()
 
 
 def per_iteration_sweep(engine, nodes, iterations, r_max, tau_max):
     """The sweep as one engine.fused_run per non-empty iteration (reference),
     with thresholds read from the SensorNode objects the engine's network was
-    built from.
+    built from; R0 counts as at least R_MIN, the variance floor.
 
     Returns (nodes, thresholds, mse, md, mse_raw) per iteration.
     """
@@ -189,7 +231,8 @@ def per_iteration_sweep(engine, nodes, iterations, r_max, tau_max):
         r0 = r_max * (1.0 - (it - 1) / iterations)
         tau0 = tau_max * (1.0 - (it - 1) / iterations)
         chosen = [node.id for node in nodes
-                  if np.linalg.eigvalsh(node.r).max() <= r0 and node.delay.base <= tau0]
+                  if np.linalg.eigvalsh(node.r).max() <= max(r0, R_MIN)
+                  and node.delay.base <= tau0]
         if not chosen:
             out.append((frozenset(), (r0, tau0), math.nan, math.nan, math.nan))
             continue
@@ -199,12 +242,15 @@ def per_iteration_sweep(engine, nodes, iterations, r_max, tau_max):
     return out
 
 
-def assert_sweep_matches(reports, expected, rel=1e-12):
-    assert len(reports) == len(expected)
-    for it, (rep, (nodes, thresholds, *metrics)) in enumerate(zip(reports, expected), start=1):
+def assert_sweep_matches(report, network, expected, rel=1e-12):
+    assert len(report) == len(expected)
+    masks = sweep_masks(network, report.r0, report.tau0)
+    for it, (rep, mask, (nodes, thresholds, *metrics)) in enumerate(
+            zip(report, masks, expected), start=1):
         assert rep.iteration == it
-        assert rep.nodes == nodes
-        assert rep.thresholds == thresholds
+        assert frozenset((np.flatnonzero(mask) + 1).tolist()) == nodes
+        assert rep.n_selected == len(nodes)
+        assert (rep.r0, rep.tau0) == thresholds
         for got, want in zip((rep.mse, rep.md, rep.mse_raw), metrics):
             if math.isnan(want):
                 assert math.isnan(got)
@@ -223,10 +269,11 @@ def test_greedy_batched_matches_per_iteration_runs():
     nodes.append(make_node(10, row=1, r=0.12, base=1.9))
     net = SensorNetwork(tuple(nodes))
     engine = DkfEngine(sys_, net, 60, np.random.default_rng(8))
-    reports = greedy_select(engine, 10, 0.5, 2.0)
-    assert not reports[-1].ran and reports[0].n_selected == 10
-    assert any(9 in r.nodes for r in reports) and 10 in reports[0].nodes
-    assert_sweep_matches(reports, per_iteration_sweep(engine, nodes, 10, 0.5, 2.0))
+    report = sweep(engine, 10, 0.5, 2.0)
+    masks = sweep_masks(net, report.r0, report.tau0)
+    assert report[-1].n_selected == 0 and report[0].n_selected == 10
+    assert masks[:, 8].any() and masks[0, 9]
+    assert_sweep_matches(report, net, per_iteration_sweep(engine, nodes, 10, 0.5, 2.0))
 
 
 @settings(max_examples=30, deadline=None)
@@ -249,8 +296,9 @@ def test_greedy_batched_matches_per_iteration_property(seed, m, n_nodes, iterati
     r_max = float(rng.uniform(0.2, 1.5))
     tau_max = float(rng.uniform(0.05, 1.5 * n_steps * sys_.sample_time))
     engine = DkfEngine(sys_, net, n_steps, rng)
-    reports = greedy_select(engine, iterations, r_max, tau_max)
-    assert_sweep_matches(reports, per_iteration_sweep(engine, nodes, iterations, r_max, tau_max))
+    report = sweep(engine, iterations, r_max, tau_max)
+    assert_sweep_matches(report, net,
+                         per_iteration_sweep(engine, nodes, iterations, r_max, tau_max))
 
 
 def test_greedy_non_finite_names_iteration_and_step(monkeypatch):
@@ -264,7 +312,8 @@ def test_greedy_non_finite_names_iteration_and_step(monkeypatch):
     monkeypatch.setattr(_kernels, "fused_info_recursion", poisoned)
     net = SensorNetwork(tuple(make_node(i + 1, r=0.1 * (i + 1)) for i in range(4)))
     with pytest.raises(NumericError, match=r"greedy iteration 2 at step 12$") as err:
-        greedy_select(DkfEngine(builtin_system(), net, 30, np.random.default_rng(0)), 4, 0.5, 1.0)
+        greedy_select(DkfEngine(builtin_system(), net, 30, np.random.default_rng(0)), 4, 0.5, 1.0,
+                      settle=0)
     assert err.value.step == 12
 
 
@@ -272,15 +321,7 @@ def test_greedy_requires_resolved_network():
     sys_ = builtin_system()
     net = SensorNetwork((make_node(1, jitter=0.1),))
     with pytest.raises(ConfigError, match="node 1 has unresolved stochastic delay"):
-        greedy_select(DkfEngine(sys_, net, 30, np.random.default_rng(0)), 2, 0.5, 2.0)
-
-
-def test_best_report_ignores_sentinels():
-    sys_ = builtin_system()
-    net = SensorNetwork((make_node(1, r=0.5, base=2.0),))
-    reports = greedy_select(DkfEngine(sys_, net, 40, np.random.default_rng(0)), 10, 0.5, 2.0)
-    best = best_report(reports)
-    assert best is not None and best.ran
+        greedy_select(DkfEngine(sys_, net, 30, np.random.default_rng(0)), 2, 0.5, 2.0, settle=0)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +676,7 @@ def test_three_state_system_end_to_end():
         sample_time=0.01,
     )
     net = sample_network(30, (0.0, 0.3), (0.0, 0.3), rng, state_dim=3)
-    reports = greedy_select(DkfEngine(sys_, net, n_steps, rng), 8, 0.3, 0.3)
-    assert best_report(reports) is not None
+    report = sweep(DkfEngine(sys_, net, n_steps, rng), 8, 0.3, 0.3)
+    assert np.isfinite(report.mse).any()
     selected, _ = stability_select(Scenario(sys_, net, n_steps), StabilityParams(k_bar=8))
     assert selected <= set(net.ids())
