@@ -18,7 +18,7 @@ from .model import (
     transition_matrix,
 )
 from .observability import StructuralMatrix, is_structurally_observable, structure_of
-from .sensing import DelaySpec, SensorNetwork, SensorNode, resolve_delays, sample_network
+from .sensing import SensorNetwork, resolve_delays, sample_network
 from .selection import (
     SelectionReport,
     greedy_select,
@@ -32,8 +32,8 @@ from .stability import StabilityParams
 __version__ = "0.1.0"
 
 __all__ = [
-    "DelaySpec", "DkfEngine", "ExperimentConfig", "LtvSystem", "MonteCarloSummary",
-    "Scenario", "SelectionReport", "SensorNetwork", "SensorNode", "StabilityParams",
+    "DkfEngine", "ExperimentConfig", "LtvSystem", "MonteCarloSummary",
+    "Scenario", "SelectionReport", "SensorNetwork", "StabilityParams",
     "StructuralMatrix", "backend_name", "builtin_system", "derive_seed", "export_csv",
     "greedy_select", "is_effectively_singular", "is_structurally_observable", "load_config",
     "max_deviation", "monte_carlo", "mse", "resolve_delays", "run_experiment",

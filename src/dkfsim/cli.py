@@ -17,7 +17,7 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericError
 from .harness import make_rng, make_network, make_system, monte_carlo, run_experiment
-from .observability import is_structurally_observable, structure_of, union_structure
+from .observability import is_structurally_observable, union_structure
 
 log = logging.getLogger("dkfsim")
 
@@ -123,7 +123,7 @@ def _cmd_observability(cfg):
     rng = make_rng(cfg.seed)
     network = make_network(cfg, rng)
     a_bar = union_structure(sys_, cfg.horizon)
-    h_bars = [structure_of(network.h[i, :q]) for i, q in enumerate(network.rows)]
+    h_bars = np.eye(network.state_dim, dtype=bool)[network.state]  # one basis row per node
     observable, certificate = is_structurally_observable(a_bar, h_bars)
     print(certificate)
     return EXIT_OK

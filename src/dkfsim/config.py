@@ -7,6 +7,7 @@ together in a single ConfigError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -45,27 +46,29 @@ class ExperimentConfig:
     band: float = 0.01
 
     def validate(self):
+        """Raise one ConfigError naming every invalid key; NaN and +-inf are
+        invalid in every float key."""
         bad = []
         if self.state_dim < 1:
             bad.append("state_dim")
         if not (self.transition == "builtin" or self.transition.startswith("table:")):
             bad.append("transition")
-        if self.q_scale <= 0:
+        if not 0 < self.q_scale < math.inf:
             bad.append("q_scale")
-        if len(self.x0) != self.state_dim:
+        if len(self.x0) != self.state_dim or not all(map(math.isfinite, self.x0)):
             bad.append("x0")
-        if self.ts <= 0:
+        if not 0 < self.ts < math.inf:
             bad.append("ts")
         if self.n_sensors < 1:
             bad.append("n_sensors")
         for key, rng in (("variance_range", self.variance_range), ("delay_range", self.delay_range)):
-            if len(rng) != 2 or not (0 <= rng[0] <= rng[1]):
+            if len(rng) != 2 or not (0 <= rng[0] <= rng[1] < math.inf):
                 bad.append(key)
-        if self.jitter_std < 0:
+        if not 0 <= self.jitter_std < math.inf:
             bad.append("jitter_std")
         if self.k_bar < 1:
             bad.append("k_bar")
-        if self.alpha <= 0:
+        if not 0 < self.alpha < math.inf:
             bad.append("alpha")
         if self.beta_hat_override is not None and not (0 < self.beta_hat_override <= 1):
             bad.append("beta_hat_override")

@@ -15,12 +15,7 @@ from . import _kernels
 from .errors import ConfigError, DivergenceError, SelectionError
 from .model import LtvSystem, robust_inverse, simulate, transition_sequence
 from .model import transition_matrix  # noqa: F401 - per-layer tracing wraps this name
-from .sensing import SensorNetwork, row_groups
-
-# nodes per measurement-noise draw in DkfEngine. One draw for the whole network
-# gives the same bits but holds all of its noise and gathered blocks at once:
-# on configs/benchmark.cfg in greedy mode it raised peak RSS from 55 to 72 MB
-NOISE_BLOCK = 256
+from .sensing import SensorNetwork
 
 
 def _symmetrize(a):
@@ -53,8 +48,9 @@ class Scenario:
 
     sys, network and n_steps are the inputs; a_seq / a_inv_seq: A(k) and its
     inverse for k < n_steps (the pseudo-inverse at the steps listed in
-    a_pinv_steps); q_inv: Q^{-1}; per node hr = H^T R^{-1} (n, m, p), zero
-    past the node's own rows, and l_all = H^T R^{-1} H (n, m, m).
+    a_pinv_steps); q_inv: Q^{-1}; l_all (n, m, m): each node's information
+    contribution l_i = H_i^T R_i^{-1} H_i, which for node i measuring state s
+    with variance r_i is 1/r_i at (s, s) and zero elsewhere.
     network=None prepares the plant part only. The engine, the stability
     selection and the bound computations read these from one instance
     instead of deriving them again.
@@ -63,40 +59,34 @@ class Scenario:
     def __init__(self, sys: LtvSystem, network: SensorNetwork | None, n_steps: int):
         if n_steps < 1:
             raise ConfigError("n_steps must be >= 1", keys=("horizon",))
-        if network is not None and len(network) and network.state_dim != sys.state_dim:
+        if network is not None and network.state_dim != sys.state_dim:
             raise ConfigError(f"nodes measure a {network.state_dim}-state plant, "
                               f"the system has {sys.state_dim} states")
         self.sys = sys
         self.network = network
         self.n_steps = n_steps
         self.a_seq = transition_sequence(sys, n_steps)
-        inv_pairs = [robust_inverse(a) for a in self.a_seq]
-        self.a_inv_seq = np.ascontiguousarray([p[0] for p in inv_pairs])
-        self.a_pinv_steps = [k for k, p in enumerate(inv_pairs) if p[1]]
+        self.a_inv_seq, used_pinv = robust_inverse(self.a_seq)
+        self.a_pinv_steps = np.flatnonzero(used_pinv).tolist()
         self.q_inv = np.linalg.inv(sys.process_noise_cov)
         if network is None:
             return
-        m = sys.state_dim
-        n, p, _ = network.h.shape
-        self.hr = np.zeros((n, m, p))
-        self.l_all = np.empty((n, m, m))
-        # one batch per row count: every node's products keep its own shapes
-        for q, idx in row_groups(network.rows):
-            h = network.h[idx, :q]
-            hr = h.transpose(0, 2, 1) @ np.linalg.inv(network.r[idx, :q, :q])
-            self.hr[idx, :, :q] = hr
-            self.l_all[idx] = _symmetrize(hr @ h)
+        n = len(network)
+        self.l_all = np.zeros((n, sys.state_dim, sys.state_dim))
+        self.l_all[np.arange(n), network.state, network.state] = 1.0 / network.variance
 
 
 class DkfEngine:
-    """One realization of plant and measurements, reusable across subsets: the
-    one way to run the estimator (fused_run, fused_runs).
+    """One realization of plant and sensor readings, reusable across subsets:
+    the one way to run the estimator (fused_run, fused_runs).
 
-    Measurement noise is drawn for every network node (in id order) regardless
-    of the subset later filtered on, so runs over different subsets of the same
-    engine share one realization; the greedy sweep depends on this. Delays
-    must be constant: a network with jitter raises ConfigError
-    (sensing.resolve_delays draws it first).
+    z (n, N+1) holds every node's readings z_i(k) = x_s(k) + sqrt(r_i) w_i(k),
+    s the state node i measures and r_i its variance. The noise w is drawn
+    for every network node in one call (node i's N+1 draws right after node
+    i-1's) regardless of the subset later filtered on, so runs over different
+    subsets of the same engine share one realization; the greedy sweep
+    depends on this. Delays must be constant: a network with jitter raises
+    ConfigError (sensing.resolve_delays draws it first).
     """
 
     def __init__(self, sys: LtvSystem, network: SensorNetwork, n_steps: int,
@@ -110,26 +100,9 @@ class DkfEngine:
         self.a_pinv_steps = sc.a_pinv_steps
         self.delays = network.delay_steps(sys.sample_time)
         self.truth = simulate(sys, n_steps, rng)
-        n_out = n_steps + 1
-        n = len(network)
-        states_t = self.truth.T
-        # node i's measurements are measurements[i, :, :p_i], zero past its rows
-        self.measurements = np.zeros((n, n_out, network.h.shape[1]))
-        self.div_all = np.empty((n, n_out, m))
-        # node i draws its (N+1, p_i) noise block right after node i-1's; one
-        # draw per block of nodes keeps that order and bounds the temporaries
-        for lo in range(0, n, NOISE_BLOCK):
-            rows = network.rows[lo:lo + NOISE_BLOCK]
-            sizes = n_out * rows
-            noise = rng.standard_normal(int(sizes.sum()))
-            offsets = np.cumsum(sizes) - sizes
-            for q, idx in row_groups(rows):
-                w = noise[offsets[idx, None] + np.arange(n_out * q)].reshape(-1, n_out, q)
-                idx = idx + lo
-                chol = np.linalg.cholesky(network.r[idx, :q, :q])
-                z = (network.h[idx, :q] @ states_t).transpose(0, 2, 1) + w @ chol.transpose(0, 2, 1)
-                self.measurements[idx, :, :q] = z
-                self.div_all[idx] = z @ sc.hr[idx, :, :q].transpose(0, 2, 1)
+        self.z = rng.standard_normal((len(network), n_steps + 1))
+        self.z *= np.sqrt(network.variance)[:, None]
+        self.z += self.truth[:, network.state].T
         self.info0 = np.zeros((m, m)) if info0 is None else _symmetrize(np.asarray(info0, dtype=float))
         if x0_hat is None:
             self.yv0 = np.zeros(m)
@@ -175,13 +148,20 @@ class DkfEngine:
         group_delays, starts = np.unique(self.delays[used], return_index=True)
         sc = self.scenario
         l_flat = sc.l_all.reshape(n, m * m)
+        inv_r = 1.0 / self.network.variance
         info_inc = np.zeros((n_runs, n_out, m * m))
         iv_inc = np.zeros((n_runs, n_out, m))
         for delay, rows in zip(group_delays, np.split(used, starts[1:])):
             w_rows = masks[:, rows].astype(float)
             info_inc[:, delay] = w_rows @ l_flat[rows]
-            div = self.div_all[rows, : n_out - delay].reshape(rows.size, -1)
-            iv_inc[:, delay:] += (w_rows @ div).reshape(n_runs, n_out - delay, m)
+            # the group's IV deltas z_i H_i^T R_i^{-1}: z_i times 1/r_i (not
+            # divided by r_i, which rounds differently) in node i's state
+            # entry, zero elsewhere
+            div = np.zeros((rows.size, n_out - delay, m))
+            div.transpose(0, 2, 1)[np.arange(rows.size), self.network.state[rows]] = \
+                self.z[rows, : n_out - delay] * inv_r[rows, None]
+            iv_inc[:, delay:] += (w_rows @ div.reshape(rows.size, -1)).reshape(
+                n_runs, n_out - delay, m)
         info_inc = np.cumsum(info_inc, axis=1, out=info_inc).reshape(n_runs, n_out, m, m)
         info_hist, yv_hist = _kernels.fused_info_recursion(
             sc.a_inv_seq, sc.q_inv, info_inc, iv_inc, self.info0, self.yv0

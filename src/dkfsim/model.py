@@ -25,8 +25,9 @@ SINGULAR_TOL = 1e-10
 
 
 def _as_matrix(a, name="matrix"):
+    """a as one square matrix or a stack (..., m, m) of them."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ConfigError(f"{name} must be square, got shape {a.shape}", keys=(name,))
     return a
 
@@ -137,30 +138,38 @@ def simulate(sys: LtvSystem, n_steps: int, rng: np.random.Generator) -> np.ndarr
     return states
 
 
-def is_effectively_singular(a, tol: float | None = None) -> bool:
+def is_effectively_singular(a, tol: float | None = None):
     """True when the smallest singular value of a falls below tol.
 
+    a is one matrix or a stack (..., m, m), which gives one flag per matrix.
     With tol=None the threshold is SINGULAR_TOL relative to the largest
-    singular value; an explicit tol is absolute.
+    singular value; an explicit tol is absolute. A matrix without entries or
+    with no nonzero singular value is singular.
     """
     a = _as_matrix(a, "a")
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return True
+    top = s.max(axis=-1, initial=0.0)
     if tol is None:
-        tol = SINGULAR_TOL * s[0]
-    return bool(s[-1] < tol)
+        tol = SINGULAR_TOL * top
+    singular = (top == 0.0) | (s.min(axis=-1, initial=np.inf) < tol)
+    return bool(singular) if a.ndim == 2 else singular
 
 
-def robust_inverse(a, tol: float | None = None) -> tuple[np.ndarray, bool]:
+def robust_inverse(a, tol: float | None = None):
     """Inverse of a, switching to the pseudo-inverse for near-singular input.
 
-    Returns (inverse, used_pinv).
+    a is one matrix or a stack (..., m, m) inverted matrix by matrix in one
+    call. Returns (inverse, used_pinv): used_pinv is a bool for one matrix
+    and a bool array of the stack's leading shape for a stack.
     """
     a = _as_matrix(a, "a")
-    if is_effectively_singular(a, tol):
-        return np.linalg.pinv(a), True
-    return np.linalg.inv(a), False
+    used_pinv = is_effectively_singular(a, tol)
+    if a.ndim == 2:
+        return (np.linalg.pinv(a) if used_pinv else np.linalg.inv(a)), used_pinv
+    out = np.empty_like(a)
+    out[~used_pinv] = np.linalg.inv(a[~used_pinv])
+    out[used_pinv] = np.linalg.pinv(a[used_pinv])
+    return out, used_pinv
 
 
 def load_matrix_table(path) -> MatrixTable:

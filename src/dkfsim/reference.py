@@ -20,7 +20,7 @@ import numpy as np
 from .dkf import _symmetrize
 from .errors import ConfigError, NumericError
 from .model import LtvSystem, is_effectively_singular, robust_inverse, transition_matrix
-from .sensing import SensorNode, _round_steps
+from .sensing import _round_steps
 
 log = logging.getLogger(__name__)
 
@@ -42,15 +42,15 @@ def time_update_general(info, iv, a_inv, q_inv):
     return info_next, iv_next
 
 
-def kf_covariance_form(sys: LtvSystem, h_stacked, r_blockdiag, measurements,
+def kf_covariance_form(sys: LtvSystem, h_stacked, r_blockdiag, z,
                        n_steps: int, x0_hat=None, p0=None):
     """Standard covariance-form Kalman filter (Joseph update).
 
-    measurements has shape (n_steps+1, p); returns (xhat (N+1, m), cov (N+1, m, m)).
+    z holds the readings, shape (n_steps+1, p); returns (xhat (N+1, m), cov (N+1, m, m)).
     """
     h = np.atleast_2d(np.asarray(h_stacked, dtype=float))
     r = np.atleast_2d(np.asarray(r_blockdiag, dtype=float))
-    z = np.asarray(measurements, dtype=float).reshape(n_steps + 1, -1)
+    z = np.asarray(z, dtype=float).reshape(n_steps + 1, -1)
     m = sys.state_dim
     if h.shape != (z.shape[1], m) or r.shape != (z.shape[1], z.shape[1]):
         raise ConfigError("inconsistent oracle dimensions")
@@ -154,12 +154,12 @@ def i_tilde(k: int, k_bar: int, beta: float, sys: LtvSystem, l_node) -> np.ndarr
     return _symmetrize(total)
 
 
-def delay_steps(node: SensorNode, ts: float) -> int:
-    """A node's constant delay base in filter steps.
+def delay_steps(base: float, ts: float) -> int:
+    """A constant delay of base seconds in filter steps.
 
     Round-to-nearest with ties away from zero; a 1e-9 nudge absorbs binary
     representation error in ratios like 0.015/0.01.
     """
     if ts <= 0.0:
         raise ConfigError("ts must be positive", keys=("ts",))
-    return int(_round_steps(node.delay.base, ts))
+    return int(_round_steps(base, ts))

@@ -140,7 +140,7 @@ def sweep_masks(network, r0, tau0) -> np.ndarray:
     """
     r0 = np.expand_dims(np.maximum(r0, R_MIN), -1)
     tau0 = np.expand_dims(tau0, -1)
-    return (network.variances <= r0) & (network.base <= tau0)
+    return (network.variance <= r0) & (network.base <= tau0)
 
 
 def greedy_select(engine: DkfEngine, iterations: int, r_max: float, tau_max: float,
@@ -303,7 +303,7 @@ def stability_select(scenario: Scenario, params: StabilityParams):
         log.warning("no node has an applicable step: delays are larger than the estimation horizon")
     selected = set((np.flatnonzero(admitted) + 1).tolist())
     report = np.rec.fromarrays(
-        [np.arange(1, n + 1), admitted, ct_exp, ct_act, network.base, network.variances, betas],
+        [np.arange(1, n + 1), admitted, ct_exp, ct_act, network.base, network.variance, betas],
         dtype=STABILITY_REPORT,
     )
     return selected, report

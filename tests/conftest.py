@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dkfsim.model import LtvSystem, MatrixTable, builtin_system
+from dkfsim.sensing import SensorNetwork
 
 
 class ZeroNoiseRng:
@@ -64,3 +65,17 @@ def random_system(rng, m=2, n_steps=220, q_scale=None):
 def random_psd(rng, m=2, scale=1.0):
     a = rng.standard_normal((m, m))
     return scale * (a @ a.T)
+
+
+def network_of(*nodes, m=2):
+    """Network of nodes 1..n, each given as (state, variance[, base[, jitter]]);
+    base and jitter default to 0."""
+    cols = [tuple(node) + (0.0, 0.0)[len(node) - 2:] for node in nodes]
+    state, variance, base, jitter = zip(*cols) if cols else ((), (), (), ())
+    return SensorNetwork(state, variance, base, jitter, m)
+
+
+def stacked_model(network):
+    """(H, R) of the whole network as one centralized sensor: one basis row
+    and one diagonal variance per node."""
+    return np.eye(network.state_dim)[network.state], np.diag(network.variance)

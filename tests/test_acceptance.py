@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from dkfsim.cli import main as cli_main
 from dkfsim.config import ExperimentConfig
@@ -18,7 +17,7 @@ from dkfsim.dkf import DkfEngine
 from dkfsim.harness import monte_carlo, run_experiment
 from dkfsim.model import builtin_system, transition_matrix
 from dkfsim.observability import StructuralMatrix, is_structurally_observable, structure_of
-from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode
+from dkfsim.sensing import SensorNetwork
 from dkfsim.reference import beta_hat, i_tilde, kf_covariance_form, psi
 from dkfsim import _kernels
 from dkfsim.model import robust_inverse, transition_sequence
@@ -32,10 +31,10 @@ def report(num, text):
     print(f"[PASS] criterion {num}: {text}")
 
 
-def single_row_node(node_id, row, r, base=0.0):
-    h = np.zeros((1, 2))
-    h[0, row] = 1.0
-    return SensorNode(id=node_id, h=h, r=np.array([[r]]), delay=DelaySpec(base=base))
+def single_row_node(row, r):
+    """One zero-delay sensor measuring state `row` with variance r: its H (1, 2),
+    its R (1, 1) and the one-node network."""
+    return np.eye(2)[[row]], np.array([[r]]), SensorNetwork([row], [r], [0.0], [0.0], 2)
 
 
 @pytest.fixture(scope="module")
@@ -55,12 +54,12 @@ def test_criterion_01_if_covariance_equivalence():
     worst = 0.0
     for trial in range(20):
         sys_ = random_system(rng, n_steps=200)
-        node = single_row_node(1, int(rng.integers(0, 2)), float(rng.uniform(0.05, 0.5)))
+        h, r, net = single_row_node(int(rng.integers(0, 2)), float(rng.uniform(0.05, 0.5)))
         p0 = float(rng.uniform(0.5, 3.0)) * np.eye(2)
-        eng = DkfEngine(sys_, SensorNetwork((node,)), 200,
-                        np.random.default_rng(200 + trial), info0=np.linalg.inv(p0))
+        eng = DkfEngine(sys_, net, 200, np.random.default_rng(200 + trial),
+                        info0=np.linalg.inv(p0))
         _, _, xhat, _ = eng.fused_run([1])
-        xs, _ = kf_covariance_form(sys_, node.h, node.r, eng.measurements[0], 200, p0=p0)
+        xs, _ = kf_covariance_form(sys_, h, r, eng.z[0], 200, p0=p0)
         worst = max(worst, float(np.abs(xhat - xs).max()))
     elapsed = time.perf_counter() - start
     assert worst < 1e-8
@@ -74,20 +73,15 @@ def test_criterion_02_zero_delay_fusion_equivalence():
     worst = 0.0
     for n in (2, 5, 10):
         rng = np.random.default_rng(300 + n)
-        nodes = tuple(
-            single_row_node(i + 1, int(rng.integers(0, 2)),
-                            float(max(rng.uniform(0.0, 0.5), 1e-6)))
-            for i in range(n)
-        )
-        net = SensorNetwork(nodes)
+        rows, variances = zip(*[(int(rng.integers(0, 2)), float(max(rng.uniform(0.0, 0.5), 1e-6)))
+                                for _ in range(n)])
+        net = SensorNetwork(rows, variances, np.zeros(n), np.zeros(n), 2)
+        h_st, r_st = np.eye(2)[list(rows)], np.diag(variances)
         p0 = 2.0 * np.eye(2)
         eng = DkfEngine(sys_, net, 200, np.random.default_rng(400 + n),
                         info0=np.linalg.inv(p0), x0_hat=np.array([1.0, 1.0]))
         _, _, xhat, _ = eng.fused_run(net.ids())
-        h_st = np.vstack([node.h for node in nodes])
-        r_bd = sla.block_diag(*[node.r for node in nodes])
-        z_st = np.hstack(eng.measurements)
-        xs, _ = kf_covariance_form(sys_, h_st, r_bd, z_st, 200,
+        xs, _ = kf_covariance_form(sys_, h_st, r_st, eng.z.T, 200,
                                    x0_hat=np.array([1.0, 1.0]), p0=p0)
         worst = max(worst, float(np.abs(xhat - xs).max()))
     assert worst < 1e-6
@@ -131,12 +125,11 @@ def test_criterion_03_operator_property_suite():
 
 def test_criterion_04_information_inverse_equals_error_covariance():
     sys_ = builtin_system()
-    node = single_row_node(1, 1, 0.15)
+    h, r, net = single_row_node(1, 0.15)
     p0 = 2.0 * np.eye(2)
-    eng = DkfEngine(sys_, SensorNetwork((node,)), 200, np.random.default_rng(600),
-                    info0=np.linalg.inv(p0))
+    eng = DkfEngine(sys_, net, 200, np.random.default_rng(600), info0=np.linalg.inv(p0))
     info_hist, _, _, _ = eng.fused_run([1])
-    _, ps = kf_covariance_form(sys_, node.h, node.r, eng.measurements[0], 200, p0=p0)
+    _, ps = kf_covariance_form(sys_, h, r, eng.z[0], 200, p0=p0)
     worst = max(
         float(np.abs(np.linalg.inv(info_hist[k]) - ps[k]).max()) for k in range(201)
     )
@@ -148,9 +141,8 @@ def test_criterion_04_information_inverse_equals_error_covariance():
 def test_criterion_05_empirical_error_covariance_floor():
     sys_ = builtin_system()
     n_steps, k_bar = 200, 20
-    node = single_row_node(1, 1, 0.01)  # zero delay, low noise
-    net = SensorNetwork((node,))
-    l_node = node.h.T @ np.linalg.solve(node.r, node.h)
+    h, r, net = single_row_node(1, 0.01)  # zero delay, low noise
+    l_node = h.T @ np.linalg.solve(r, h)
 
     a_inv_seq = np.ascontiguousarray(
         [robust_inverse(a)[0] for a in transition_sequence(sys_, n_steps)]

@@ -7,30 +7,15 @@ from dkfsim.dkf import DkfEngine, Scenario, recover_estimates
 from dkfsim.errors import ConfigError, NumericError, SelectionError
 from dkfsim.model import builtin_system, robust_inverse, transition_matrix
 from dkfsim.reference import kf_covariance_form, psi, time_update_general
-from dkfsim.sensing import DelaySpec, SensorNetwork, SensorNode
+from dkfsim.sensing import SensorNetwork
 from dkfsim.selection import max_deviation
 
-from conftest import random_psd, random_system
-
-
-def single_row_node(node_id, row, r, base=0.0, m=2):
-    h = np.zeros((1, m))
-    h[0, row] = 1.0
-    return SensorNode(id=node_id, h=h, r=np.array([[r]]), delay=DelaySpec(base=base))
+from conftest import network_of, random_psd, random_system, stacked_model
 
 
 def random_network(rng, n, delay_range=(0.0, 0.0)):
-    nodes = []
-    for i in range(n):
-        nodes.append(
-            single_row_node(
-                i + 1,
-                int(rng.integers(0, 2)),
-                float(max(rng.uniform(0.05, 0.5), 1e-6)),
-                base=float(rng.uniform(*delay_range)),
-            )
-        )
-    return SensorNetwork(tuple(nodes))
+    return network_of(*[(int(rng.integers(0, 2)), float(max(rng.uniform(0.05, 0.5), 1e-6)),
+                         float(rng.uniform(*delay_range))) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +54,6 @@ def test_time_update_matches_psi_operator():
 
 
 def test_zero_delay_fusion_matches_centralized_stacked_kf():
-    import scipy.linalg as sla
-
     sys_ = builtin_system()
     rng = np.random.default_rng(17)
     net = random_network(rng, 3)
@@ -79,10 +62,7 @@ def test_zero_delay_fusion_matches_centralized_stacked_kf():
     eng = DkfEngine(sys_, net, 150, np.random.default_rng(2),
                     info0=np.linalg.inv(p0), x0_hat=x0h)
     _, _, xhat, _ = eng.fused_run([1, 2, 3])
-    h_st = np.vstack([net.h[i, :q] for i, q in enumerate(net.rows)])
-    r_bd = sla.block_diag(*[net.r[i, :q, :q] for i, q in enumerate(net.rows)])
-    z_st = np.hstack(eng.measurements)
-    xs, _ = kf_covariance_form(sys_, h_st, r_bd, z_st, 150, x0_hat=x0h, p0=p0)
+    xs, _ = kf_covariance_form(sys_, *stacked_model(net), eng.z.T, 150, x0_hat=x0h, p0=p0)
     assert np.abs(xhat - xs).max() < 1e-6
 
 
@@ -116,8 +96,8 @@ def test_delays_increase_transient_deviation():
     sys_ = builtin_system()
     rng = np.random.default_rng(0)
     nodes_delayed = random_network(rng, 400, delay_range=(0.0, 2.0))
-    nodes_zero = SensorNetwork.from_columns(nodes_delayed.h, nodes_delayed.r, np.zeros(400),
-                                            np.zeros(400), nodes_delayed.rows)
+    nodes_zero = SensorNetwork(nodes_delayed.state, nodes_delayed.variance, np.zeros(400),
+                               np.zeros(400), 2)
     eng_d = DkfEngine(sys_, nodes_delayed, 200, np.random.default_rng(12))
     eng_0 = DkfEngine(sys_, nodes_zero, 200, np.random.default_rng(12))
     md_delayed = max_deviation(eng_d.fused_run(nodes_delayed.ids())[2], eng_d.truth)
@@ -128,6 +108,11 @@ def test_delays_increase_transient_deviation():
 # ---------------------------------------------------------------------------
 # batched fused runs
 # ---------------------------------------------------------------------------
+
+
+def iv_delta(engine, i, k):
+    """Node i's IV delta H_i^T R_i^{-1} z_i(k), the column l_i e_s times z_i(k)."""
+    return engine.scenario.l_all[i, :, engine.network.state[i]] * engine.z[i, k]
 
 
 def stepwise_fused_run(engine, ids):
@@ -147,21 +132,18 @@ def stepwise_fused_run(engine, ids):
             d = engine.delays[i]
             if d <= k:
                 info = info + engine.scenario.l_all[i]
-                yv = yv + engine.div_all[i, k - d]
+                yv = yv + iv_delta(engine, i, k - d)
         info_hist[k] = info
         yv_hist[k] = yv
     return info_hist, yv_hist
 
 
 def mixed_network(m=2):
-    """Single-row nodes, one 2-row node, and one node delayed past a 60-step horizon."""
-    nodes = [single_row_node(i + 1, i % m, 0.1 + 0.05 * i, base=0.07 * i, m=m) for i in range(5)]
-    h = np.zeros((2, m))
-    h[0, 0], h[1, :2] = 1.0, (0.5, 1.0)
-    nodes.append(SensorNode(id=6, h=h, r=np.array([[0.2, 0.05], [0.05, 0.3]]),
-                            delay=DelaySpec(base=0.12)))
-    nodes.append(single_row_node(7, 1, 0.15, base=3.0, m=m))
-    return SensorNetwork(tuple(nodes))
+    """Nodes on every state with distinct delays, and node 7 delayed past a
+    60-step horizon."""
+    nodes = [(i % m, 0.1 + 0.05 * i, 0.07 * i) for i in range(5)]
+    nodes += [(m - 1, 0.2, 0.12), (1, 0.15, 3.0)]
+    return network_of(*nodes, m=m)
 
 
 def assert_rel_close(a, b, rel=1e-12):
@@ -197,26 +179,22 @@ def test_fused_runs_rows_match_stepwise_oracle():
         np.testing.assert_array_equal(yv_hist[2], alone_yv[0])
 
 
-def random_multirow_network(rng, n, m, max_delay=0.0):
-    """n nodes of 1..m random rows each, SPD noise, delays uniform in [0, max_delay] s."""
-    nodes = []
-    for i in range(n):
-        q = int(rng.integers(1, m + 1))
-        r = random_psd(rng, m=q) + 0.1 * np.eye(q)
-        nodes.append(SensorNode(id=i + 1, h=rng.standard_normal((q, m)), r=r,
-                                delay=DelaySpec(base=float(rng.uniform(0.0, max_delay)))))
-    return SensorNetwork(tuple(nodes))
+def random_basis_network(rng, n, m, max_delay=0.0):
+    """n nodes measuring random states, variances r^2 + 0.1 with r standard
+    normal, delays uniform in [0, max_delay] s."""
+    return network_of(*[(int(rng.integers(0, m)), float(random_psd(rng, m=1)[0, 0]) + 0.1,
+                         float(rng.uniform(0.0, max_delay))) for _ in range(n)], m=m)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), n=st.integers(1, 6),
        prior=st.booleans())
 def test_fused_runs_match_stepwise_oracle_on_random_plants(seed, m, n, prior):
-    # random LTV plants, multi-row sensors, delays up to 0.4 s on a 0.3 s
-    # horizon (some nodes never arrive), zero or random priors, random masks
+    # random LTV plants, sensors on random states, delays up to 0.4 s on a
+    # 0.3 s horizon (some nodes never arrive), zero or random priors, random masks
     rng = np.random.default_rng(seed)
     sys_ = random_system(rng, m=m, n_steps=30)
-    net = random_multirow_network(rng, n, m, max_delay=0.4)
+    net = random_basis_network(rng, n, m, max_delay=0.4)
     info0 = random_psd(rng, m=m) + 0.1 * np.eye(m) if prior else None
     x0_hat = rng.standard_normal(m) if prior else None
     eng = DkfEngine(sys_, net, 30, rng, info0=info0, x0_hat=x0_hat)
@@ -239,19 +217,14 @@ def test_fused_runs_match_stepwise_oracle_on_random_plants(seed, m, n, prior):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), n=st.integers(1, 6))
 def test_zero_delay_fused_run_matches_stacked_kf_on_random_plants(seed, m, n):
-    import scipy.linalg as sla
-
     rng = np.random.default_rng(seed)
     sys_ = random_system(rng, m=m, n_steps=30)
-    net = random_multirow_network(rng, n, m)
+    net = random_basis_network(rng, n, m)
     p0 = random_psd(rng, m=m) + 0.1 * np.eye(m)
     x0_hat = rng.standard_normal(m)
     eng = DkfEngine(sys_, net, 30, rng, info0=np.linalg.inv(p0), x0_hat=x0_hat)
     _, _, xhat, _ = eng.fused_run(net.ids())
-    h_st = np.vstack([net.h[i, :q] for i, q in enumerate(net.rows)])
-    r_bd = sla.block_diag(*[net.r[i, :q, :q] for i, q in enumerate(net.rows)])
-    z_st = np.hstack([eng.measurements[i, :, :q] for i, q in enumerate(net.rows)])
-    xs, _ = kf_covariance_form(sys_, h_st, r_bd, z_st, 30, x0_hat=x0_hat, p0=p0)
+    xs, _ = kf_covariance_form(sys_, *stacked_model(net), eng.z.T, 30, x0_hat=x0_hat, p0=p0)
     assert np.abs(xhat - xs).max() <= 1e-8 * max(np.abs(xs).max(), 1.0)
 
 
@@ -321,13 +294,11 @@ def test_if_covariance_duality_on_random_systems():
     rng = np.random.default_rng(21)
     for trial in range(5):
         sys_ = random_system(rng, n_steps=200)
-        node = single_row_node(1, int(rng.integers(0, 2)), float(rng.uniform(0.1, 0.5)))
+        net = network_of((int(rng.integers(0, 2)), float(rng.uniform(0.1, 0.5))))
         p0 = np.eye(2) * float(rng.uniform(0.5, 3.0))
-        eng = DkfEngine(sys_, SensorNetwork((node,)), 200,
-                        np.random.default_rng(trial), info0=np.linalg.inv(p0))
+        eng = DkfEngine(sys_, net, 200, np.random.default_rng(trial), info0=np.linalg.inv(p0))
         info_hist, _, xhat, _ = eng.fused_run([1])
-        z = eng.measurements[0]
-        xs, ps = kf_covariance_form(sys_, node.h, node.r, z, 200, p0=p0)
+        xs, ps = kf_covariance_form(sys_, *stacked_model(net), eng.z[0], 200, p0=p0)
         assert np.abs(xhat - xs).max() < 1e-8
         for k in range(0, 201, 20):
             np.testing.assert_allclose(np.linalg.inv(info_hist[k]), ps[k], atol=1e-8)
@@ -336,12 +307,12 @@ def test_if_covariance_duality_on_random_systems():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), n=st.integers(2, 6))
 def test_subset_growth_never_decreases_information(seed, m, n):
-    # random LTV plants, multi-row sensors, delays up to 0.4 s on a 0.3 s
-    # horizon and a random prior; nested masks run as one fused_runs call, and
-    # at every step a superset's information minus its subset's is PSD
+    # random LTV plants, sensors on random states, delays up to 0.4 s on a
+    # 0.3 s horizon and a random prior; nested masks run as one fused_runs
+    # call, and at every step a superset's information minus its subset's is PSD
     rng = np.random.default_rng(seed)
     sys_ = random_system(rng, m=m, n_steps=30)
-    net = random_multirow_network(rng, n, m, max_delay=0.4)
+    net = random_basis_network(rng, n, m, max_delay=0.4)
     info0 = random_psd(rng, m=m) + 0.1 * np.eye(m)
     eng = DkfEngine(sys_, net, 30, rng, info0=info0, x0_hat=rng.standard_normal(m))
     masks = np.tri(n, dtype=bool)[:, rng.permutation(n)]  # row b holds b + 1 nodes
@@ -355,7 +326,7 @@ def test_node_delayed_by_the_horizon_delivers_only_at_the_last_step():
     # node 2's delay is exactly N steps: it adds l_2 and its step-0 IV delta at
     # step N and nothing before
     n_steps = 40
-    net = SensorNetwork((single_row_node(1, 0, 0.2), single_row_node(2, 1, 0.1, base=0.4)))
+    net = network_of((0, 0.2), (1, 0.1, 0.4))
     eng = DkfEngine(builtin_system(), net, n_steps, np.random.default_rng(6))
     assert eng.delays.tolist() == [0, n_steps]
     info_hist, yv_hist, _, _ = eng.fused_runs(np.array([[True, False], [True, True]]))
@@ -365,13 +336,12 @@ def test_node_delayed_by_the_horizon_delivers_only_at_the_last_step():
     assert np.abs(info_hist[1, n_steps] - info_hist[0, n_steps] - eng.scenario.l_all[1]).max() \
         <= 1e-12 * scale
     scale = np.abs(yv_hist[1, n_steps]).max()
-    assert np.abs(yv_hist[1, n_steps] - yv_hist[0, n_steps] - eng.div_all[1, 0]).max() \
+    assert np.abs(yv_hist[1, n_steps] - yv_hist[0, n_steps] - iv_delta(eng, 1, 0)).max() \
         <= 1e-12 * scale
 
 
 def test_engine_rejects_network_of_another_state_dim():
-    node = SensorNode(id=1, h=np.array([[0.0, 0.0, 1.0]]), r=np.array([[0.2]]))
-    net = SensorNetwork((node,))
+    net = network_of((2, 0.2), m=3)
     message = "^nodes measure a 3-state plant, the system has 2 states$"
     with pytest.raises(ConfigError, match=message):
         DkfEngine(builtin_system(), net, 10, np.random.default_rng(0))

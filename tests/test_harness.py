@@ -82,6 +82,21 @@ def test_validate_collects_offending_keys():
         assert key in err.value.keys
 
 
+@pytest.mark.parametrize("key, text", [
+    ("q_scale", "nan"), ("q_scale", "inf"), ("ts", "nan"), ("ts", "inf"),
+    ("jitter_std", "nan"), ("jitter_std", "inf"), ("alpha", "nan"), ("alpha", "inf"),
+    ("band", "nan"), ("beta_hat_override", "nan"), ("beta_hat_override", "-inf"),
+    ("x0", "1 nan"), ("x0", "-inf 1"), ("variance_range", "0 inf"), ("variance_range", "nan 1"),
+    ("delay_range", "0 inf"), ("delay_range", "inf inf"),
+])
+def test_validate_refuses_non_finite_floats(key, text):
+    # inf delays once overflowed the sampler; a NaN jitter passed as no jitter
+    cfg = parse_config_text(f"{key} = {text}\nseed = 1\n")
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert err.value.keys == (key,)
+
+
 def test_subset_parsing():
     cfg = parse_config_text("subset = 1 2 3\nseed = 1\n")
     assert cfg.subset == (1, 2, 3)

@@ -8,11 +8,12 @@ from dkfsim.model import (
     builtin_system,
     is_effectively_singular,
     load_matrix_table,
+    robust_inverse,
     simulate,
     transition_matrix,
 )
 
-from conftest import identity_system
+from conftest import identity_system, random_system
 
 
 def test_builtin_transition_at_k0():
@@ -160,6 +161,24 @@ def test_singularity_zero_matrix_true():
 def test_singularity_tiny_singular_value():
     assert is_effectively_singular(np.diag([1.0, 1e-14]), tol=1e-10)
     assert not is_effectively_singular(np.diag([1.0, 1e-6]), tol=1e-10)
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_robust_inverse_of_a_stack_equals_one_call_per_matrix(m):
+    # Scenario inverts the whole A(k) stack in one call; each matrix, singular
+    # ones included, keeps the bits and the flag of its own call
+    mats = np.array(random_system(np.random.default_rng(m), m=m, n_steps=200).transition.matrices)
+    mats[[7, 150]] = np.diag(np.arange(m, dtype=float)), np.zeros((m, m))
+    inv, used_pinv = robust_inverse(mats)
+    want = [robust_inverse(a) for a in mats]
+    assert np.array_equal(inv, [a_inv for a_inv, _ in want])
+    assert used_pinv.tolist() == [flag for _, flag in want]
+    assert np.flatnonzero(used_pinv).tolist() == [7, 150]
+    single = robust_inverse(mats[0])
+    assert isinstance(single[1], bool) and single[1] is False
+    assert np.array_equal(single[0], np.linalg.inv(mats[0]))
+    flags = is_effectively_singular(mats.reshape(20, 10, m, m))
+    assert flags.shape == (20, 10) and flags.sum() == 2
 
 
 def test_matrix_table_roundtrip(tmp_path):

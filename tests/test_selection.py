@@ -10,7 +10,7 @@ from dkfsim.dkf import DkfEngine, Scenario
 from dkfsim.errors import ConfigError, MetricError, NumericError
 from dkfsim.model import LtvSystem, MatrixTable, builtin_system, robust_inverse, transition_matrix
 from dkfsim.reference import delay_steps, gamma_hat, i_tilde, time_update_general
-from dkfsim.sensing import R_MIN, DelaySpec, SensorNetwork, SensorNode, sample_network
+from dkfsim.sensing import R_MIN, SensorNetwork, sample_network
 from dkfsim.selection import (
     GREEDY_REPORT,
     greedy_select,
@@ -24,14 +24,7 @@ from dkfsim.selection import (
 )
 from dkfsim.stability import StabilityParams, compute_params
 
-from conftest import random_system
-
-
-def make_node(node_id, row=0, r=0.25, base=0.0, jitter=0.0):
-    h = np.zeros((1, 2))
-    h[0, row] = 1.0
-    return SensorNode(id=node_id, h=h, r=np.array([[r]]),
-                      delay=DelaySpec(base=base, jitter_std=jitter))
+from conftest import network_of, random_system
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +162,7 @@ def test_greedy_first_iteration_selects_everything():
 def test_greedy_boundary_inclusion():
     # a node sitting exactly at the thresholds is included (<= comparison)
     sys_ = builtin_system()
-    net = SensorNetwork((make_node(1, r=0.5, base=2.0), make_node(2, r=0.1, base=0.1)))
+    net = network_of((0, 0.5, 2.0), (0, 0.1, 0.1))
     assert sweep_masks(net, 0.5, 2.0).tolist() == [True, True]
     assert sweep_masks(net, 0.49, 2.0).tolist() == [False, True]
     report = sweep(DkfEngine(sys_, net, 40, np.random.default_rng(0)), 1, 0.5, 2.0)
@@ -179,8 +172,7 @@ def test_greedy_boundary_inclusion():
 def test_sweep_masks_zero_variance_threshold_admits_the_floor():
     # variances are clamped up to R_MIN, so R0 = 0 admits the floored nodes on
     # delay alone; a node above the floor stays out
-    net = SensorNetwork((make_node(1, r=R_MIN, base=0.5), make_node(2, r=2 * R_MIN, base=0.0),
-                         make_node(3, r=R_MIN, base=1.5)))
+    net = network_of((0, R_MIN, 0.5), (0, 2 * R_MIN, 0.0), (0, R_MIN, 1.5))
     assert sweep_masks(net, 0.0, 1.0).tolist() == [True, False, False]
     assert sweep_masks(net, np.zeros(2), np.array([2.0, 0.0])).tolist() == [
         [True, False, True], [False, False, False]]
@@ -200,7 +192,7 @@ def test_greedy_thresholds_nonincreasing_and_subsets_nested():
 
 def test_greedy_empty_iteration_records_sentinel():
     sys_ = builtin_system()
-    net = SensorNetwork((make_node(1, r=0.5, base=2.0),))
+    net = network_of((0, 0.5, 2.0))
     report = sweep(DkfEngine(sys_, net, 40, np.random.default_rng(0)), 10, 0.5, 2.0)
     assert report[0].n_selected == 1 and np.isfinite(report[0].mse)
     assert report[-1].n_selected == 0  # thresholds shrank below the node
@@ -210,7 +202,7 @@ def test_greedy_empty_iteration_records_sentinel():
 def test_greedy_shares_one_realization():
     # two records over the same subset content must carry identical metrics
     sys_ = builtin_system()
-    net = SensorNetwork((make_node(1, r=0.05, base=0.0), make_node(2, r=0.06, base=0.05)))
+    net = network_of((0, 0.05, 0.0), (0, 0.06, 0.05))
     report = sweep(DkfEngine(sys_, net, 60, np.random.default_rng(1)), 5, 0.5, 2.0)
     full = report[report.n_selected == 2]
     assert len(full) >= 2
@@ -220,8 +212,8 @@ def test_greedy_shares_one_realization():
 
 def per_iteration_sweep(engine, nodes, iterations, r_max, tau_max):
     """The sweep as one engine.fused_run per non-empty iteration (reference),
-    with thresholds read from the SensorNode objects the engine's network was
-    built from; R0 counts as at least R_MIN, the variance floor.
+    with thresholds read from the (state, variance, base) tuples the engine's
+    network was built from; R0 counts as at least R_MIN, the variance floor.
 
     Returns (nodes, thresholds, mse, md, mse_raw) per iteration.
     """
@@ -230,9 +222,8 @@ def per_iteration_sweep(engine, nodes, iterations, r_max, tau_max):
     for it in range(1, iterations + 1):
         r0 = r_max * (1.0 - (it - 1) / iterations)
         tau0 = tau_max * (1.0 - (it - 1) / iterations)
-        chosen = [node.id for node in nodes
-                  if np.linalg.eigvalsh(node.r).max() <= max(r0, R_MIN)
-                  and node.delay.base <= tau0]
+        chosen = [i + 1 for i, (_, r, base) in enumerate(nodes)
+                  if r <= max(r0, R_MIN) and base <= tau0]
         if not chosen:
             out.append((frozenset(), (r0, tau0), math.nan, math.nan, math.nan))
             continue
@@ -259,15 +250,12 @@ def assert_sweep_matches(report, network, expected, rel=1e-12):
 
 
 def test_greedy_batched_matches_per_iteration_runs():
-    # a 2-row sensor, a node delayed past the 60-step horizon, and trailing
-    # iterations whose thresholds fall below every node
+    # a node delayed past the 60-step horizon, and trailing iterations whose
+    # thresholds fall below every node
     sys_ = builtin_system()
-    nodes = [make_node(i + 1, row=i % 2, r=0.1 + 0.04 * i, base=0.15 * i) for i in range(8)]
-    nodes.append(SensorNode(id=9, h=np.array([[1.0, 0.0], [0.5, 1.0]]),
-                            r=np.array([[0.2, 0.05], [0.05, 0.3]]),
-                            delay=DelaySpec(base=0.05)))
-    nodes.append(make_node(10, row=1, r=0.12, base=1.9))
-    net = SensorNetwork(tuple(nodes))
+    nodes = [(i % 2, 0.1 + 0.04 * i, 0.15 * i) for i in range(8)]
+    nodes += [(1, 0.2, 0.05), (1, 0.12, 1.9)]
+    net = network_of(*nodes)
     engine = DkfEngine(sys_, net, 60, np.random.default_rng(8))
     report = sweep(engine, 10, 0.5, 2.0)
     masks = sweep_masks(net, report.r0, report.tau0)
@@ -276,23 +264,23 @@ def test_greedy_batched_matches_per_iteration_runs():
     assert_sweep_matches(report, net, per_iteration_sweep(engine, nodes, 10, 0.5, 2.0))
 
 
+def random_nodes(rng, m, n_nodes, max_delay):
+    """(state, variance, base) of n_nodes sensors on random states, variances
+    0.1 a^2 + U[0.01, 0.5] with a standard normal, delays U[0, max_delay] s."""
+    return [(int(rng.integers(0, m)),
+             float(0.1 * rng.standard_normal() ** 2 + rng.uniform(0.01, 0.5)),
+             float(rng.uniform(0.0, max_delay))) for _ in range(n_nodes)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3]),
        n_nodes=st.integers(1, 8), iterations=st.integers(1, 8), n_steps=st.integers(8, 40))
 def test_greedy_batched_matches_per_iteration_property(seed, m, n_nodes, iterations, n_steps):
     rng = np.random.default_rng(seed)
     sys_ = random_system(rng, m=m, n_steps=n_steps)
-    nodes = []
-    for i in range(n_nodes):
-        p = int(rng.integers(1, 3))
-        a = rng.standard_normal((p, p))
-        nodes.append(SensorNode(
-            id=i + 1, h=rng.standard_normal((p, m)),
-            r=0.1 * a @ a.T + rng.uniform(0.01, 0.5) * np.eye(p),
-            # up to 1.5x the horizon, so some nodes never arrive
-            delay=DelaySpec(base=float(rng.uniform(0.0, 1.5 * n_steps * sys_.sample_time))),
-        ))
-    net = SensorNetwork(tuple(nodes))
+    # delays up to 1.5x the horizon, so some nodes never arrive
+    nodes = random_nodes(rng, m, n_nodes, 1.5 * n_steps * sys_.sample_time)
+    net = network_of(*nodes, m=m)
     r_max = float(rng.uniform(0.2, 1.5))
     tau_max = float(rng.uniform(0.05, 1.5 * n_steps * sys_.sample_time))
     engine = DkfEngine(sys_, net, n_steps, rng)
@@ -310,7 +298,7 @@ def test_greedy_non_finite_names_iteration_and_step(monkeypatch):
         return info_hist, yv_hist
 
     monkeypatch.setattr(_kernels, "fused_info_recursion", poisoned)
-    net = SensorNetwork(tuple(make_node(i + 1, r=0.1 * (i + 1)) for i in range(4)))
+    net = network_of(*[(0, 0.1 * (i + 1)) for i in range(4)])
     with pytest.raises(NumericError, match=r"greedy iteration 2 at step 12$") as err:
         greedy_select(DkfEngine(builtin_system(), net, 30, np.random.default_rng(0)), 4, 0.5, 1.0,
                       settle=0)
@@ -319,7 +307,7 @@ def test_greedy_non_finite_names_iteration_and_step(monkeypatch):
 
 def test_greedy_requires_resolved_network():
     sys_ = builtin_system()
-    net = SensorNetwork((make_node(1, jitter=0.1),))
+    net = network_of((0, 0.25, 0.0, 0.1))
     with pytest.raises(ConfigError, match="node 1 has unresolved stochastic delay"):
         greedy_select(DkfEngine(sys_, net, 30, np.random.default_rng(0)), 2, 0.5, 2.0, settle=0)
 
@@ -331,10 +319,7 @@ def test_greedy_requires_resolved_network():
 
 def test_stability_select_excludes_delay_beyond_horizon(caplog):
     sys_ = builtin_system()
-    net = SensorNetwork((
-        make_node(1, row=1, r=0.1, base=0.0),
-        make_node(2, row=0, r=0.1, base=3.0),  # 300 steps > horizon
-    ))
+    net = network_of((1, 0.1, 0.0), (0, 0.1, 3.0))  # node 2: 300 steps > horizon
     params = StabilityParams(k_bar=10)
     selected, report = stability_select(Scenario(sys_, net, 60), params)
     assert 2 not in selected
@@ -344,7 +329,7 @@ def test_stability_select_excludes_delay_beyond_horizon(caplog):
 
 def test_stability_select_all_delays_beyond_horizon_warns(caplog):
     sys_ = builtin_system()
-    net = SensorNetwork((make_node(1, base=5.0), make_node(2, base=9.0)))
+    net = network_of((0, 0.25, 5.0), (0, 0.25, 9.0))
     with caplog.at_level("WARNING"):
         selected, _ = stability_select(Scenario(sys_, net, 50), StabilityParams(k_bar=10))
     assert selected == set()
@@ -352,7 +337,7 @@ def test_stability_select_all_delays_beyond_horizon_warns(caplog):
 
 
 def test_stability_select_empty_network():
-    scenario = Scenario(builtin_system(), SensorNetwork(()), 100)
+    scenario = Scenario(builtin_system(), network_of(), 100)
     selected, report = stability_select(scenario, StabilityParams())
     assert selected == set()
     assert isinstance(report, np.recarray) and report.size == 0
@@ -363,29 +348,22 @@ def test_stability_select_empty_network():
 def test_stability_select_order_invariance():
     sys_ = builtin_system()
     rng = np.random.default_rng(5)
-    nodes = [make_node(i + 1, row=int(rng.integers(0, 2)),
-                       r=float(rng.uniform(0.05, 0.5)), base=float(rng.uniform(0, 0.5)))
-             for i in range(12)]
-    net_a = SensorNetwork(tuple(nodes))
+    nodes = [(int(rng.integers(0, 2)), float(rng.uniform(0.05, 0.5)), float(rng.uniform(0, 0.5)))
+             for _ in range(12)]
+    net_a = network_of(*nodes)
     params = StabilityParams(k_bar=10)
     sel_a, _ = stability_select(Scenario(sys_, net_a, 80), params)
     # permute physical order, renumber ids, map back
     perm = rng.permutation(12)
-    renumbered = tuple(
-        SensorNode(id=j + 1, h=nodes[p].h, r=nodes[p].r, delay=nodes[p].delay)
-        for j, p in enumerate(perm)
-    )
-    sel_b, _ = stability_select(Scenario(sys_, SensorNetwork(renumbered), 80), params)
+    renumbered = network_of(*[nodes[p] for p in perm])
+    sel_b, _ = stability_select(Scenario(sys_, renumbered, 80), params)
     mapped = {int(perm[j - 1]) + 1 for j in sel_b}
     assert mapped == sel_a
 
 
 def test_stability_select_fresh_low_noise_nodes_admitted():
     sys_ = builtin_system()
-    net = SensorNetwork((
-        make_node(1, row=0, r=1e-6, base=0.0),
-        make_node(2, row=1, r=1e-6, base=0.0),
-    ))
+    net = network_of((0, 1e-6), (1, 1e-6))
     scenario = Scenario(sys_, net, 150)
     selected, _ = stability_select(scenario, compute_params(scenario))
     assert selected == {1, 2}
@@ -393,8 +371,7 @@ def test_stability_select_fresh_low_noise_nodes_admitted():
 
 def test_stability_select_prefers_low_staleness():
     sys_ = builtin_system()
-    nodes = tuple(make_node(i + 1, row=i % 2, r=0.2, base=i * 0.05) for i in range(10))
-    net = SensorNetwork(nodes)
+    net = network_of(*[(i % 2, 0.2, i * 0.05) for i in range(10)])
     params = StabilityParams(k_bar=10)
     selected, report = stability_select(Scenario(sys_, net, 120), params)
     delays = dict(zip(report.node_id.tolist(), report.delay_s.tolist()))
@@ -407,7 +384,7 @@ def test_stability_select_prefers_low_staleness():
 
 def test_stability_select_requires_horizon_beyond_window():
     with pytest.raises(ConfigError):
-        stability_select(Scenario(builtin_system(), SensorNetwork((make_node(1),)), 30),
+        stability_select(Scenario(builtin_system(), network_of((0, 0.25)), 30),
                          StabilityParams(k_bar=30))
 
 
@@ -417,7 +394,7 @@ def test_stability_select_requires_a_network():
 
 
 def test_stability_select_rejects_unresolved_jitter():
-    net = SensorNetwork((make_node(1, jitter=0.1),))
+    net = network_of((0, 0.25, 0.0, 0.1))
     with pytest.raises(ConfigError, match="node 1 has unresolved stochastic delay"):
         stability_select(Scenario(builtin_system(), net, 50), StabilityParams(k_bar=5))
 
@@ -434,14 +411,16 @@ def per_node_history(a_inv, q_inv, l_node):
 
 
 def per_node_admission(sys_, nodes, params, n_steps):
-    """Reference: the per-node admission loop over the network's SensorNode
-    objects. Returns node id -> (beta, margins), one margin per applicable step:
-    the min eig of the delayed information minus the scalar i_tilde bound."""
+    """Reference: the per-node admission loop over the (state, variance, base)
+    tuples the network was built from, each node one row H = e_s^T and R = [[r]].
+    Returns node id -> (beta, margins), one margin per applicable step: the min
+    eig of the delayed information minus the scalar i_tilde bound."""
     a_inv = np.stack([robust_inverse(transition_matrix(sys_, k))[0] for k in range(n_steps)])
     q = sys_.process_noise_cov
     out = {}
-    for node in nodes:
-        l_node = node.h.T @ np.linalg.solve(node.r, node.h)
+    for node_id, (state, r, base) in enumerate(nodes, start=1):
+        h = np.eye(sys_.state_dim)[[state]]
+        l_node = h.T @ np.linalg.solve([[r]], h)
         hist = per_node_history(a_inv, np.linalg.inv(q), l_node)
         if params.beta_hat is not None:
             beta = params.beta_hat
@@ -450,14 +429,14 @@ def per_node_admission(sys_, nodes, params, n_steps):
             gamma = max(gamma_hat(transition_matrix(sys_, k), q, peak, params.alpha)
                         for k in range(n_steps))
             beta = 1.0 / (1.0 + gamma)
-        d = delay_steps(node, sys_.sample_time)
+        d = delay_steps(base, sys_.sample_time)
         margins = []
         for k in range(params.k_bar + 1, n_steps + 1):
             if k - d < 1:
                 continue
             diff = hist[k - d] - i_tilde(k, params.k_bar, beta, sys_, l_node)
             margins.append(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min())
-        out[node.id] = (beta, np.array(margins))
+        out[node_id] = (beta, np.array(margins))
     return out
 
 
@@ -468,24 +447,16 @@ def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_s
     rng = np.random.default_rng(seed)
     n_steps = k_bar + extra_steps
     sys_ = random_system(rng, m=m, n_steps=n_steps)
-    nodes = []
-    for i in range(n_nodes):
-        p = int(rng.integers(1, 3))
-        a = rng.standard_normal((p, p))
-        nodes.append(SensorNode(
-            id=i + 1, h=rng.standard_normal((p, m)),
-            r=0.1 * a @ a.T + rng.uniform(0.01, 0.5) * np.eye(p),
-            # up to 1.5x the horizon, so some nodes have no applicable step
-            delay=DelaySpec(base=float(rng.uniform(0.0, 1.5 * n_steps * sys_.sample_time))),
-        ))
-    net = SensorNetwork(tuple(nodes))
+    # delays up to 1.5x the horizon, so some nodes have no applicable step
+    nodes = random_nodes(rng, m, n_nodes, 1.5 * n_steps * sys_.sample_time)
+    net = network_of(*nodes, m=m)
     params = StabilityParams(k_bar=k_bar, beta_hat=float(rng.uniform(0.5, 1.0)) if fixed_beta
                              else None)
     selected, report = stability_select(Scenario(sys_, net, n_steps), params)
     reference = per_node_admission(sys_, nodes, params, n_steps)
     np.testing.assert_array_equal(report.node_id, net.ids())
     np.testing.assert_array_equal(report.delay_s, net.base)
-    np.testing.assert_array_equal(report.variance, net.variances)
+    np.testing.assert_array_equal(report.variance, net.variance)
     for row in report:
         beta, margins = reference[row.node_id]
         assert row.beta_hat == pytest.approx(beta, rel=1e-9)
@@ -564,14 +535,9 @@ def test_positive_definite_falls_back_to_eigvalsh_near_zero(monkeypatch):
 
 
 def chunk_test_network(rng, m, n_nodes, n_steps, ts):
-    nodes = []
-    for i in range(n_nodes):
-        p = int(rng.integers(1, m + 1))
-        nodes.append(SensorNode(
-            id=i + 1, h=rng.standard_normal((p, m)), r=rng.uniform(0.01, 0.5) * np.eye(p),
-            delay=DelaySpec(base=float(rng.uniform(0.0, 0.8 * n_steps * ts))),
-        ))
-    return SensorNetwork(tuple(nodes))
+    return network_of(*[(int(rng.integers(0, m)), float(rng.uniform(0.01, 0.5)),
+                         float(rng.uniform(0.0, 0.8 * n_steps * ts))) for _ in range(n_nodes)],
+                      m=m)
 
 
 def spy_chunks(monkeypatch, nodes_per_chunk, n_steps, m):
@@ -621,14 +587,13 @@ def test_stability_select_warns_each_pinv_step_once(monkeypatch, caplog):
 
 
 def benchmark_shaped_scenario(seed=21):
-    """2000 single-row sensors on a random 5-state plant over N = 200 steps:
-    the shape of the 5-state stability benchmark."""
+    """2000 sensors on random states of a random 5-state plant over N = 200
+    steps: the shape of the 5-state stability benchmark."""
     rng = np.random.default_rng(seed)
     m, n, n_steps = 5, 2000, 200
     sys_ = random_system(rng, m=m, n_steps=n_steps)
-    network = SensorNetwork.from_columns(rng.standard_normal((n, 1, m)),
-                                         rng.uniform(0.05, 0.5, size=(n, 1, 1)),
-                                         rng.uniform(0.0, 0.5, size=n), np.zeros(n))
+    network = SensorNetwork(rng.integers(0, m, size=n), rng.uniform(0.05, 0.5, size=n),
+                            rng.uniform(0.0, 0.5, size=n), np.zeros(n), m)
     return Scenario(sys_, network, n_steps)
 
 

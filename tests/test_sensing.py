@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,28 +7,19 @@ from dkfsim.errors import ConfigError
 from dkfsim.reference import delay_steps
 from dkfsim.sensing import (
     R_MIN,
-    DelaySpec,
     SensorNetwork,
-    SensorNode,
     load_network,
     resolve_delays,
     sample_network,
 )
 
-
-def make_node(h_row=(0.0, 1.0), r=0.25, base=0.0, jitter=0.0, node_id=1):
-    return SensorNode(
-        id=node_id,
-        h=np.array([list(h_row)]),
-        r=np.array([[r]]),
-        delay=DelaySpec(base=base, jitter_std=jitter),
-    )
+from conftest import network_of
 
 
 def assert_same_columns(a, b):
-    """Two networks hold the same nodes: equal ids, H, R, rows and delays."""
-    assert len(a) == len(b)
-    for name in ("h", "r", "rows", "base", "jitter"):
+    """Two networks hold the same nodes: equal state dims, states, variances and delays."""
+    assert len(a) == len(b) and a.state_dim == b.state_dim
+    for name in ("state", "variance", "base", "jitter"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
@@ -34,20 +27,17 @@ def test_sample_network_scenario_statistics():
     rng = np.random.default_rng(11)
     net = sample_network(2000, (0.0, 0.5), (0.0, 2.0), rng)
     assert len(net) == 2000
-    variances = net.r[:, 0, 0]
-    delays = net.base
-    rows = np.argmax(net.h[:, 0], axis=1)
-    assert np.all((variances >= R_MIN) & (variances <= 0.5))
-    assert np.all((delays >= 0.0) & (delays <= 2.0))
-    # both measurement rows present in roughly even proportion
-    assert 0.4 < rows.mean() < 0.6
+    assert np.all((net.variance >= R_MIN) & (net.variance <= 0.5))
+    assert np.all((net.base >= 0.0) & (net.base <= 2.0))
+    # both measured states present in roughly even proportion
+    assert 0.4 < net.state.mean() < 0.6
     assert net.ids() == list(range(1, 2001))
 
 
 def test_sample_network_degenerate_ranges_clamped():
     rng = np.random.default_rng(3)
     net = sample_network(1, (0.0, 0.0), (0.0, 0.0), rng)
-    assert net.r[0, 0, 0] == pytest.approx(R_MIN)
+    assert net.variance[0] == pytest.approx(R_MIN)
     assert net.base[0] == 0.0
 
 
@@ -67,14 +57,21 @@ def test_sample_network_bad_range_rejected():
         sample_network(5, (0.5, 0.1), (0.0, 2.0), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("variance_range, delay_range", [
+    ((0.0, 0.5), (0.0, np.inf)), ((0.0, np.nan), (0.0, 2.0)), ((-np.inf, 0.5), (0.0, 2.0))])
+def test_sample_network_refuses_non_finite_range(variance_range, delay_range):
+    with pytest.raises(ConfigError, match="must satisfy 0 <= lo <= hi < inf$"):
+        sample_network(5, variance_range, delay_range, np.random.default_rng(0))
+
+
 def test_delay_steps_exact_division():
-    assert delay_steps(make_node(base=0.02), ts=0.01) == 2
+    assert delay_steps(0.02, ts=0.01) == 2
 
 
 def test_delay_steps_ties_away_from_zero():
     # 0.015 / 0.01 = 1.5 rounds to 2
-    assert delay_steps(make_node(base=0.015), ts=0.01) == 2
-    assert delay_steps(make_node(base=0.0149), ts=0.01) == 1
+    assert delay_steps(0.015, ts=0.01) == 2
+    assert delay_steps(0.0149, ts=0.01) == 1
 
 
 def test_delay_steps_negative_jitter_clamped():
@@ -82,13 +79,13 @@ def test_delay_steps_negative_jitter_clamped():
         def normal(self, loc, scale):
             return np.full(np.shape(scale), -0.03)
 
-    net = resolve_delays(SensorNetwork((make_node(base=0.0, jitter=0.02),)), NegRng())
+    net = resolve_delays(network_of((1, 0.25, 0.0, 0.02)), NegRng())
     assert net.base.tolist() == [0.0]
     assert net.delay_steps(0.01).tolist() == [0]
 
 
 def test_delay_steps_refuses_unresolved_jitter():
-    net = SensorNetwork((make_node(), make_node(jitter=0.1, node_id=2)))
+    net = network_of((1, 0.25), (1, 0.25, 0.0, 0.1))
     with pytest.raises(ConfigError, match="^node 2 has unresolved stochastic delay; "
                                           "apply sensing.resolve_delays$"):
         net.delay_steps(0.01)
@@ -96,25 +93,26 @@ def test_delay_steps_refuses_unresolved_jitter():
 
 def test_delay_steps_integer_multiple_exact():
     for k in range(0, 300, 13):
-        assert delay_steps(make_node(base=k * 0.01), ts=0.01) == k
+        assert delay_steps(k * 0.01, ts=0.01) == k
 
 
 def test_resolve_delays_folds_jitter_once():
-    nodes = tuple(make_node(base=1.0, jitter=0.5, node_id=i + 1) for i in range(4))
-    net = SensorNetwork(nodes)
+    net = network_of(*[(1, 0.25, 1.0, 0.5)] * 4)
     resolved = resolve_delays(net, np.random.default_rng(2))
     assert (resolved.jitter == 0.0).all()
     assert len(set(resolved.base.tolist())) > 1  # distinct draws per node
     assert (resolved.base >= 0.0).all()
 
 
-def test_node_invariants_enforced():
-    with pytest.raises(ConfigError):
-        SensorNode(id=1, h=np.array([[1.0, 0.0]]), r=np.array([[0.0]]))
-    with pytest.raises(ConfigError):
-        SensorNode(id=1, h=np.array([[1.0, 0.0], [2.0, 0.0]]), r=np.eye(2))
-    with pytest.raises(ConfigError):
-        SensorNetwork((make_node(node_id=1), make_node(node_id=3)))
+def test_node_invariants_enforced(tmp_path):
+    with pytest.raises(ConfigError, match="^node 1: variance must be finite and > 0$"):
+        network_of((0, 0.0))
+    with pytest.raises(ConfigError, match=r"^node 2: state index outside \[0, 2\)$"):
+        network_of((0, 0.2), (-1, 0.2))
+    path = tmp_path / "net.txt"
+    path.write_text("1 0 0.2 0.0 0.0\n3 1 0.2 0.0 0.0\n")
+    with pytest.raises(ConfigError, match="^node ids must be contiguous 1..n in order$"):
+        load_network(path, state_dim=2)
 
 
 def test_load_network_parses_hand_written_file(tmp_path):
@@ -128,98 +126,108 @@ def test_load_network_parses_hand_written_file(tmp_path):
         encoding="utf-8",
     )
     net = load_network(path, state_dim=3)
-    ref = SensorNetwork((
-        make_node((1.0, 0.0, 0.0), r=0.25, base=0.5, node_id=1),
-        make_node((0.0, 0.0, 1.0), r=0.1, jitter=0.05, node_id=2),
-        make_node((0.0, 1.0, 0.0), r=R_MIN, base=1.25, node_id=3),  # variance 0 clamped
-    ))
+    ref = network_of((0, 0.25, 0.5), (2, 0.1, 0.0, 0.05),
+                     (1, R_MIN, 1.25), m=3)  # variance 0 clamped
     assert_same_columns(net, ref)
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("field, column", [(2, "variance"), (3, "delay"), (4, "jitter")])
+def test_load_network_refuses_non_finite_values_naming_the_node(tmp_path, field, column, value):
+    # an infinite variance once ran and returned NaN estimates; a NaN delay
+    # became -2^63 steps
+    line = ["2", "1", "0.1", "0.3", "0.0"]
+    line[field] = value
+    path = tmp_path / "net.txt"
+    path.write_text("1 0 0.2 0.0 0.0\n" + " ".join(line) + "\n")
+    with pytest.raises(ConfigError, match=f"^node 2: {column}"):
+        load_network(path, state_dim=2)
+
+
 # ---------------------------------------------------------------------------
-# columnar network vs per-node construction
+# column validation
 # ---------------------------------------------------------------------------
 
 
-def first_node_error(h, r, base, jitter):
-    """The ConfigError message building the nodes one by one raises first, or None."""
-    try:
-        for i in range(len(base)):
-            SensorNode(id=i + 1, h=h[i], r=r[i],
-                       delay=DelaySpec(base=float(base[i]), jitter_std=float(jitter[i])))
-    except ConfigError as exc:
-        return str(exc)
+def first_node_error(state, variance, base, jitter, state_dim=2):
+    """Reference: the message of the first faulty node, checking each node's
+    rules one at a time in order (delay base, jitter, variance, state); None
+    when every node is valid."""
+    for i in range(len(state)):
+        rules = [
+            (math.isfinite(base[i]) and base[i] >= 0.0, "delay base must be finite and >= 0"),
+            (math.isfinite(jitter[i]) and jitter[i] >= 0.0, "jitter_std must be finite and >= 0"),
+            (math.isfinite(variance[i]) and variance[i] > 0.0, "variance must be finite and > 0"),
+            (0 <= state[i] < state_dim, f"state index outside [0, {state_dim})"),
+        ]
+        for ok, message in rules:
+            if not ok:
+                return f"node {i + 1}: {message}"
     return None
 
 
 @pytest.mark.parametrize("faults", [
-    [(3, "r", -0.1)],
-    [(2, "h", 0.0), (4, "r", 0.0)],
-    [(4, "h", 0.0), (2, "r", -1.0)],
-    [(1, "base", -0.5), (3, "r", 0.0)],
+    [(3, "variance", -0.1)],
+    [(2, "state", 2), (4, "variance", 0.0)],
+    [(4, "state", -1), (2, "variance", -1.0)],
+    [(1, "base", -0.5), (3, "variance", 0.0)],
     [(3, "jitter", -0.1)],
-    [(5, "r", 0.0), (5, "base", -1.0)],  # a node's delay is checked before its R
+    [(5, "variance", 0.0), (5, "base", -1.0)],  # a node's delay is checked before its variance
+    # non-finite values, which once passed: an infinite variance gave NaN
+    # estimates, a NaN delay -2^63 steps, a NaN jitter no jitter at all
+    [(2, "variance", np.inf)],
+    [(4, "variance", np.nan), (5, "state", 7)],
+    [(0, "base", np.nan)],
+    [(1, "base", np.inf), (1, "variance", np.nan)],
+    [(5, "jitter", np.nan)],
+    [(3, "jitter", np.inf)],
 ])
 def test_from_columns_raises_the_per_node_error(faults):
+    # the constructor validates all columns in one pass and raises the error
+    # of the first faulty node, as checking the nodes one by one would
     n = 6
-    cols = {"h": np.zeros((n, 1, 2)), "r": np.full((n, 1, 1), 0.2),
+    cols = {"state": np.zeros(n, dtype=int), "variance": np.full(n, 0.2),
             "base": np.full(n, 0.1), "jitter": np.zeros(n)}
-    cols["h"][:, 0, 0] = 1.0
     for i, name, value in faults:
         cols[name][i] = value
     want = first_node_error(**cols)
     assert want is not None
     with pytest.raises(ConfigError) as err:
-        SensorNetwork.from_columns(**cols)
+        SensorNetwork(**cols, state_dim=2)
     assert str(err.value) == want
 
 
 def test_network_refuses_nodes_of_mixed_state_dim():
-    nodes = (make_node((1.0, 0.0)), make_node((0.0, 1.0, 0.0), node_id=2))
-    with pytest.raises(ConfigError, match="^node 2 measures a 3-state plant, node 1 a 2-state one$"):
-        SensorNetwork(nodes)
+    # every node measures a state of the network's one plant
+    with pytest.raises(ConfigError, match=r"^node 2: state index outside \[0, 2\)$"):
+        network_of((1, 0.2), (2, 0.2))
+    assert network_of((1, 0.2), (2, 0.2), m=3).state_dim == 3
 
 
-def test_from_columns_mixed_rows_validated_per_row_count():
-    h = np.zeros((3, 2, 2))
-    h[0, 0, 0] = 1.0
-    h[1] = [[1.0, 0.0], [2.0, 0.0]]  # two rows of rank one
-    h[2, 0, 1] = 1.0
-    r = np.zeros((3, 2, 2))
-    r[0, 0, 0] = r[2, 0, 0] = 0.3
-    r[1] = np.eye(2)
-    with pytest.raises(ConfigError, match="^node 2: H must have full row rank"):
-        SensorNetwork.from_columns(h, r, np.zeros(3), np.zeros(3), rows=[1, 2, 1])
-    h[1, 1] = [0.5, 1.0]
-    net = SensorNetwork.from_columns(h, r, np.zeros(3), np.zeros(3), rows=[1, 2, 1])
-    np.testing.assert_array_equal(net.rows, [1, 2, 1])
-    np.testing.assert_array_equal(net.variances, [0.3, 1.0, 0.3])
+def test_network_refuses_columns_of_other_lengths():
     with pytest.raises(ConfigError, match="do not describe 3 nodes"):
-        SensorNetwork.from_columns(h, r[:2], np.zeros(3), np.zeros(3), rows=[1, 2, 1])
+        SensorNetwork([0, 1, 0], [0.3, 1.0], np.zeros(3), np.zeros(3), 2)
+    with pytest.raises(ConfigError, match="do not describe 2 nodes"):
+        SensorNetwork([[0, 1]], [0.3, 1.0], np.zeros(2), np.zeros(2), 2)
+    net = SensorNetwork([0, 1, 0], [0.3, 1.0, 0.3], np.zeros(3), np.zeros(3), 2)
+    for column in (net.state, net.variance, net.base, net.jitter):
+        assert not column.flags.writeable
 
 
 def per_node_sample(n, variance_range, delay_range, rng, state_dim=2, jitter_std=0.0):
-    """Reference: sample_network's draws as one SensorNode per node (a tuple)."""
-    rows = rng.integers(0, state_dim, size=n)
+    """Reference: sample_network's draws as one (state, variance, base, jitter)
+    tuple per node."""
+    states = rng.integers(0, state_dim, size=n)
     variances = np.maximum(rng.uniform(variance_range[0], variance_range[1], size=n), R_MIN)
     delays = rng.uniform(delay_range[0], delay_range[1], size=n)
-    nodes = []
-    for i in range(n):
-        h = np.zeros((1, state_dim))
-        h[0, rows[i]] = 1.0
-        nodes.append(SensorNode(id=i + 1, h=h, r=np.array([[variances[i]]]),
-                                delay=DelaySpec(base=float(delays[i]), jitter_std=jitter_std)))
-    return tuple(nodes)
+    return [(int(states[i]), float(variances[i]), float(delays[i]), jitter_std) for i in range(n)]
 
 
 def resolved_per_node(nodes, rng):
     """Reference: resolve_delays one node at a time, in id order."""
-    return [
-        SensorNode(id=node.id, h=node.h, r=node.r, delay=DelaySpec(base=max(
-            node.delay.base + rng.normal(0.0, node.delay.jitter_std), 0.0)))
-        if node.delay.jitter_std > 0.0 else node
-        for node in nodes
-    ]
+    return [(s, r, max(base + rng.normal(0.0, jitter), 0.0), 0.0) if jitter > 0.0
+            else (s, r, base, jitter)
+            for s, r, base, jitter in nodes]
 
 
 @pytest.mark.parametrize("state_dim", [2, 3])
@@ -228,18 +236,18 @@ def test_sample_and_resolve_match_per_node_construction(state_dim):
     rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
     net = sample_network(*args, rng_a, state_dim=state_dim, jitter_std=0.1)
     ref_nodes = per_node_sample(*args, rng_b, state_dim=state_dim, jitter_std=0.1)
-    assert_same_columns(net, SensorNetwork(ref_nodes))
+    assert_same_columns(net, network_of(*ref_nodes, m=state_dim))
     resolved = resolve_delays(net, rng_a)
     # reference: one jitter draw per node, folded into the base, clamped at 0
-    assert_same_columns(resolved, SensorNetwork(resolved_per_node(ref_nodes, rng_b)))
+    assert_same_columns(resolved, network_of(*resolved_per_node(ref_nodes, rng_b), m=state_dim))
     assert rng_a.random() == rng_b.random()  # both consumed the same draws
 
 
 def test_delay_steps_match_per_node():
-    nodes = tuple(make_node(base=0.013 * i, jitter=0.02 * (i % 3), node_id=i + 1)
-                  for i in range(40))
-    net = resolve_delays(SensorNetwork(nodes), np.random.default_rng(4))
-    want = [delay_steps(node, 0.01) for node in resolved_per_node(nodes, np.random.default_rng(4))]
+    nodes = [(0, 0.25, 0.013 * i, 0.02 * (i % 3)) for i in range(40)]
+    net = resolve_delays(network_of(*nodes), np.random.default_rng(4))
+    want = [delay_steps(base, 0.01)
+            for _, _, base, _ in resolved_per_node(nodes, np.random.default_rng(4))]
     np.testing.assert_array_equal(net.delay_steps(0.01), want)
 
 
@@ -247,33 +255,29 @@ def test_engine_measurements_match_per_node_construction():
     from dkfsim.dkf import DkfEngine
     from dkfsim.model import builtin_system, simulate
 
-    # single-row and two-row nodes, some jittered (resolved before the engine
-    # is built), more nodes than one noise block
+    # 300 nodes of random state and variance, some jittered (resolved before
+    # the engine is built)
     rng = np.random.default_rng(2)
-    nodes = []
-    for i in range(300):
-        p = 2 if i % 7 == 3 else 1
-        a = rng.standard_normal((p, p))
-        nodes.append(SensorNode(
-            id=i + 1, h=rng.standard_normal((p, 2)), r=0.1 * a @ a.T + 0.2 * np.eye(p),
-            delay=DelaySpec(base=float(rng.uniform(0.0, 1.0)), jitter_std=0.05 * (i % 2)),
-        ))
-    net = resolve_delays(SensorNetwork(tuple(nodes)), np.random.default_rng(8))
+    nodes = [(int(rng.integers(0, 2)), float(rng.uniform(0.05, 0.6)),
+              float(rng.uniform(0.0, 1.0)), 0.05 * (i % 2)) for i in range(300)]
+    net = resolve_delays(network_of(*nodes), np.random.default_rng(8))
     sys_ = builtin_system()
     engine_rng = np.random.default_rng(9)
     engine = DkfEngine(sys_, net, 60, engine_rng)
-    # reference: the per-node engine set-up
+    assert engine.z.shape == (300, 61)
+    # reference: the per-node set-up with one-row H = e_s^T and R = [[r]]:
+    # z = H x + chol(R) w, l = H^T R^{-1} H, N+1 draws per node in id order
     rng = np.random.default_rng(9)
     truth = simulate(sys_, 60, rng)
     assert np.array_equal(truth, engine.truth)
-    for i, node in enumerate(nodes):
-        z = (node.h @ truth.T).T + rng.standard_normal((61, node.h.shape[0])) @ np.linalg.cholesky(node.r).T
-        hr = node.h.T @ np.linalg.inv(node.r)
-        assert np.array_equal(engine.measurements[i, :, :node.h.shape[0]], z)
-        assert not engine.measurements[i, :, node.h.shape[0]:].any()
-        assert np.array_equal(engine.scenario.l_all[i], 0.5 * ((hr @ node.h) + (hr @ node.h).T))
-        assert np.array_equal(engine.div_all[i], z @ hr.T)
+    for i, (s, r, _, _) in enumerate(nodes):
+        h = np.eye(2)[[s]]
+        r_mat = np.array([[r]])
+        z = (h @ truth.T).T + rng.standard_normal((61, 1)) @ np.linalg.cholesky(r_mat).T
+        hr = h.T @ np.linalg.inv(r_mat)
+        assert np.array_equal(engine.z[i], z[:, 0])
+        assert np.array_equal(engine.scenario.l_all[i], 0.5 * ((hr @ h) + (hr @ h).T))
     np.testing.assert_array_equal(engine.delays, [
-        delay_steps(node, sys_.sample_time)
-        for node in resolved_per_node(nodes, np.random.default_rng(8))])
+        delay_steps(base, sys_.sample_time)
+        for _, _, base, _ in resolved_per_node(nodes, np.random.default_rng(8))])
     assert engine_rng.random() == rng.random()  # the engine drew no delay

@@ -7,7 +7,7 @@ from dkfsim.dkf import Scenario, _symmetrize
 from dkfsim.errors import ConfigError
 from dkfsim.model import builtin_system, transition_matrix
 from dkfsim.reference import beta_hat, gamma_hat, i_tilde, psi, time_update_general
-from dkfsim.sensing import SensorNetwork, SensorNode
+from dkfsim.sensing import SensorNetwork
 from dkfsim.stability import (
     StabilityParams,
     _distinct_noise_terms,
@@ -17,7 +17,14 @@ from dkfsim.stability import (
     i_tilde_matrices,
 )
 
-from conftest import identity_system, random_psd, random_system
+from conftest import identity_system, network_of, random_psd, random_system
+
+
+def information_of(h, r):
+    """l_i = H_i^T R_i^{-1} H_i for stacks H (n, p, m), R (n, p, p) of sensors
+    with full, correlated rows: a non-diagonal l_i, which the bound operator
+    and the node kernel take as given."""
+    return _symmetrize(h.transpose(0, 2, 1) @ np.linalg.solve(r, h))
 
 
 def scalar_system(a=1.0, q=1.0, n_steps=50):
@@ -201,8 +208,8 @@ def test_i_tilde_identity_transitions_hand_value():
 def test_i_tilde_rank_one_entry():
     # l from H=[0 1], R=0.25: entry (2,2) = 4 for a window of one step
     sys_ = builtin_system()
-    node = SensorNode(id=1, h=np.array([[0.0, 1.0]]), r=np.array([[0.25]]))
-    out = i_tilde(30, 1, 0.9, sys_, node.h.T @ np.linalg.solve(node.r, node.h))
+    h = np.array([[0.0, 1.0]])
+    out = i_tilde(30, 1, 0.9, sys_, h.T @ np.linalg.solve([[0.25]], h))
     np.testing.assert_allclose(out, [[0.0, 0.0], [0.0, 4.0]], atol=1e-14)
     assert np.linalg.matrix_rank(out) == 1
 
@@ -242,7 +249,7 @@ def test_i_tilde_matrices_consistent_with_direct():
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_i_tilde_matrices_match_reference_multi_row(m):
-    # multi-row sensors give full, non-diagonal l_i: every folded (b, c) row
+    # two-row sensors give full, non-diagonal l_i: every folded (b, c) row
     # of the operator carries weight
     rng = np.random.default_rng(40 + m)
     n, n_steps, k_bar = 6, 40, 8
@@ -250,14 +257,14 @@ def test_i_tilde_matrices_match_reference_multi_row(m):
     p = 2
     h = rng.standard_normal((n, p, m))
     r = np.stack([random_psd(rng, m=p) + 0.1 * np.eye(p) for _ in range(n)])
-    network = SensorNetwork.from_columns(h, r, np.zeros(n), np.zeros(n))
-    scenario = Scenario(sys_, network, n_steps)
+    l_all = information_of(h, r)
+    scenario = Scenario(sys_, None, n_steps)
     betas = rng.uniform(0.3, 1.0, size=n)
     mats = _kernels.unpack(i_tilde_matrices(
-        bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all), betas, scenario.l_all))
+        bound_operator(scenario, k_bar + 1, n_steps, k_bar, l_all), betas, l_all))
     for i in range(n):
         for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
-            want = i_tilde(k, k_bar, betas[i], sys_, scenario.l_all[i])
+            want = i_tilde(k, k_bar, betas[i], sys_, l_all[i])
             assert np.abs(mats[pos, i] - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -287,24 +294,24 @@ def test_histories_and_bounds_are_exactly_symmetric(m):
     sys_ = random_system(rng, m=m, n_steps=n_steps)
     h = rng.standard_normal((n, 2, m))
     r = np.stack([random_psd(rng) + 0.1 * np.eye(2) for _ in range(n)])
-    network = SensorNetwork.from_columns(h, r, np.zeros(n), np.zeros(n))
-    scenario = Scenario(sys_, network, n_steps)
+    l_all = information_of(h, r)
+    scenario = Scenario(sys_, None, n_steps)
     rows, cols = np.tril_indices(m)
-    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, scenario.l_all)
+    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, l_all)
     betas = rng.uniform(0.3, 1.0, size=n)
-    bounds = i_tilde_matrices(bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all),
-                              betas, scenario.l_all)
+    bounds = i_tilde_matrices(bound_operator(scenario, k_bar + 1, n_steps, k_bar, l_all),
+                              betas, l_all)
     for i in range(n):
-        info = scenario.l_all[i]
+        info = l_all[i]
         for k in range(n_steps + 1):
             if k:
                 info = time_update_general(info, np.zeros(m), scenario.a_inv_seq[k - 1],
-                                           scenario.q_inv)[0] + scenario.l_all[i]
+                                           scenario.q_inv)[0] + l_all[i]
             scale = np.abs(info).max()
             assert np.abs(hist[:, k, i] - info[rows, cols]).max() <= 1e-12 * scale
             assert np.abs(hist[:, k, i] - info[cols, rows]).max() <= 1e-12 * scale
         for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
-            want = i_tilde(k, k_bar, betas[i], sys_, scenario.l_all[i])
+            want = i_tilde(k, k_bar, betas[i], sys_, l_all[i])
             scale = np.abs(want).max()
             assert np.abs(bounds[:, pos, i] - want[rows, cols]).max() <= 1e-12 * scale
             assert np.abs(bounds[:, pos, i] - want[cols, rows]).max() <= 1e-12 * scale
@@ -319,23 +326,22 @@ def test_pruned_bounds_match_reference_with_one_live_off_diagonal_pair():
     h = np.zeros((n, 1, m))
     h[np.arange(n - 1), 0, np.arange(n - 1) % m] = 1.0
     h[n - 1, 0, [0, 2]] = 1.0
-    network = SensorNetwork.from_columns(h, rng.uniform(0.05, 0.5, size=(n, 1, 1)),
-                                         np.zeros(n), np.zeros(n))
-    scenario = Scenario(sys_, network, n_steps)
-    live, _ = operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all)
+    l_all = information_of(h, rng.uniform(0.05, 0.5, size=(n, 1, 1)))
+    scenario = Scenario(sys_, None, n_steps)
+    live, _ = operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar, l_all)
     upper = np.triu_indices(m)
     assert [(upper[0][p], upper[1][p]) for p in live] == [(0, 0), (0, 2), (1, 1), (2, 2), (3, 3)]
     betas = rng.uniform(0.3, 1.0, size=n)
-    mats = _kernels.unpack(i_tilde_matrices(operator, betas, scenario.l_all))
+    mats = _kernels.unpack(i_tilde_matrices(operator, betas, l_all))
     for i in range(n):
         for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
-            want = i_tilde(k, k_bar, betas[i], sys_, scenario.l_all[i])
+            want = i_tilde(k, k_bar, betas[i], sys_, l_all[i])
             assert np.abs(mats[pos, i] - want).max() <= 1e-12 * np.abs(want).max()
     # without the one node that measures (0, 2), a chunk's operator has no
     # row for it, and handing it that node is refused
-    basis = bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all[:-1])
+    basis = bound_operator(scenario, k_bar + 1, n_steps, k_bar, l_all[:-1])
     with pytest.raises(ValueError, match="no rows for"):
-        i_tilde_matrices(basis, betas, scenario.l_all)
+        i_tilde_matrices(basis, betas, l_all)
 
 
 def test_i_tilde_window_must_fit_the_scenario():
@@ -355,10 +361,8 @@ def test_i_tilde_matrices_chunks_equal_whole_network_rows(chunk):
     rng = np.random.default_rng(512)
     m, n, n_steps, k_bar = 5, 512, 60, 20
     sys_ = random_system(rng, m=m, n_steps=n_steps)
-    h = np.zeros((n, 1, m))
-    h[np.arange(n), 0, rng.integers(0, m, size=n)] = 1.0
-    network = SensorNetwork.from_columns(h, rng.uniform(0.05, 0.5, size=(n, 1, 1)),
-                                         np.zeros(n), np.zeros(n))
+    network = SensorNetwork(rng.integers(0, m, size=n), rng.uniform(0.05, 0.5, size=n),
+                            np.zeros(n), np.zeros(n), m)
     scenario = Scenario(sys_, network, n_steps)
     betas = rng.uniform(0.5, 1.0, size=n)
     operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all)
@@ -385,9 +389,7 @@ def test_stability_params_validation():
 
 def test_compute_params_modes():
     sys_ = builtin_system()
-    node = SensorNode(id=1, h=np.array([[1.0, 0.0]]), r=np.array([[0.3]]))
-    net = SensorNetwork((node,))
-    scenario = Scenario(sys_, net, 100)
+    scenario = Scenario(sys_, network_of((0, 0.3)), 100)
     derived = compute_params(scenario)
     assert derived.beta_hat is None
     overridden = compute_params(scenario, beta_hat_override=0.25)
@@ -399,14 +401,12 @@ def test_information_inverse_matches_riccati_covariance():
     # covariance of the covariance-form recursion at every step
     from dkfsim.dkf import DkfEngine
     from dkfsim.reference import kf_covariance_form
-    from dkfsim.sensing import SensorNetwork
 
     sys_ = builtin_system()
-    node = SensorNode(id=1, h=np.array([[0.0, 1.0]]), r=np.array([[0.15]]))
     p0 = 2.0 * np.eye(2)
-    eng = DkfEngine(sys_, SensorNetwork((node,)), 200, np.random.default_rng(9),
+    eng = DkfEngine(sys_, network_of((1, 0.15)), 200, np.random.default_rng(9),
                     info0=np.linalg.inv(p0))
     info_hist, _, _, _ = eng.fused_run([1])
-    _, ps = kf_covariance_form(sys_, node.h, node.r, eng.measurements[0, :, :1], 200, p0=p0)
+    _, ps = kf_covariance_form(sys_, np.array([[0.0, 1.0]]), [[0.15]], eng.z[0], 200, p0=p0)
     for k in range(201):
         np.testing.assert_allclose(np.linalg.inv(info_hist[k]), ps[k], atol=1e-8)
