@@ -122,9 +122,11 @@ def transition_sequence(sys: LtvSystem, n_steps: int) -> np.ndarray:
     return np.stack([transition_matrix(sys, k) for k in range(n_steps)])
 
 
-def simulate(sys: LtvSystem, n_steps: int, rng: np.random.Generator) -> np.ndarray:
-    """Propagate the plant for n_steps with w(k) ~ N(0, Q) drawn from rng;
-    returns the states x(0..N) as an (N+1, m) array."""
+def simulate(sys: LtvSystem, a_seq, rng: np.random.Generator) -> np.ndarray:
+    """Propagate the plant through the prepared transitions a_seq = A(0..N-1)
+    (transition_sequence), with w(k) ~ N(0, Q) drawn from rng; returns the
+    states x(0..N) as an (N+1, m) array."""
+    n_steps = len(a_seq)
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1", keys=("horizon",))
     m = sys.state_dim
@@ -132,8 +134,8 @@ def simulate(sys: LtvSystem, n_steps: int, rng: np.random.Generator) -> np.ndarr
     states = np.empty((n_steps + 1, m))
     states[0] = sys.initial_state
     for k in range(n_steps):
-        states[k + 1] = transition_matrix(sys, k) @ states[k] + noise[k]
-        if not np.all(np.isfinite(states[k + 1])):
+        states[k + 1] = a_seq[k] @ states[k] + noise[k]
+        if not np.isfinite(states[k + 1]).all():
             raise DivergenceError(f"state diverged at step {k + 1}", step=k + 1)
     return states
 

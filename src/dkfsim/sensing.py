@@ -122,8 +122,9 @@ def load_network(path, state_dim: int = 2) -> SensorNetwork:
 
     A field that does not parse, or a row index outside [0, state_dim), raises
     ConfigError naming path:line; a file without node lines raises ConfigError.
-    Variances are clamped below at R_MIN; a non-finite variance, delay or
-    jitter raises the network's ConfigError naming the node.
+    Variances in [0, R_MIN) are clamped up to R_MIN; a negative or non-finite
+    variance, and a non-finite delay or jitter, raises the network's
+    ConfigError naming the node.
     """
     ids, rows, values = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -148,7 +149,9 @@ def load_network(path, state_dim: int = 2) -> SensorNetwork:
     if n == 0:
         raise ConfigError(f"{path}: no nodes")
     variance, base, jitter = np.array(values, dtype=float).reshape(n, 3).T
-    network = SensorNetwork(rows, np.maximum(variance, R_MIN), base, jitter, state_dim)
+    # the floor is for zero variances; a negative one reaches the network's check
+    variance = np.where(variance < 0.0, variance, np.maximum(variance, R_MIN))
+    network = SensorNetwork(rows, variance, base, jitter, state_dim)
     if ids != network.ids():
         raise ConfigError("node ids must be contiguous 1..n in order")
     return network

@@ -171,12 +171,15 @@ def test_network_file_without_nodes_is_config_error(tmp_path, caplog, text):
     ({"delay_range": "0 inf"}, None, "invalid configuration values for: delay_range"),
     ({"jitter_std": "nan"}, None, "invalid configuration values for: jitter_std"),
     ({}, "2 1 inf 0.3 0.0", "node 2: variance must be finite and > 0"),
+    ({}, "2 1 -5 0.3 0.0", "node 2: variance must be finite and > 0"),
     ({}, "2 1 0.1 nan 0.0", "node 2: delay base must be finite and >= 0"),
-], ids=["infinite-delay-range", "nan-jitter", "infinite-variance-in-file", "nan-delay-in-file"])
+], ids=["infinite-delay-range", "nan-jitter", "infinite-variance-in-file",
+        "negative-variance-in-file", "nan-delay-in-file"])
 def test_non_finite_input_is_config_error(tmp_path, caplog, overrides, node_line, message):
     # each of these once escaped as a traceback or ran on silently: an
     # OverflowError from the delay sampler, a NaN jitter taken as none, NaN
-    # estimates from an infinite variance, an IndexError from a NaN delay
+    # estimates from an infinite variance, a negative variance floored to the
+    # most trusted sensor, an IndexError from a NaN delay
     if node_line is not None:
         path = tmp_path / "net.txt"
         path.write_text("1 0 0.2 0.0 0.0\n" + node_line + "\n")

@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dkfsim import _kernels
+from dkfsim import _kernels, dkf
 from dkfsim.dkf import DkfEngine, Scenario, recover_estimates
 from dkfsim.errors import ConfigError, NumericError, SelectionError
 from dkfsim.model import builtin_system, robust_inverse, transition_matrix
 from dkfsim.reference import kf_covariance_form, psi, time_update_general
-from dkfsim.sensing import SensorNetwork
-from dkfsim.selection import max_deviation
+from dkfsim.sensing import SensorNetwork, sample_network
+from dkfsim.selection import max_deviation, sweep_masks
 
 from conftest import network_of, random_psd, random_system, stacked_model
 
@@ -212,6 +214,64 @@ def test_fused_runs_match_stepwise_oracle_on_random_plants(seed, m, n, prior):
         cond = np.linalg.cond(want_info[ok])
         err = np.abs(xhat[b, ok] - want_x[ok]).max(axis=-1)
         assert (err <= 1e-10 * cond * np.abs(want_x[ok]).max(axis=-1)).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4), n=st.integers(4, 12),
+       block=st.integers(1, 4))
+def test_fused_runs_match_stepwise_oracle_across_delivery_blocks(seed, m, n, block):
+    # blocks of 1-4 nodes split state classes and delay groups; every state
+    # but one has nodes, node 1 is delayed by exactly the horizon, node 2 past
+    # it, and delays repeat
+    n_steps = 20
+    rng = np.random.default_rng(seed)
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    states = np.delete(np.arange(m), rng.integers(0, m))
+    state = np.concatenate([states, rng.choice(states, n - states.size)])
+    steps = np.concatenate([[n_steps, n_steps + 1], rng.integers(0, 4, n - 2) * 5])
+    net = network_of(*[(int(s), float(random_psd(rng, m=1)[0, 0]) + 0.1, 0.01 * float(d))
+                       for s, d in zip(state, steps)], m=m)
+    eng = DkfEngine(sys_, net, n_steps, rng)
+    masks = rng.random((int(rng.integers(1, 5)), n)) < 0.6
+    masks[np.arange(len(masks)), rng.integers(0, n, len(masks))] = True
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dkf, "DELIVERY_BLOCK", block)
+        info_hist, yv_hist, _, flags = eng.fused_runs(masks)
+    for b, mask in enumerate(masks):
+        want_info, want_yv = stepwise_fused_run(eng, np.flatnonzero(mask) + 1)
+        assert_rel_close(info_hist[b], want_info)
+        assert_rel_close(yv_hist[b], want_yv)
+        np.testing.assert_array_equal(flags[b], recover_estimates(want_info, want_yv)[1])
+
+
+def test_fused_runs_traced_peak_stays_within_one_delivery_block(monkeypatch):
+    # the greedy sweep's shape: 2000 nodes with delays up to the horizon, N =
+    # 200, ~98 masks. Alive at the peak: the increments and the histories
+    # (twice the outputs), recover_estimates' copies of them, and one block's
+    # buffers (the padded and delivered readings, N+1 wide, and its mask
+    # columns). A whole-network delivered table costs ~10x the block's.
+    rng = np.random.default_rng(3)
+    net = sample_network(2000, (0.0, 0.5), (0.0, 2.0), rng)
+    eng = DkfEngine(builtin_system(), net, 200, rng)
+    shrink = 1.0 - np.arange(100) / 100
+    masks = sweep_masks(net, 0.5 * shrink, 2.0 * shrink)
+    masks = masks[masks.any(axis=1)]
+    n_out = eng.n_steps + 1
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            outputs = sum(a.nbytes for a in eng.fused_runs(masks))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, outputs
+
+    peak, outputs = traced_peak()
+    bound = 3.5 * outputs + dkf.DELIVERY_BLOCK * (3 * n_out + 2 * len(masks)) * 8
+    assert peak <= bound
+    monkeypatch.setattr(dkf, "DELIVERY_BLOCK", len(net))
+    assert traced_peak()[0] > bound
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,6 +11,7 @@ from dkfsim.model import (
     robust_inverse,
     simulate,
     transition_matrix,
+    transition_sequence,
 )
 
 from conftest import identity_system, random_system
@@ -63,32 +64,34 @@ def test_simulate_identity_no_noise_keeps_state(zero_rng):
         initial_state=np.array([1.0, 1.0]),
         sample_time=0.01,
     )
-    traj = simulate(sys_, 10, zero_rng)
+    traj = simulate(sys_, transition_sequence(sys_, 10), zero_rng)
     np.testing.assert_allclose(traj, np.ones((11, 2)), atol=1e-15)
 
 
 def test_simulate_one_step_hand_product(zero_rng):
     # x(1) = A(0) [1, 1] = [0.75, 1.25] with noise stubbed to zero
     sys_ = builtin_system(q_scale=0.1)
-    traj = simulate(sys_, 1, zero_rng)
+    traj = simulate(sys_, transition_sequence(sys_, 1), zero_rng)
     np.testing.assert_allclose(traj[1], [0.75, 1.25], atol=1e-15)
 
 
 def test_simulate_deterministic_given_seed():
     sys_ = builtin_system()
-    t1 = simulate(sys_, 50, np.random.default_rng(123))
-    t2 = simulate(sys_, 50, np.random.default_rng(123))
+    a_seq = transition_sequence(sys_, 50)
+    t1 = simulate(sys_, a_seq, np.random.default_rng(123))
+    t2 = simulate(sys_, a_seq, np.random.default_rng(123))
     np.testing.assert_array_equal(t1, t2)
 
 
 def test_simulate_length_matches_horizon():
-    traj = simulate(builtin_system(), 37, np.random.default_rng(0))
+    sys_ = builtin_system()
+    traj = simulate(sys_, transition_sequence(sys_, 37), np.random.default_rng(0))
     assert len(traj) == 38
 
 
 def test_simulate_rejects_zero_steps():
     with pytest.raises(ConfigError):
-        simulate(builtin_system(), 0, np.random.default_rng(0))
+        simulate(builtin_system(), np.empty((0, 2, 2)), np.random.default_rng(0))
 
 
 def test_simulate_divergence_names_step():
@@ -100,7 +103,7 @@ def test_simulate_divergence_names_step():
         sample_time=1.0,
     )
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
-        simulate(sys_, 4, np.random.default_rng(0))
+        simulate(sys_, transition_sequence(sys_, 4), np.random.default_rng(0))
     assert err.value.step is not None
 
 

@@ -131,6 +131,16 @@ def test_load_network_parses_hand_written_file(tmp_path):
     assert_same_columns(net, ref)
 
 
+def test_load_network_refuses_negative_variance_naming_the_node(tmp_path):
+    # the floor R_MIN once made this node the network's most trusted sensor
+    path = tmp_path / "net.txt"
+    path.write_text("1 0 -5 0.0 0.0\n2 1 0.2 0.0 0.0\n")
+    with pytest.raises(ConfigError, match="^node 1: variance must be finite and > 0$"):
+        load_network(path, state_dim=2)
+    path.write_text("1 0 0.0 0.0 0.0\n2 1 0.5e-6 0.0 0.0\n")
+    np.testing.assert_array_equal(load_network(path, state_dim=2).variance, [R_MIN, R_MIN])
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("field, column", [(2, "variance"), (3, "delay"), (4, "jitter")])
 def test_load_network_refuses_non_finite_values_naming_the_node(tmp_path, field, column, value):
@@ -253,7 +263,7 @@ def test_delay_steps_match_per_node():
 
 def test_engine_measurements_match_per_node_construction():
     from dkfsim.dkf import DkfEngine
-    from dkfsim.model import builtin_system, simulate
+    from dkfsim.model import builtin_system, simulate, transition_sequence
 
     # 300 nodes of random state and variance, some jittered (resolved before
     # the engine is built)
@@ -268,7 +278,7 @@ def test_engine_measurements_match_per_node_construction():
     # reference: the per-node set-up with one-row H = e_s^T and R = [[r]]:
     # z = H x + chol(R) w, l = H^T R^{-1} H, N+1 draws per node in id order
     rng = np.random.default_rng(9)
-    truth = simulate(sys_, 60, rng)
+    truth = simulate(sys_, transition_sequence(sys_, 60), rng)
     assert np.array_equal(truth, engine.truth)
     for i, (s, r, _, _) in enumerate(nodes):
         h = np.eye(2)[[s]]
