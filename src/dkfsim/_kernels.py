@@ -13,11 +13,11 @@ without its products. The step acts on a structure-of-arrays stack, every
 matrix (m, m, n) with the batch axis last: a few gemms against the shared
 A^{-1}(k) and Q^{-1} and an elimination over whole (n,) rows.
 
-- node_info_histories runs one recursion per node over thousands of nodes
-  and stores each step packed: the P = m (m + 1) / 2 lower-triangle entries
-  of each symmetric matrix, in np.tril_indices order, as a (P, N+1, n)
-  history, the layout the stability bounds and the admission check keep
-  (unpack restores full matrices).
+- node_info_histories runs one recursion per node, given as (s_i, 1/r_i),
+  over thousands of nodes and stores each step packed: the P = m (m + 1) / 2
+  lower-triangle entries of each symmetric matrix, in np.tril_indices order,
+  as a (P, N+1, n) history, the layout the stability bounds and the admission
+  check keep (unpack restores full matrices).
 - fused_info_recursion runs B estimator chains (the greedy sweep's subsets;
   single-chain callers pass one row); each chain's information vector is
   one more right-hand side of the elimination.
@@ -55,30 +55,36 @@ def _time_update(info, a_inv, q_inv, aug, half, out):
     return pred[:, m:]
 
 
-def node_info_histories(a_inv_seq, q_inv, l_all):
+def node_info_histories(a_inv_seq, q_inv, state, inv_r):
     """Posterior information histories I_i(k|k) for every node, k = 0..N, packed.
 
-    a_inv_seq: (N, m, m) inverses of A(0..N-1); q_inv: (m, m);
-    l_all: (n, m, m) per-node H^T R^{-1} H. Every node starts from zero prior
-    information, so I_i(0|0) = l_all[i].
+    a_inv_seq: (N, m, m) inverses of A(0..N-1); q_inv: (m, m); node i measures
+    state s = state[i] with 1/r_i = inv_r[i], so l_i = e_s e_s^T inv_r[i] adds
+    to its diagonal only. Every node starts from zero prior information.
     Returns (P, N+1, n): row p holds entry np.tril_indices(m)[p] of every
-    node's matrix at every step. The matrices are exactly symmetric when l_all
-    is, so the lower triangle is all of them.
+    node's matrix at every step. The matrices are exactly symmetric, so the
+    lower triangle is all of them.
     """
-    n, m, _ = l_all.shape
+    n = state.shape[0]
+    m = q_inv.shape[0]
     n_steps = a_inv_seq.shape[0]
     rows, cols = np.tril_indices(m)
     lower = rows * m + cols  # flat index of each packed entry in an (m, m) matrix
     hist = np.empty((lower.size, n_steps + 1, n))
-    l_soa = np.ascontiguousarray(l_all.transpose(1, 2, 0))
-    info = l_soa.copy()
+    info = np.zeros((m, m, n))
+    diag = info.reshape(m * m, n)[::m + 1]  # (m, n) view of every node's diagonal
+    # each node's diagonal of l_i, laid out once: a dense add per step, where
+    # a fancy-indexed one took 10x as long
+    l_diag = np.zeros((m, n))
+    l_diag[state, np.arange(n)] = inv_r
+    diag += l_diag
     half = np.empty((m, m * n))
     aug = np.empty((m, 2 * m, n))
     out = np.empty((m, m * n))
     hist[:, 0] = info.reshape(m * m, n)[lower]
     for k in range(n_steps):
         _time_update(info, a_inv_seq[k], q_inv, aug, half, out)
-        info += l_soa
+        diag += l_diag
         hist[:, k + 1] = info.reshape(m * m, n)[lower]
     return hist
 
@@ -123,17 +129,20 @@ def fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0):
     """B independent fused estimator chains over one horizon.
 
     The chains share A^{-1}(k), Q^{-1} and the prior and differ only in what
-    their nodes deliver. info_inc: (B, N+1, m, m) delivered information sums
-    per step; iv_inc: (B, N+1, m) delivered IV-delta sums per step;
-    info0 (m, m) / yv0 (m,): prior information and information vector at step 0.
+    their nodes deliver. info_inc: (B, N+1, m) delivered information sums per
+    step, on the diagonal only, as every node measures one state; iv_inc:
+    (B, N+1, m) delivered IV-delta sums per step; info0 (m, m) / yv0 (m,):
+    prior information and information vector at step 0.
     Returns (info_hist (B, N+1, m, m), yv_hist (B, N+1, m)).
     """
-    n_chains, n_out, m, _ = info_inc.shape
-    info_inc = info_inc.transpose(1, 2, 3, 0)
+    n_chains, n_out, m = info_inc.shape
+    info_inc = info_inc.transpose(1, 2, 0)
     iv_inc = iv_inc.transpose(1, 2, 0)
     info_hist = np.empty((n_out, m, m, n_chains))
     yv_hist = np.empty((n_out, m, n_chains))
-    info = info0[:, :, None] + info_inc[0]
+    info = np.repeat(info0[:, :, None], n_chains, axis=2)
+    diag = info.reshape(m * m, n_chains)[::m + 1]
+    diag += info_inc[0]
     yv = yv0[:, None] + iv_inc[0]
     info_hist[0] = info
     yv_hist[0] = yv
@@ -145,7 +154,7 @@ def fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0):
         np.matmul(a_inv.T, yv, out=aug[:, 2 * m])
         yv_pred = _time_update(info, a_inv, q_inv, aug, half, out)[:, 0]
         np.add(yv_pred, iv_inc[k], out=yv)
-        info += info_inc[k]
+        diag += info_inc[k]
         info_hist[k] = info
         yv_hist[k] = yv
     return (np.ascontiguousarray(info_hist.transpose(3, 0, 1, 2)),

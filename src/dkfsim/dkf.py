@@ -6,10 +6,11 @@ node's (posterior - prior) information differences with a per-node staleness
 of d_i steps and compensates only through its own time updates
 (DkfEngine.fused_runs, batched over subsets).
 
-Every node measures one state with a scalar variance, so what a subset has
-delivered by step k is a sum per state class: node i measuring state j adds
-1/r_i to entry (j, j) from step d_i on and z_i(k - d_i) / r_i to IV entry j
-(DkfEngine._delivered_sums, in blocks of DELIVERY_BLOCK nodes).
+Every node measures one state with a scalar variance, so below the network a
+node is the pair (s_i, 1/r_i) and l_i = e_s e_s^T / r_i is never formed: what
+a subset has delivered by step k is a sum per state class, node i measuring
+state j adding 1/r_i to diagonal entry j from step d_i on and z_i(k - d_i) / r_i
+to IV entry j (DkfEngine._delivered_sums, in blocks of DELIVERY_BLOCK nodes).
 """
 
 from __future__ import annotations
@@ -54,14 +55,33 @@ def recover_estimates(info_hist, yv_hist):
     return xhat, flags
 
 
+def _prior(info0, x0_hat, m):
+    """The step-0 information (symmetrized) and information vector, zero where
+    not given. ConfigError unless info0 is a finite (m, m) matrix with no
+    eigenvalue below -1e-12 max|info0| and x0_hat is m finite values."""
+    info0 = np.zeros((m, m)) if info0 is None else np.asarray(info0, dtype=float)
+    if info0.shape != (m, m) or not np.isfinite(info0).all():
+        raise ConfigError(f"info0 must be a finite ({m}, {m}) matrix, got shape {info0.shape}")
+    info0 = _symmetrize(info0)
+    lowest = np.linalg.eigvalsh(info0)[0]
+    if lowest < -1e-12 * np.abs(info0).max():
+        raise ConfigError(f"info0 must be positive semidefinite (min eig {lowest:g})")
+    if x0_hat is None:
+        return info0, np.zeros(m)
+    x0_hat = np.asarray(x0_hat, dtype=float)
+    if x0_hat.shape != (m,) or not np.isfinite(x0_hat).all():
+        raise ConfigError(f"x0_hat must be {m} finite values, got shape {x0_hat.shape}")
+    return info0, info0 @ x0_hat
+
+
 class Scenario:
     """What a plant, a network and a horizon fix before any random draw.
 
     sys, network and n_steps are the inputs; a_seq / a_inv_seq: A(k) and its
     inverse for k < n_steps (the pseudo-inverse at the steps listed in
-    a_pinv_steps); q_inv: Q^{-1}; l_all (n, m, m): each node's information
-    contribution l_i = H_i^T R_i^{-1} H_i, which for node i measuring state s
-    with variance r_i is 1/r_i at (s, s) and zero elsewhere.
+    a_pinv_steps); q_inv: Q^{-1}; per node, inv_r (n,): 1/r_i, so that
+    l_i = e_s e_s^T inv_r[i] for s = network.state[i], and delays (n,): d_i in
+    steps (unresolved jitter raises ConfigError).
     network=None prepares the plant part only. The engine, the stability
     selection and the bound computations read these from one instance
     instead of deriving them again.
@@ -82,9 +102,8 @@ class Scenario:
         self.q_inv = np.linalg.inv(sys.process_noise_cov)
         if network is None:
             return
-        n = len(network)
-        self.l_all = np.zeros((n, sys.state_dim, sys.state_dim))
-        self.l_all[np.arange(n), network.state, network.state] = 1.0 / network.variance
+        self.inv_r = 1.0 / network.variance
+        self.delays = network.delay_steps(sys.sample_time)
 
 
 class DkfEngine:
@@ -97,7 +116,8 @@ class DkfEngine:
     i-1's) regardless of the subset later filtered on, so runs over different
     subsets of the same engine share one realization; the greedy sweep
     depends on this. Delays must be constant: a network with jitter raises
-    ConfigError (sensing.resolve_delays draws it first).
+    ConfigError (sensing.resolve_delays draws it first). The optional prior
+    info0 (m, m) and x0_hat (m,) is checked before any draw (_prior).
     """
 
     def __init__(self, sys: LtvSystem, network: SensorNetwork, n_steps: int,
@@ -106,19 +126,14 @@ class DkfEngine:
         self.sys = sys
         self.network = network
         self.n_steps = n_steps
-        m = sys.state_dim
         # perfbench's dkf.engine hook counts the pinv steps on the engine itself
         self.a_pinv_steps = sc.a_pinv_steps
-        self.delays = network.delay_steps(sys.sample_time)
+        self.delays = sc.delays
+        self.info0, self.yv0 = _prior(info0, x0_hat, sys.state_dim)
         self.truth = simulate(sys, sc.a_seq, rng)
         self.z = rng.standard_normal((len(network), n_steps + 1))
         self.z *= np.sqrt(network.variance)[:, None]
         self.z += self.truth[:, network.state].T
-        self.info0 = np.zeros((m, m)) if info0 is None else _symmetrize(np.asarray(info0, dtype=float))
-        if x0_hat is None:
-            self.yv0 = np.zeros(m)
-        else:
-            self.yv0 = self.info0 @ np.asarray(x0_hat, dtype=float)
 
     def fused_run(self, subset):
         """Run the estimator over one subset; returns (info_hist, yv_hist, xhat, flags)."""
@@ -172,24 +187,21 @@ class DkfEngine:
     def _delivered_sums(self, masks):
         """What the nodes of each mask row have delivered by each step.
 
-        Returns info_inc (B, N+1, m, m), the sum of l_i over the row's nodes
-        with d_i <= k, and iv_inc (B, N+1, m), the sum of their IV deltas
-        z_i(k - d_i) / r_i in their states' entries. A node measuring state j
-        adds to entry (j, j) and to IV entry j only, so both are sums per state
-        class: the used nodes, sorted by (state, delay), are taken
+        Returns info_inc (B, N+1, m), the diagonal of the sum of l_i over the
+        row's nodes with d_i <= k, and iv_inc (B, N+1, m), the sum of their IV
+        deltas z_i(k - d_i) / r_i in their states' entries. Both are sums per
+        state class: the used nodes, sorted by (state, delay), are taken
         DELIVERY_BLOCK at a time, and each class in a block adds one gemm of
         its mask columns against its delayed readings and, per delay, its
-        total of 1/r_i, which one cumsum over k turns into info_inc's
-        diagonal. Nodes delayed past the horizon deliver nothing.
+        total of 1/r_i, which one cumsum over k turns into info_inc. Nodes
+        delayed past the horizon deliver nothing.
         """
         n_runs = masks.shape[0]
         n_out = self.n_steps + 1
         m = self.sys.state_dim
-        state, delays = self.network.state, self.delays
-        inv_r = 1.0 / self.network.variance
-        info_inc = np.zeros((n_runs, n_out, m, m))
+        state, delays, inv_r = self.network.state, self.delays, self.scenario.inv_r
+        info_inc = np.zeros((n_runs, n_out, m))
         iv_inc = np.zeros((n_runs, n_out, m))
-        diag = info_inc.reshape(n_runs, n_out, m * m)[..., :: m + 1]
         used = np.flatnonzero(masks.any(axis=0) & (delays <= self.n_steps))
         used = used[np.lexsort((delays[used], state[used]))]
         for start in range(0, used.size, DELIVERY_BLOCK):
@@ -207,7 +219,7 @@ class DkfEngine:
             for j, a, b in zip(states, lo, [*lo[1:], block.size]):
                 iv_inc[..., j] += w[:, a:b] @ delivered[a:b]
                 steps, firsts = np.unique(d[a:b], return_index=True)
-                diag[:, steps, j] += np.add.reduceat(w_inv_r[:, a:b], firsts, axis=1)
-        np.cumsum(diag, axis=1, out=diag)
+                info_inc[:, steps, j] += np.add.reduceat(w_inv_r[:, a:b], firsts, axis=1)
+        np.cumsum(info_inc, axis=1, out=info_inc)
         return info_inc, iv_inc
 

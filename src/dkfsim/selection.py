@@ -271,7 +271,7 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     n_steps = scenario.n_steps
     if n_steps <= params.k_bar:
         raise ConfigError(f"n_steps must exceed k_bar={params.k_bar}", keys=("horizon", "k_bar"))
-    d = network.delay_steps(scenario.sys.sample_time)
+    d = scenario.delays
     m = scenario.sys.state_dim
     n = len(network)
     k_bar = params.k_bar
@@ -285,7 +285,7 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     warn_pinv_steps(scenario, k_bar + 1, n_steps, k_bar)
     betas = np.empty(n)
     ct_act = np.empty(n, dtype=np.int64)
-    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all)
+    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
     terms = None if params.beta_hat is not None else stability._distinct_noise_terms(scenario)
     # blocks of 64-node multiples keep the bound matmul's tiles whole, so a
     # block's bounds equal the whole network's to the bit (so measured with
@@ -295,8 +295,8 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     for lo in range(0, n, chunk):
         part = slice(lo, lo + chunk)
         betas[part], ct_act[part] = _admit_chunk(scenario, params, operator, terms, block,
-                                                 scenario.l_all[part], d[part], first[part],
-                                                 ct_exp[part])
+                                                 network.state[part], scenario.inv_r[part],
+                                                 d[part], first[part], ct_exp[part])
 
     admitted = (ct_exp > 0) & (ct_exp == ct_act)
     if not (ct_exp > 0).any():
@@ -328,13 +328,13 @@ def _max_trace_matrices(hist) -> np.ndarray:
     return _kernels.unpack(hist[:, np.argmax(traces, axis=0), np.arange(n)])
 
 
-def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, terms, block, l_all, d,
-                 first, ct_exp):
+def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, terms, block, state,
+                 inv_r, d, first, ct_exp):
     """(beta-hat, steps passed) for one chunk of nodes of stability_select."""
-    n = l_all.shape[0]
+    n = state.size
     k_bar = params.k_bar
     # delay-free per-node information histories (the local IF recursions), packed
-    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, l_all)
+    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r)
     n_pairs, n_out, _ = hist.shape
     if params.beta_hat is not None:
         betas = np.full(n, params.beta_hat)
@@ -351,7 +351,8 @@ def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, terms, b
         pos = np.arange(node.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[lo + node]
         # each entry's bound, gathered from the block's (P, K, b) bounds, then
         # the delayed history minus it
-        bounds = i_tilde_matrices(operator, betas[nodes], l_all[nodes]).reshape(n_pairs, -1)
+        bounds = i_tilde_matrices(operator, betas[nodes], state[nodes],
+                                  inv_r[nodes]).reshape(n_pairs, -1)
         diff = bounds[:, pos * counts.size + node]
         del bounds
         np.subtract(flat_hist[:, (k_bar + 1 + pos - d[lo + node]) * n + lo + node], diff, out=diff)

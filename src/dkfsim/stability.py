@@ -1,6 +1,7 @@
 """Stability machinery for the delayed DKF, batched over nodes: the contraction
 constant beta-hat and the lower-bound matrices used as the admission threshold
-by the stability-based node selection.
+by the stability-based node selection. A node enters as its measured state
+s_i and 1/r_i; l_i = e_s e_s^T / r_i is never formed.
 """
 
 from __future__ import annotations
@@ -98,20 +99,17 @@ def beta_hat_batch(scenario: Scenario, bounds, alpha: float, terms=None) -> np.n
     return 1.0 / (1.0 + _gamma_max_pruned(halves, terms))
 
 
-def bound_operator(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int, l_all):
+def bound_operator(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int):
     """The linear map from a node's window inputs to its packed bound matrices
-    for k in [k_lo, k_hi]: (live, op), op of shape (k_bar, L, P, K),
-    P = m (m + 1) / 2, K = k_hi - k_lo + 1, L = live.size.
+    for k in [k_lo, k_hi]: op, C-contiguous, of shape (k_bar, m, P, K),
+    P = m (m + 1) / 2, K = k_hi - k_lo + 1.
 
-    live indexes the pairs b <= c (in np.triu_indices order) where some
-    l_all[i] (n, m, m) is nonzero: a pair no node measures adds only exact
-    zeros, so it gets no rows. Row (tau, b <= c) and column (a >= d, k), the
-    pairs a >= d in np.tril_indices order, hold G[b, d] G[c, a], plus
-    G[c, d] G[b, a] where b < c, with G = G_tau(k) = (A(k-1) ... A(k-tau+1))^{-1},
-    G_1 = I: every l_i is symmetric, so its (b, c) and (c, b) entries share a
-    row, and every bound is symmetric, so one column gives its (a, d) and
-    (d, a) entries. Built once per selection pass, from the whole network's
-    l_all, and applied per block of nodes by i_tilde_matrices; the
+    Row (tau, s) and column (a >= d, k), the pairs a >= d in np.tril_indices
+    order, hold G[s, d] G[s, a], with G = G_tau(k) = (A(k-1) ... A(k-tau+1))^{-1},
+    G_1 = I: the (a, d) entry of G^T l_i G for a node measuring state s, per
+    unit of 1/r_i, since l_i = e_s e_s^T / r_i; every bound is symmetric, so
+    one column gives its (a, d) and (d, a) entries. Built once per selection
+    pass and applied per block of nodes by i_tilde_matrices; the
     pseudo-inverse steps the G products take are reported by the caller
     (warn_pinv_steps).
     """
@@ -122,46 +120,33 @@ def bound_operator(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int, l_all):
                           keys=("horizon",))
     ks = np.arange(k_lo, k_hi + 1)
     m = scenario.sys.state_dim
-    upper = np.triu_indices(m)
     lower = np.tril_indices(m)
-    l_pairs = _symmetrize(np.asarray(l_all, dtype=float))[:, upper[0], upper[1]]
-    live = np.flatnonzero(l_pairs.any(axis=0))
     g = np.empty((ks.size, k_bar, m, m))
     g[:, 0] = np.eye(m)
     for tau in range(2, k_bar + 1):
         g[:, tau - 1] = scenario.a_inv_seq[ks - tau + 1] @ g[:, tau - 2]
-    g = g.transpose(1, 2, 3, 0)  # g[tau - 1, b, a, j] = G_tau(k_lo + j)[b, a]
-    g_d, g_a = g[:, :, lower[1]], g[:, :, lower[0]]
-    op = np.empty((k_bar, live.size, lower[0].size, ks.size))
-    for row, (b, c) in enumerate(zip(upper[0][live], upper[1][live])):
-        op[:, row] = g_d[:, b] * g_a[:, c]
-        if b != c:
-            op[:, row] += g_d[:, c] * g_a[:, b]
-    return live, op
+    g = g.transpose(1, 2, 3, 0)  # g[tau - 1, s, a, j] = G_tau(k_lo + j)[s, a]
+    op = np.empty((k_bar, m, lower[0].size, ks.size))
+    return np.multiply(g[:, :, lower[1]], g[:, :, lower[0]], out=op)
 
 
-def i_tilde_matrices(operator, betas, l_all) -> np.ndarray:
+def i_tilde_matrices(op, betas, state, inv_r) -> np.ndarray:
     """Packed bound matrices for a stack of nodes: (P, K, n), row p holding
     entry np.tril_indices(m)[p] (the layout of node_info_histories).
 
-    Itilde_i(k) = sum_tau betas[i]^{tau-1} G_tau(k)^T l_all[i] G_tau(k) over
-    the window of bound_operator. Node i's inputs betas[i]^{tau-1} l_all[i][b, c]
-    (live b <= c) form one column, so a block of nodes is one matmul of the
-    shared operator, transposed, against those columns. l_all must vanish on
-    the pairs the operator has no rows for.
+    Itilde_i(k) = sum_tau betas[i]^{tau-1} G_tau(k)^T l_i G_tau(k) over the
+    window of bound_operator, for node i measuring state state[i] with
+    l_i = e_s e_s^T inv_r[i]. Node i's inputs betas[i]^{tau-1} inv_r[i] in
+    column state[i], zero elsewhere, form one column, so a block of nodes is
+    one matmul of the shared operator, transposed, against those columns.
     """
-    live, op = operator
     betas = np.asarray(betas, dtype=float)
-    l_all = _symmetrize(np.asarray(l_all, dtype=float))
-    n, m, _ = l_all.shape
-    upper = np.triu_indices(m)
-    l_pairs = l_all[:, upper[0], upper[1]]
-    if np.delete(l_pairs, live, axis=1).any():
-        raise ValueError("l_all is nonzero on a pair the bound operator has no rows for")
-    k_bar, n_live, n_pairs, n_pos = op.shape
+    k_bar, m, n_pairs, n_pos = op.shape
+    n = betas.size
     beta_pow = betas[:, None] ** np.arange(k_bar)[None, :]
-    inputs = (beta_pow[:, :, None] * l_pairs[:, None, live]).reshape(n, -1)
-    out = op.reshape(k_bar * n_live, -1).T @ inputs.T
+    inputs = np.zeros((n, k_bar, m))
+    inputs[np.arange(n), :, state] = beta_pow * inv_r[:, None]
+    out = op.reshape(k_bar * m, -1).T @ inputs.reshape(n, -1).T
     return out.reshape(n_pairs, n_pos, n)
 
 

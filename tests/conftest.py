@@ -79,3 +79,12 @@ def stacked_model(network):
     """(H, R) of the whole network as one centralized sensor: one basis row
     and one diagonal variance per node."""
     return np.eye(network.state_dim)[network.state], np.diag(network.variance)
+
+
+def node_information(state, inv_r, m):
+    """Each node's l_i = e_s e_s^T / r_i as an (n, m, m) stack, for the
+    one-matrix oracles of dkfsim.reference."""
+    state = np.asarray(state)
+    l_all = np.zeros((state.size, m, m))
+    l_all[np.arange(state.size), state, state] = inv_r
+    return l_all

@@ -149,7 +149,7 @@ def test_criterion_05_empirical_error_covariance_floor():
     )
     q_inv = np.linalg.inv(sys_.process_noise_cov)
     hist = _kernels.unpack(
-        _kernels.node_info_histories(a_inv_seq, q_inv, l_node[None]))[:, 0]
+        _kernels.node_info_histories(a_inv_seq, q_inv, net.state, l_node[1, 1][None]))[:, 0]
     peak = int(np.argmax(np.trace(hist, axis1=1, axis2=2)))
     i_bound = 0.5 * (hist[peak] + hist[peak].T)
     beta = beta_hat(sys_, n_steps, i_bound, alpha=1e-6)

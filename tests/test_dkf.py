@@ -12,7 +12,7 @@ from dkfsim.reference import kf_covariance_form, psi, time_update_general
 from dkfsim.sensing import SensorNetwork, sample_network
 from dkfsim.selection import max_deviation, sweep_masks
 
-from conftest import network_of, random_psd, random_system, stacked_model
+from conftest import network_of, node_information, random_psd, random_system, stacked_model
 
 
 def random_network(rng, n, delay_range=(0.0, 0.0)):
@@ -112,9 +112,15 @@ def test_delays_increase_transient_deviation():
 # ---------------------------------------------------------------------------
 
 
+def node_l(engine, i):
+    """Node i's information contribution l_i = e_s e_s^T / r_i."""
+    return node_information(engine.network.state[[i]], engine.scenario.inv_r[[i]],
+                            engine.sys.state_dim)[0]
+
+
 def iv_delta(engine, i, k):
     """Node i's IV delta H_i^T R_i^{-1} z_i(k), the column l_i e_s times z_i(k)."""
-    return engine.scenario.l_all[i, :, engine.network.state[i]] * engine.z[i, k]
+    return node_l(engine, i)[:, engine.network.state[i]] * engine.z[i, k]
 
 
 def stepwise_fused_run(engine, ids):
@@ -133,7 +139,7 @@ def stepwise_fused_run(engine, ids):
         for i in idx:
             d = engine.delays[i]
             if d <= k:
-                info = info + engine.scenario.l_all[i]
+                info = info + node_l(engine, i)
                 yv = yv + iv_delta(engine, i, k - d)
         info_hist[k] = info
         yv_hist[k] = yv
@@ -175,7 +181,7 @@ def test_fused_runs_rows_match_stepwise_oracle():
         # node 7 never arrives: its run is the prior propagated alone, bit for bit
         sc = eng.scenario
         alone_info, alone_yv = _kernels.fused_info_recursion(
-            sc.a_inv_seq, sc.q_inv, np.zeros((1, 61, m, m)), np.zeros((1, 61, m)),
+            sc.a_inv_seq, sc.q_inv, np.zeros((1, 61, m)), np.zeros((1, 61, m)),
             eng.info0, eng.yv0)
         np.testing.assert_array_equal(info_hist[2], alone_info[0])
         np.testing.assert_array_equal(yv_hist[2], alone_yv[0])
@@ -393,11 +399,37 @@ def test_node_delayed_by_the_horizon_delivers_only_at_the_last_step():
     assert_rel_close(info_hist[1, :n_steps], info_hist[0, :n_steps])
     assert_rel_close(yv_hist[1, :n_steps], yv_hist[0, :n_steps])
     scale = np.abs(info_hist[1, n_steps]).max()
-    assert np.abs(info_hist[1, n_steps] - info_hist[0, n_steps] - eng.scenario.l_all[1]).max() \
+    assert np.abs(info_hist[1, n_steps] - info_hist[0, n_steps] - node_l(eng, 1)).max() \
         <= 1e-12 * scale
     scale = np.abs(yv_hist[1, n_steps]).max()
     assert np.abs(yv_hist[1, n_steps] - yv_hist[0, n_steps] - iv_delta(eng, 1, 0)).max() \
         <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("prior, message", [
+    ({"info0": np.eye(3)}, r"^info0 must be a finite \(2, 2\) matrix, got shape \(3, 3\)$"),
+    ({"info0": [[1.0, 0.0], [0.0, np.nan]]}, r"^info0 must be a finite \(2, 2\) matrix"),
+    ({"info0": [[1.0, np.inf], [np.inf, 1.0]]}, r"^info0 must be a finite \(2, 2\) matrix"),
+    ({"info0": -np.eye(2)}, r"^info0 must be positive semidefinite \(min eig -1\)$"),
+    ({"info0": [[1.0, 2.0], [2.0, 1.0]]}, r"^info0 must be positive semidefinite \(min eig -1\)$"),
+    ({"x0_hat": [1.0, 1.0, 1.0]}, r"^x0_hat must be 2 finite values, got shape \(3,\)$"),
+    ({"info0": np.eye(2), "x0_hat": [1.0, np.nan]}, r"^x0_hat must be 2 finite values"),
+], ids=["info0-3x3", "info0-nan", "info0-inf", "info0-negative", "info0-indefinite",
+        "x0_hat-length-3", "x0_hat-nan"])
+def test_engine_refuses_an_invalid_prior(prior, message):
+    # a wrong-sized, non-finite or indefinite prior information, or an initial
+    # estimate of the wrong length or non-finite, is refused before any draw
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError, match=message):
+        DkfEngine(builtin_system(), network_of((0, 0.2)), 10, rng, **prior)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+def test_engine_accepts_a_semidefinite_prior_within_rounding():
+    info0 = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one, min eig ~0 from either side
+    eng = DkfEngine(builtin_system(), network_of((0, 0.2)), 10, np.random.default_rng(0),
+                    info0=info0, x0_hat=[1.0, -1.0])
+    assert np.array_equal(eng.info0, info0)
 
 
 def test_engine_rejects_network_of_another_state_dim():

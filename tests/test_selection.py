@@ -22,7 +22,7 @@ from dkfsim.selection import (
     stability_select,
     sweep_masks,
 )
-from dkfsim.stability import StabilityParams, compute_params
+from dkfsim.stability import StabilityParams, bound_operator, compute_params, i_tilde_matrices
 
 from conftest import network_of, random_system
 
@@ -453,7 +453,12 @@ def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_s
     params = StabilityParams(k_bar=k_bar, beta_hat=float(rng.uniform(0.5, 1.0)) if fixed_beta
                              else None)
     selected, report = stability_select(Scenario(sys_, net, n_steps), params)
-    reference = per_node_admission(sys_, nodes, params, n_steps)
+    assert_matches_per_node_admission(selected, report, net,
+                                      per_node_admission(sys_, nodes, params, n_steps))
+
+
+def assert_matches_per_node_admission(selected, report, net, reference):
+    """stability_select's outcome against per_node_admission's."""
     np.testing.assert_array_equal(report.node_id, net.ids())
     np.testing.assert_array_equal(report.delay_s, net.base)
     np.testing.assert_array_equal(report.variance, net.variance)
@@ -466,6 +471,34 @@ def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_s
         assert (margins > tol).sum() <= row.ct_act <= (margins > -tol).sum()
         assert row.selected == (row.ct_exp > 0 and row.ct_act == row.ct_exp)
         assert (row.node_id in selected) == row.selected
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_bounds_and_admissions_match_reference_with_one_state_unmeasured(m):
+    # no node measures the last state, so the bound operator's rows for it
+    # meet only zero inputs; the bounds still match reference.i_tilde and the
+    # admissions the per-node loop
+    rng = np.random.default_rng(71)
+    n_steps, k_bar = 40, 6
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    nodes = random_nodes(rng, m - 1, 16, 0.3 * n_steps * sys_.sample_time)
+    net = network_of(*nodes, m=m)
+    assert set(net.state.tolist()) == set(range(m - 1))
+    scenario = Scenario(sys_, net, n_steps)
+    betas = rng.uniform(0.3, 1.0, size=len(net))
+    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+    mats = _kernels.unpack(i_tilde_matrices(operator, betas, net.state, scenario.inv_r))
+    for i, (state, r, _) in enumerate(nodes):
+        l_node = np.zeros((m, m))
+        l_node[state, state] = 1.0 / r
+        for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
+            want = i_tilde(k, k_bar, betas[i], sys_, l_node)
+            assert np.abs(mats[pos, i] - want).max() <= 1e-12 * np.abs(want).max()
+    params = StabilityParams(k_bar=k_bar)
+    selected, report = stability_select(scenario, params)
+    assert 0 < len(selected) < len(net)
+    assert_matches_per_node_admission(selected, report, net,
+                                      per_node_admission(sys_, nodes, params, n_steps))
 
 
 def pack(mats):
@@ -548,9 +581,9 @@ def spy_chunks(monkeypatch, nodes_per_chunk, n_steps, m):
     sizes = []
     histories = _kernels.node_info_histories
 
-    def spy(a_inv_seq, q_inv, l_all):
-        sizes.append(len(l_all))
-        return histories(a_inv_seq, q_inv, l_all)
+    def spy(a_inv_seq, q_inv, state, inv_r):
+        sizes.append(len(state))
+        return histories(a_inv_seq, q_inv, state, inv_r)
     monkeypatch.setattr(_kernels, "node_info_histories", spy)
     return sizes
 
@@ -603,9 +636,9 @@ def test_stability_select_takes_fewest_equal_chunks_of_64_nodes(monkeypatch):
     sizes = []
     histories = _kernels.node_info_histories
 
-    def spy(a_inv_seq, q_inv, l_all):
-        sizes.append(len(l_all))
-        return histories(a_inv_seq, q_inv, l_all)
+    def spy(a_inv_seq, q_inv, state, inv_r):
+        sizes.append(len(state))
+        return histories(a_inv_seq, q_inv, state, inv_r)
     monkeypatch.setattr(_kernels, "node_info_histories", spy)
     stability_select(benchmark_shaped_scenario(), StabilityParams(k_bar=20, beta_hat=0.9))
     assert sizes == [704, 704, 592]

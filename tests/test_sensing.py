@@ -286,7 +286,8 @@ def test_engine_measurements_match_per_node_construction():
         z = (h @ truth.T).T + rng.standard_normal((61, 1)) @ np.linalg.cholesky(r_mat).T
         hr = h.T @ np.linalg.inv(r_mat)
         assert np.array_equal(engine.z[i], z[:, 0])
-        assert np.array_equal(engine.scenario.l_all[i], 0.5 * ((hr @ h) + (hr @ h).T))
+        l_node = 0.5 * ((hr @ h) + (hr @ h).T)
+        assert np.array_equal(np.outer(h[0], h[0]) * engine.scenario.inv_r[i], l_node)
     np.testing.assert_array_equal(engine.delays, [
         delay_steps(base, sys_.sample_time)
         for _, _, base, _ in resolved_per_node(nodes, np.random.default_rng(8))])

@@ -17,14 +17,12 @@ from dkfsim.stability import (
     i_tilde_matrices,
 )
 
-from conftest import identity_system, network_of, random_psd, random_system
+from conftest import identity_system, network_of, node_information, random_psd, random_system
 
 
-def information_of(h, r):
-    """l_i = H_i^T R_i^{-1} H_i for stacks H (n, p, m), R (n, p, p) of sensors
-    with full, correlated rows: a non-diagonal l_i, which the bound operator
-    and the node kernel take as given."""
-    return _symmetrize(h.transpose(0, 2, 1) @ np.linalg.solve(r, h))
+def random_node_columns(rng, n, m):
+    """(state, inv_r) of n nodes on random states, variances U[0.05, 0.5]."""
+    return rng.integers(0, m, size=n), 1.0 / rng.uniform(0.05, 0.5, size=n)
 
 
 def scalar_system(a=1.0, q=1.0, n_steps=50):
@@ -236,10 +234,11 @@ def test_i_tilde_symmetric_psd_and_monotone_in_window():
 def test_i_tilde_matrices_consistent_with_direct():
     sys_ = builtin_system()
     rng = np.random.default_rng(16)
-    l_all = np.stack([random_psd(rng) for _ in range(3)])
+    state, inv_r = random_node_columns(rng, 3, 2)
+    l_all = node_information(state, inv_r, 2)
     betas = np.array([0.2, 0.5, 0.9])
-    mats = _kernels.unpack(i_tilde_matrices(bound_operator(Scenario(sys_, None, 45), 30, 45, 5,
-                                                           l_all), betas, l_all))
+    mats = _kernels.unpack(i_tilde_matrices(bound_operator(Scenario(sys_, None, 45), 30, 45, 5),
+                                            betas, state, inv_r))
     for i in range(3):
         for pos, k in enumerate(range(30, 46)):
             np.testing.assert_allclose(
@@ -249,19 +248,17 @@ def test_i_tilde_matrices_consistent_with_direct():
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_i_tilde_matrices_match_reference_multi_row(m):
-    # two-row sensors give full, non-diagonal l_i: every folded (b, c) row
-    # of the operator carries weight
+    # random plants and nodes on random states, each bound against the
+    # one-matrix reference with l_i = e_s e_s^T / r_i
     rng = np.random.default_rng(40 + m)
     n, n_steps, k_bar = 6, 40, 8
     sys_ = random_system(rng, m=m, n_steps=n_steps)
-    p = 2
-    h = rng.standard_normal((n, p, m))
-    r = np.stack([random_psd(rng, m=p) + 0.1 * np.eye(p) for _ in range(n)])
-    l_all = information_of(h, r)
+    state, inv_r = random_node_columns(rng, n, m)
+    l_all = node_information(state, inv_r, m)
     scenario = Scenario(sys_, None, n_steps)
     betas = rng.uniform(0.3, 1.0, size=n)
     mats = _kernels.unpack(i_tilde_matrices(
-        bound_operator(scenario, k_bar + 1, n_steps, k_bar, l_all), betas, l_all))
+        bound_operator(scenario, k_bar + 1, n_steps, k_bar), betas, state, inv_r))
     for i in range(n):
         for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
             want = i_tilde(k, k_bar, betas[i], sys_, l_all[i])
@@ -274,13 +271,15 @@ def test_bound_operator_built_once_equals_per_chunk():
     rng = np.random.default_rng(41)
     m, n, n_steps, k_bar = 4, 10, 30, 6
     scenario = Scenario(random_system(rng, m=m, n_steps=n_steps), None, n_steps)
-    l_all = np.stack([random_psd(rng, m=m) for _ in range(n)])
+    state, inv_r = random_node_columns(rng, n, m)
     betas = rng.uniform(0.3, 1.0, size=n)
-    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar, l_all)
+    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+    assert operator.flags.c_contiguous
     for part in (slice(0, 4), slice(4, 10)):
-        once = i_tilde_matrices(operator, betas[part], l_all[part])
-        rebuilt = bound_operator(scenario, k_bar + 1, n_steps, k_bar, l_all)
-        assert np.array_equal(once, i_tilde_matrices(rebuilt, betas[part], l_all[part]))
+        once = i_tilde_matrices(operator, betas[part], state[part], inv_r[part])
+        rebuilt = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+        assert np.array_equal(once, i_tilde_matrices(rebuilt, betas[part], state[part],
+                                                     inv_r[part]))
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -292,15 +291,14 @@ def test_histories_and_bounds_are_exactly_symmetric(m):
     rng = np.random.default_rng(60 + m)
     n, n_steps, k_bar = 12, 40, 6
     sys_ = random_system(rng, m=m, n_steps=n_steps)
-    h = rng.standard_normal((n, 2, m))
-    r = np.stack([random_psd(rng) + 0.1 * np.eye(2) for _ in range(n)])
-    l_all = information_of(h, r)
+    state, inv_r = random_node_columns(rng, n, m)
+    l_all = node_information(state, inv_r, m)
     scenario = Scenario(sys_, None, n_steps)
     rows, cols = np.tril_indices(m)
-    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, l_all)
+    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r)
     betas = rng.uniform(0.3, 1.0, size=n)
-    bounds = i_tilde_matrices(bound_operator(scenario, k_bar + 1, n_steps, k_bar, l_all),
-                              betas, l_all)
+    bounds = i_tilde_matrices(bound_operator(scenario, k_bar + 1, n_steps, k_bar),
+                              betas, state, inv_r)
     for i in range(n):
         info = l_all[i]
         for k in range(n_steps + 1):
@@ -317,37 +315,10 @@ def test_histories_and_bounds_are_exactly_symmetric(m):
             assert np.abs(bounds[:, pos, i] - want[cols, rows]).max() <= 1e-12 * scale
 
 
-def test_pruned_bounds_match_reference_with_one_live_off_diagonal_pair():
-    # basis-row sensors plus one node measuring x0 + x2: the operator keeps the
-    # m diagonal pairs and (0, 2) only
-    rng = np.random.default_rng(61)
-    m, n, n_steps, k_bar = 4, 9, 40, 8
-    sys_ = random_system(rng, m=m, n_steps=n_steps)
-    h = np.zeros((n, 1, m))
-    h[np.arange(n - 1), 0, np.arange(n - 1) % m] = 1.0
-    h[n - 1, 0, [0, 2]] = 1.0
-    l_all = information_of(h, rng.uniform(0.05, 0.5, size=(n, 1, 1)))
-    scenario = Scenario(sys_, None, n_steps)
-    live, _ = operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar, l_all)
-    upper = np.triu_indices(m)
-    assert [(upper[0][p], upper[1][p]) for p in live] == [(0, 0), (0, 2), (1, 1), (2, 2), (3, 3)]
-    betas = rng.uniform(0.3, 1.0, size=n)
-    mats = _kernels.unpack(i_tilde_matrices(operator, betas, l_all))
-    for i in range(n):
-        for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
-            want = i_tilde(k, k_bar, betas[i], sys_, l_all[i])
-            assert np.abs(mats[pos, i] - want).max() <= 1e-12 * np.abs(want).max()
-    # without the one node that measures (0, 2), a chunk's operator has no
-    # row for it, and handing it that node is refused
-    basis = bound_operator(scenario, k_bar + 1, n_steps, k_bar, l_all[:-1])
-    with pytest.raises(ValueError, match="no rows for"):
-        i_tilde_matrices(basis, betas, l_all)
-
-
 def test_i_tilde_window_must_fit_the_scenario():
     scenario = Scenario(builtin_system(), None, 45)
     with pytest.raises(ConfigError, match="^k_hi=46 exceeds the scenario's 45 steps$"):
-        bound_operator(scenario, 30, 46, 5, np.eye(2)[None])
+        bound_operator(scenario, 30, 46, 5)
 
 
 @pytest.mark.parametrize("chunk", [64, 128])
@@ -365,11 +336,11 @@ def test_i_tilde_matrices_chunks_equal_whole_network_rows(chunk):
                             np.zeros(n), np.zeros(n), m)
     scenario = Scenario(sys_, network, n_steps)
     betas = rng.uniform(0.5, 1.0, size=n)
-    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar, scenario.l_all)
-    whole = i_tilde_matrices(operator, betas, scenario.l_all)
+    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+    whole = i_tilde_matrices(operator, betas, network.state, scenario.inv_r)
     for lo in range(0, n, chunk):
         part = slice(lo, lo + chunk)
-        got = i_tilde_matrices(operator, betas[part], scenario.l_all[part])
+        got = i_tilde_matrices(operator, betas[part], network.state[part], scenario.inv_r[part])
         assert np.array_equal(got, whole[..., part]), f"nodes {lo}..{lo + chunk - 1}"
 
 
