@@ -121,8 +121,8 @@ def _parse_value(key: str, raw: str):
     return raw  # transition, network_file, mode, out
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = base or ExperimentConfig()
+def parse_config_text(text: str) -> ExperimentConfig:
+    cfg = ExperimentConfig()
     unknown, invalid = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -147,6 +147,6 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
     return cfg
 
 
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+        return parse_config_text(fh.read())

@@ -36,12 +36,14 @@ def _symmetrize(a):
 
 
 def recover_estimates(info_hist, yv_hist):
-    """x(k) = I(k)^{-1} yv(k) for a stacked history, pseudo-inverse where singular.
+    """x = I^{-1} yv for each matrix of a stack, pseudo-inverse where singular.
 
-    Singular means the smallest singular value is below 1e-10 times the
-    largest, or zero; the information matrices are symmetric, so their
-    singular values are the absolute eigenvalues.
-    Returns (xhat (N+1, m), pinv_flags (N+1,) bool).
+    info_hist is (S, m, m) and yv_hist (S, m): fused_runs passes its B
+    histories of N+1 steps stacked, S = B (N+1). Singular means the smallest
+    singular value is below 1e-10 times the largest, or zero; the information
+    matrices are symmetric, so their singular values are the absolute
+    eigenvalues.
+    Returns (xhat (S, m), pinv_flags (S,) bool).
     """
     svals = np.abs(np.linalg.eigvalsh(info_hist))
     s_min, s_max = svals.min(axis=-1), svals.max(axis=-1)

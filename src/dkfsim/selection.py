@@ -238,10 +238,10 @@ def _positive_definite(packed) -> np.ndarray:
     positive, _ = _cholesky_outcome(packed, delta)
     positive &= trusted
     rest = np.flatnonzero(~positive)
-    _, negative = _cholesky_outcome(packed[:, rest], -delta[rest])
+    _, negative = _cholesky_outcome(np.take(packed, rest, axis=1), -delta[rest])
     undecided = rest[~(negative & trusted[rest])]
     if undecided.size:
-        full = _kernels.unpack(packed[:, undecided])
+        full = _kernels.unpack(np.take(packed, undecided, axis=1))
         positive[undecided] = np.linalg.eigvalsh(full)[:, 0] > 0.0
     return positive
 
@@ -350,11 +350,14 @@ def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, terms, b
         node = np.repeat(np.arange(counts.size), counts)
         pos = np.arange(node.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[lo + node]
         # each entry's bound, gathered from the block's (P, K, b) bounds, then
-        # the delayed history minus it
+        # the delayed history minus it; np.take keeps the (P, e) gathers
+        # C-ordered, where a[:, idx] returns them F-ordered, so the admission
+        # check's max/min and Cholesky rows read contiguous memory
         bounds = i_tilde_matrices(operator, betas[nodes], state[nodes],
                                   inv_r[nodes]).reshape(n_pairs, -1)
-        diff = bounds[:, pos * counts.size + node]
+        diff = np.take(bounds, pos * counts.size + node, axis=1)
         del bounds
-        np.subtract(flat_hist[:, (k_bar + 1 + pos - d[lo + node]) * n + lo + node], diff, out=diff)
+        np.subtract(np.take(flat_hist, (k_bar + 1 + pos - d[lo + node]) * n + lo + node, axis=1),
+                    diff, out=diff)
         passed[nodes] = np.bincount(node, weights=_positive_definite(diff), minlength=counts.size)
     return betas, passed

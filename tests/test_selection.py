@@ -508,6 +508,18 @@ def pack(mats):
     return mats[:, rows, cols].T
 
 
+def layouts(packed):
+    """The same packed stack C-ordered, F-ordered and as a strided view (every
+    other column of a wider array): the admission decision must not depend on
+    memory order."""
+    wide = np.full((packed.shape[0], 2 * packed.shape[1]), np.nan)
+    wide[:, ::2] = packed
+    arrays = np.ascontiguousarray(packed), np.asfortranarray(packed), wide[:, ::2]
+    assert [a.flags.c_contiguous for a in arrays] == [True, False, False]
+    assert [a.flags.f_contiguous for a in arrays] == [False, True, False]
+    return arrays
+
+
 def spectrum_matrices(rng, m, lam_min, count):
     """count matrices s V diag(lambda) V^T (random orthogonal V, s in 1e-6..1e6)
     with lambda in [0.1, 1] but for the smallest, set to lam_min(m, max|D|)."""
@@ -540,12 +552,14 @@ LAMBDA_MIN = {
        kind=st.sampled_from(sorted(LAMBDA_MIN)))
 def test_positive_definite_matches_eigvalsh(seed, m, kind):
     # the Cholesky bracket decides as eigvalsh does, also within rounding of
-    # zero, for every m including 2
+    # zero, for every m including 2 and in every memory layout of the pack
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((40, m, m))
     mats = np.concatenate([spectrum_matrices(rng, m, LAMBDA_MIN[kind], 40),
                            noise + noise.swapaxes(1, 2)])
-    assert np.array_equal(_positive_definite(pack(mats)), np.linalg.eigvalsh(mats)[:, 0] > 0.0)
+    want = np.linalg.eigvalsh(mats)[:, 0] > 0.0
+    for packed in layouts(pack(mats)):
+        assert np.array_equal(_positive_definite(packed), want)
 
 
 def test_positive_definite_falls_back_to_eigvalsh_near_zero(monkeypatch):
