@@ -21,11 +21,17 @@ A^{-1}(k) and Q^{-1} and an elimination over whole (n,) rows.
 - fused_info_recursion runs B estimator chains (the greedy sweep's subsets;
   single-chain callers pass one row); each chain's information vector is
   one more right-hand side of the elimination.
+
+The same packed layout carries the shifted-Cholesky bracket (_cholesky_outcome)
+that the admission check and the estimate recovery use to decide eigenvalue
+tests without eigvalsh.
 """
 
 import math
 
 import numpy as np
+
+CHOLESKY_SLACK = 8.0  # c in the bracket shift delta = c m (m + 1) eps max|D|
 
 
 def backend_name() -> str:
@@ -123,6 +129,44 @@ def _solve_spd_soa(aug):
         y[j] /= aug[j, j]
         y[:j] -= aug[:j, j, None] * y[j, None]
     return y
+
+
+def rounding_shift(packed):
+    """(delta, trusted) per column of a packed stack (P, e) of symmetric
+    matrices D: delta = CHOLESKY_SLACK m (m + 1) eps max|D| exceeds the
+    backward error of both an unpivoted Cholesky of D (Higham, Accuracy and
+    Stability, Thm 10.3) and np.linalg.eigvalsh on D; trusted is where
+    1e-150 < max|D| < 1e150, so no product of the factorization under- or
+    overflows."""
+    m = packed_dim(packed.shape[0])
+    scale = np.maximum(packed.max(axis=0), -packed.min(axis=0))  # max|D|, without an |D| copy
+    delta = CHOLESKY_SLACK * m * (m + 1) * np.finfo(float).eps * scale
+    return delta, (scale > 1e-150) & (scale < 1e150)
+
+
+def _cholesky_outcome(w, shift):
+    """(succeeded, broke down) of an unpivoted Cholesky of each D - shift I.
+
+    w (P, e) holds the lower triangle of one symmetric matrix D per column,
+    in np.tril_indices order, so row i of the triangle is one run of packed
+    rows; shift is (e,). The factorization runs in place: w is overwritten,
+    so callers pass a copy of what they still need. A pivot that is NaN
+    counts as neither outcome.
+    """
+    m = packed_dim(w.shape[0])
+    index = packed_index(m)
+    w[index.diagonal()] -= shift
+    succeeded = np.ones(w.shape[-1], dtype=bool)
+    broke = np.zeros(w.shape[-1], dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(m):
+            pivot = w[index[j, j]]
+            succeeded &= pivot > 0.0
+            broke |= pivot <= 0.0
+            col = w[index[j + 1:, j]] / np.sqrt(pivot)  # column j of the factor below the pivot
+            for i in range(j + 1, m):
+                w[index[i, j + 1]:index[i, i] + 1] -= col[i - j - 1] * col[:i - j]
+    return succeeded, broke
 
 
 def fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0):

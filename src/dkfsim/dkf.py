@@ -39,21 +39,55 @@ def recover_estimates(info_hist, yv_hist):
     """x = I^{-1} yv for each matrix of a stack, pseudo-inverse where singular.
 
     info_hist is (S, m, m) and yv_hist (S, m): fused_runs passes its B
-    histories of N+1 steps stacked, S = B (N+1). Singular means the smallest
-    singular value is below 1e-10 times the largest, or zero; the information
-    matrices are symmetric, so their singular values are the absolute
-    eigenvalues.
+    histories of N+1 steps stacked, S = B (N+1). Singular (flagged) means
+    |lambda|_min < 1e-10 |lambda|_max or |lambda|_min == 0 over the
+    eigenvalues np.linalg.eigvalsh computes; the information matrices are
+    symmetric, so these are the singular values.
+
+    Most entries are decided without eigvalsh. With t = 1e-10 tr I + delta
+    and delta the bracket shift (_kernels.rounding_shift), an unpivoted
+    Cholesky of I - t I runs on the packed lower triangles. If it succeeds,
+    the computed factor is exact for I - t I plus a perturbation below delta
+    (Higham, Accuracy and Stability, Thm 10.3), so lambda_min(I) > 1e-10 tr I
+    plus the rounding of eigvalsh. Then I is positive definite, so
+    tr I >= lambda_max, and eigvalsh finds every eigenvalue positive with the
+    smallest at least 1e-10 times the largest: the entry is not flagged. Every
+    other entry, including any whose max|I| lies outside (1e-150, 1e150), such
+    as the all-zero matrix of a step before any delivery, goes to eigvalsh
+    with the rule above, so the flags are eigvalsh's own.
+
+    Information matrices are positive semidefinite up to a rounding far below
+    1e-10 |lambda|_max, so an unflagged entry is positive definite with
+    condition number at most 1e10. Those are solved by the kernel's
+    unpivoted elimination (_kernels._solve_spd_soa) on one (m, m + 1, S)
+    stack; flagged ones by the pseudo-inverse.
     Returns (xhat (S, m), pinv_flags (S,) bool).
     """
-    svals = np.abs(np.linalg.eigvalsh(info_hist))
-    s_min, s_max = svals.min(axis=-1), svals.max(axis=-1)
-    flags = (s_min < 1e-10 * s_max) | (s_min == 0.0)
-    xhat = np.empty_like(yv_hist)
-    ok = ~flags
-    if ok.any():
-        xhat[ok] = np.linalg.solve(info_hist[ok], yv_hist[ok][..., None])[..., 0]
-    if flags.any():
-        xhat[flags] = (np.linalg.pinv(info_hist[flags]) @ yv_hist[flags][..., None])[..., 0]
+    n_mats, m = yv_hist.shape
+    rows, cols = np.tril_indices(m)
+    # (P, S) packed lower triangles, C-ordered, so each bracket row is contiguous
+    work = info_hist.reshape(n_mats, m * m).T[rows * m + cols]
+    delta, trusted = _kernels.rounding_shift(work)
+    shift = 1e-10 * work[rows == cols].sum(axis=0)
+    shift += delta
+    certified, _ = _kernels._cholesky_outcome(work, shift)
+    del work, delta, shift
+    rest = np.flatnonzero(~(certified & trusted))
+    flags = np.zeros(n_mats, dtype=bool)
+    if rest.size:
+        svals = np.abs(np.linalg.eigvalsh(info_hist[rest]))
+        s_min, s_max = svals.min(axis=-1), svals.max(axis=-1)
+        flags[rest] = (s_min < 1e-10 * s_max) | (s_min == 0.0)
+    flagged = np.flatnonzero(flags)
+    aug = np.empty((m, m + 1, n_mats))
+    aug[:, :m] = info_hist.transpose(1, 2, 0)
+    aug[:, m] = yv_hist.T
+    # the identity keeps the elimination finite where the pseudo-inverse answers
+    aug[:, :m, flagged] = np.eye(m)[:, :, None]
+    xhat = np.ascontiguousarray(_kernels._solve_spd_soa(aug)[:, 0].T)
+    del aug
+    if flagged.size:
+        xhat[flagged] = (np.linalg.pinv(info_hist[flagged]) @ yv_hist[flagged][..., None])[..., 0]
     return xhat, flags
 
 

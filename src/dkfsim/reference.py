@@ -6,6 +6,7 @@ sensing and _kernels computes for whole networks at once:
 
 - time_update_general: one information time update (_kernels._time_update);
 - kf_covariance_form: the covariance-form Kalman filter (DkfEngine.fused_runs);
+- recover_estimate: one estimate from an information pair (dkf.recover_estimates);
 - psi, gamma_hat, beta_hat, i_tilde: the stability operator, contraction
   constant and bound matrix (stability.beta_hat_batch, i_tilde_matrices);
 - delay_steps: one node's delay in filter steps (SensorNetwork.delay_steps).
@@ -74,6 +75,16 @@ def kf_covariance_form(sys: LtvSystem, h_stacked, r_blockdiag, z,
         xs[k] = x
         ps[k] = p
     return xs, ps
+
+
+def recover_estimate(info, yv):
+    """x = I^{-1} yv for one information pair, the pseudo-inverse where I is
+    singular: |lambda|_min < 1e-10 |lambda|_max or |lambda|_min == 0 over
+    np.linalg.eigvalsh(I). Returns (x (m,), flag), flag True where pinv ran."""
+    svals = np.abs(np.linalg.eigvalsh(info))
+    if svals.min() < 1e-10 * svals.max() or svals.min() == 0.0:
+        return np.linalg.pinv(info) @ yv, True
+    return np.linalg.solve(info, yv), False
 
 
 def psi(info, a_k, q) -> np.ndarray:

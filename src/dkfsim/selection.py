@@ -35,7 +35,6 @@ SETTLE_BAND = 0.01
 # arrays per node block; blocks of an eighth of the budget, split the same way,
 # keep them within half the chunk's histories
 STABILITY_CHUNK = 1 << 21
-CHOLESKY_SLACK = 8.0  # c in the bracket shift delta = c m (m + 1) eps max|D|
 
 
 @dataclass(frozen=True)
@@ -191,30 +190,6 @@ STABILITY_REPORT = np.dtype([
 ])
 
 
-def _cholesky_outcome(packed, shift):
-    """(succeeded, broke down) of an unpivoted Cholesky of each D - shift I.
-
-    packed (P, e) holds the lower triangle of one symmetric matrix per column,
-    in np.tril_indices order, so row i of the triangle is one run of packed
-    rows; shift is (e,). A pivot that is NaN counts as neither outcome.
-    """
-    m = _kernels.packed_dim(packed.shape[0])
-    index = _kernels.packed_index(m)
-    w = packed.copy()
-    w[index.diagonal()] -= shift
-    succeeded = np.ones(packed.shape[-1], dtype=bool)
-    broke = np.zeros(packed.shape[-1], dtype=bool)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(m):
-            pivot = w[index[j, j]]
-            succeeded &= pivot > 0.0
-            broke |= pivot <= 0.0
-            col = w[index[j + 1:, j]] / np.sqrt(pivot)  # column j of the factor below the pivot
-            for i in range(j + 1, m):
-                w[index[i, j + 1]:index[i, i] + 1] -= col[i - j - 1] * col[:i - j]
-    return succeeded, broke
-
-
 def _positive_definite(packed) -> np.ndarray:
     """Whether lambda_min > 0 for each symmetric matrix of a packed stack
     (P, e) (lower triangles in np.tril_indices order, one matrix per column),
@@ -231,14 +206,12 @@ def _positive_definite(packed) -> np.ndarray:
     or large that the products could under- or overflow, on those entries
     unpacked.
     """
-    m = _kernels.packed_dim(packed.shape[0])
-    scale = np.maximum(packed.max(axis=0), -packed.min(axis=0))  # max|D|, without an |D| copy
-    delta = CHOLESKY_SLACK * m * (m + 1) * np.finfo(float).eps * scale
-    trusted = (scale > 1e-150) & (scale < 1e150)
-    positive, _ = _cholesky_outcome(packed, delta)
+    delta, trusted = _kernels.rounding_shift(packed)
+    positive, _ = _kernels._cholesky_outcome(packed.copy(), delta)
     positive &= trusted
     rest = np.flatnonzero(~positive)
-    _, negative = _cholesky_outcome(np.take(packed, rest, axis=1), -delta[rest])
+    # the gather is a fresh array, so the bracket may factor it in place
+    _, negative = _kernels._cholesky_outcome(np.take(packed, rest, axis=1), -delta[rest])
     undecided = rest[~(negative & trusted[rest])]
     if undecided.size:
         full = _kernels.unpack(np.take(packed, undecided, axis=1))

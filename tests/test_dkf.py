@@ -8,7 +8,7 @@ from dkfsim import _kernels, dkf
 from dkfsim.dkf import DkfEngine, Scenario, recover_estimates
 from dkfsim.errors import ConfigError, NumericError, SelectionError
 from dkfsim.model import builtin_system, robust_inverse, transition_matrix
-from dkfsim.reference import kf_covariance_form, psi, time_update_general
+from dkfsim.reference import kf_covariance_form, psi, recover_estimate, time_update_general
 from dkfsim.sensing import SensorNetwork, sample_network
 from dkfsim.selection import max_deviation, sweep_masks
 
@@ -250,18 +250,25 @@ def test_fused_runs_match_stepwise_oracle_across_delivery_blocks(seed, m, n, blo
         np.testing.assert_array_equal(flags[b], recover_estimates(want_info, want_yv)[1])
 
 
-def test_fused_runs_traced_peak_stays_within_one_delivery_block(monkeypatch):
-    # the greedy sweep's shape: 2000 nodes with delays up to the horizon, N =
-    # 200, ~98 masks. Alive at the peak: the increments and the histories
-    # (twice the outputs), recover_estimates' copies of them, and one block's
-    # buffers (the padded and delivered readings, N+1 wide, and its mask
-    # columns). A whole-network delivered table costs ~10x the block's.
+def greedy_sweep_engine():
+    """The greedy sweep's shape: 2000 nodes with delays up to the horizon,
+    N = 200, and the ~98 non-empty masks of a 100-iteration sweep."""
     rng = np.random.default_rng(3)
     net = sample_network(2000, (0.0, 0.5), (0.0, 2.0), rng)
     eng = DkfEngine(builtin_system(), net, 200, rng)
     shrink = 1.0 - np.arange(100) / 100
     masks = sweep_masks(net, 0.5 * shrink, 2.0 * shrink)
-    masks = masks[masks.any(axis=1)]
+    return eng, masks[masks.any(axis=1)]
+
+
+def test_fused_runs_traced_peak_stays_within_one_delivery_block(monkeypatch):
+    # the greedy sweep's shape. Alive at the peak: the increments and the
+    # histories (twice the outputs), recover_estimates' work arrays (the
+    # packed bracket, then the solve stack), and one block's buffers (the
+    # padded and delivered readings, N+1 wide, and its mask columns). A
+    # whole-network delivered table costs ~10x the block's.
+    eng, masks = greedy_sweep_engine()
+    net = eng.network
     n_out = eng.n_steps + 1
 
     def traced_peak():
@@ -278,6 +285,70 @@ def test_fused_runs_traced_peak_stays_within_one_delivery_block(monkeypatch):
     assert peak <= bound
     monkeypatch.setattr(dkf, "DELIVERY_BLOCK", len(net))
     assert traced_peak()[0] > bound
+
+
+def test_recovery_sends_only_flagged_entries_to_eigvalsh(monkeypatch):
+    # on the greedy sweep's shape the Cholesky bracket certifies every
+    # unflagged entry: eigvalsh sees exactly the flagged ones (the steps
+    # before a run's nodes span every state) and LAPACK solve never runs
+    eng, masks = greedy_sweep_engine()
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append(np.array(a))
+        return eigvalsh(a)
+
+    def no_solve(*args):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    info_hist, _, _, flags = eng.fused_runs(masks)
+    assert len(masks) >= 90 and flags.any()
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], info_hist[flags])
+
+
+def planted_spectrum(rng, m, kind, scale):
+    """One symmetric s V diag(lambda) V^T (random orthogonal V) with lambda in
+    [0.1, 1] but for kind: zero (the zero matrix), rank (one to m-1 zero
+    eigenvalues), edge+ / edge- (lambda_min / lambda_max = 1e-10 (1 +- 1e-7)),
+    or clear."""
+    if kind == "zero":
+        return np.zeros((m, m))
+    v, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    lam = rng.uniform(0.1, 1.0, m)
+    if kind == "rank":
+        lam[:rng.integers(1, m)] = 0.0
+    elif kind in ("edge+", "edge-"):
+        lam[0] = 1e-10 * (1.0 + (1e-7 if kind == "edge+" else -1e-7)) * lam.max()
+    mat = scale * ((v * lam) @ v.T)
+    return 0.5 * (mat + mat.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5),
+       scale=st.sampled_from([1e-160, 1e-6, 1.0, 1e6, 1e160]))
+def test_recover_estimates_matches_one_matrix_oracle(seed, m, scale):
+    # zero, rank-deficient, near-threshold and clear PSD matrices, shuffled,
+    # at scales inside and outside the bracket's trusted range
+    rng = np.random.default_rng(seed)
+    kinds = ["zero", "rank", "edge+", "edge-"] * 3 + ["clear"] * 20
+    info = np.stack([planted_spectrum(rng, m, kinds[i], scale)
+                     for i in rng.permutation(len(kinds))])
+    yv = scale * rng.standard_normal((len(kinds), m))
+    xhat, flags = recover_estimates(info, yv)
+    want = [recover_estimate(a, b) for a, b in zip(info, yv)]
+    want_x = np.array([x for x, _ in want])
+    np.testing.assert_array_equal(flags, [flag for _, flag in want])
+    assert flags.any() and not flags.all()
+    np.testing.assert_array_equal(xhat[flags], want_x[flags])
+    ok = ~flags
+    # the eliminations differ in rounding only, up to cond(I) times eps
+    cond = np.linalg.cond(info[ok])
+    err = np.abs(xhat[ok] - want_x[ok]).max(axis=-1)
+    assert (err <= 1e-10 * cond * np.abs(want_x[ok]).max(axis=-1)).all()
 
 
 @settings(max_examples=20, deadline=None)

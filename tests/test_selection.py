@@ -533,7 +533,7 @@ def spectrum_matrices(rng, m, lam_min, count):
 
 
 def bracket_shift(m, peak):
-    return selection.CHOLESKY_SLACK * m * (m + 1) * np.finfo(float).eps * peak
+    return _kernels.CHOLESKY_SLACK * m * (m + 1) * np.finfo(float).eps * peak
 
 
 LAMBDA_MIN = {
