@@ -20,7 +20,6 @@ from .model import (
 from .observability import StructuralMatrix, is_structurally_observable, structure_of
 from .sensing import SensorNetwork, resolve_delays, sample_network
 from .selection import (
-    SelectionReport,
     greedy_select,
     max_deviation,
     mse,
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DkfEngine", "ExperimentConfig", "LtvSystem", "MonteCarloSummary",
-    "Scenario", "SelectionReport", "SensorNetwork", "StabilityParams",
+    "Scenario", "SensorNetwork", "StabilityParams",
     "StructuralMatrix", "backend_name", "builtin_system", "derive_seed", "export_csv",
     "greedy_select", "is_effectively_singular", "is_structurally_observable", "load_config",
     "max_deviation", "monte_carlo", "mse", "resolve_delays", "run_experiment",

@@ -87,8 +87,7 @@ def _cmd_greedy(cfg):
     cfg.mode = "greedy"
     result = run_experiment(cfg)
     best = result.report("greedy")
-    print(f"best iteration: {best.iteration} (R0={best.thresholds[0]:.6g}, "
-          f"tau0={best.thresholds[1]:.6g})")
+    print(f"best iteration: {best.iteration} (R0={best.r0:.6g}, tau0={best.tau0:.6g})")
     _print_report("best subset", best)
     for path in result.files:
         print(f"wrote {path}")
@@ -99,7 +98,7 @@ def _cmd_stability(cfg):
     cfg.mode = "stability"
     result = run_experiment(cfg)
     report = result.report("stability")
-    if report.ran:
+    if report.n_selected:
         _print_report("stability subset", report)
     else:
         print("stability selection returned no nodes")

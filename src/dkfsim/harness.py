@@ -5,7 +5,7 @@ mode, the Monte Carlo loop, and CSV export.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,6 @@ from .errors import ConfigError
 from .model import LtvSystem, builtin_system, load_matrix_table
 from .sensing import SensorNetwork, load_network, resolve_delays, sample_network
 from .selection import (
-    SelectionReport,
     greedy_select,
     max_deviation,
     mse,
@@ -113,29 +112,26 @@ def make_network(cfg: ExperimentConfig, rng: np.random.Generator) -> SensorNetwo
     )
 
 
-def _metrics_report(engine: DkfEngine, subset, xhat, settle: int) -> SelectionReport:
-    return SelectionReport(
-        nodes=frozenset(int(i) for i in subset),
-        mse=mse(xhat, engine.truth, settle),
-        md=max_deviation(xhat, engine.truth),
-        mse_raw=mse_raw(xhat, engine.truth, settle),
-    )
-
-
-# the report of a selection that ran no estimator: no nodes, NaN metrics
-_NOT_RUN = SelectionReport(nodes=frozenset(), mse=float("nan"), md=float("nan"))
+# one record per selection mode that ran: its subset size and metrics. A mode
+# that ran no estimator (stability selected nothing) holds NaN metrics;
+# iteration, r0 and tau0 name greedy's best sweep record (0 and NaN elsewhere)
+OUTCOME = np.dtype([
+    ("mode", "U12"), ("n_selected", np.int64), ("mse", float), ("md", float),
+    ("mse_raw", float), ("iteration", np.int64), ("r0", float), ("tau0", float),
+])
 
 
 @dataclass
 class ExperimentResult:
-    """Reports per executed mode plus every file written."""
+    """One OUTCOME record per executed mode, the selected ids per mode, and
+    every file written."""
 
-    reports: dict = field(default_factory=dict)
-    files: list = field(default_factory=list)
-    selected_nodes: dict = field(default_factory=dict)
+    outcomes: np.recarray
+    selected_nodes: dict
+    files: list
 
-    def report(self, mode: str) -> SelectionReport:
-        return self.reports[mode]
+    def report(self, mode: str) -> np.record:
+        return {rec.mode: rec for rec in self.outcomes}[mode]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
@@ -149,36 +145,39 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     network = resolve_delays(network, rng)
     engine = DkfEngine(sys_, network, cfg.horizon, rng)
     settle = settling_index(engine.truth, cfg.band)  # the first step every MSE counts
-    result = ExperimentResult()
+    outcomes, selected_nodes, files = [], {}, []
+
+    def trace(ids, name):
+        """Run the estimator over ids and write its trace; returns its x̂."""
+        info_hist, _, xhat, _ = engine.fused_run(ids)
+        files.append(export_csv(_trace_table(engine.truth, xhat, info_hist), out / name))
+        return xhat
+
+    def scored(mode, ids, xhat):
+        """The outcome of a mode whose subset ids gave xhat."""
+        return (mode, len(ids), mse(xhat, engine.truth, settle), max_deviation(xhat, engine.truth),
+                mse_raw(xhat, engine.truth, settle), 0, np.nan, np.nan)
 
     modes = ("fixed-subset", "greedy", "stability") if cfg.mode == "all" else (cfg.mode,)
 
     if "fixed-subset" in modes:
-        subset = cfg.subset_ids(network)
-        info_hist, _, xhat, _ = engine.fused_run(subset)
-        result.reports["fixed-subset"] = _metrics_report(engine, subset, xhat, settle)
-        result.selected_nodes["fixed-subset"] = sorted(subset)
-        result.files.append(export_csv(_trace_table(engine.truth, xhat, info_hist),
-                                       out / "trace_fixed.csv"))
+        ids = selected_nodes["fixed-subset"] = sorted(set(cfg.subset_ids(network)))
+        outcomes.append(scored("fixed-subset", ids, trace(ids, "trace_fixed.csv")))
 
     if "greedy" in modes:
-        report = greedy_select(
+        sweep = greedy_select(
             engine, cfg.iterations,
             r_max=cfg.variance_range[1], tau_max=cfg.delay_range[1], settle=settle,
         )
-        result.files.append(export_csv(report, out / "greedy_report.csv"))
-        if np.isnan(report.mse).all():
+        files.append(export_csv(sweep, out / "greedy_report.csv"))
+        if np.isnan(sweep.mse).all():
             raise ConfigError("no greedy iteration produced a non-empty subset")
-        best = report[np.nanargmin(report.mse)]  # the first of tied minima
-        nodes = (np.flatnonzero(sweep_masks(network, best.r0, best.tau0)) + 1).tolist()
-        result.reports["greedy"] = SelectionReport(
-            nodes=frozenset(nodes), mse=best.mse, md=best.md, mse_raw=best.mse_raw,
-            iteration=int(best.iteration), thresholds=(float(best.r0), float(best.tau0)),
-        )
-        result.selected_nodes["greedy"] = nodes
-        info_hist, _, xhat, _ = engine.fused_run(nodes)
-        result.files.append(export_csv(_trace_table(engine.truth, xhat, info_hist),
-                                       out / "trace_greedy_best.csv"))
+        best = sweep[np.nanargmin(sweep.mse)]  # the first of tied minima
+        ids = selected_nodes["greedy"] = (
+            np.flatnonzero(sweep_masks(network, best.r0, best.tau0)) + 1).tolist()
+        outcomes.append(("greedy", best.n_selected, best.mse, best.md, best.mse_raw,
+                         best.iteration, best.r0, best.tau0))
+        trace(ids, "trace_greedy_best.csv")  # the outcome is the sweep's record, not this re-run
 
     if "stability" in modes:
         params = compute_params(
@@ -186,17 +185,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             k_bar=cfg.k_bar, alpha=cfg.alpha, beta_hat_override=cfg.beta_hat_override,
         )
         selected, report = stability_select(engine.scenario, params)
-        result.files.append(export_csv(report, out / "stability_report.csv"))
-        result.selected_nodes["stability"] = sorted(selected)
-        if selected:
-            info_hist, _, xhat, _ = engine.fused_run(sorted(selected))
-            result.reports["stability"] = _metrics_report(engine, selected, xhat, settle)
-            result.files.append(export_csv(_trace_table(engine.truth, xhat, info_hist),
-                                           out / "trace_stability.csv"))
+        files.append(export_csv(report, out / "stability_report.csv"))
+        ids = selected_nodes["stability"] = sorted(selected)
+        if ids:
+            outcomes.append(scored("stability", ids, trace(ids, "trace_stability.csv")))
         else:
             log.warning("stability selection returned no nodes")
-            result.reports["stability"] = _NOT_RUN
-    return result
+            outcomes.append(("stability", 0, np.nan, np.nan, np.nan, 0, np.nan, np.nan))
+    return ExperimentResult(np.rec.fromrecords(outcomes, dtype=OUTCOME), selected_nodes, files)
 
 
 # ---------------------------------------------------------------------------
@@ -204,37 +200,36 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+# one record per Monte Carlo run: the columns of montecarlo_runs.csv. A run
+# fails when it raises or its selection comes back empty; it then holds
+# n_selected 0 and NaN metrics
+MC_RUN = np.dtype([("run", np.int64), ("seed", np.int64), ("failed", bool),
+                   ("n_selected", np.int64), ("mse", float), ("md", float)])
+
+
 @dataclass
 class MonteCarloSummary:
-    """Per-run metrics and their means/variances (population variance)."""
+    """The per-run MC_RUN table and the means/variances (population variance)
+    of its runs that did not fail."""
 
-    mse_values: list
-    md_values: list
-    node_counts: list
-    failed_runs: list
+    table: np.recarray
 
     @property
     def runs(self) -> int:
-        return len(self.mse_values) + len(self.failed_runs)
+        return len(self.table)
+
+    @property
+    def failed_runs(self) -> list:
+        return self.table.run[self.table.failed].tolist()
 
     def stats(self) -> dict:
-        def mean_var(values):
-            if not values:
-                return float("nan"), float("nan")
-            arr = np.asarray(values, dtype=float)
-            return float(arr.mean()), float(arr.var())
-
-        mse_mean, mse_var = mean_var(self.mse_values)
-        md_mean, md_var = mean_var(self.md_values)
-        n_mean, n_var = mean_var(self.node_counts)
-        return {
-            "mse_mean": mse_mean,
-            "mse_var": mse_var,
-            "md_mean": md_mean,
-            "md_var": md_var,
-            "nodes_mean": n_mean,
-            "nodes_var": n_var,
-        }
+        ok = self.table[~self.table.failed]
+        stats = {}
+        for key, column in (("mse", "mse"), ("md", "md"), ("nodes", "n_selected")):
+            values = ok[column].astype(float)
+            mean, var = (values.mean(), values.var()) if values.size else (np.nan, np.nan)
+            stats[f"{key}_mean"], stats[f"{key}_var"] = float(mean), float(var)
+        return stats
 
 
 def monte_carlo(cfg: ExperimentConfig, runs: int | None = None, out_dir=None) -> MonteCarloSummary:
@@ -250,24 +245,17 @@ def monte_carlo(cfg: ExperimentConfig, runs: int | None = None, out_dir=None) ->
     out = Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     mode = cfg.mode if cfg.mode != "all" else "stability"
-    table = np.recarray(runs, dtype=[("run", np.int64), ("seed", np.int64), ("failed", bool),
-                                     ("n_selected", np.int64), ("mse", float), ("md", float)])
-    summary = MonteCarloSummary([], [], [], [])
+    summary = MonteCarloSummary(np.recarray(runs, dtype=MC_RUN))
     for idx in range(runs):
         run_cfg = replace(cfg, mode=mode, seed=int(derive_seed(cfg.seed, idx).generate_state(1)[0]))
         try:
             rep = run_experiment(run_cfg, out_dir=out / f"run_{idx:03d}").report(mode)
+            row = (rep.n_selected, rep.mse, rep.md)
         except (ConfigError, ArithmeticError, np.linalg.LinAlgError) as exc:
             log.warning("monte carlo run %d failed: %s", idx, exc)
-            rep = _NOT_RUN
-        if rep.ran:
-            summary.mse_values.append(rep.mse)
-            summary.md_values.append(rep.md)
-            summary.node_counts.append(rep.n_selected)
-        else:
-            summary.failed_runs.append(idx)
-        table[idx] = (idx, run_cfg.seed, not rep.ran, rep.n_selected, rep.mse, rep.md)
-    export_csv(table, out / "montecarlo_runs.csv")
+            row = (0, np.nan, np.nan)
+        summary.table[idx] = (idx, run_cfg.seed, np.isnan(row[1]), *row)
+    export_csv(summary.table, out / "montecarlo_runs.csv")
     export_csv(_table(**{k: [v] for k, v in summary.stats().items()}),
                out / "montecarlo_summary.csv")
     return summary

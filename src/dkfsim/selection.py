@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,27 +34,6 @@ SETTLE_BAND = 0.01
 # arrays per node block; blocks of an eighth of the budget, split the same way,
 # keep them within half the chunk's histories
 STABILITY_CHUNK = 1 << 21
-
-
-@dataclass(frozen=True)
-class SelectionReport:
-    """One selection's outcome: chosen nodes plus estimation-quality metrics;
-    iteration and thresholds name the greedy sweep's best record."""
-
-    nodes: frozenset
-    mse: float
-    md: float
-    mse_raw: float = float("nan")
-    iteration: int | None = None
-    thresholds: tuple | None = None
-
-    @property
-    def n_selected(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def ran(self) -> bool:
-        return not math.isnan(self.mse)
 
 
 def settling_index(traj, band: float = SETTLE_BAND) -> int:

@@ -127,14 +127,11 @@ def test_subcommands_byte_identical_reruns(tmp_path, command):
         code = main([command, "--config", str(cfg), "--out", str(out)])
         assert code == 0
         outs.append(out)
-    files = sorted(p.name for p in outs[0].glob("**/*.csv"))
-    assert files
-    for name in files:
-        a = (outs[0] / name) if (outs[0] / name).exists() else None
-        pa = list(outs[0].glob(f"**/{name}"))
-        pb = list(outs[1].glob(f"**/{name}"))
-        for fa, fb in zip(sorted(pa), sorted(pb)):
-            assert fa.read_bytes() == fb.read_bytes()
+    files = [sorted(p.relative_to(out) for p in out.glob("**/*.csv")) for out in outs]
+    assert files[0]
+    assert files[0] == files[1]
+    for path in files[0]:
+        assert (outs[0] / path).read_bytes() == (outs[1] / path).read_bytes(), path
 
 
 @pytest.mark.parametrize("bad_line, message", [

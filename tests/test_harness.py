@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import dkfsim
+from dkfsim import harness
 from dkfsim.config import ExperimentConfig, load_config, parse_config_text
 from dkfsim.dkf import DkfEngine
-from dkfsim.errors import ConfigError
+from dkfsim.errors import ConfigError, DivergenceError
 from dkfsim.harness import (
     derive_seed,
     export_csv,
@@ -107,7 +108,7 @@ def test_subset_parsing():
 def test_beta_hat_override_parsed_and_applied(tmp_path):
     cfg = small_cfg(beta_hat_override=0.5)
     res = run_experiment(cfg, out_dir=tmp_path)
-    assert "stability" in res.reports
+    assert res.outcomes.mode.tolist() == ["stability"]
     parsed = parse_config_text("beta_hat_override = 0.25\nseed = 1\n")
     assert parsed.beta_hat_override == 0.25
     with pytest.raises(ConfigError):
@@ -198,8 +199,29 @@ def test_run_experiment_fixed_subset_baseline(tmp_path):
     res = run_experiment(cfg, out_dir=tmp_path)
     rep = res.report("fixed-subset")
     assert rep.n_selected == 60
-    assert rep.ran
+    assert np.isfinite(rep.mse)
     assert (tmp_path / "trace_fixed.csv").exists()
+
+
+def test_run_experiment_fixed_subset_counts_repeated_ids_once(tmp_path):
+    # the ids, the count and the trace all come from one deduplicated subset
+    res = run_experiment(small_cfg(mode="fixed-subset", subset=(2, 1, 2)),
+                         out_dir=tmp_path / "repeated")
+    run_experiment(small_cfg(mode="fixed-subset", subset=(1, 2)), out_dir=tmp_path / "once")
+    assert res.selected_nodes["fixed-subset"] == [1, 2]
+    assert res.report("fixed-subset").n_selected == 2
+    assert ((tmp_path / "repeated" / "trace_fixed.csv").read_bytes()
+            == (tmp_path / "once" / "trace_fixed.csv").read_bytes())
+
+
+def test_run_experiment_stability_without_nodes_holds_nan_outcome(tmp_path):
+    # every delay exceeds the horizon, so the selection is empty and no estimator runs
+    res = run_experiment(small_cfg(delay_range=(5.0, 9.0), horizon=60), out_dir=tmp_path)
+    (rec,) = res.outcomes
+    assert (rec.mode, rec.n_selected, rec.iteration) == ("stability", 0, 0)
+    assert np.isnan([rec.mse, rec.md, rec.mse_raw, rec.r0, rec.tau0]).all()
+    assert res.selected_nodes["stability"] == []
+    assert not (tmp_path / "trace_stability.csv").exists()
 
 
 def test_run_experiment_greedy_writes_report(tmp_path):
@@ -209,7 +231,7 @@ def test_run_experiment_greedy_writes_report(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == cfg.iterations
     assert set(rows[0].keys()) == {"iteration", "r0", "tau0", "n_selected", "mse", "md", "mse_raw"}
-    assert res.report("greedy").ran
+    assert np.isfinite(res.report("greedy").mse)
 
 
 def test_run_experiment_stability_writes_per_node_rows(tmp_path):
@@ -233,7 +255,7 @@ def test_run_experiment_greedy_without_delays_sweeps_variance(tmp_path):
         rows = list(csv.DictReader(fh))
     assert {float(r["tau0"]) for r in rows} == {0.0}
     assert int(rows[0]["n_selected"]) == cfg.n_sensors
-    assert res.report("greedy").ran
+    assert np.isfinite(res.report("greedy").mse)
 
 
 def test_run_experiment_greedy_without_variances_sweeps_delay(tmp_path):
@@ -247,7 +269,7 @@ def test_run_experiment_greedy_without_variances_sweeps_delay(tmp_path):
     counts = [int(r["n_selected"]) for r in rows]
     assert counts[0] == cfg.n_sensors
     assert counts == sorted(counts, reverse=True) and counts[-1] < counts[0]
-    assert res.report("greedy").ran
+    assert np.isfinite(res.report("greedy").mse)
 
 
 def test_run_experiment_greedy_reports_first_of_tied_minima(tmp_path):
@@ -264,7 +286,7 @@ def test_run_experiment_greedy_reports_first_of_tied_minima(tmp_path):
     assert len({r["mse"] for r in rows[:3]}) == 1 and rows[3]["mse"] == rows[4]["mse"] == "nan"
     best = res.report("greedy")
     assert best.iteration == 1
-    assert best.thresholds == (float(rows[0]["r0"]), float(rows[0]["tau0"]))
+    assert (best.r0, best.tau0) == (float(rows[0]["r0"]), float(rows[0]["tau0"]))
     assert best.mse == float(rows[0]["mse"])
     assert res.selected_nodes["greedy"] == list(range(1, 7))
 
@@ -274,14 +296,14 @@ def test_run_experiment_all_mode_warns_once_when_truth_never_settles(tmp_path, c
     # fixed run, the greedy sweep and the stability run
     with caplog.at_level("WARNING", logger="dkfsim.selection"):
         res = run_experiment(small_cfg(mode="all"), out_dir=tmp_path)
-    assert res.report("stability").ran
+    assert np.isfinite(res.report("stability").mse)
     assert sum("never settles" in rec.message for rec in caplog.records) == 1
 
 
 def test_run_experiment_all_mode_shares_realization(tmp_path):
     cfg = small_cfg(mode="all")
     res = run_experiment(cfg, out_dir=tmp_path)
-    assert set(res.reports) == {"fixed-subset", "greedy", "stability"}
+    assert res.outcomes.mode.tolist() == ["fixed-subset", "greedy", "stability"]
 
 
 def test_run_experiment_runs_each_subset_once(tmp_path, monkeypatch):
@@ -351,7 +373,33 @@ def test_monte_carlo_summary_matches_runs_csv(tmp_path):
 def test_monte_carlo_runs_differ(tmp_path):
     cfg = small_cfg(runs=3, jitter_std=math.sqrt(2 * 0.01))
     summary = monte_carlo(cfg, out_dir=tmp_path)
-    assert len(set(summary.node_counts)) > 1 or len(set(summary.mse_values)) == 3
+    assert len(set(summary.table.n_selected)) > 1 or len(set(summary.table.mse)) == 3
+
+
+def test_monte_carlo_run_that_raises_counts_as_failed(tmp_path, monkeypatch, caplog):
+    real = harness.run_experiment
+
+    def diverging_second_run(cfg, out_dir=None):
+        if out_dir.name == "run_001":
+            raise DivergenceError("non-finite fused information at step 7", step=7)
+        return real(cfg, out_dir=out_dir)
+
+    monkeypatch.setattr(harness, "run_experiment", diverging_second_run)
+    with caplog.at_level("WARNING", logger="dkfsim.harness"):
+        summary = monte_carlo(small_cfg(runs=3), out_dir=tmp_path)
+    with open(tmp_path / "montecarlo_runs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["failed"] for r in rows] == ["0", "1", "0"]
+    assert (rows[1]["n_selected"], rows[1]["mse"], rows[1]["md"]) == ("0", "nan", "nan")
+    assert summary.failed_runs == [1]
+    assert summary.runs == 3
+    ok = [r for r in rows if r["failed"] == "0"]
+    stats = summary.stats()
+    for key, column in (("mse", "mse"), ("md", "md"), ("nodes", "n_selected")):
+        values = np.array([float(r[column]) for r in ok])
+        assert (stats[f"{key}_mean"], stats[f"{key}_var"]) == (values.mean(), values.var())
+    assert [rec.message for rec in caplog.records if rec.name == "dkfsim.harness"] == [
+        "monte carlo run 1 failed: non-finite fused information at step 7"]
 
 
 def test_run_experiment_byte_identical_across_processes(tmp_path):
