@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import MODES, ExperimentConfig
 from .dkf import DkfEngine
 from .errors import ConfigError
 from .model import LtvSystem, builtin_system, load_matrix_table
@@ -114,9 +114,10 @@ def make_network(cfg: ExperimentConfig, rng: np.random.Generator) -> SensorNetwo
 
 # one record per selection mode that ran: its subset size and metrics. A mode
 # that ran no estimator (stability selected nothing) holds NaN metrics;
-# iteration, r0 and tau0 name greedy's best sweep record (0 and NaN elsewhere)
+# iteration, r0 and tau0 name greedy's best sweep record (0 and NaN elsewhere).
+# The mode field fits the longest mode name, so no name is stored truncated
 OUTCOME = np.dtype([
-    ("mode", "U12"), ("n_selected", np.int64), ("mse", float), ("md", float),
+    ("mode", f"U{max(map(len, MODES))}"), ("n_selected", np.int64), ("mse", float), ("md", float),
     ("mse_raw", float), ("iteration", np.int64), ("r0", float), ("tau0", float),
 ])
 
