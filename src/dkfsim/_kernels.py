@@ -1,6 +1,6 @@
 """Filter-recursion kernels in numpy, batched across nodes or chains.
 
-Both kernels run one information time update, _time_update, with
+Both kernels run one information time update, _TimeUpdate, with
 S = M + Q^{-1}:
 
     M = Ainv^T I Ainv,  I' = Q^{-1} S^{-1} M  (symmetrized),
@@ -10,8 +10,11 @@ followed by the additive measurement step. Since I - C = Q^{-1} S^{-1} for
 the gain C = M S^{-1}, this equals the Joseph form
 (I - C) M (I - C)^T + C Q^{-1} C^T (Anderson & Moore, Optimal Filtering)
 without its products. The step acts on a structure-of-arrays stack, every
-matrix (m, m, n) with the batch axis last: a few gemms against the shared
-A^{-1}(k) and Q^{-1} and an elimination over whole (n,) rows.
+matrix (m, m, n) with the batch axis last: three gemms against the shared
+A^{-1}(k) and Q^{-1} and an elimination over whole (n,) rows (_SoaSolver).
+Each kernel call prepares its step once, buffers and views alike, so a step
+is only ufunc and matmul calls writing into them: at a batch of one chain
+the number of those calls, not their arithmetic, sets a step's cost.
 
 - node_info_histories runs one recursion per node, given as (s_i, 1/r_i),
   over thousands of nodes and stores each step packed: the P = m (m + 1) / 2
@@ -39,26 +42,45 @@ def backend_name() -> str:
     return "python"
 
 
-def _time_update(info, a_inv, q_inv, aug, half, out):
-    """info <- Q^{-1} S^{-1} M, symmetrized, in place for an (m, m, n) stack.
+class _TimeUpdate:
+    """One kernel call's information time update, prepared once.
 
-    half (m, m n), aug (m, m + r, n) and out (m, r n), r >= m, are the
-    caller's buffers, so no step allocates. Columns 2m: of aug hold extra
-    right-hand sides the caller filled; returns Q^{-1} S^{-1} times them, the
-    (m, r - m, n) view of out.
+    Holds the (m, m, n) information stack info, zero until the caller sets
+    it, which each call updates in place to Q^{-1} S^{-1} M (symmetrized),
+    and every buffer and view the step touches: half (m, m n) for A^{-T} I,
+    aug (m, 2m + r', n) = [S | M | extra] with the prepared elimination on
+    it, and out (m, (m + r') n) for the product with Q^{-1}. A step is then
+    only ufunc and matmul calls with out=. Columns 2m: of aug, the view
+    extra, hold r' right-hand sides the caller fills before each step; after
+    it, extra_out, the (m, r', n) view of out, holds Q^{-1} S^{-1} times them.
     """
-    m, _, n = info.shape
-    a_inv_t = a_inv.T
-    mk = aug[:, m:2 * m]
-    np.matmul(a_inv_t, info.reshape(m, m * n), out=half)
-    np.matmul(a_inv_t, half.reshape(m, m, n), out=mk)
-    np.add(mk, q_inv[:, :, None], out=aug[:, :m])
-    y = _solve_spd_soa(aug)
-    np.matmul(q_inv, y.reshape(m, -1), out=out)
-    pred = out.reshape(m, -1, n)
-    np.add(pred[:, :m], pred[:, :m].transpose(1, 0, 2), out=info)
-    info *= 0.5
-    return pred[:, m:]
+
+    def __init__(self, q_inv, n, n_extra=0):
+        m = q_inv.shape[0]
+        self.info = np.zeros((m, m, n))
+        self._info_2d = self.info.reshape(m, m * n)
+        self._half = np.empty((m, m * n))
+        self._half_3d = self._half.reshape(m, m, n)
+        aug = np.empty((m, 2 * m + n_extra, n))
+        self._s, self._mk, self.extra = aug[:, :m], aug[:, m:2 * m], aug[:, 2 * m:]
+        # Q^{-1} repeated for every column, so the add reads it contiguously
+        self._q_inv, self._q_inv_stack = q_inv, np.repeat(q_inv[:, :, None], n, axis=2)
+        self._solve = _SoaSolver(aug)
+        self._y_2d = self._solve.y.reshape(m, -1)
+        self._out = np.empty((m, (m + n_extra) * n))
+        pred = self._out.reshape(m, m + n_extra, n)
+        self._pred, self._pred_t = pred[:, :m], pred[:, :m].transpose(1, 0, 2)
+        self.extra_out = pred[:, m:]
+
+    def __call__(self, a_inv_t):
+        """One step, given A^{-T}(k) = a_inv_t."""
+        np.matmul(a_inv_t, self._info_2d, self._half)
+        np.matmul(a_inv_t, self._half_3d, self._mk)
+        np.add(self._mk, self._q_inv_stack, self._s)
+        self._solve()
+        np.matmul(self._q_inv, self._y_2d, self._out)
+        np.add(self._pred, self._pred_t, self.info)
+        np.multiply(self.info, 0.5, self.info)
 
 
 def node_info_histories(a_inv_seq, q_inv, state, inv_r):
@@ -73,25 +95,22 @@ def node_info_histories(a_inv_seq, q_inv, state, inv_r):
     """
     n = state.shape[0]
     m = q_inv.shape[0]
-    n_steps = a_inv_seq.shape[0]
     rows, cols = np.tril_indices(m)
     lower = rows * m + cols  # flat index of each packed entry in an (m, m) matrix
-    hist = np.empty((lower.size, n_steps + 1, n))
-    info = np.zeros((m, m, n))
-    diag = info.reshape(m * m, n)[::m + 1]  # (m, n) view of every node's diagonal
+    hist = np.empty((lower.size, a_inv_seq.shape[0] + 1, n))
+    step = _TimeUpdate(q_inv, n)
+    info = step.info.reshape(m * m, n)
+    diag = info[::m + 1]  # (m, n) view of every node's diagonal
     # each node's diagonal of l_i, laid out once: a dense add per step, where
     # a fancy-indexed one took 10x as long
     l_diag = np.zeros((m, n))
     l_diag[state, np.arange(n)] = inv_r
     diag += l_diag
-    half = np.empty((m, m * n))
-    aug = np.empty((m, 2 * m, n))
-    out = np.empty((m, m * n))
-    hist[:, 0] = info.reshape(m * m, n)[lower]
-    for k in range(n_steps):
-        _time_update(info, a_inv_seq[k], q_inv, aug, half, out)
-        diag += l_diag
-        hist[:, k + 1] = info.reshape(m * m, n)[lower]
+    hist[:, 0] = info[lower]
+    for k, a_inv_t in enumerate(a_inv_seq.transpose(0, 2, 1), 1):
+        step(a_inv_t)
+        np.add(diag, l_diag, diag)
+        hist[:, k] = info[lower]
     return hist
 
 
@@ -116,19 +135,44 @@ def unpack(packed) -> np.ndarray:
     return np.moveaxis(packed[index], (0, 1), (-2, -1))
 
 
-def _solve_spd_soa(aug):
-    """S^{-1} rhs in place for [S | rhs] stacked as aug (m, m + m', n), S SPD,
+class _SoaSolver:
+    """S^{-1} rhs in place for [S | rhs] stacked as aug (m, m + r, n), S SPD,
     batch axis last: Gaussian elimination without pivoting, then back
-    substitution. Returns the rhs part of aug, which now holds the solution."""
-    m = aug.shape[0]
-    for j in range(m - 1):
-        f = aug[j + 1:, j] / aug[j, j]
-        aug[j + 1:, j + 1:] -= f[:, None] * aug[j, None, j + 1:]
-    y = aug[:, m:]
-    for j in range(m - 1, -1, -1):
-        y[j] /= aug[j, j]
-        y[:j] -= aug[:j, j, None] * y[j, None]
-    return y
+    substitution. Every view, the multipliers and one scratch buffer for the
+    products are made here, so a call is only ufuncs with out=; y is the rhs
+    part of aug, which a call overwrites with the solution and returns."""
+
+    def __init__(self, aug):
+        m, width, n = aug.shape
+        self.y = y = aug[:, m:]
+        f = np.empty((m - 1, n))
+        scratch = np.empty((m - 1) * (width - 1) * n)
+        self._eliminate = []
+        for j in range(m - 1):
+            below, right = m - j - 1, width - j - 1
+            self._eliminate.append((aug[j + 1:, j], aug[j, j], f[:below], f[:below, None],
+                                    aug[j, None, j + 1:],
+                                    scratch[:below * right * n].reshape(below, right, n),
+                                    aug[j + 1:, j + 1:]))
+        # row j of y is divided by its pivot, then eliminated from the rows
+        # above it; row 0 has none, so it is only divided
+        self._substitute = [(y[j], aug[j, j], aug[:j, j, None], y[j, None],
+                             scratch[:y[:j].size].reshape(y[:j].shape), y[:j])
+                            for j in range(m - 1, 0, -1)]
+        self._last = (y[0], aug[0, 0])
+
+    def __call__(self):
+        for col, pivot, f, f_col, row, prod, rest in self._eliminate:
+            np.divide(col, pivot, f)
+            np.multiply(f_col, row, prod)
+            np.subtract(rest, prod, rest)
+        for y_j, pivot, col, y_row, prod, above in self._substitute:
+            np.divide(y_j, pivot, y_j)
+            np.multiply(col, y_row, prod)
+            np.subtract(above, prod, above)
+        y_0, pivot = self._last
+        np.divide(y_0, pivot, y_0)
+        return self.y
 
 
 def rounding_shift(packed):
@@ -184,22 +228,21 @@ def fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0):
     iv_inc = iv_inc.transpose(1, 2, 0)
     info_hist = np.empty((n_out, m, m, n_chains))
     yv_hist = np.empty((n_out, m, n_chains))
-    info = np.repeat(info0[:, :, None], n_chains, axis=2)
+    step = _TimeUpdate(q_inv, n_chains, 1)
+    info = step.info
+    info[:] = info0[:, :, None]
     diag = info.reshape(m * m, n_chains)[::m + 1]
     diag += info_inc[0]
-    yv = yv0[:, None] + iv_inc[0]
+    np.add(yv0[:, None], iv_inc[0], yv_hist[0])
     info_hist[0] = info
-    yv_hist[0] = yv
-    half = np.empty((m, m * n_chains))
-    aug = np.empty((m, 2 * m + 1, n_chains))
-    out = np.empty((m, (m + 1) * n_chains))
-    for k in range(1, n_out):
-        a_inv = a_inv_seq[k - 1]
-        np.matmul(a_inv.T, yv, out=aug[:, 2 * m])
-        yv_pred = _time_update(info, a_inv, q_inv, aug, half, out)[:, 0]
-        np.add(yv_pred, iv_inc[k], out=yv)
-        diag += info_inc[k]
-        info_hist[k] = info
-        yv_hist[k] = yv
+    yv_rhs, yv_pred = step.extra[:, 0], step.extra_out[:, 0]
+    steps = zip(a_inv_seq.transpose(0, 2, 1), info_inc[1:], iv_inc[1:], info_hist[1:],
+                yv_hist[:-1], yv_hist[1:])
+    for a_inv_t, info_k, iv_k, info_out, yv, yv_out in steps:
+        np.matmul(a_inv_t, yv, yv_rhs)
+        step(a_inv_t)
+        np.add(yv_pred, iv_k, yv_out)
+        np.add(diag, info_k, diag)
+        np.copyto(info_out, info)
     return (np.ascontiguousarray(info_hist.transpose(3, 0, 1, 2)),
             np.ascontiguousarray(yv_hist.transpose(2, 0, 1)))

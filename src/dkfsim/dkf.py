@@ -10,7 +10,9 @@ Every node measures one state with a scalar variance, so below the network a
 node is the pair (s_i, 1/r_i) and l_i = e_s e_s^T / r_i is never formed: what
 a subset has delivered by step k is a sum per state class, node i measuring
 state j adding 1/r_i to diagonal entry j from step d_i on and z_i(k - d_i) / r_i
-to IV entry j (DkfEngine._delivered_sums, in blocks of DELIVERY_BLOCK nodes).
+to IV entry j. DkfEngine._delivered_sums forms these sums for a chain of
+nested subsets, such as the greedy sweep's, as suffix sums over the rows, in
+blocks of DELIVERY_BLOCK nodes.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def recover_estimates(info_hist, yv_hist):
     Information matrices are positive semidefinite up to a rounding far below
     1e-10 |lambda|_max, so an unflagged entry is positive definite with
     condition number at most 1e10. Those are solved by the kernel's
-    unpivoted elimination (_kernels._solve_spd_soa) on one (m, m + 1, S)
+    unpivoted elimination (_kernels._SoaSolver) on one (m, m + 1, S)
     stack; flagged ones by the pseudo-inverse.
     Returns (xhat (S, m), pinv_flags (S,) bool).
     """
@@ -84,7 +86,7 @@ def recover_estimates(info_hist, yv_hist):
     aug[:, m] = yv_hist.T
     # the identity keeps the elimination finite where the pseudo-inverse answers
     aug[:, :m, flagged] = np.eye(m)[:, :, None]
-    xhat = np.ascontiguousarray(_kernels._solve_spd_soa(aug)[:, 0].T)
+    xhat = np.ascontiguousarray(_kernels._SoaSolver(aug)()[:, 0].T)
     del aug
     if flagged.size:
         xhat[flagged] = (np.linalg.pinv(info_hist[flagged]) @ yv_hist[flagged][..., None])[..., 0]
@@ -172,7 +174,12 @@ class DkfEngine:
         self.z += self.truth[:, network.state].T
 
     def fused_run(self, subset):
-        """Run the estimator over one subset; returns (info_hist, yv_hist, xhat, flags)."""
+        """Run the estimator over one subset of node ids (integers, repeats
+        counted once); returns (info_hist, yv_hist, xhat, flags)."""
+        not_integers = [i for i in subset
+                        if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+        if not_integers:
+            raise SelectionError(f"node ids must be integers, got {not_integers}")
         ids = sorted(set(int(i) for i in subset))
         if not ids:
             raise SelectionError("node subset is empty")
@@ -191,9 +198,9 @@ class DkfEngine:
         id i+1). Returns (info_hist (B, N+1, m, m), yv_hist (B, N+1, m),
         xhat (B, N+1, m), flags (B, N+1)).
 
-        What the subsets' nodes deliver is summed per state class, one gemm
-        per class and node block (_delivered_sums), with no loop over delay
-        groups.
+        What the subsets' nodes deliver is summed per state class
+        (_delivered_sums): in one pass over the used nodes when each row
+        holds the next, as in the greedy sweep, else one pass per row.
         """
         masks = np.asarray(masks)
         n = len(self.network)
@@ -225,37 +232,50 @@ class DkfEngine:
 
         Returns info_inc (B, N+1, m), the diagonal of the sum of l_i over the
         row's nodes with d_i <= k, and iv_inc (B, N+1, m), the sum of their IV
-        deltas z_i(k - d_i) / r_i in their states' entries. Both are sums per
-        state class: the used nodes, sorted by (state, delay), are taken
-        DELIVERY_BLOCK at a time, and each class in a block adds one gemm of
-        its mask columns against its delayed readings and, per delay, its
-        total of 1/r_i, which one cumsum over k turns into info_inc. Nodes
-        delayed past the horizon deliver nothing.
+        deltas z_i(k - d_i) / r_i in their states' entries. Nodes delayed past
+        the horizon deliver nothing.
+
+        The rows are summed as a chain, each row holding the next, as a single
+        row does and as the greedy sweep's shrinking thresholds give; a batch
+        that is not a chain runs one row at a time. In a chain node i sits in
+        rows 0..e_i - 1, e_i the number of rows that hold it (its exit row),
+        so row b's sums are suffix sums, over exits e > b, of sums per bucket
+        (exit, state). The used nodes, sorted by bucket, are taken
+        DELIVERY_BLOCK at a time, each block adding its delayed readings to
+        their buckets; the buckets' 1/r_i are summed per delay. One suffix
+        cumsum over exits, and for the information one cumsum over k, then
+        give every row's sums.
         """
         n_runs = masks.shape[0]
+        if (masks[1:] & ~masks[:-1]).any():
+            rows = (self._delivered_sums(row[None]) for row in masks)
+            return tuple(np.concatenate(sums) for sums in zip(*rows))
         n_out = self.n_steps + 1
         m = self.sys.state_dim
         state, delays, inv_r = self.network.state, self.delays, self.scenario.inv_r
-        info_inc = np.zeros((n_runs, n_out, m))
-        iv_inc = np.zeros((n_runs, n_out, m))
-        used = np.flatnonzero(masks.any(axis=0) & (delays <= self.n_steps))
-        used = used[np.lexsort((delays[used], state[used]))]
+        exits = masks.sum(axis=0)
+        used = np.flatnonzero((exits > 0) & (delays <= self.n_steps))
+        bucket = (exits[used] - 1) * m + state[used]  # flat index of (exit - 1, state)
+        order = np.argsort(bucket, kind="stable")
+        used, bucket = used[order], bucket[order]
+        # (B, m, N+1) buckets, summed in place into the rows' sums
+        info = np.bincount(bucket * n_out + delays[used], weights=inv_r[used],
+                           minlength=n_runs * m * n_out).reshape(n_runs, m, n_out)
+        iv = np.zeros((n_runs, m, n_out))
+        iv_rows = iv.reshape(n_runs * m, n_out)
+        # z_i times 1/r_i (not divided by r_i, which rounds differently),
+        # right-aligned in zeros so that row i's window at offset N+1 - d_i
+        # is z_i(k - d_i) / r_i for k >= d_i and zero before
+        padded = np.zeros((min(used.size, DELIVERY_BLOCK), 2 * n_out))
+        windows = sliding_window_view(padded, n_out, axis=1)
         for start in range(0, used.size, DELIVERY_BLOCK):
             block = used[start:start + DELIVERY_BLOCK]
-            d = delays[block]
-            # z_i times 1/r_i (not divided by r_i, which rounds differently),
-            # right-aligned in zeros so that row i's window at offset N+1 - d_i
-            # is z_i(k - d_i) / r_i for k >= d_i and zero before
-            padded = np.zeros((block.size, 2 * n_out))
-            np.multiply(self.z[block], inv_r[block, None], out=padded[:, n_out:])
-            delivered = sliding_window_view(padded, n_out, axis=1)[np.arange(block.size), n_out - d]
-            w = masks[:, block].astype(float)
-            w_inv_r = w * inv_r[block]
-            states, lo = np.unique(state[block], return_index=True)
-            for j, a, b in zip(states, lo, [*lo[1:], block.size]):
-                iv_inc[..., j] += w[:, a:b] @ delivered[a:b]
-                steps, firsts = np.unique(d[a:b], return_index=True)
-                info_inc[:, steps, j] += np.add.reduceat(w_inv_r[:, a:b], firsts, axis=1)
-        np.cumsum(info_inc, axis=1, out=info_inc)
-        return info_inc, iv_inc
-
+            b = bucket[start:start + DELIVERY_BLOCK]
+            np.multiply(self.z[block], inv_r[block, None], out=padded[:block.size, n_out:])
+            delivered = windows[np.arange(block.size), n_out - delays[block]]
+            firsts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+            iv_rows[b[firsts]] += np.add.reduceat(delivered, firsts, axis=0)
+        for sums in (info[::-1], iv[::-1]):
+            np.cumsum(sums, axis=0, out=sums)
+        np.cumsum(info, axis=2, out=info)
+        return info.transpose(0, 2, 1), iv.transpose(0, 2, 1)

@@ -4,7 +4,7 @@ Nothing on the production path imports this module. Each function computes
 for one node, one matrix or one step what the batched code in dkf, stability,
 sensing and _kernels computes for whole networks at once:
 
-- time_update_general: one information time update (_kernels._time_update);
+- time_update_general: one information time update (_kernels._TimeUpdate);
 - kf_covariance_form: the covariance-form Kalman filter (DkfEngine.fused_runs);
 - recover_estimate: one estimate from an information pair (dkf.recover_estimates);
 - psi, gamma_hat, beta_hat, i_tilde: the stability operator, contraction

@@ -135,8 +135,9 @@ def greedy_select(engine: DkfEngine, iterations: int, r_max: float, tau_max: flo
     """
     if iterations < 1:
         raise ConfigError("iterations must be >= 1", keys=("iterations",))
-    if r_max < 0.0 or tau_max < 0.0:
-        raise ConfigError("r_max and tau_max must be >= 0", keys=("variance_range", "delay_range"))
+    if not (0.0 <= r_max < math.inf and 0.0 <= tau_max < math.inf):  # NaN fails both
+        raise ConfigError(f"r_max and tau_max must be finite and >= 0, got {r_max} and {tau_max}",
+                          keys=("variance_range", "delay_range"))
     shrink = 1.0 - np.arange(iterations) / iterations  # iteration j + 1 scales by shrink[j]
     r0 = r_max * shrink
     tau0 = tau_max * shrink

@@ -92,6 +92,14 @@ def test_fused_run_rejects_bad_subsets():
         engine.fused_run([])
     with pytest.raises(SelectionError):
         engine.fused_run([7])
+    # ids that are not integers are named, not truncated to their integer part
+    with pytest.raises(SelectionError, match=r"^node ids must be integers, got \[2\.7, 1\.2\]$"):
+        engine.fused_run([2.7, 1.2])
+    with pytest.raises(SelectionError, match="^node ids must be integers"):
+        engine.fused_run(np.array([1.0, 2.0]))
+    with pytest.raises(SelectionError, match=r"^node ids must be integers, got \[True\]$"):
+        engine.fused_run([True, 2])
+    np.testing.assert_array_equal(engine.fused_run(np.array([3, 1]))[0], engine.fused_run([1, 3])[0])
 
 
 def test_delays_increase_transient_deviation():
@@ -250,6 +258,37 @@ def test_fused_runs_match_stepwise_oracle_across_delivery_blocks(seed, m, n, blo
         np.testing.assert_array_equal(flags[b], recover_estimates(want_info, want_yv)[1])
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4), n=st.integers(4, 12),
+       n_rows=st.integers(1, 6), block=st.integers(1, 4))
+def test_chain_rows_match_stepwise_oracle(seed, m, n, n_rows, block):
+    # the greedy sweep's masks: shrinking random thresholds on a random network
+    # give a chain, each row holding the next, with repeated rows. Node 1 is
+    # delayed by exactly the horizon and node 2 past it, and blocks of 1-4
+    # nodes split the (exit row, state) buckets
+    n_steps = 20
+    rng = np.random.default_rng(seed)
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    steps = np.concatenate([[n_steps, n_steps + 1], rng.integers(0, n_steps, n - 2)])
+    net = network_of(*[(int(rng.integers(0, m)), float(rng.uniform(0.05, 0.5)), 0.01 * float(d))
+                       for d in steps], m=m)
+    eng = DkfEngine(sys_, net, n_steps, rng)
+    # row 0 admits every node; the rest repeat or shrink
+    shrink = np.concatenate([[1.0], np.sort(rng.uniform(0.0, 1.0, 3))[::-1]])
+    shrink = shrink[np.sort(np.r_[0, rng.integers(0, shrink.size, n_rows - 1)])]
+    masks = sweep_masks(net, 0.5 * shrink, 0.01 * (n_steps + 1) * shrink)
+    masks = masks[masks.any(axis=1)]
+    assert not (masks[1:] & ~masks[:-1]).any()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dkf, "DELIVERY_BLOCK", block)
+        info_hist, yv_hist, _, flags = eng.fused_runs(masks)
+    for b, mask in enumerate(masks):
+        want_info, want_yv = stepwise_fused_run(eng, np.flatnonzero(mask) + 1)
+        assert_rel_close(info_hist[b], want_info)
+        assert_rel_close(yv_hist[b], want_yv)
+        np.testing.assert_array_equal(flags[b], recover_estimates(want_info, want_yv)[1])
+
+
 def greedy_sweep_engine():
     """The greedy sweep's shape: 2000 nodes with delays up to the horizon,
     N = 200, and the ~98 non-empty masks of a 100-iteration sweep."""
@@ -285,6 +324,19 @@ def test_fused_runs_traced_peak_stays_within_one_delivery_block(monkeypatch):
     assert peak <= bound
     monkeypatch.setattr(dkf, "DELIVERY_BLOCK", len(net))
     assert traced_peak()[0] > bound
+
+
+def test_sweep_rows_match_single_row_runs():
+    # the greedy sweep's chain of ~98 rows sums each row's deliveries as a
+    # suffix over exit rows; each row run alone sums them as one bucket per state
+    eng, masks = greedy_sweep_engine()
+    info_hist, yv_hist, xhat, flags = eng.fused_runs(masks)
+    for b, mask in enumerate(masks):
+        info, yv, x, f = eng.fused_run(np.flatnonzero(mask) + 1)
+        assert_rel_close(info_hist[b], info)
+        assert_rel_close(yv_hist[b], yv)
+        assert_rel_close(xhat[b], x)
+        np.testing.assert_array_equal(flags[b], f)
 
 
 def test_recovery_sends_only_flagged_entries_to_eigvalsh(monkeypatch):

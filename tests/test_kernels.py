@@ -77,3 +77,26 @@ def test_soa_node_histories_match_per_node_oracle(seed, m, n):
     want = oracle_histories(a_inv, q_inv, state, inv_r)
     scale = np.abs(want).max(axis=(2, 3), keepdims=True)
     assert (np.abs(got - want) <= 1e-12 * scale).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), rhs=st.sampled_from(["1", "m", "m+1"]),
+       n=st.integers(1, 400))
+def test_soa_solver_matches_linalg_solve(seed, m, rhs, n):
+    # random SPD stacks, batch axis last, with 1, m or m + 1 right-hand sides;
+    # the solver makes its views once, so a second stack in the same buffer
+    # must solve as well as the first
+    rng = np.random.default_rng(seed)
+    n_rhs = {"1": 1, "m": m, "m+1": m + 1}[rhs]
+    aug = np.empty((m, m + n_rhs, n))
+    solver = _kernels._SoaSolver(aug)
+    for _ in range(2):
+        w = rng.standard_normal((n, m, m))
+        s = w @ w.transpose(0, 2, 1) + 0.1 * np.eye(m)
+        b = rng.standard_normal((n, m, n_rhs))
+        aug[:, :m] = s.transpose(1, 2, 0)
+        aug[:, m:] = b.transpose(1, 2, 0)
+        got = solver().transpose(2, 0, 1)
+        want = np.linalg.solve(s, b)
+        err = np.abs(got - want).max(axis=(1, 2))
+        assert (err <= 1e-13 * np.linalg.cond(s) * np.abs(want).max(axis=(1, 2))).all()

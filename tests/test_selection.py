@@ -312,6 +312,17 @@ def test_greedy_requires_resolved_network():
         greedy_select(DkfEngine(sys_, net, 30, np.random.default_rng(0)), 2, 0.5, 2.0, settle=0)
 
 
+@pytest.mark.parametrize("r_max, tau_max", [(np.nan, 2.0), (0.5, np.nan), (np.inf, 2.0),
+                                           (0.5, -np.inf), (-0.1, 2.0)])
+def test_greedy_refuses_thresholds_not_finite_and_non_negative(r_max, tau_max):
+    # a NaN threshold passed a "< 0" check and gave an all-empty sweep with NaN metrics
+    engine = DkfEngine(builtin_system(), network_of((0, 0.2), (1, 0.3)), 30,
+                       np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="^r_max and tau_max must be finite and >= 0, got ") as err:
+        greedy_select(engine, 4, r_max, tau_max, settle=0)
+    assert err.value.keys == ("variance_range", "delay_range")
+
+
 # ---------------------------------------------------------------------------
 # stability selection
 # ---------------------------------------------------------------------------
