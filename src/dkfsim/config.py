@@ -76,7 +76,7 @@ class ExperimentConfig:
             bad.append("mode")
         if self.horizon < 2:
             bad.append("horizon")
-        if self.seed is None:
+        if self.seed is None or self.seed < 0:
             bad.append("seed")
         if self.runs < 1:
             bad.append("runs")
@@ -84,11 +84,19 @@ class ExperimentConfig:
             bad.append("iterations")
         if not (0 < self.band < 1):
             bad.append("band")
+        # a config no run can satisfy: the stability window needs a step past
+        # k_bar, and a sampled network has exactly the ids 1..n_sensors
+        if self.mode in ("stability", "all") and self.horizon <= self.k_bar:
+            bad += [key for key in ("k_bar", "horizon") if key not in bad]
         if self.subset != ("all",):
             try:
-                tuple(int(v) for v in self.subset)
+                ids = [int(v) for v in self.subset]
             except (TypeError, ValueError):
                 bad.append("subset")
+            else:
+                if (self.mode in ("fixed-subset", "all") and not self.network_file
+                        and not all(1 <= i <= self.n_sensors for i in ids)):
+                    bad.append("subset")
         if bad:
             raise ConfigError(f"invalid configuration values for: {', '.join(bad)}", keys=bad)
         return self

@@ -1,8 +1,8 @@
 """Discrete-time stochastic LTV plant: x(k+1) = A(k) x(k) + w(k).
 
 Two transition rules are supported: a built-in two-state parametric family
-whose only time-varying entry is a22 = 2^(-t_k) with t_k = k*Ts clamped to a
-configured range, and an explicit per-step matrix table loaded from file.
+whose only time-varying entry is a22 = 2^(-t_k) with t_k = k*Ts clamped to
+[0, 2], and an explicit per-step matrix table loaded from file.
 
 The stability analysis elsewhere assumes the open-loop plant is mean-square
 stable. That assumption is documented, not enforced: the built-in family has
@@ -40,18 +40,12 @@ def _check_spd(q, name="Q"):
         raise ConfigError(f"{name} must be positive definite (min eig {w.min():g})", keys=(name,))
 
 
-@dataclass(frozen=True)
 class BuiltinFamily:
-    """Two-state transition family: fixed entries except a22 = 2^(-t_k)."""
-
-    a11: float = 0.5
-    a12: float = 0.25
-    a21: float = 0.25
-    t_range: tuple[float, float] = (0.0, 2.0)
+    """Two-state transition family A(k) = [[0.5, 0.25], [0.25, 2^(-t_k)]],
+    t_k = min(k Ts, 2)."""
 
     def matrix(self, k: int, ts: float) -> np.ndarray:
-        t_k = min(max(k * ts, self.t_range[0]), self.t_range[1])
-        return np.array([[self.a11, self.a12], [self.a21, 2.0 ** (-t_k)]])
+        return np.array([[0.5, 0.25], [0.25, 2.0 ** (-min(k * ts, 2.0))]])
 
 
 @dataclass(frozen=True)
@@ -98,6 +92,8 @@ class LtvSystem:
             raise ConfigError(
                 f"initial_state length {x0.shape[0]} does not match state_dim", keys=("x0",)
             )
+        if not np.isfinite(x0).all():
+            raise ConfigError("initial_state must be finite", keys=("x0",))
         self.initial_state = x0
         if isinstance(self.transition, BuiltinFamily) and self.state_dim != 2:
             raise ConfigError("built-in transition family is two-state", keys=("state_dim",))
@@ -106,6 +102,8 @@ class LtvSystem:
                 raise ConfigError(
                     f"table matrix shape {a.shape} does not match state_dim", keys=("transition",)
                 )
+            if not np.isfinite(a).all():
+                raise ConfigError("table matrices must be finite", keys=("transition",))
         # factor once; reused by every simulate() call
         self._chol_q = np.linalg.cholesky(q)
 
@@ -140,24 +138,21 @@ def simulate(sys: LtvSystem, a_seq, rng: np.random.Generator) -> np.ndarray:
     return states
 
 
-def is_effectively_singular(a, tol: float | None = None):
-    """True when the smallest singular value of a falls below tol.
+def is_effectively_singular(a):
+    """True when the smallest singular value of a falls below SINGULAR_TOL
+    times the largest.
 
     a is one matrix or a stack (..., m, m), which gives one flag per matrix.
-    With tol=None the threshold is SINGULAR_TOL relative to the largest
-    singular value; an explicit tol is absolute. A matrix without entries or
-    with no nonzero singular value is singular.
+    A matrix without entries or with no nonzero singular value is singular.
     """
     a = _as_matrix(a, "a")
     s = np.linalg.svd(a, compute_uv=False)
     top = s.max(axis=-1, initial=0.0)
-    if tol is None:
-        tol = SINGULAR_TOL * top
-    singular = (top == 0.0) | (s.min(axis=-1, initial=np.inf) < tol)
+    singular = (top == 0.0) | (s.min(axis=-1, initial=np.inf) < SINGULAR_TOL * top)
     return bool(singular) if a.ndim == 2 else singular
 
 
-def robust_inverse(a, tol: float | None = None):
+def robust_inverse(a):
     """Inverse of a, switching to the pseudo-inverse for near-singular input.
 
     a is one matrix or a stack (..., m, m) inverted matrix by matrix in one
@@ -165,7 +160,7 @@ def robust_inverse(a, tol: float | None = None):
     and a bool array of the stack's leading shape for a stack.
     """
     a = _as_matrix(a, "a")
-    used_pinv = is_effectively_singular(a, tol)
+    used_pinv = is_effectively_singular(a)
     if a.ndim == 2:
         return (np.linalg.pinv(a) if used_pinv else np.linalg.inv(a)), used_pinv
     out = np.empty_like(a)
@@ -200,12 +195,11 @@ def builtin_system(
     q_scale: float = 0.1,
     ts: float = 0.01,
     x0: Sequence[float] = (1.0, 1.0),
-    t_range: tuple[float, float] = (0.0, 2.0),
 ) -> LtvSystem:
     """The two-state benchmark plant with Q = q_scale * I."""
     return LtvSystem(
         state_dim=2,
-        transition=BuiltinFamily(t_range=t_range),
+        transition=BuiltinFamily(),
         process_noise_cov=q_scale * np.eye(2),
         initial_state=np.asarray(x0, dtype=float),
         sample_time=ts,

@@ -46,10 +46,6 @@ class ObservabilityCertificate:
     unreachable_states: list = field(default_factory=list)
     matching: list = field(default_factory=list)  # (state_column, row_label) pairs
     dilation_set: list = field(default_factory=list)
-    edge_convention: str = (
-        "x_j->x_i iff a_bar[j,i] is free (digraph of A^T); y->x_i iff the output "
-        "row is free in column i; states are 1-indexed"
-    )
 
     def __str__(self):
         lines = [f"structurally observable: {self.observable}"]
@@ -61,20 +57,21 @@ class ObservabilityCertificate:
                          ", ".join(f"x{s} <- {r}" for s, r in self.matching))
         if self.dilation_set:
             lines.append(f"dilation on states: {sorted(self.dilation_set)}")
-        lines.append(f"edge convention: {self.edge_convention}")
+        lines.append("edge convention: x_j->x_i iff a_bar[j,i] is free (digraph of A^T); y->x_i "
+                     "iff the output row is free in column i; states are 1-indexed")
         return "\n".join(lines)
 
 
-def structure_of(a, tol: float = STRUCTURE_TOL) -> StructuralMatrix:
-    """Pattern with a free parameter wherever |a_ij| > tol."""
-    return StructuralMatrix(np.abs(np.asarray(a, dtype=float)) > tol)
+def structure_of(a) -> StructuralMatrix:
+    """Pattern with a free parameter wherever |a_ij| > STRUCTURE_TOL."""
+    return StructuralMatrix(np.abs(np.asarray(a, dtype=float)) > STRUCTURE_TOL)
 
 
-def union_structure(sys: LtvSystem, horizon_n: int, tol: float = STRUCTURE_TOL) -> StructuralMatrix:
+def union_structure(sys: LtvSystem, horizon_n: int) -> StructuralMatrix:
     """Union pattern of A(k) over k in [0, horizon): free iff free at any step."""
     pattern = np.zeros((sys.state_dim, sys.state_dim), dtype=bool)
     for k in range(horizon_n):
-        pattern |= structure_of(transition_matrix(sys, k), tol).pattern
+        pattern |= structure_of(transition_matrix(sys, k)).pattern
     return StructuralMatrix(pattern)
 
 

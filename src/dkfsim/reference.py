@@ -5,6 +5,7 @@ for one node, one matrix or one step what the batched code in dkf, stability,
 sensing and _kernels computes for whole networks at once:
 
 - time_update_general: one information time update (_kernels._TimeUpdate);
+- node_history: one node's information history (_kernels.node_info_histories);
 - kf_covariance_form: the covariance-form Kalman filter (DkfEngine.fused_runs);
 - recover_estimate: one estimate from an information pair (dkf.recover_estimates);
 - psi, gamma_hat, beta_hat, i_tilde: the stability operator, contraction
@@ -41,6 +42,17 @@ def time_update_general(info, iv, a_inv, q_inv):
     info_next = _symmetrize(d @ mk @ d.T + c @ q_inv @ c.T)
     iv_next = d @ (a_inv.T @ iv)
     return info_next, iv_next
+
+
+def node_history(a_inv, q_inv, l_node) -> np.ndarray:
+    """One node's delay-free posterior information I(k|k), k = 0..N: I(0|0) = l_node,
+    then time_update_general by each A(k)^{-1} of a_inv, plus l_node."""
+    m = l_node.shape[0]
+    hist = [l_node]
+    for a_inv_k in a_inv:
+        info, _ = time_update_general(hist[-1], np.zeros(m), a_inv_k, q_inv)
+        hist.append(info + l_node)
+    return np.array(hist)
 
 
 def kf_covariance_form(sys: LtvSystem, h_stacked, r_blockdiag, z,

@@ -16,7 +16,6 @@ from .model import robust_inverse  # noqa: F401 - per-layer tracing wraps this n
 from .sensing import R_MIN
 from .stability import (
     StabilityParams,
-    _require_network,
     beta_hat_batch,
     bound_operator,
     i_tilde_matrices,
@@ -26,17 +25,16 @@ from . import _kernels, stability
 
 log = logging.getLogger(__name__)
 
-SETTLE_BAND = 0.01
 # packed history entries ((N + 1) m (m + 1) / 2 per node) of one node chunk of
 # stability_select: the network splits into the fewest chunks within it, of
-# equal size rounded up to 64 nodes (3 chunks of 704 nodes at m=5, N=200, 2000
-# nodes; one chunk at m=2). The admission check holds about four (P, entries)
+# equal size (chunks of 667, 667 and 666 nodes at m=5, N=200, 2000 nodes; one
+# chunk at m=2). The admission check holds about four (P, entries)
 # arrays per node block; blocks of an eighth of the budget, split the same way,
 # keep them within half the chunk's histories
 STABILITY_CHUNK = 1 << 21
 
 
-def settling_index(traj, band: float = SETTLE_BAND) -> int:
+def settling_index(traj, band: float) -> int:
     """First step after which every state stays within band of its final value.
 
     The final value is the mean of the last 5% of samples; the band is
@@ -217,7 +215,9 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     block by block, so neither the whole network's histories nor its bounds
     are held at once.
     """
-    network = _require_network(scenario)
+    network = scenario.network
+    if network is None:
+        raise ConfigError("the scenario has no sensor network")
     if len(network) == 0:
         return set(), np.recarray(0, dtype=STABILITY_REPORT)
     n_steps = scenario.n_steps
@@ -234,14 +234,11 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     n_pos = n_steps - k_bar
     first = np.clip(d - k_bar, 0, n_pos)
     ct_exp = n_pos - first
-    warn_pinv_steps(scenario, k_bar + 1, n_steps, k_bar)
+    warn_pinv_steps(scenario, k_bar)
     betas = np.empty(n)
     ct_act = np.empty(n, dtype=np.int64)
-    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+    operator = bound_operator(scenario, k_bar)
     terms = None if params.beta_hat is not None else stability._distinct_noise_terms(scenario)
-    # blocks of 64-node multiples keep the bound matmul's tiles whole, so a
-    # block's bounds equal the whole network's to the bit (so measured with
-    # OpenBLAS; 333-, 417-, 500- and 667-node blocks of 2000 nodes differed)
     chunk = _split(n, STABILITY_CHUNK // ((n_steps + 1) * n_pairs))
     block = _split(chunk, STABILITY_CHUNK // (8 * n_pos * n_pairs))
     for lo in range(0, n, chunk):
@@ -262,10 +259,8 @@ def stability_select(scenario: Scenario, params: StabilityParams):
 
 
 def _split(n: int, cap: int) -> int:
-    """Size of the fewest equal parts of n nodes with at most cap nodes each,
-    rounded up to a multiple of 64 when cap allows 64."""
-    size = -(-n // -(-n // max(cap, 1)))
-    return -(-size // 64) * 64 if cap >= 64 else size
+    """Size of the fewest equal parts of n nodes with at most cap nodes each."""
+    return -(-n // -(-n // max(cap, 1)))
 
 
 def _max_trace_matrices(hist) -> np.ndarray:
@@ -292,7 +287,7 @@ def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, terms, b
         betas = np.full(n, params.beta_hat)
     else:
         # per-node contraction from each node's own history bound
-        betas = beta_hat_batch(scenario, _max_trace_matrices(hist), params.alpha, terms)
+        betas = beta_hat_batch(_max_trace_matrices(hist), params.alpha, terms)
     flat_hist = hist.reshape(n_pairs, n_out * n)
     passed = np.empty(n, dtype=np.int64)
     for lo in range(0, n, block):

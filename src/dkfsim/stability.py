@@ -14,7 +14,6 @@ import numpy as np
 from .dkf import Scenario, _symmetrize
 from .errors import ConfigError
 from .model import robust_inverse, transition_matrix  # noqa: F401 - per-layer tracing wraps these names
-from .sensing import SensorNetwork
 
 log = logging.getLogger(__name__)
 
@@ -53,13 +52,6 @@ def _distinct_noise_terms(scenario) -> np.ndarray:
     return a_inv @ scenario.sys.process_noise_cov @ a_inv.transpose(0, 2, 1)
 
 
-def _require_network(scenario) -> SensorNetwork:
-    """The scenario's network; a plant-only scenario has none to select from."""
-    if scenario.network is None:
-        raise ConfigError("the scenario has no sensor network")
-    return scenario.network
-
-
 def _lambda_max(halves, terms) -> np.ndarray:
     """Largest eigenvalue of H T H for paired stacks H, T (e, m, m)."""
     return np.linalg.eigvalsh(_symmetrize(halves @ terms @ halves))[:, -1]
@@ -86,23 +78,21 @@ def _gamma_max_pruned(halves, terms) -> np.ndarray:
     return gamma_max
 
 
-def beta_hat_batch(scenario: Scenario, bounds, alpha: float, terms=None) -> np.ndarray:
-    """beta-hat for a stack of bound matrices (b, m, m) at once, over the
-    scenario's horizon; returns (b,). terms, the scenario's distinct noise
-    terms, lets a caller that runs many batches derive them once."""
+def beta_hat_batch(bounds, alpha: float, terms) -> np.ndarray:
+    """beta-hat for a stack of bound matrices (b, m, m) at once against the
+    scenario's distinct noise terms (_distinct_noise_terms), which a caller
+    that runs many batches derives once; returns (b,)."""
     bounds = np.asarray(bounds, dtype=float)
     m = bounds.shape[-1]
-    if terms is None:
-        terms = _distinct_noise_terms(scenario)
     w, v = np.linalg.eigh(_symmetrize(bounds) + alpha * np.eye(m))
     halves = v @ (np.sqrt(np.maximum(w, 0.0))[..., None] * v.transpose(0, 2, 1))
     return 1.0 / (1.0 + _gamma_max_pruned(halves, terms))
 
 
-def bound_operator(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int):
+def bound_operator(scenario: Scenario, k_bar: int):
     """The linear map from a node's window inputs to its packed bound matrices
-    for k in [k_lo, k_hi]: op, C-contiguous, of shape (k_bar, m, P, K),
-    P = m (m + 1) / 2, K = k_hi - k_lo + 1.
+    for k in (k_bar, N], N the scenario's steps: op, C-contiguous, of shape
+    (k_bar, m, P, K), P = m (m + 1) / 2, K = N - k_bar.
 
     Row (tau, s) and column (a >= d, k), the pairs a >= d in np.tril_indices
     order, hold G[s, d] G[s, a], with G = G_tau(k) = (A(k-1) ... A(k-tau+1))^{-1},
@@ -113,19 +103,14 @@ def bound_operator(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int):
     pseudo-inverse steps the G products take are reported by the caller
     (warn_pinv_steps).
     """
-    if k_lo < k_bar:
-        raise ConfigError(f"k_lo={k_lo} must be >= k_bar={k_bar}", keys=("k_bar",))
-    if k_hi > scenario.n_steps:
-        raise ConfigError(f"k_hi={k_hi} exceeds the scenario's {scenario.n_steps} steps",
-                          keys=("horizon",))
-    ks = np.arange(k_lo, k_hi + 1)
+    ks = np.arange(k_bar + 1, scenario.n_steps + 1)
     m = scenario.sys.state_dim
     lower = np.tril_indices(m)
     g = np.empty((ks.size, k_bar, m, m))
     g[:, 0] = np.eye(m)
     for tau in range(2, k_bar + 1):
         g[:, tau - 1] = scenario.a_inv_seq[ks - tau + 1] @ g[:, tau - 2]
-    g = g.transpose(1, 2, 3, 0)  # g[tau - 1, s, a, j] = G_tau(k_lo + j)[s, a]
+    g = g.transpose(1, 2, 3, 0)  # g[tau - 1, s, a, j] = G_tau(k_bar + 1 + j)[s, a]
     op = np.empty((k_bar, m, lower[0].size, ks.size))
     return np.multiply(g[:, :, lower[1]], g[:, :, lower[0]], out=op)
 
@@ -150,11 +135,12 @@ def i_tilde_matrices(op, betas, state, inv_r) -> np.ndarray:
     return out.reshape(n_pairs, n_pos, n)
 
 
-def warn_pinv_steps(scenario: Scenario, k_lo: int, k_hi: int, k_bar: int):
-    """Log each step j whose A(j) the bounds for k in [k_lo, k_hi] take as a
-    pseudo-inverse."""
+def warn_pinv_steps(scenario: Scenario, k_bar: int):
+    """Log each step j whose A(j) the bounds for k in (k_bar, N] take as a
+    pseudo-inverse: G_tau(k) inverts A(k - tau + 1) for 2 <= tau <= k_bar, so
+    every 2 <= j < N when k_bar >= 2, and none for a one-step window."""
     for j in scenario.a_pinv_steps:
-        if k_lo - k_bar + 1 <= j < k_hi:
+        if k_bar >= 2 and 2 <= j < scenario.n_steps:
             log.warning("i_tilde: A(%d) effectively singular, using pseudo-inverse", j)
 
 

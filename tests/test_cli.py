@@ -184,3 +184,42 @@ def test_non_finite_input_is_config_error(tmp_path, caplog, overrides, node_line
     cfg = write_cfg(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert caplog.messages == [f"invalid configuration: {message}"]
+
+
+WINDOW_PAST_HORIZON = {"k_bar": 20, "horizon": 20}
+SUBSET_PAST_N_SENSORS = {"mode": "fixed-subset", "subset": "1 51"}
+
+
+@pytest.mark.parametrize("command, overrides, keys", [
+    ("select-stability", WINDOW_PAST_HORIZON, "k_bar, horizon"),
+    ("montecarlo", WINDOW_PAST_HORIZON, "k_bar, horizon"),
+    ("simulate", SUBSET_PAST_N_SENSORS, "subset"),
+    ("montecarlo", SUBSET_PAST_N_SENSORS, "subset"),
+])
+def test_config_no_run_can_satisfy_is_validation_error(tmp_path, caplog, command, overrides,
+                                                       keys):
+    # montecarlo once ran every run into the same ConfigError and exited 3
+    # (numeric failure); it refuses the config up front, as the single-run
+    # subcommands do
+    cfg = write_cfg(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert caplog.messages == [f"invalid configuration: invalid configuration values for: {keys}"]
+    assert not out.exists()
+
+
+def test_negative_seed_is_validation_error(tmp_path, caplog):
+    # numpy's "expected non-negative integer" once escaped main as a traceback
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
+    assert caplog.messages == ["invalid configuration: invalid configuration values for: seed"]
+
+
+def test_non_finite_transition_table_is_validation_error(tmp_path, caplog):
+    # a NaN in the table once reached robust_inverse's SVD and exited 3
+    table = tmp_path / "table.txt"
+    table.write_text("0.9 0\n0 0.9\n\n0.9 nan\n0 0.9\n")
+    cfg = write_cfg(tmp_path, transition=f"table:{table}", horizon=2)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert caplog.messages == ["invalid configuration: table matrices must be finite"]

@@ -83,6 +83,17 @@ def test_validate_collects_offending_keys():
         assert key in err.value.keys
 
 
+def test_validate_checks_window_and_subset_only_where_a_mode_reads_them():
+    # k_bar must leave a step of the horizon for the stability window, and a
+    # fixed subset's ids must exist in a sampled network of n_sensors nodes
+    ExperimentConfig(seed=1, k_bar=20, horizon=20, mode="greedy").validate()
+    ExperimentConfig(seed=1, subset=(2001,), mode="stability").validate()
+    ExperimentConfig(seed=1, subset=(2001,), mode="fixed-subset", network_file="net.txt").validate()
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(seed=-1, subset=(0,), mode="all", k_bar=200).validate()
+    assert err.value.keys == ("seed", "k_bar", "horizon", "subset")
+
+
 @pytest.mark.parametrize("key, text", [
     ("q_scale", "nan"), ("q_scale", "inf"), ("ts", "nan"), ("ts", "inf"),
     ("jitter_std", "nan"), ("jitter_std", "inf"), ("alpha", "nan"), ("alpha", "inf"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dkfsim import _kernels
 from dkfsim.model import builtin_system, robust_inverse, transition_sequence
-from dkfsim.reference import time_update_general
+from dkfsim.reference import node_history
 
 from conftest import node_information, random_system
 
@@ -34,7 +34,7 @@ def assert_rel_close(a, b, rel=1e-12):
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_node_histories_match_time_update_oracle(m):
-    # the kernel against one node at a time through reference.time_update_general
+    # the kernel against one node at a time through reference.node_history
     a_inv, q_inv, state, inv_r = problem(n=25, n_steps=80, m=m, seed=m)
     got = unpacked_histories(a_inv, q_inv, state, inv_r)
     assert_rel_close(got, oracle_histories(a_inv, q_inv, state, inv_r))
@@ -46,20 +46,10 @@ def unpacked_histories(a_inv, q_inv, state, inv_r):
 
 
 def oracle_histories(a_inv, q_inv, state, inv_r):
-    """node_info_histories one node and one step at a time through
-    time_update_general with l_i = e_s e_s^T / r_i, from zero prior information."""
-    m = q_inv.shape[0]
-    l_all = node_information(state, inv_r, m)
-    n = l_all.shape[0]
-    want = np.empty((n, a_inv.shape[0] + 1, m, m))
-    for i, l_i in enumerate(l_all):
-        info = l_i
-        want[i, 0] = info
-        for k, a_inv_k in enumerate(a_inv):
-            info, _ = time_update_general(info, np.zeros(m), a_inv_k, q_inv)
-            info = info + l_i
-            want[i, k + 1] = info
-    return want
+    """node_info_histories one node at a time through reference.node_history
+    with l_i = e_s e_s^T / r_i."""
+    l_all = node_information(state, inv_r, q_inv.shape[0])
+    return np.array([node_history(a_inv, q_inv, l_i) for l_i in l_all])
 
 
 @settings(max_examples=40, deadline=None)

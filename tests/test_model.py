@@ -33,7 +33,7 @@ def test_builtin_a22_quarter_when_t_is_two():
     # t_k = 2 at k = 200 for Ts = 0.01; 2^-2 = 0.25
     sys_ = builtin_system(ts=0.01)
     assert transition_matrix(sys_, 200)[1, 1] == pytest.approx(0.25)
-    # clamped beyond the configured range, so it stays at 0.25
+    # t_k is clamped at 2, so a22 stays at 0.25
     assert transition_matrix(sys_, 5000)[1, 1] == pytest.approx(0.25)
 
 
@@ -152,18 +152,36 @@ def test_invalid_dimensions_rejected():
         builtin_system(ts=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_table_or_initial_state_rejected(bad):
+    # a NaN in a transition table once reached the SVD of robust_inverse
+    # ("SVD did not converge"); both the table and x0 are refused up front
+    table = np.eye(2)
+    table[0, 1] = bad
+    with pytest.raises(ConfigError) as err:
+        LtvSystem(state_dim=2, transition=MatrixTable((np.eye(2), table)),
+                  process_noise_cov=np.eye(2), initial_state=np.zeros(2), sample_time=0.01)
+    assert err.value.keys == ("transition",)
+    with pytest.raises(ConfigError) as err:
+        LtvSystem(state_dim=2, transition=MatrixTable((np.eye(2),)),
+                  process_noise_cov=np.eye(2), initial_state=np.array([0.0, bad]),
+                  sample_time=0.01)
+    assert err.value.keys == ("x0",)
+
+
 def test_singularity_identity_false():
-    assert not is_effectively_singular(np.eye(3), tol=1e-10)
+    assert not is_effectively_singular(np.eye(3))
 
 
 def test_singularity_zero_matrix_true():
-    assert is_effectively_singular(np.zeros((2, 2)), tol=1e-10)
-    assert is_effectively_singular(np.zeros((2, 2)))  # relative default
+    assert is_effectively_singular(np.zeros((2, 2)))
 
 
 def test_singularity_tiny_singular_value():
-    assert is_effectively_singular(np.diag([1.0, 1e-14]), tol=1e-10)
-    assert not is_effectively_singular(np.diag([1.0, 1e-6]), tol=1e-10)
+    # relative to the largest singular value: SINGULAR_TOL = 1e-10
+    assert is_effectively_singular(np.diag([1.0, 1e-14]))
+    assert not is_effectively_singular(np.diag([1.0, 1e-6]))
+    assert not is_effectively_singular(np.diag([1e-6, 1e-12]))
 
 
 @pytest.mark.parametrize("m", [2, 5])

@@ -25,7 +25,7 @@ def obs_matrix(a, h):
 
 
 def test_structure_of_identity():
-    s = structure_of(np.eye(3), tol=0.0)
+    s = structure_of(np.eye(3))
     np.testing.assert_array_equal(s.pattern, np.eye(3, dtype=bool))
 
 

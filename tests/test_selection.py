@@ -9,7 +9,7 @@ from dkfsim import _kernels, selection
 from dkfsim.dkf import DkfEngine, Scenario
 from dkfsim.errors import ConfigError, MetricError, NumericError
 from dkfsim.model import LtvSystem, MatrixTable, builtin_system, robust_inverse, transition_matrix
-from dkfsim.reference import delay_steps, gamma_hat, i_tilde, time_update_general
+from dkfsim.reference import delay_steps, gamma_hat, i_tilde, node_history
 from dkfsim.sensing import R_MIN, SensorNetwork, sample_network
 from dkfsim.selection import (
     GREEDY_REPORT,
@@ -34,7 +34,7 @@ from conftest import network_of, random_system
 
 def test_settling_constant_trajectory_is_zero():
     traj = np.ones((100, 2))
-    assert settling_index(traj) == 0
+    assert settling_index(traj, band=0.01) == 0
 
 
 def test_settling_decaying_exponential_uses_floor():
@@ -143,7 +143,7 @@ def test_metrics_reject_a_stack_of_other_trailing_shape(metric, shape):
 
 
 def sweep(engine, iterations, r_max, tau_max):
-    return greedy_select(engine, iterations, r_max, tau_max, settling_index(engine.truth))
+    return greedy_select(engine, iterations, r_max, tau_max, settling_index(engine.truth, 0.01))
 
 
 def test_greedy_first_iteration_selects_everything():
@@ -217,7 +217,7 @@ def per_iteration_sweep(engine, nodes, iterations, r_max, tau_max):
 
     Returns (nodes, thresholds, mse, md, mse_raw) per iteration.
     """
-    settle = settling_index(engine.truth)
+    settle = settling_index(engine.truth, 0.01)
     out = []
     for it in range(1, iterations + 1):
         r0 = r_max * (1.0 - (it - 1) / iterations)
@@ -410,17 +410,6 @@ def test_stability_select_rejects_unresolved_jitter():
         stability_select(Scenario(builtin_system(), net, 50), StabilityParams(k_bar=5))
 
 
-def per_node_history(a_inv, q_inv, l_node):
-    """One node's delay-free posterior information I(k|k), k = 0..N, one step
-    at a time through reference.time_update_general."""
-    m = l_node.shape[0]
-    hist = [l_node]
-    for a_inv_k in a_inv:
-        info, _ = time_update_general(hist[-1], np.zeros(m), a_inv_k, q_inv)
-        hist.append(info + l_node)
-    return np.array(hist)
-
-
 def per_node_admission(sys_, nodes, params, n_steps):
     """Reference: the per-node admission loop over the (state, variance, base)
     tuples the network was built from, each node one row H = e_s^T and R = [[r]].
@@ -432,7 +421,7 @@ def per_node_admission(sys_, nodes, params, n_steps):
     for node_id, (state, r, base) in enumerate(nodes, start=1):
         h = np.eye(sys_.state_dim)[[state]]
         l_node = h.T @ np.linalg.solve([[r]], h)
-        hist = per_node_history(a_inv, np.linalg.inv(q), l_node)
+        hist = node_history(a_inv, np.linalg.inv(q), l_node)
         if params.beta_hat is not None:
             beta = params.beta_hat
         else:
@@ -497,7 +486,7 @@ def test_bounds_and_admissions_match_reference_with_one_state_unmeasured(m):
     assert set(net.state.tolist()) == set(range(m - 1))
     scenario = Scenario(sys_, net, n_steps)
     betas = rng.uniform(0.3, 1.0, size=len(net))
-    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+    operator = bound_operator(scenario, k_bar)
     mats = _kernels.unpack(i_tilde_matrices(operator, betas, net.state, scenario.inv_r))
     for i, (state, r, _) in enumerate(nodes):
         l_node = np.zeros((m, m))
@@ -599,8 +588,8 @@ def chunk_test_network(rng, m, n_nodes, n_steps, ts):
 
 
 def spy_chunks(monkeypatch, nodes_per_chunk, n_steps, m):
-    """Budget stability_select's chunks at nodes_per_chunk nodes (below 64, so
-    no rounding); returns the list the chunk sizes it runs are appended to."""
+    """Budget stability_select's chunks at nodes_per_chunk nodes; returns the
+    list the chunk sizes it runs are appended to."""
     monkeypatch.setattr(selection, "STABILITY_CHUNK",
                         nodes_per_chunk * (n_steps + 1) * m * (m + 1) // 2)
     sizes = []
@@ -644,6 +633,34 @@ def test_stability_select_warns_each_pinv_step_once(monkeypatch, caplog):
         "i_tilde: A(10) effectively singular, using pseudo-inverse"]
 
 
+N_PINV = 30
+
+
+@pytest.mark.parametrize("j", [1, 2, N_PINV - 1])
+@pytest.mark.parametrize("k_bar", [1, 2, 5])
+def test_pinv_warnings_match_reference_window(caplog, k_bar, j):
+    # the bounds for k in (k_bar, N] invert A(j) for 2 <= j < N, and none for a
+    # one-step window: the selection names each singular A(j) once, exactly
+    # the steps reference.i_tilde logs over the same window
+    rng = np.random.default_rng(13)
+    m = 3
+    mats = list(random_system(rng, m=m, n_steps=N_PINV).transition.matrices)
+    mats[j] = np.diag([0.9, 0.8, 0.0])
+    sys_ = LtvSystem(state_dim=m, transition=MatrixTable(tuple(mats)),
+                     process_noise_cov=0.3 * np.eye(m), initial_state=np.ones(m), sample_time=0.01)
+    net = chunk_test_network(rng, m, 6, N_PINV, sys_.sample_time)
+    with caplog.at_level("WARNING"):
+        stability_select(Scenario(sys_, net, N_PINV), StabilityParams(k_bar=k_bar))
+    selection = [r.message for r in caplog.records if "effectively singular" in r.message]
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        for k in range(k_bar + 1, N_PINV + 1):
+            i_tilde(k, k_bar, 0.5, sys_, np.eye(m))
+    reference = {r.message for r in caplog.records if "effectively singular" in r.message}
+    assert selection == sorted(reference)
+    assert len(selection) == (k_bar >= 2 and j >= 2)
+
+
 def benchmark_shaped_scenario(seed=21):
     """2000 sensors on random states of a random 5-state plant over N = 200
     steps: the shape of the 5-state stability benchmark."""
@@ -657,7 +674,7 @@ def benchmark_shaped_scenario(seed=21):
 
 def test_stability_select_takes_fewest_equal_chunks_of_64_nodes(monkeypatch):
     # 2000 nodes at 3015 packed entries each: at most 695 nodes per chunk, so
-    # 3 chunks, of 667 nodes rounded up to 704
+    # 3 chunks of 667 nodes or one fewer
     sizes = []
     histories = _kernels.node_info_histories
 
@@ -666,7 +683,7 @@ def test_stability_select_takes_fewest_equal_chunks_of_64_nodes(monkeypatch):
         return histories(a_inv_seq, q_inv, state, inv_r)
     monkeypatch.setattr(_kernels, "node_info_histories", spy)
     stability_select(benchmark_shaped_scenario(), StabilityParams(k_bar=20, beta_hat=0.9))
-    assert sizes == [704, 704, 592]
+    assert sizes == [667, 667, 666]
 
 
 def test_stability_select_traced_peak_stays_within_chunk_budget():

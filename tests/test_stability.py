@@ -6,8 +6,7 @@ from dkfsim import _kernels
 from dkfsim.dkf import Scenario, _symmetrize
 from dkfsim.errors import ConfigError
 from dkfsim.model import builtin_system, transition_matrix
-from dkfsim.reference import beta_hat, gamma_hat, i_tilde, psi, time_update_general
-from dkfsim.sensing import SensorNetwork
+from dkfsim.reference import beta_hat, gamma_hat, i_tilde, node_history, psi
 from dkfsim.stability import (
     StabilityParams,
     _distinct_noise_terms,
@@ -132,7 +131,7 @@ def test_beta_hat_batch_matches_single():
     sys_ = builtin_system()
     rng = np.random.default_rng(3)
     bounds = np.stack([random_psd(rng, scale=3.0) for _ in range(5)])
-    batch = beta_hat_batch(Scenario(sys_, None, 120), bounds, alpha=1e-6)
+    batch = beta_hat_batch(bounds, 1e-6, _distinct_noise_terms(Scenario(sys_, None, 120)))
     for i in range(5):
         assert batch[i] == pytest.approx(beta_hat(sys_, 120, bounds[i], 1e-6), rel=1e-9)
 
@@ -161,7 +160,7 @@ def test_beta_hat_batch_pruned_equals_per_term_loop(seed, m, n_bounds, n_steps, 
         f = rng.standard_normal((m, int(rng.integers(0, m + 1))))
         bounds[i] = 10.0 ** rng.uniform(-3, 4) * (f @ f.T)
     alpha = 10.0 ** log_alpha
-    assert np.array_equal(beta_hat_batch(scenario, bounds, alpha),
+    assert np.array_equal(beta_hat_batch(bounds, alpha, _distinct_noise_terms(scenario)),
                           beta_hat_per_term_loop(scenario, bounds, alpha))
 
 
@@ -237,10 +236,10 @@ def test_i_tilde_matrices_consistent_with_direct():
     state, inv_r = random_node_columns(rng, 3, 2)
     l_all = node_information(state, inv_r, 2)
     betas = np.array([0.2, 0.5, 0.9])
-    mats = _kernels.unpack(i_tilde_matrices(bound_operator(Scenario(sys_, None, 45), 30, 45, 5),
+    mats = _kernels.unpack(i_tilde_matrices(bound_operator(Scenario(sys_, None, 45), 5),
                                             betas, state, inv_r))
     for i in range(3):
-        for pos, k in enumerate(range(30, 46)):
+        for pos, k in enumerate(range(6, 46)):
             np.testing.assert_allclose(
                 mats[pos, i], i_tilde(k, 5, betas[i], sys_, l_all[i]), atol=1e-11
             )
@@ -258,7 +257,7 @@ def test_i_tilde_matrices_match_reference_multi_row(m):
     scenario = Scenario(sys_, None, n_steps)
     betas = rng.uniform(0.3, 1.0, size=n)
     mats = _kernels.unpack(i_tilde_matrices(
-        bound_operator(scenario, k_bar + 1, n_steps, k_bar), betas, state, inv_r))
+        bound_operator(scenario, k_bar), betas, state, inv_r))
     for i in range(n):
         for pos, k in enumerate(range(k_bar + 1, n_steps + 1)):
             want = i_tilde(k, k_bar, betas[i], sys_, l_all[i])
@@ -273,11 +272,11 @@ def test_bound_operator_built_once_equals_per_chunk():
     scenario = Scenario(random_system(rng, m=m, n_steps=n_steps), None, n_steps)
     state, inv_r = random_node_columns(rng, n, m)
     betas = rng.uniform(0.3, 1.0, size=n)
-    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+    operator = bound_operator(scenario, k_bar)
     assert operator.flags.c_contiguous
     for part in (slice(0, 4), slice(4, 10)):
         once = i_tilde_matrices(operator, betas[part], state[part], inv_r[part])
-        rebuilt = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
+        rebuilt = bound_operator(scenario, k_bar)
         assert np.array_equal(once, i_tilde_matrices(rebuilt, betas[part], state[part],
                                                      inv_r[part]))
 
@@ -297,14 +296,10 @@ def test_histories_and_bounds_are_exactly_symmetric(m):
     rows, cols = np.tril_indices(m)
     hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r)
     betas = rng.uniform(0.3, 1.0, size=n)
-    bounds = i_tilde_matrices(bound_operator(scenario, k_bar + 1, n_steps, k_bar),
+    bounds = i_tilde_matrices(bound_operator(scenario, k_bar),
                               betas, state, inv_r)
     for i in range(n):
-        info = l_all[i]
-        for k in range(n_steps + 1):
-            if k:
-                info = time_update_general(info, np.zeros(m), scenario.a_inv_seq[k - 1],
-                                           scenario.q_inv)[0] + l_all[i]
+        for k, info in enumerate(node_history(scenario.a_inv_seq, scenario.q_inv, l_all[i])):
             scale = np.abs(info).max()
             assert np.abs(hist[:, k, i] - info[rows, cols]).max() <= 1e-12 * scale
             assert np.abs(hist[:, k, i] - info[cols, rows]).max() <= 1e-12 * scale
@@ -313,35 +308,6 @@ def test_histories_and_bounds_are_exactly_symmetric(m):
             scale = np.abs(want).max()
             assert np.abs(bounds[:, pos, i] - want[rows, cols]).max() <= 1e-12 * scale
             assert np.abs(bounds[:, pos, i] - want[cols, rows]).max() <= 1e-12 * scale
-
-
-def test_i_tilde_window_must_fit_the_scenario():
-    scenario = Scenario(builtin_system(), None, 45)
-    with pytest.raises(ConfigError, match="^k_hi=46 exceeds the scenario's 45 steps$"):
-        bound_operator(scenario, 30, 46, 5)
-
-
-@pytest.mark.parametrize("chunk", [64, 128])
-def test_i_tilde_matrices_chunks_equal_whole_network_rows(chunk):
-    # stability_select bounds node blocks of 64-node multiples (128 and 64
-    # nodes at m=5, N=200) and relies on them equaling the whole network's
-    # columns to the bit; every block is one matmul against the same
-    # operator, so this rests on the BLAS giving a matmul's leading columns the
-    # same bits at any column count. A BLAS that breaks it fails here, not as a
-    # rare flipped admission decision.
-    rng = np.random.default_rng(512)
-    m, n, n_steps, k_bar = 5, 512, 60, 20
-    sys_ = random_system(rng, m=m, n_steps=n_steps)
-    network = SensorNetwork(rng.integers(0, m, size=n), rng.uniform(0.05, 0.5, size=n),
-                            np.zeros(n), np.zeros(n), m)
-    scenario = Scenario(sys_, network, n_steps)
-    betas = rng.uniform(0.5, 1.0, size=n)
-    operator = bound_operator(scenario, k_bar + 1, n_steps, k_bar)
-    whole = i_tilde_matrices(operator, betas, network.state, scenario.inv_r)
-    for lo in range(0, n, chunk):
-        part = slice(lo, lo + chunk)
-        got = i_tilde_matrices(operator, betas[part], network.state[part], scenario.inv_r[part])
-        assert np.array_equal(got, whole[..., part]), f"nodes {lo}..{lo + chunk - 1}"
 
 
 # ---------------------------------------------------------------------------
