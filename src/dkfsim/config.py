@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, SelectionError
 
 MODES = ("greedy", "stability", "fixed-subset", "all")
 
@@ -34,7 +34,6 @@ class ExperimentConfig:
     # stability machinery
     k_bar: int = 20
     alpha: float = 1e-6
-    beta_hat_override: float | None = None
     # experiment
     mode: str = "stability"
     horizon: int = 200
@@ -70,8 +69,6 @@ class ExperimentConfig:
             bad.append("k_bar")
         if not 0 < self.alpha < math.inf:
             bad.append("alpha")
-        if self.beta_hat_override is not None and not (0 < self.beta_hat_override <= 1):
-            bad.append("beta_hat_override")
         if self.mode not in MODES:
             bad.append("mode")
         if self.horizon < 2:
@@ -102,9 +99,14 @@ class ExperimentConfig:
         return self
 
     def subset_ids(self, network) -> list:
+        """The fixed subset's ids in network; SelectionError if it lacks one."""
         if self.subset == ("all",):
             return network.ids()
-        return [int(v) for v in self.subset]
+        ids = [int(v) for v in self.subset]
+        unknown = [i for i in ids if not 1 <= i <= len(network)]
+        if unknown:
+            raise SelectionError(f"unknown node ids in subset: {unknown}", keys=("subset",))
+        return ids
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -124,8 +126,6 @@ def _parse_value(key: str, raw: str):
         return int(raw)
     if key in ("q_scale", "ts", "jitter_std", "alpha", "band"):
         return float(raw)
-    if key == "beta_hat_override":
-        return float(raw) if raw else None
     return raw  # transition, network_file, mode, out
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .config import MODES, ExperimentConfig
 from .dkf import DkfEngine
 from .errors import ConfigError
-from .model import LtvSystem, builtin_system, load_matrix_table
+from .model import LtvSystem, builtin_system, load_matrix_table, transition_matrix
 from .sensing import SensorNetwork, load_network, resolve_delays, sample_network
 from .selection import (
     greedy_select,
@@ -39,8 +39,8 @@ def derive_seed(base_seed: int, run_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(run_index,))
 
 
-def make_rng(base_seed: int, run_index: int = 0) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(base_seed, run_index))
+def make_rng(base_seed: int) -> np.random.Generator:
+    return np.random.default_rng(derive_seed(base_seed, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +181,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         trace(ids, "trace_greedy_best.csv")  # the outcome is the sweep's record, not this re-run
 
     if "stability" in modes:
-        params = compute_params(
-            engine.scenario,
-            k_bar=cfg.k_bar, alpha=cfg.alpha, beta_hat_override=cfg.beta_hat_override,
-        )
+        params = compute_params(engine.scenario, k_bar=cfg.k_bar, alpha=cfg.alpha)
         selected, report = stability_select(engine.scenario, params)
         files.append(export_csv(report, out / "stability_report.csv"))
         ids = selected_nodes["stability"] = sorted(selected)
@@ -233,19 +230,32 @@ class MonteCarloSummary:
         return stats
 
 
+def _check_draw_free(cfg: ExperimentConfig, mode: str):
+    """Raise the ConfigError every run in mode would raise before its first
+    draw: the plant lacks A(horizon - 1) (a table holds A(0), A(1), ... in
+    order), the network file is bad, or a fixed subset names an id it lacks."""
+    transition_matrix(make_system(cfg), cfg.horizon - 1)
+    if cfg.network_file:
+        network = load_network(cfg.network_file, state_dim=cfg.state_dim)
+        if mode == "fixed-subset":
+            cfg.subset_ids(network)
+
+
 def monte_carlo(cfg: ExperimentConfig, runs: int | None = None, out_dir=None) -> MonteCarloSummary:
     """Repeat run_experiment with per-run derived seeds and aggregate the metrics.
 
-    Failed runs are recorded and skipped in the aggregates; callers decide the
-    exit status. Writes montecarlo_runs.csv and montecarlo_summary.csv.
+    A config fault that fails every run alike raises ConfigError before the
+    first run. Failed runs are recorded and skipped in the aggregates; callers
+    decide the exit status. Writes montecarlo_runs.csv and montecarlo_summary.csv.
     """
     cfg.validate()
     runs = cfg.runs if runs is None else runs
     if runs < 1:
         raise ConfigError("runs must be >= 1", keys=("runs",))
+    mode = cfg.mode if cfg.mode != "all" else "stability"
+    _check_draw_free(cfg, mode)
     out = Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    mode = cfg.mode if cfg.mode != "all" else "stability"
     summary = MonteCarloSummary(np.recarray(runs, dtype=MC_RUN))
     for idx in range(runs):
         run_cfg = replace(cfg, mode=mode, seed=int(derive_seed(cfg.seed, idx).generate_state(1)[0]))

@@ -238,7 +238,7 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     betas = np.empty(n)
     ct_act = np.empty(n, dtype=np.int64)
     operator = bound_operator(scenario, k_bar)
-    terms = None if params.beta_hat is not None else stability._distinct_noise_terms(scenario)
+    terms = stability._distinct_noise_terms(scenario)
     chunk = _split(n, STABILITY_CHUNK // ((n_steps + 1) * n_pairs))
     block = _split(chunk, STABILITY_CHUNK // (8 * n_pos * n_pairs))
     for lo in range(0, n, chunk):
@@ -283,11 +283,8 @@ def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, terms, b
     # delay-free per-node information histories (the local IF recursions), packed
     hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r)
     n_pairs, n_out, _ = hist.shape
-    if params.beta_hat is not None:
-        betas = np.full(n, params.beta_hat)
-    else:
-        # per-node contraction from each node's own history bound
-        betas = beta_hat_batch(_max_trace_matrices(hist), params.alpha, terms)
+    # per-node contraction from each node's own history bound
+    betas = beta_hat_batch(_max_trace_matrices(hist), params.alpha, terms)
     flat_hist = hist.reshape(n_pairs, n_out * n)
     passed = np.empty(n, dtype=np.int64)
     for lo in range(0, n, block):

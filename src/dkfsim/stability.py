@@ -24,23 +24,18 @@ PRUNE_MARGIN = 1e-10  # relative slack under which _gamma_max_pruned drops a noi
 
 @dataclass
 class StabilityParams:
-    """Inputs for the bound: window length, regularization, contraction.
-
-    beta_hat=None, the paper's selection, derives each node's beta from its
-    own delay-free information history; a number fixes one beta for every node.
-    """
+    """Inputs for the bound: window length and the regularization of the
+    contraction, which the selection derives per node from that node's own
+    delay-free information history."""
 
     k_bar: int = DEFAULT_K_BAR
     alpha: float = DEFAULT_ALPHA
-    beta_hat: float | None = None
 
     def __post_init__(self):
         if self.k_bar < 1:
             raise ConfigError("k_bar must be >= 1", keys=("k_bar",))
         if self.alpha <= 0.0:
             raise ConfigError("alpha must be > 0", keys=("alpha",))
-        if self.beta_hat is not None and not (0.0 < self.beta_hat <= 1.0):
-            raise ConfigError("beta_hat must lie in (0, 1]", keys=("beta_hat_override",))
 
 
 def _distinct_noise_terms(scenario) -> np.ndarray:
@@ -144,19 +139,12 @@ def warn_pinv_steps(scenario: Scenario, k_bar: int):
             log.warning("i_tilde: A(%d) effectively singular, using pseudo-inverse", j)
 
 
-def compute_params(
-    scenario: Scenario,
-    k_bar: int = DEFAULT_K_BAR,
-    alpha: float = DEFAULT_ALPHA,
-    beta_hat_override: float | None = None,
-) -> StabilityParams:
+def compute_params(scenario: Scenario, k_bar: int = DEFAULT_K_BAR,
+                   alpha: float = DEFAULT_ALPHA) -> StabilityParams:
     """StabilityParams for a prepared scenario (plant, network and horizon).
 
-    Without beta_hat_override, beta_hat stays unset and the selection derives
-    one contraction per node from that node's own information history; the
-    override fixes one beta_hat for every node. The scenario goes unread; the
-    function stays as the one call through which the harness makes the
-    parameters, which perfbench times as its stability.compute_params site.
+    The scenario goes unread; the function stays as the one call through
+    which the harness makes the parameters, which perfbench times as its
+    stability.compute_params site.
     """
-    beta = None if beta_hat_override is None else float(beta_hat_override)
-    return StabilityParams(k_bar=k_bar, alpha=alpha, beta_hat=beta)
+    return StabilityParams(k_bar=k_bar, alpha=alpha)

@@ -5,6 +5,8 @@ package's import graph and public names."""
 
 import ast
 import importlib.util
+import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -12,7 +14,9 @@ import dkfsim
 from dkfsim import harness
 from dkfsim.config import ExperimentConfig
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+README = ROOT / "README.md"
 
 
 def load_spans(monkeypatch):
@@ -26,6 +30,16 @@ def load_spans(monkeypatch):
 
 def test_public_names_resolve():
     assert [name for name in dkfsim.__all__ if not hasattr(dkfsim, name)] == []
+
+
+def test_readme_library_sketch_runs(monkeypatch, tmp_path):
+    # the sketch once called settling_index without its band and raised TypeError
+    (tmp_path / "configs").mkdir()
+    shutil.copy(ROOT / "configs" / "benchmark.cfg", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
 
 
 def test_traced_sites_exist(monkeypatch):

@@ -223,3 +223,25 @@ def test_non_finite_transition_table_is_validation_error(tmp_path, caplog):
     cfg = write_cfg(tmp_path, transition=f"table:{table}", horizon=2)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert caplog.messages == ["invalid configuration: table matrices must be finite"]
+
+
+@pytest.mark.parametrize("case", ["subset-missing-from-file", "table-shorter-than-horizon"])
+@pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+def test_draw_free_fault_is_validation_error(tmp_path, caplog, command, case):
+    # montecarlo once ran every run into the same ConfigError and exited 3;
+    # it checks the plant, the network file and the fixed subset once, first
+    if case == "subset-missing-from-file":
+        net = tmp_path / "net.txt"
+        net.write_text("1 0 0.1 0.0 0.0\n2 1 0.2 0.05 0.0\n")
+        cfg = write_cfg(tmp_path, network_file=net, mode="fixed-subset", subset="1 3", horizon=40)
+        message = "unknown node ids in subset: [3]"
+    else:
+        table = tmp_path / "table.txt"
+        table.write_text("0.9 0\n0 0.9\n\n0.9 0.1\n0 0.9\n")
+        cfg = write_cfg(tmp_path, transition=f"table:{table}", horizon=40)
+        message = "transition table has 2 entries, step"
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert caplog.messages[-1].startswith(f"invalid configuration: {message}")
+    if command == "montecarlo":
+        assert not out.exists()

@@ -97,7 +97,7 @@ def test_validate_checks_window_and_subset_only_where_a_mode_reads_them():
 @pytest.mark.parametrize("key, text", [
     ("q_scale", "nan"), ("q_scale", "inf"), ("ts", "nan"), ("ts", "inf"),
     ("jitter_std", "nan"), ("jitter_std", "inf"), ("alpha", "nan"), ("alpha", "inf"),
-    ("band", "nan"), ("beta_hat_override", "nan"), ("beta_hat_override", "-inf"),
+    ("band", "nan"),
     ("x0", "1 nan"), ("x0", "-inf 1"), ("variance_range", "0 inf"), ("variance_range", "nan 1"),
     ("delay_range", "0 inf"), ("delay_range", "inf inf"),
 ])
@@ -116,14 +116,11 @@ def test_subset_parsing():
     assert cfg2.subset == ("all",)
 
 
-def test_beta_hat_override_parsed_and_applied(tmp_path):
-    cfg = small_cfg(beta_hat_override=0.5)
-    res = run_experiment(cfg, out_dir=tmp_path)
-    assert res.outcomes.mode.tolist() == ["stability"]
-    parsed = parse_config_text("beta_hat_override = 0.25\nseed = 1\n")
-    assert parsed.beta_hat_override == 0.25
-    with pytest.raises(ConfigError):
-        parse_config_text("beta_hat_override = 1.5\nseed = 1\n").validate()
+def test_fixed_beta_hat_key_is_unknown():
+    # every node's beta-hat is derived from its own history; no key fixes one
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("beta_hat_override = 0.5\nseed = 1\n")
+    assert err.value.keys == ("beta_hat_override",)
 
 
 def test_make_system_table_mode(tmp_path):

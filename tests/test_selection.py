@@ -422,13 +422,10 @@ def per_node_admission(sys_, nodes, params, n_steps):
         h = np.eye(sys_.state_dim)[[state]]
         l_node = h.T @ np.linalg.solve([[r]], h)
         hist = node_history(a_inv, np.linalg.inv(q), l_node)
-        if params.beta_hat is not None:
-            beta = params.beta_hat
-        else:
-            peak = hist[np.argmax(np.trace(hist, axis1=1, axis2=2))]
-            gamma = max(gamma_hat(transition_matrix(sys_, k), q, peak, params.alpha)
-                        for k in range(n_steps))
-            beta = 1.0 / (1.0 + gamma)
+        peak = hist[np.argmax(np.trace(hist, axis1=1, axis2=2))]
+        gamma = max(gamma_hat(transition_matrix(sys_, k), q, peak, params.alpha)
+                    for k in range(n_steps))
+        beta = 1.0 / (1.0 + gamma)
         d = delay_steps(base, sys_.sample_time)
         margins = []
         for k in range(params.k_bar + 1, n_steps + 1):
@@ -442,16 +439,15 @@ def per_node_admission(sys_, nodes, params, n_steps):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3, 5]), n_nodes=st.integers(1, 8),
-       k_bar=st.integers(1, 8), extra_steps=st.integers(1, 30), fixed_beta=st.booleans())
-def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_steps, fixed_beta):
+       k_bar=st.integers(1, 8), extra_steps=st.integers(1, 30))
+def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_steps):
     rng = np.random.default_rng(seed)
     n_steps = k_bar + extra_steps
     sys_ = random_system(rng, m=m, n_steps=n_steps)
     # delays up to 1.5x the horizon, so some nodes have no applicable step
     nodes = random_nodes(rng, m, n_nodes, 1.5 * n_steps * sys_.sample_time)
     net = network_of(*nodes, m=m)
-    params = StabilityParams(k_bar=k_bar, beta_hat=float(rng.uniform(0.5, 1.0)) if fixed_beta
-                             else None)
+    params = StabilityParams(k_bar=k_bar)
     selected, report = stability_select(Scenario(sys_, net, n_steps), params)
     assert_matches_per_node_admission(selected, report, net,
                                       per_node_admission(sys_, nodes, params, n_steps))
@@ -672,7 +668,7 @@ def benchmark_shaped_scenario(seed=21):
     return Scenario(sys_, network, n_steps)
 
 
-def test_stability_select_takes_fewest_equal_chunks_of_64_nodes(monkeypatch):
+def test_stability_select_takes_fewest_equal_chunks(monkeypatch):
     # 2000 nodes at 3015 packed entries each: at most 695 nodes per chunk, so
     # 3 chunks of 667 nodes or one fewer
     sizes = []
@@ -682,7 +678,7 @@ def test_stability_select_takes_fewest_equal_chunks_of_64_nodes(monkeypatch):
         sizes.append(len(state))
         return histories(a_inv_seq, q_inv, state, inv_r)
     monkeypatch.setattr(_kernels, "node_info_histories", spy)
-    stability_select(benchmark_shaped_scenario(), StabilityParams(k_bar=20, beta_hat=0.9))
+    stability_select(benchmark_shaped_scenario(), StabilityParams(k_bar=20))
     assert sizes == [667, 667, 666]
 
 

@@ -320,17 +320,13 @@ def test_stability_params_validation():
         StabilityParams(k_bar=0)
     with pytest.raises(ConfigError):
         StabilityParams(alpha=0.0)
-    with pytest.raises(ConfigError):
-        StabilityParams(beta_hat=1.5)
 
 
 def test_compute_params_modes():
     sys_ = builtin_system()
     scenario = Scenario(sys_, network_of((0, 0.3)), 100)
-    derived = compute_params(scenario)
-    assert derived.beta_hat is None
-    overridden = compute_params(scenario, beta_hat_override=0.25)
-    assert overridden.beta_hat == 0.25
+    assert compute_params(scenario) == StabilityParams()
+    assert compute_params(scenario, k_bar=5, alpha=1e-3) == StabilityParams(k_bar=5, alpha=1e-3)
 
 
 def test_information_inverse_matches_riccati_covariance():
