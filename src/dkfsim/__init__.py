@@ -17,7 +17,7 @@ from .model import (
     simulate,
     transition_matrix,
 )
-from .observability import StructuralMatrix, is_structurally_observable, structure_of
+from .observability import is_structurally_observable, structure_of
 from .sensing import SensorNetwork, resolve_delays, sample_network
 from .selection import (
     greedy_select,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DkfEngine", "ExperimentConfig", "LtvSystem", "MonteCarloSummary",
     "Scenario", "SensorNetwork", "StabilityParams",
-    "StructuralMatrix", "backend_name", "builtin_system", "derive_seed", "export_csv",
+    "backend_name", "builtin_system", "derive_seed", "export_csv",
     "greedy_select", "is_effectively_singular", "is_structurally_observable", "load_config",
     "max_deviation", "monte_carlo", "mse", "resolve_delays", "run_experiment",
     "sample_network", "settling_index", "simulate", "stability_select", "structure_of",

@@ -1,9 +1,7 @@
-"""Command-line interface.
+"""Command-line interface: one subcommand per COMMANDS entry.
 
-Subcommands: simulate, select-greedy, select-stability, montecarlo,
-observability-check. Exit codes: 0 success, 1 validation error, 2 I/O error,
-3 numeric failure, 64 usage error (a flag or argument the subcommand does not
-take).
+Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numeric failure,
+64 usage error (a flag or argument the subcommand does not take).
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config
+from .config import _FIELD_TYPES, ExperimentConfig, load_config
 from .errors import ConfigError, NumericError
 from .harness import make_rng, make_network, make_system, monte_carlo, run_experiment
 from .observability import is_structurally_observable, union_structure
@@ -27,11 +25,30 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 64  # sysexits.h EX_USAGE; argparse's own 2 would read as EXIT_IO
 
+# each flag past --config overrides the config key of its name
+FLAG_HELP = {
+    "seed": "base RNG seed (overrides config)",
+    "horizon": "number of filter steps N (overrides config)",
+    "out": "output directory (overrides config)",
+    "runs": "Monte Carlo run count (overrides config)",
+    "iterations": "threshold sweep length",
+}
 
-def _add_common(parser):
-    parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--seed", type=int, help="base RNG seed (overrides config)")
-    parser.add_argument("--horizon", type=int, help="number of filter steps N (overrides config)")
+# subcommand: its help, the flags it takes past --config, --seed and --horizon
+# (which every subcommand takes), and, for one run_experiment, the mode it runs
+# and the label of that mode's outcome line
+COMMANDS = {
+    "simulate": ("run the DKF over a fixed subset (default: all nodes) and write the trace",
+                 ("out",), "fixed-subset", "fixed subset"),
+    "select-greedy": ("run the greedy threshold sweep and report per-iteration metrics",
+                      ("out", "iterations"), "greedy", "best subset"),
+    "select-stability": ("run the stability-criterion selection and report per-node outcomes",
+                         ("out",), "stability", "stability subset"),
+    "montecarlo": ("repeat the configured experiment over derived seeds and aggregate",
+                   ("out", "runs"), None, None),
+    "observability-check": ("print the structural-observability verdict and certificate",
+                            (), None, None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,68 +57,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Delay-aware distributed Kalman filtering and sensor subset selection",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("simulate", "run the DKF over a fixed subset (default: all nodes) and write the trace"),
-        ("select-greedy", "run the greedy threshold sweep and report per-iteration metrics"),
-        ("select-stability", "run the stability-criterion selection and report per-node outcomes"),
-        ("montecarlo", "repeat the configured experiment over derived seeds and aggregate"),
-        ("observability-check", "print the structural-observability verdict and certificate"),
-    ):
+    for name, (descr, flags, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=descr)
-        _add_common(p)
-        if name != "observability-check":
-            p.add_argument("--out", help="output directory (overrides config)")
-        if name == "montecarlo":
-            p.add_argument("--runs", type=int, help="Monte Carlo run count (overrides config)")
-        if name == "select-greedy":
-            p.add_argument("--iterations", type=int, help="threshold sweep length")
+        p.add_argument("--config", help="path to a key = value config file")
+        for key in ("seed", "horizon", *flags):
+            p.add_argument(f"--{key}", type=_FIELD_TYPES[key], help=FLAG_HELP[key])
     return parser
 
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.horizon is not None:
-        cfg.horizon = args.horizon
-    for flag in ("out", "runs", "iterations"):  # registered only where they apply
-        if getattr(args, flag, None) is not None:
-            setattr(cfg, flag, getattr(args, flag))
+    for key in FLAG_HELP:  # a subcommand registers only the flags it takes
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
     return cfg
 
 
-def _print_report(label, report):
-    print(f"{label}: {report.n_selected} nodes, MSE={report.mse:.6g}, MD={report.md:.6g}")
-
-
-def _cmd_simulate(cfg):
-    cfg.mode = "fixed-subset"
+def _cmd_run(cfg, command):
+    """One run_experiment in the subcommand's mode, and its outcome."""
+    _, _, cfg.mode, label = COMMANDS[command]
     result = run_experiment(cfg)
-    _print_report("fixed subset", result.report("fixed-subset"))
-    for path in result.files:
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _cmd_greedy(cfg):
-    cfg.mode = "greedy"
-    result = run_experiment(cfg)
-    best = result.report("greedy")
-    print(f"best iteration: {best.iteration} (R0={best.r0:.6g}, tau0={best.tau0:.6g})")
-    _print_report("best subset", best)
-    for path in result.files:
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _cmd_stability(cfg):
-    cfg.mode = "stability"
-    result = run_experiment(cfg)
-    report = result.report("stability")
+    report = result.report(cfg.mode)
+    if cfg.mode == "greedy":
+        print(f"best iteration: {report.iteration} (R0={report.r0:.6g}, tau0={report.tau0:.6g})")
     if report.n_selected:
-        _print_report("stability subset", report)
+        print(f"{label}: {report.n_selected} nodes, MSE={report.mse:.6g}, MD={report.md:.6g}")
     else:
-        print("stability selection returned no nodes")
+        print(f"{cfg.mode} selection returned no nodes")
     for path in result.files:
         print(f"wrote {path}")
     return EXIT_OK
@@ -122,8 +104,8 @@ def _cmd_observability(cfg):
     rng = make_rng(cfg.seed)
     network = make_network(cfg, rng)
     a_bar = union_structure(sys_, cfg.horizon)
-    h_bars = np.eye(network.state_dim, dtype=bool)[network.state]  # one basis row per node
-    observable, certificate = is_structurally_observable(a_bar, h_bars)
+    h_bar = np.eye(network.state_dim, dtype=bool)[network.state]  # one basis row per node
+    observable, certificate = is_structurally_observable(a_bar, h_bar)
     print(certificate)
     return EXIT_OK
 
@@ -137,14 +119,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         cfg = _load(args)
-        handler = {
-            "simulate": _cmd_simulate,
-            "select-greedy": _cmd_greedy,
-            "select-stability": _cmd_stability,
-            "montecarlo": _cmd_montecarlo,
-            "observability-check": _cmd_observability,
-        }[args.command]
-        return handler(cfg)
+        if args.command == "montecarlo":
+            return _cmd_montecarlo(cfg)
+        if args.command == "observability-check":
+            return _cmd_observability(cfg)
+        return _cmd_run(cfg, args.command)
     except ConfigError as exc:
         log.error("invalid configuration: %s", exc)
         return EXIT_CONFIG

@@ -7,8 +7,9 @@ together in a single ConfigError.
 
 from __future__ import annotations
 
+import builtins
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, SelectionError
 
@@ -109,24 +110,19 @@ class ExperimentConfig:
         return ids
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+# each key's declared type as the builtin that parses it; seed's "int | None" parses as int
+_FIELD_TYPES = {f.name: getattr(builtins, f.type.split(" | ")[0]) for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("x0", "variance_range", "delay_range"):
-        parts = raw.replace(",", " ").split()
-        return tuple(float(v) for v in parts)
+    """raw as key's declared type; a tuple holds floats, or subset's node ids."""
+    kind = _FIELD_TYPES[key]
+    if kind is not tuple:
+        return kind(raw)
+    parts = raw.replace(",", " ").split()
     if key == "subset":
-        parts = raw.replace(",", " ").split()
-        if parts == ["all"] or not parts:
-            return ("all",)
-        return tuple(int(v) for v in parts)
-    if key in ("state_dim", "n_sensors", "k_bar", "horizon", "seed", "runs", "iterations"):
-        return int(raw)
-    if key in ("q_scale", "ts", "jitter_std", "alpha", "band"):
-        return float(raw)
-    return raw  # transition, network_file, mode, out
+        return ("all",) if parts in ([], ["all"]) else tuple(int(v) for v in parts)
+    return tuple(float(v) for v in parts)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -23,20 +23,6 @@ from .model import LtvSystem, transition_matrix
 STRUCTURE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class StructuralMatrix:
-    """Zero / free-parameter pattern of a numerical matrix."""
-
-    pattern: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pattern", np.asarray(self.pattern, dtype=bool))
-
-    @property
-    def shape(self):
-        return self.pattern.shape
-
-
 @dataclass
 class ObservabilityCertificate:
     """Audit trail for a structural-observability verdict."""
@@ -62,17 +48,17 @@ class ObservabilityCertificate:
         return "\n".join(lines)
 
 
-def structure_of(a) -> StructuralMatrix:
-    """Pattern with a free parameter wherever |a_ij| > STRUCTURE_TOL."""
-    return StructuralMatrix(np.abs(np.asarray(a, dtype=float)) > STRUCTURE_TOL)
+def structure_of(a) -> np.ndarray:
+    """Bool pattern, True (a free parameter) wherever |a_ij| > STRUCTURE_TOL."""
+    return np.abs(np.asarray(a, dtype=float)) > STRUCTURE_TOL
 
 
-def union_structure(sys: LtvSystem, horizon_n: int) -> StructuralMatrix:
+def union_structure(sys: LtvSystem, horizon_n: int) -> np.ndarray:
     """Union pattern of A(k) over k in [0, horizon): free iff free at any step."""
     pattern = np.zeros((sys.state_dim, sys.state_dim), dtype=bool)
     for k in range(horizon_n):
-        pattern |= structure_of(transition_matrix(sys, k)).pattern
-    return StructuralMatrix(pattern)
+        pattern |= structure_of(transition_matrix(sys, k))
+    return pattern
 
 
 def _max_matching(adj, n_left, n_right):
@@ -119,44 +105,32 @@ def _hall_violator(adj, match_left, match_right, n_right):
     return sorted(seen_left)
 
 
-def is_structurally_observable(a_bar: StructuralMatrix, h_bars) -> tuple:
-    """Verdict plus certificate for the pair (A-bar, stacked H-bars)."""
-    a = a_bar.pattern
+def is_structurally_observable(a_bar, h_bar) -> tuple:
+    """Verdict plus certificate for the (m, m) pattern A-bar and the (p, m)
+    pattern H-bar, one row per output (bool arrays)."""
+    a = np.asarray(a_bar, dtype=bool)
+    h = np.asarray(h_bar, dtype=bool)
     m = a.shape[0]
     if a.shape != (m, m):
         raise ConfigError("A-bar must be square")
-    h_rows = []
-    for h_bar in h_bars:
-        h = h_bar.pattern if isinstance(h_bar, StructuralMatrix) else np.asarray(h_bar, dtype=bool)
-        h = np.atleast_2d(h)
-        if h.shape[1] != m:
-            raise ConfigError("H-bar column count must match state dimension")
-        h_rows.extend(h)
+    if h.ndim != 2 or h.shape[1] != m:
+        raise ConfigError("H-bar column count must match state dimension")
     cert = ObservabilityCertificate(observable=False)
-    if not h_rows:
+    if not len(h):
         cert.unreachable_states = list(range(1, m + 1))
         return False, cert
-    h_stack = np.array(h_rows, dtype=bool)
 
-    # Reachability: BFS from the output vertices along y->x_i then x_j->x_i
-    # (x_j -> x_i iff a[j, i]).
-    reachable = np.zeros(m, dtype=bool)
-    queue = deque()
-    for i in np.nonzero(h_stack.any(axis=0))[0]:
-        reachable[i] = True
-        queue.append(i)
-    while queue:
-        j = queue.popleft()
-        for i in np.nonzero(a[j])[0]:
-            if not reachable[i]:
-                reachable[i] = True
-                queue.append(i)
+    # Reachability from the output vertices along y->x_i then x_j->x_i
+    # (x_j -> x_i iff a[j, i]); a path visits at most m states.
+    reachable = h.any(axis=0)
+    for _ in range(m):
+        reachable |= a[reachable].any(axis=0)
     cert.reachable_states = [int(i) + 1 for i in np.nonzero(reachable)[0]]
     cert.unreachable_states = [int(i) + 1 for i in np.nonzero(~reachable)[0]]
 
     # Dilation: match every state column of [A-bar; H-bar] to a distinct row.
-    stacked = np.vstack([a, h_stack])
-    labels = [f"a{r + 1}" for r in range(m)] + [f"h{r + 1}" for r in range(len(h_rows))]
+    stacked = np.vstack([a, h])
+    labels = [f"a{r + 1}" for r in range(m)] + [f"h{r + 1}" for r in range(len(h))]
     adj = [list(np.nonzero(stacked[:, col])[0]) for col in range(m)]
     match_left, match_right = _max_matching(adj, m, stacked.shape[0])
     matched = sum(1 for j in match_left if j != -1)

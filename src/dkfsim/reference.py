@@ -22,7 +22,6 @@ import numpy as np
 from .dkf import _symmetrize
 from .errors import ConfigError, NumericError
 from .model import LtvSystem, is_effectively_singular, robust_inverse, transition_matrix
-from .sensing import _round_steps
 
 log = logging.getLogger(__name__)
 
@@ -180,9 +179,11 @@ def i_tilde(k: int, k_bar: int, beta: float, sys: LtvSystem, l_node) -> np.ndarr
 def delay_steps(base: float, ts: float) -> int:
     """A constant delay of base seconds in filter steps.
 
-    Round-to-nearest with ties away from zero; a 1e-9 nudge absorbs binary
+    Round-to-nearest with ties away from zero: the whole steps, plus one when
+    the fraction left reaches a half less 1e-9, a slack that absorbs binary
     representation error in ratios like 0.015/0.01.
     """
     if ts <= 0.0:
         raise ConfigError("ts must be positive", keys=("ts",))
-    return int(_round_steps(base, ts))
+    whole, frac = divmod(base / ts, 1.0)
+    return int(whole) + (frac >= 0.5 - 1e-9)

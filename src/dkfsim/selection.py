@@ -154,9 +154,9 @@ def greedy_select(engine: DkfEngine, iterations: int, r_max: float, tau_max: flo
                 f"non-finite fused information in greedy iteration {iteration} at step {exc.step}",
                 step=exc.step,
             ) from exc
-        report.mse[ran] = mse(xhats, engine.truth, settle)
-        report.md[ran] = max_deviation(xhats, engine.truth)
         report.mse_raw[ran] = mse_raw(xhats, engine.truth, settle)
+        report.mse[ran] = report.mse_raw[ran] / (len(engine.truth) - settle)  # as mse
+        report.md[ran] = max_deviation(xhats, engine.truth)
     return report
 
 

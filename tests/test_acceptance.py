@@ -16,7 +16,7 @@ from dkfsim.config import ExperimentConfig
 from dkfsim.dkf import DkfEngine
 from dkfsim.harness import monte_carlo, run_experiment
 from dkfsim.model import builtin_system, transition_matrix
-from dkfsim.observability import StructuralMatrix, is_structurally_observable, structure_of
+from dkfsim.observability import is_structurally_observable, structure_of
 from dkfsim.sensing import SensorNetwork
 from dkfsim.reference import beta_hat, i_tilde, kf_covariance_form, psi
 from dkfsim import _kernels
@@ -222,15 +222,10 @@ def test_criterion_08_stochastic_delay_monte_carlo(benchmark_run, tmp_path):
 def test_criterion_09_structural_observability():
     sys_ = builtin_system()
     a_bar = structure_of(transition_matrix(sys_, 0))
-    ok, cert = is_structurally_observable(
-        a_bar, [StructuralMatrix(np.array([[False, True]]))]
-    )
+    ok, cert = is_structurally_observable(a_bar, np.array([[False, True]]))
     assert ok and not cert.unreachable_states
 
-    ok2, cert2 = is_structurally_observable(
-        StructuralMatrix(np.eye(2, dtype=bool)),
-        [StructuralMatrix(np.array([[True, False]]))],
-    )
+    ok2, cert2 = is_structurally_observable(np.eye(2, dtype=bool), np.array([[True, False]]))
     assert not ok2
     assert cert2.unreachable_states == [2]
 
@@ -240,9 +235,7 @@ def test_criterion_09_structural_observability():
         m = int(rng.integers(1, 5))
         a_pat = rng.random((m, m)) < 0.45
         h_pat = rng.random((1, m)) < 0.6
-        verdict, _ = is_structurally_observable(
-            StructuralMatrix(a_pat), [StructuralMatrix(h_pat)]
-        )
+        verdict, _ = is_structurally_observable(a_pat, h_pat)
         if not verdict:
             continue
         checked += 1

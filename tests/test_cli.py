@@ -71,6 +71,10 @@ def test_observability_check_subcommand(tmp_path, capsys):
     ("simulate", "--runs"),
     ("select-greedy", "--runs"),
     ("select-stability", "--runs"),
+    ("simulate", "--iterations"),
+    ("select-stability", "--iterations"),
+    ("montecarlo", "--iterations"),
+    ("observability-check", "--iterations"),
 ])
 def test_flag_outside_its_subcommand_is_usage_error(tmp_path, capsys, command, flag):
     # a flag a subcommand would ignore is refused, not silently accepted

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -66,6 +67,30 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg.variance_range == (0.0, 0.5)
     assert cfg.mode == "greedy"
     assert cfg.seed == 42
+
+
+def test_parse_config_every_key_as_its_declared_type():
+    # one non-default value per field, as a config file writes it, and the
+    # value and type it parses to
+    cases = {
+        "state_dim": ("3", 3), "transition": ("table:plant.txt", "table:plant.txt"),
+        "q_scale": ("0.2", 0.2), "x0": ("1 2 3", (1.0, 2.0, 3.0)), "ts": ("0.02", 0.02),
+        "n_sensors": ("50", 50), "variance_range": ("0.1, 0.4", (0.1, 0.4)),
+        "delay_range": ("0.5 1.5", (0.5, 1.5)), "jitter_std": ("0.05", 0.05),
+        "network_file": ("net.txt", "net.txt"), "k_bar": ("12", 12), "alpha": ("1e-5", 1e-5),
+        "mode": ("greedy", "greedy"), "horizon": ("80", 80), "seed": ("9", 9), "runs": ("4", 4),
+        "out": ("results", "results"), "iterations": ("30", 30),
+        "subset": ("3, 1 2", (3, 1, 2)), "band": ("0.02", 0.02),
+    }
+    assert set(cases) == {f.name for f in fields(ExperimentConfig)}
+    cfg = parse_config_text("\n".join(f"{key} = {raw}" for key, (raw, _) in cases.items()))
+    defaults = ExperimentConfig()
+    for key, (_, want) in cases.items():
+        got = getattr(cfg, key)
+        assert got == want and got != getattr(defaults, key), key
+        assert type(got) is type(want), key
+        if isinstance(want, tuple):
+            assert [type(v) for v in got] == [type(v) for v in want], key
 
 
 def test_parse_config_unknown_keys_collected():

@@ -5,12 +5,7 @@ import pytest
 
 from dkfsim.errors import ConfigError
 from dkfsim.model import builtin_system, transition_matrix
-from dkfsim.observability import (
-    StructuralMatrix,
-    is_structurally_observable,
-    structure_of,
-    union_structure,
-)
+from dkfsim.observability import is_structurally_observable, structure_of, union_structure
 
 
 def obs_matrix(a, h):
@@ -26,27 +21,27 @@ def obs_matrix(a, h):
 
 def test_structure_of_identity():
     s = structure_of(np.eye(3))
-    np.testing.assert_array_equal(s.pattern, np.eye(3, dtype=bool))
+    np.testing.assert_array_equal(s, np.eye(3, dtype=bool))
 
 
 def test_structure_of_benchmark_transition_all_stars():
     a0 = transition_matrix(builtin_system(), 0)
-    assert structure_of(a0).pattern.all()
+    assert structure_of(a0).all()
 
 
 def test_structure_of_zero_matrix():
-    assert not structure_of(np.zeros((2, 2))).pattern.any()
+    assert not structure_of(np.zeros((2, 2))).any()
 
 
 def test_union_structure_over_horizon():
     s = union_structure(builtin_system(), 300)
-    assert s.pattern.all()
+    assert s.all()
 
 
 def test_benchmark_pattern_observable_with_single_row():
     a_bar = structure_of(transition_matrix(builtin_system(), 0))
     for row in ([[True, False]], [[False, True]]):
-        ok, cert = is_structurally_observable(a_bar, [StructuralMatrix(np.array(row))])
+        ok, cert = is_structurally_observable(a_bar, np.array(row))
         assert ok
         assert cert.unreachable_states == []
         assert not cert.dilation_set
@@ -54,22 +49,20 @@ def test_benchmark_pattern_observable_with_single_row():
 
 
 def test_decoupled_counterexample_names_state_two():
-    a_bar = StructuralMatrix(np.eye(2, dtype=bool))
-    h = StructuralMatrix(np.array([[True, False]]))
-    ok, cert = is_structurally_observable(a_bar, [h])
+    a_bar = np.eye(2, dtype=bool)
+    h = np.array([[True, False]])
+    ok, cert = is_structurally_observable(a_bar, h)
     assert not ok
     assert cert.unreachable_states == [2]
 
 
 def test_single_state_observable():
-    ok, cert = is_structurally_observable(
-        StructuralMatrix(np.array([[True]])), [StructuralMatrix(np.array([[True]]))]
-    )
+    ok, cert = is_structurally_observable(np.array([[True]]), np.array([[True]]))
     assert ok
 
 
 def test_empty_output_set_not_observable():
-    ok, cert = is_structurally_observable(StructuralMatrix(np.eye(2, dtype=bool)), [])
+    ok, cert = is_structurally_observable(np.eye(2, dtype=bool), np.zeros((0, 2), dtype=bool))
     assert not ok
     assert cert.unreachable_states == [1, 2]
 
@@ -77,11 +70,11 @@ def test_empty_output_set_not_observable():
 def test_direction_convention_chain_systems():
     # x1 feeds x2 (a21 star): measuring x1 sees nothing of x2; measuring x2
     # recovers the chain.
-    lower = StructuralMatrix(np.array([[True, False], [True, True]]))
-    h1 = StructuralMatrix(np.array([[True, False]]))
-    h2 = StructuralMatrix(np.array([[False, True]]))
-    ok1, _ = is_structurally_observable(lower, [h1])
-    ok2, _ = is_structurally_observable(lower, [h2])
+    lower = np.array([[True, False], [True, True]])
+    h1 = np.array([[True, False]])
+    h2 = np.array([[False, True]])
+    ok1, _ = is_structurally_observable(lower, h1)
+    ok2, _ = is_structurally_observable(lower, h2)
     assert not ok1
     assert ok2
 
@@ -89,9 +82,9 @@ def test_direction_convention_chain_systems():
 def test_dilation_detected():
     # static states seen only through one combined output row: every state is
     # reachable from y, but x1 and x2 are structurally indistinguishable
-    a_bar = StructuralMatrix(np.zeros((2, 2), dtype=bool))
-    h = StructuralMatrix(np.array([[True, True]]))
-    ok, cert = is_structurally_observable(a_bar, [h])
+    a_bar = np.zeros((2, 2), dtype=bool)
+    h = np.array([[True, True]])
+    ok, cert = is_structurally_observable(a_bar, h)
     assert not ok
     assert cert.unreachable_states == []  # reachability alone is satisfied
     assert cert.dilation_set
@@ -106,11 +99,11 @@ def test_adding_sensors_never_breaks_observability():
     rng = np.random.default_rng(5)
     for _ in range(50):
         m = int(rng.integers(1, 5))
-        a_bar = StructuralMatrix(rng.random((m, m)) < 0.4)
-        rows = [StructuralMatrix(rng.random((1, m)) < 0.5) for _ in range(3)]
+        a_bar = rng.random((m, m)) < 0.4
+        rows = [rng.random((1, m)) < 0.5 for _ in range(3)]
         verdicts = []
         for count in (1, 2, 3):
-            ok, _ = is_structurally_observable(a_bar, rows[:count])
+            ok, _ = is_structurally_observable(a_bar, np.vstack(rows[:count]))
             verdicts.append(ok)
         for earlier, later in zip(verdicts, verdicts[1:]):
             assert not (earlier and not later)
@@ -120,11 +113,11 @@ def test_verdict_invariant_to_sensor_permutation():
     rng = np.random.default_rng(6)
     for _ in range(30):
         m = int(rng.integers(2, 5))
-        a_bar = StructuralMatrix(rng.random((m, m)) < 0.4)
-        rows = [StructuralMatrix(rng.random((1, m)) < 0.5) for _ in range(3)]
-        base, _ = is_structurally_observable(a_bar, rows)
+        a_bar = rng.random((m, m)) < 0.4
+        rows = [rng.random((1, m)) < 0.5 for _ in range(3)]
+        base, _ = is_structurally_observable(a_bar, np.vstack(rows))
         for perm in itertools.permutations(rows):
-            ok, _ = is_structurally_observable(a_bar, list(perm))
+            ok, _ = is_structurally_observable(a_bar, np.vstack(perm))
             assert ok == base
 
 
@@ -137,9 +130,7 @@ def test_structural_implies_generic_rank():
         m = int(rng.integers(1, 5))
         a_bar = rng.random((m, m)) < 0.45
         h_bar = rng.random((1, m)) < 0.6
-        ok, _ = is_structurally_observable(
-            StructuralMatrix(a_bar), [StructuralMatrix(h_bar)]
-        )
+        ok, _ = is_structurally_observable(a_bar, h_bar)
         if not ok:
             continue
         checked += 1
@@ -154,17 +145,11 @@ def test_structural_implies_generic_rank():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ConfigError):
-        is_structurally_observable(
-            StructuralMatrix(np.eye(2, dtype=bool)),
-            [StructuralMatrix(np.array([[True, False, True]]))],
-        )
+        is_structurally_observable(np.eye(2, dtype=bool), np.array([[True, False, True]]))
 
 
 def test_certificate_printable():
-    ok, cert = is_structurally_observable(
-        StructuralMatrix(np.eye(2, dtype=bool)),
-        [StructuralMatrix(np.array([[True, False]]))],
-    )
+    ok, cert = is_structurally_observable(np.eye(2, dtype=bool), np.array([[True, False]]))
     text = str(cert)
     assert "structurally observable: False" in text
     assert "unreachable states: [2]" in text

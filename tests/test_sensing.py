@@ -64,14 +64,21 @@ def test_sample_network_refuses_non_finite_range(variance_range, delay_range):
         sample_network(5, variance_range, delay_range, np.random.default_rng(0))
 
 
+def both_delay_steps(base, ts):
+    """base seconds in filter steps by the reference rule and by a one-node network."""
+    return delay_steps(base, ts), int(network_of((0, 0.25, base)).delay_steps(ts)[0])
+
+
 def test_delay_steps_exact_division():
-    assert delay_steps(0.02, ts=0.01) == 2
+    assert both_delay_steps(0.02, ts=0.01) == (2, 2)
 
 
 def test_delay_steps_ties_away_from_zero():
-    # 0.015 / 0.01 = 1.5 rounds to 2
-    assert delay_steps(0.015, ts=0.01) == 2
-    assert delay_steps(0.0149, ts=0.01) == 1
+    # 0.015 / 0.01 = 1.5 rounds to 2; 0.145 / 0.01 gives 14.499999999999998,
+    # a tie all the same
+    assert both_delay_steps(0.015, ts=0.01) == (2, 2)
+    assert both_delay_steps(0.145, ts=0.01) == (15, 15)
+    assert both_delay_steps(0.0149, ts=0.01) == (1, 1)
 
 
 def test_delay_steps_negative_jitter_clamped():
@@ -93,7 +100,7 @@ def test_delay_steps_refuses_unresolved_jitter():
 
 def test_delay_steps_integer_multiple_exact():
     for k in range(0, 300, 13):
-        assert delay_steps(k * 0.01, ts=0.01) == k
+        assert both_delay_steps(k * 0.01, ts=0.01) == (k, k)
 
 
 def test_resolve_delays_folds_jitter_once():
