@@ -99,7 +99,7 @@ def _cmd_montecarlo(cfg):
 
 
 def _cmd_observability(cfg):
-    cfg.validate()
+    cfg.validate(mode=None)  # reads the plant, the network and the horizon only
     sys_ = make_system(cfg)
     rng = make_rng(cfg.seed)
     network = make_network(cfg, rng)

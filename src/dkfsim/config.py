@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError, SelectionError
 
 MODES = ("greedy", "stability", "fixed-subset", "all")
+_OWN_MODE = object()  # validate's default: the rules of the config's own mode
 
 
 @dataclass
@@ -45,9 +46,13 @@ class ExperimentConfig:
     subset: tuple = ("all",)
     band: float = 0.01
 
-    def validate(self):
+    def validate(self, mode=_OWN_MODE):
         """Raise one ConfigError naming every invalid key; NaN and +-inf are
-        invalid in every float key."""
+        invalid in every float key. The stability window and the fixed
+        subset's ids are checked only where mode, by default the config's
+        own, runs them; mode None runs neither."""
+        if mode is _OWN_MODE:
+            mode = self.mode
         bad = []
         if self.state_dim < 1:
             bad.append("state_dim")
@@ -84,7 +89,7 @@ class ExperimentConfig:
             bad.append("band")
         # a config no run can satisfy: the stability window needs a step past
         # k_bar, and a sampled network has exactly the ids 1..n_sensors
-        if self.mode in ("stability", "all") and self.horizon <= self.k_bar:
+        if mode in ("stability", "all") and self.horizon <= self.k_bar:
             bad += [key for key in ("k_bar", "horizon") if key not in bad]
         if self.subset != ("all",):
             try:
@@ -92,7 +97,7 @@ class ExperimentConfig:
             except (TypeError, ValueError):
                 bad.append("subset")
             else:
-                if (self.mode in ("fixed-subset", "all") and not self.network_file
+                if (mode in ("fixed-subset", "all") and not self.network_file
                         and not all(1 <= i <= self.n_sensors for i in ids)):
                     bad.append("subset")
         if bad:

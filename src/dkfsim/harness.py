@@ -249,11 +249,11 @@ def monte_carlo(cfg: ExperimentConfig, runs: int | None = None, out_dir=None) ->
     first run. Failed runs are recorded and skipped in the aggregates; callers
     decide the exit status. Writes montecarlo_runs.csv and montecarlo_summary.csv.
     """
-    cfg.validate()
+    mode = cfg.mode if cfg.mode != "all" else "stability"
+    cfg.validate(mode)
     runs = cfg.runs if runs is None else runs
     if runs < 1:
         raise ConfigError("runs must be >= 1", keys=("runs",))
-    mode = cfg.mode if cfg.mode != "all" else "stability"
     _check_draw_free(cfg, mode)
     out = Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -88,16 +88,7 @@ def network_of(*nodes, m=2):
     return SensorNetwork(state, variance, base, jitter, m)
 
 
-def stacked_model(network):
-    """(H, R) of the whole network as one centralized sensor: one basis row
-    and one diagonal variance per node."""
-    return np.eye(network.state_dim)[network.state], np.diag(network.variance)
-
-
-def node_information(state, inv_r, m):
-    """Each node's l_i = e_s e_s^T / r_i as an (n, m, m) stack, for the
-    one-matrix oracles of dkfsim.reference."""
-    state = np.asarray(state)
-    l_all = np.zeros((state.size, m, m))
-    l_all[np.arange(state.size), state, state] = inv_r
-    return l_all
+def assert_rel_close(a, b, rel=1e-12):
+    """max|a - b| <= rel * max|b|, with max|b| floored at 1e-300 only so that an
+    all-zero b asks for an exact match."""
+    assert np.abs(a - b).max() <= rel * max(np.abs(b).max(), 1e-300)

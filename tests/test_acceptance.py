@@ -18,11 +18,11 @@ from dkfsim.harness import monte_carlo, run_experiment
 from dkfsim.model import builtin_system, transition_matrix
 from dkfsim.observability import is_structurally_observable, structure_of
 from dkfsim.sensing import SensorNetwork
-from dkfsim.reference import beta_hat, i_tilde, kf_covariance_form, psi
 from dkfsim import _kernels
 from dkfsim.model import robust_inverse, transition_sequence
 
 from conftest import random_psd, random_system
+from reference import beta_hat, i_tilde, kf_covariance_form, psi
 
 BASE_SEED = 0  # the seed-fixed benchmark realization used by criteria 6-8
 

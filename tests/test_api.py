@@ -1,7 +1,7 @@
 """The package's public names and the call sites the benchmark's tracer wraps
 must exist, so a deletion that drops one fails here rather than only when the
-benchmark runs; and the test-only oracles of dkfsim.reference stay out of the
-package's import graph and public names."""
+benchmark runs; and the test-only oracles of tests/reference.py stay out of the
+package and its import graph."""
 
 import ast
 import importlib.util
@@ -70,30 +70,45 @@ def test_traced_hooks_read_real_results(monkeypatch, tmp_path):
     assert None not in spans.layer_metrics(tracer).values()
 
 
+REFERENCE_NAMES = ("reference", "dkfsim.reference")
+
+
 def imports_reference(tree) -> bool:
-    """Whether a module's syntax tree imports dkfsim.reference in any spelling."""
+    """Whether a module's syntax tree imports the oracle module, as reference
+    or dkfsim.reference, in any spelling: import, from-import, relative import,
+    or importlib.import_module / __import__ of the name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(alias.name == "dkfsim.reference" for alias in node.names):
+            if any(alias.name in REFERENCE_NAMES or alias.name.startswith("reference.")
+                   for alias in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom):
-            if node.module in ("reference", "dkfsim.reference"):
+            if node.module in REFERENCE_NAMES:
                 return True
             if node.module in (None, "dkfsim") and any(a.name == "reference" for a in node.names):
+                return True
+        elif isinstance(node, ast.Call) and node.args:
+            arg = node.args[0]
+            if (isinstance(arg, ast.Constant)
+                    and arg.value in (*REFERENCE_NAMES, ".reference")):
                 return True
     return False
 
 
 def test_reference_stays_out_of_the_production_path():
-    # the one-matrix oracles are for tests: no package module imports them
-    # and the package does not export them
+    # the one-matrix oracles live in tests/reference.py. Under pytest tests/
+    # is on sys.path, so a package module that imported reference would pass
+    # here and fail only once installed: the package holds no such module and
+    # none of its modules imports one
+    assert importlib.util.find_spec("dkfsim.reference") is None
     src = Path(dkfsim.__file__).parent
     importers = [path.name for path in sorted(src.glob("*.py"))
-                 if path.name != "reference.py"
-                 and imports_reference(ast.parse(path.read_text(encoding="utf-8")))]
+                 if imports_reference(ast.parse(path.read_text(encoding="utf-8")))]
     assert importers == []
-    tree = ast.parse((src / "reference.py").read_text(encoding="utf-8"))
-    defined = {node.name for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert defined
-    assert sorted(defined & set(dkfsim.__all__)) == []
+    spellings = ["import reference", "import reference as ref", "import dkfsim.reference",
+                 "from reference import psi", "from dkfsim.reference import psi",
+                 "from .reference import psi", "from . import reference",
+                 "from dkfsim import reference", "importlib.import_module('reference')",
+                 "__import__('dkfsim.reference')", "import_module('.reference', 'dkfsim')"]
+    assert [text for text in spellings if not imports_reference(ast.parse(text))] == []
+    assert not imports_reference(ast.parse("from .selection import reference_window"))

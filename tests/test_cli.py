@@ -212,6 +212,19 @@ def test_config_no_run_can_satisfy_is_validation_error(tmp_path, caplog, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("observability-check", WINDOW_PAST_HORIZON),
+    ("montecarlo", {"mode": "all", "subset": "5000"}),
+])
+def test_rules_of_a_mode_the_command_does_not_run_are_not_checked(tmp_path, command, overrides):
+    # observability-check reads neither k_bar nor the mode, and montecarlo runs
+    # only the stability selection of a mode = all config: neither refuses a
+    # window past the horizon or a fixed subset it never runs, as both once did
+    cfg = write_cfg(tmp_path, **overrides)
+    out = [] if command == "observability-check" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", str(cfg), *out]) == 0
+
+
 def test_negative_seed_is_validation_error(tmp_path, caplog):
     # numpy's "expected non-negative integer" once escaped main as a traceback
     cfg = write_cfg(tmp_path)

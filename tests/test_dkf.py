@@ -8,11 +8,20 @@ from dkfsim import _kernels, dkf
 from dkfsim.dkf import DkfEngine, Scenario, recover_estimates
 from dkfsim.errors import ConfigError, NumericError, SelectionError
 from dkfsim.model import builtin_system, robust_inverse, transition_matrix
-from dkfsim.reference import kf_covariance_form, psi, recover_estimate, time_update_general
 from dkfsim.sensing import SensorNetwork, sample_network
 from dkfsim.selection import max_deviation, sweep_masks
 
-from conftest import network_of, node_information, random_psd, random_system, stacked_model
+from conftest import assert_rel_close, network_of, random_psd, random_system
+from reference import (
+    iv_delta,
+    kf_covariance_form,
+    node_l,
+    psi,
+    recover_estimate,
+    stacked_model,
+    stepwise_fused_run,
+    time_update_general,
+)
 
 
 def random_network(rng, n, delay_range=(0.0, 0.0)):
@@ -120,50 +129,12 @@ def test_delays_increase_transient_deviation():
 # ---------------------------------------------------------------------------
 
 
-def node_l(engine, i):
-    """Node i's information contribution l_i = e_s e_s^T / r_i."""
-    return node_information(engine.network.state[[i]], engine.scenario.inv_r[[i]],
-                            engine.sys.state_dim)[0]
-
-
-def iv_delta(engine, i, k):
-    """Node i's IV delta H_i^T R_i^{-1} z_i(k), the column l_i e_s times z_i(k)."""
-    return node_l(engine, i)[:, engine.network.state[i]] * engine.z[i, k]
-
-
-def stepwise_fused_run(engine, ids):
-    """Oracle for one subset: a general time update between steps, then every
-    node whose delay has elapsed adds l_i and its d_i-stale IV delta."""
-    idx = np.array(sorted(ids)) - 1
-    n_out = engine.n_steps + 1
-    m = engine.sys.state_dim
-    info_hist = np.empty((n_out, m, m))
-    yv_hist = np.empty((n_out, m))
-    info, yv = engine.info0, engine.yv0
-    for k in range(n_out):
-        if k > 0:
-            info, yv = time_update_general(info, yv, engine.scenario.a_inv_seq[k - 1],
-                                           engine.scenario.q_inv)
-        for i in idx:
-            d = engine.delays[i]
-            if d <= k:
-                info = info + node_l(engine, i)
-                yv = yv + iv_delta(engine, i, k - d)
-        info_hist[k] = info
-        yv_hist[k] = yv
-    return info_hist, yv_hist
-
-
 def mixed_network(m=2):
     """Nodes on every state with distinct delays, and node 7 delayed past a
     60-step horizon."""
     nodes = [(i % m, 0.1 + 0.05 * i, 0.07 * i) for i in range(5)]
     nodes += [(m - 1, 0.2, 0.12), (1, 0.15, 3.0)]
     return network_of(*nodes, m=m)
-
-
-def assert_rel_close(a, b, rel=1e-12):
-    assert np.abs(a - b).max() <= rel * max(np.abs(b).max(), 1e-300)
 
 
 def test_fused_runs_rows_match_stepwise_oracle():

@@ -114,6 +114,12 @@ def test_validate_checks_window_and_subset_only_where_a_mode_reads_them():
     ExperimentConfig(seed=1, k_bar=20, horizon=20, mode="greedy").validate()
     ExperimentConfig(seed=1, subset=(2001,), mode="stability").validate()
     ExperimentConfig(seed=1, subset=(2001,), mode="fixed-subset", network_file="net.txt").validate()
+    # the caller names the mode it runs: None runs no selection
+    ExperimentConfig(seed=1, k_bar=20, horizon=20, subset=(2001,), mode="all").validate(mode=None)
+    ExperimentConfig(seed=1, subset=(2001,), mode="all").validate("stability")
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(seed=1, k_bar=20, horizon=20, mode="greedy").validate("stability")
+    assert err.value.keys == ("k_bar", "horizon")
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(seed=-1, subset=(0,), mode="all", k_bar=200).validate()
     assert err.value.keys == ("seed", "k_bar", "horizon", "subset")

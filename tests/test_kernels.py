@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from dkfsim import _kernels
 from dkfsim.model import builtin_system, robust_inverse, transition_sequence
-from dkfsim.reference import node_history
 
-from conftest import node_information, random_system
+from conftest import assert_rel_close, random_system
+from reference import oracle_histories
 
 
 def problem(n=40, n_steps=120, m=2, seed=0):
@@ -28,10 +28,6 @@ def problem(n=40, n_steps=120, m=2, seed=0):
     return a_inv, q_inv, state, inv_r
 
 
-def assert_rel_close(a, b, rel=1e-12):
-    assert np.abs(a - b).max() <= rel * max(np.abs(b).max(), 1.0)
-
-
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_node_histories_match_time_update_oracle(m):
     # the kernel against one node at a time through reference.node_history
@@ -43,13 +39,6 @@ def test_node_histories_match_time_update_oracle(m):
 def unpacked_histories(a_inv, q_inv, state, inv_r):
     """node_info_histories as full matrices (n, N+1, m, m)."""
     return _kernels.unpack(_kernels.node_info_histories(a_inv, q_inv, state, inv_r)).swapaxes(0, 1)
-
-
-def oracle_histories(a_inv, q_inv, state, inv_r):
-    """node_info_histories one node at a time through reference.node_history
-    with l_i = e_s e_s^T / r_i."""
-    l_all = node_information(state, inv_r, q_inv.shape[0])
-    return np.array([node_history(a_inv, q_inv, l_i) for l_i in l_all])
 
 
 @settings(max_examples=40, deadline=None)

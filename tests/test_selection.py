@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dkfsim import _kernels, selection
 from dkfsim.dkf import DkfEngine, Scenario
 from dkfsim.errors import ConfigError, MetricError, NumericError
-from dkfsim.model import LtvSystem, MatrixTable, builtin_system, robust_inverse, transition_matrix
-from dkfsim.reference import delay_steps, gamma_hat, i_tilde, node_history
+from dkfsim.model import LtvSystem, MatrixTable, builtin_system
 from dkfsim.sensing import R_MIN, SensorNetwork, sample_network
 from dkfsim.selection import (
     GREEDY_REPORT,
@@ -25,6 +24,7 @@ from dkfsim.selection import (
 from dkfsim.stability import StabilityParams, bound_operator, compute_params, i_tilde_matrices
 
 from conftest import network_of, random_system
+from reference import i_tilde, per_iteration_sweep, per_node_admission
 
 
 # ---------------------------------------------------------------------------
@@ -210,29 +210,6 @@ def test_greedy_shares_one_realization():
     assert (full.md == full.md[0]).all()
 
 
-def per_iteration_sweep(engine, nodes, iterations, r_max, tau_max):
-    """The sweep as one engine.fused_run per non-empty iteration (reference),
-    with thresholds read from the (state, variance, base) tuples the engine's
-    network was built from; R0 counts as at least R_MIN, the variance floor.
-
-    Returns (nodes, thresholds, mse, md, mse_raw) per iteration.
-    """
-    settle = settling_index(engine.truth, 0.01)
-    out = []
-    for it in range(1, iterations + 1):
-        r0 = r_max * (1.0 - (it - 1) / iterations)
-        tau0 = tau_max * (1.0 - (it - 1) / iterations)
-        chosen = [i + 1 for i, (_, r, base) in enumerate(nodes)
-                  if r <= max(r0, R_MIN) and base <= tau0]
-        if not chosen:
-            out.append((frozenset(), (r0, tau0), math.nan, math.nan, math.nan))
-            continue
-        _, _, xhat, _ = engine.fused_run(chosen)
-        out.append((frozenset(chosen), (r0, tau0), mse(xhat, engine.truth, settle),
-                    max_deviation(xhat, engine.truth), mse_raw(xhat, engine.truth, settle)))
-    return out
-
-
 def assert_sweep_matches(report, network, expected, rel=1e-12):
     assert len(report) == len(expected)
     masks = sweep_masks(network, report.r0, report.tau0)
@@ -408,33 +385,6 @@ def test_stability_select_rejects_unresolved_jitter():
     net = network_of((0, 0.25, 0.0, 0.1))
     with pytest.raises(ConfigError, match="node 1 has unresolved stochastic delay"):
         stability_select(Scenario(builtin_system(), net, 50), StabilityParams(k_bar=5))
-
-
-def per_node_admission(sys_, nodes, params, n_steps):
-    """Reference: the per-node admission loop over the (state, variance, base)
-    tuples the network was built from, each node one row H = e_s^T and R = [[r]].
-    Returns node id -> (beta, margins), one margin per applicable step: the min
-    eig of the delayed information minus the scalar i_tilde bound."""
-    a_inv = np.stack([robust_inverse(transition_matrix(sys_, k))[0] for k in range(n_steps)])
-    q = sys_.process_noise_cov
-    out = {}
-    for node_id, (state, r, base) in enumerate(nodes, start=1):
-        h = np.eye(sys_.state_dim)[[state]]
-        l_node = h.T @ np.linalg.solve([[r]], h)
-        hist = node_history(a_inv, np.linalg.inv(q), l_node)
-        peak = hist[np.argmax(np.trace(hist, axis1=1, axis2=2))]
-        gamma = max(gamma_hat(transition_matrix(sys_, k), q, peak, params.alpha)
-                    for k in range(n_steps))
-        beta = 1.0 / (1.0 + gamma)
-        d = delay_steps(base, sys_.sample_time)
-        margins = []
-        for k in range(params.k_bar + 1, n_steps + 1):
-            if k - d < 1:
-                continue
-            diff = hist[k - d] - i_tilde(k, params.k_bar, beta, sys_, l_node)
-            margins.append(np.linalg.eigvalsh(0.5 * (diff + diff.T)).min())
-        out[node_id] = (beta, np.array(margins))
-    return out
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
 from dkfsim.errors import ConfigError
-from dkfsim.reference import delay_steps
 from dkfsim.sensing import (
     R_MIN,
     SensorNetwork,
@@ -14,6 +11,7 @@ from dkfsim.sensing import (
 )
 
 from conftest import network_of
+from reference import delay_steps, first_node_error, per_node_sample, resolved_per_node
 
 
 def assert_same_columns(a, b):
@@ -166,23 +164,6 @@ def test_load_network_refuses_non_finite_values_naming_the_node(tmp_path, field,
 # ---------------------------------------------------------------------------
 
 
-def first_node_error(state, variance, base, jitter, state_dim=2):
-    """Reference: the message of the first faulty node, checking each node's
-    rules one at a time in order (delay base, jitter, variance, state); None
-    when every node is valid."""
-    for i in range(len(state)):
-        rules = [
-            (math.isfinite(base[i]) and base[i] >= 0.0, "delay base must be finite and >= 0"),
-            (math.isfinite(jitter[i]) and jitter[i] >= 0.0, "jitter_std must be finite and >= 0"),
-            (math.isfinite(variance[i]) and variance[i] > 0.0, "variance must be finite and > 0"),
-            (0 <= state[i] < state_dim, f"state index outside [0, {state_dim})"),
-        ]
-        for ok, message in rules:
-            if not ok:
-                return f"node {i + 1}: {message}"
-    return None
-
-
 @pytest.mark.parametrize("faults", [
     [(3, "variance", -0.1)],
     [(2, "state", 2), (4, "variance", 0.0)],
@@ -229,22 +210,6 @@ def test_network_refuses_columns_of_other_lengths():
     net = SensorNetwork([0, 1, 0], [0.3, 1.0, 0.3], np.zeros(3), np.zeros(3), 2)
     for column in (net.state, net.variance, net.base, net.jitter):
         assert not column.flags.writeable
-
-
-def per_node_sample(n, variance_range, delay_range, rng, state_dim=2, jitter_std=0.0):
-    """Reference: sample_network's draws as one (state, variance, base, jitter)
-    tuple per node."""
-    states = rng.integers(0, state_dim, size=n)
-    variances = np.maximum(rng.uniform(variance_range[0], variance_range[1], size=n), R_MIN)
-    delays = rng.uniform(delay_range[0], delay_range[1], size=n)
-    return [(int(states[i]), float(variances[i]), float(delays[i]), jitter_std) for i in range(n)]
-
-
-def resolved_per_node(nodes, rng):
-    """Reference: resolve_delays one node at a time, in id order."""
-    return [(s, r, max(base + rng.normal(0.0, jitter), 0.0), 0.0) if jitter > 0.0
-            else (s, r, base, jitter)
-            for s, r, base, jitter in nodes]
 
 
 @pytest.mark.parametrize("state_dim", [2, 3])

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dkfsim import _kernels
-from dkfsim.dkf import Scenario, _symmetrize
+from dkfsim.dkf import Scenario
 from dkfsim.errors import ConfigError
 from dkfsim.model import builtin_system, transition_matrix
-from dkfsim.reference import beta_hat, gamma_hat, i_tilde, node_history, psi
 from dkfsim.stability import (
     StabilityParams,
     _distinct_noise_terms,
@@ -16,7 +15,16 @@ from dkfsim.stability import (
     i_tilde_matrices,
 )
 
-from conftest import identity_system, network_of, node_information, random_psd, random_system
+from conftest import identity_system, network_of, random_psd, random_system
+from reference import (
+    beta_hat,
+    beta_hat_per_term_loop,
+    gamma_hat,
+    i_tilde,
+    node_history,
+    node_information,
+    psi,
+)
 
 
 def random_node_columns(rng, n, m):
@@ -134,18 +142,6 @@ def test_beta_hat_batch_matches_single():
     batch = beta_hat_batch(bounds, 1e-6, _distinct_noise_terms(Scenario(sys_, None, 120)))
     for i in range(5):
         assert batch[i] == pytest.approx(beta_hat(sys_, 120, bounds[i], 1e-6), rel=1e-9)
-
-
-def beta_hat_per_term_loop(scenario, bounds, alpha):
-    """Reference: beta-hat with one eigvalsh per noise term over every bound."""
-    m = bounds.shape[-1]
-    w, v = np.linalg.eigh(_symmetrize(bounds) + alpha * np.eye(m))
-    halves = v @ (np.sqrt(np.maximum(w, 0.0))[..., None] * v.transpose(0, 2, 1))
-    gamma_max = np.zeros(bounds.shape[0])
-    for t in _distinct_noise_terms(scenario):
-        prod = _symmetrize(halves @ t @ halves)
-        gamma_max = np.maximum(gamma_max, np.linalg.eigvalsh(prod)[:, -1])
-    return 1.0 / (1.0 + np.maximum(gamma_max, 0.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,7 +329,7 @@ def test_information_inverse_matches_riccati_covariance():
     # exact per-node filtering: info_post^{-1} equals the propagated error
     # covariance of the covariance-form recursion at every step
     from dkfsim.dkf import DkfEngine
-    from dkfsim.reference import kf_covariance_form
+    from reference import kf_covariance_form
 
     sys_ = builtin_system()
     p0 = 2.0 * np.eye(2)
