@@ -19,8 +19,11 @@ the number of those calls, not their arithmetic, sets a step's cost.
 - node_info_histories runs one recursion per node, given as (s_i, 1/r_i),
   over thousands of nodes and stores each step packed: the P = m (m + 1) / 2
   lower-triangle entries of each symmetric matrix, in np.tril_indices order,
-  as a (P, N+1, n) history, the layout the stability bounds and the admission
-  check keep (unpack restores full matrices).
+  the layout the stability bounds and the admission check keep (unpack
+  restores full matrices). It stores at each step only a caller-given range
+  of nodes, step after step in one (P, entries) array, and keeps each node's
+  peak-trace matrix as it goes; the all-nodes range at every step is a
+  (P, N+1, n) history.
 - fused_info_recursion runs B estimator chains (the greedy sweep's subsets;
   single-chain callers pass one row); each chain's information vector is
   one more right-hand side of the elimination.
@@ -30,6 +33,7 @@ that the admission check and the estimate recovery use to decide eigenvalue
 tests without eigvalsh.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -83,21 +87,36 @@ class _TimeUpdate:
         np.multiply(self.info, 0.5, self.info)
 
 
-def node_info_histories(a_inv_seq, q_inv, state, inv_r):
-    """Posterior information histories I_i(k|k) for every node, k = 0..N, packed.
+def node_info_histories(a_inv_seq, q_inv, state, inv_r, start=None, stop=None, peak=None):
+    """Posterior information histories I_i(k|k) of every node, k = 0..N,
+    packed, stored only over the given node range of each step.
 
     a_inv_seq: (N, m, m) inverses of A(0..N-1); q_inv: (m, m); node i measures
     state s = state[i] with 1/r_i = inv_r[i], so l_i = e_s e_s^T inv_r[i] adds
     to its diagonal only. Every node starts from zero prior information.
-    Returns (P, N+1, n): row p holds entry np.tril_indices(m)[p] of every
-    node's matrix at every step. The matrices are exactly symmetric, so the
-    lower triangle is all of them.
+    start, stop: (N+1,) ints; step k stores nodes start[k] .. stop[k] - 1,
+    after the nodes every earlier step stores. Returns (P, sum(stop - start)):
+    row p holds entry np.tril_indices(m)[p] of each stored matrix, and node i
+    at step k is column window_columns(start, stop)[k] + i. Without start and
+    stop every step stores every node, and the result is the (P, N+1, n)
+    history. The matrices are exactly symmetric, so the lower triangle is all
+    of them.
+
+    peak, if given, is a (P, n) array that receives each node's packed matrix
+    at its first step of largest trace (the diagonal added in order, as
+    np.trace adds it for m < 8), the step np.argmax picks over the whole
+    history. Every I_i(k) lies below Q^{-1} + l_i, so the traces are finite.
     """
     n = state.shape[0]
     m = q_inv.shape[0]
+    n_out = a_inv_seq.shape[0] + 1
     rows, cols = np.tril_indices(m)
     lower = rows * m + cols  # flat index of each packed entry in an (m, m) matrix
-    hist = np.empty((lower.size, a_inv_seq.shape[0] + 1, n))
+    full = start is None
+    if full:
+        start, stop = np.zeros(n_out, dtype=np.intp), np.full(n_out, n)
+    columns = window_columns(start, stop)
+    hist = np.empty((lower.size, int(columns[-1] + stop[-1])))
     step = _TimeUpdate(q_inv, n)
     info = step.info.reshape(m * m, n)
     diag = info[::m + 1]  # (m, n) view of every node's diagonal
@@ -105,13 +124,37 @@ def node_info_histories(a_inv_seq, q_inv, state, inv_r):
     # a fancy-indexed one took 10x as long
     l_diag = np.zeros((m, n))
     l_diag[state, np.arange(n)] = inv_r
-    diag += l_diag
-    hist[:, 0] = info[lower]
-    for k, a_inv_t in enumerate(a_inv_seq.transpose(0, 2, 1), 1):
-        step(a_inv_t)
+    if peak is not None:
+        top = np.full(n, -np.inf)
+        trace = np.empty(n)
+        rising = np.empty(n, dtype=bool)
+        top_info = np.empty((m * m, n))
+    # step 0 is l_i alone: no time update before it
+    steps = zip(itertools.chain([None], a_inv_seq.transpose(0, 2, 1)), start.tolist(),
+                stop.tolist(), columns.tolist())
+    for a_inv_t, lo, hi, col in steps:
+        if a_inv_t is not None:
+            step(a_inv_t)
         np.add(diag, l_diag, diag)
-        hist[:, k] = info[lower]
-    return hist
+        if hi > lo:
+            hist[:, col + lo:col + hi] = info[lower, lo:hi]
+        if peak is not None:
+            np.copyto(trace, diag[0])
+            for row in diag[1:]:
+                np.add(trace, row, trace)
+            np.greater(trace, top, rising)
+            np.copyto(top, trace, where=rising)
+            np.copyto(top_info, info, where=rising)
+    if peak is not None:
+        peak[...] = top_info[lower]
+    return hist.reshape(lower.size, n_out, n) if full else hist
+
+
+def window_columns(start, stop) -> np.ndarray:
+    """(N+1,) column of node 0 at each step of node_info_histories' windowed
+    layout, steps stored one after another: node i at step k is column
+    window_columns(start, stop)[k] + i."""
+    return np.cumsum(stop - start) - stop
 
 
 def packed_dim(n_pairs: int) -> int:

@@ -47,19 +47,19 @@ def make_rng(base_seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-# str.format spec of each column dtype kind: bool as 1/0, integers in decimal,
-# floats at full double precision (17 significant digits)
-_FORMATS = {"b": "{:d}", "i": "{:d}", "u": "{:d}", "f": "{:.17g}"}
+# printf conversion of each column dtype kind: bool as 1/0, integers in
+# decimal, floats at full double precision (17 significant digits)
+_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
 
 def export_csv(table, path) -> Path:
     """Write a structured array as RFC-4180-style CSV: a header row of its
-    field names, CRLF line ends, '.' decimals; each column is formatted once,
-    by its dtype kind (bool, integer or float)."""
+    field names, CRLF line ends, '.' decimals; each row is one % template of
+    its columns' conversions, chosen by dtype kind (bool, integer or float)."""
     path = Path(path)
     names = table.dtype.names
-    text = [map(_FORMATS[table.dtype[c].kind].format, table[c].tolist()) for c in names]
-    lines = [",".join(names), *map(",".join, zip(*text))]
+    row = ",".join(_FORMATS[table.dtype[c].kind] for c in names)
+    lines = [",".join(names), *map(row.__mod__, table.tolist())]
     path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
     return path
 

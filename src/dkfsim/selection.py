@@ -25,12 +25,14 @@ from . import _kernels, stability
 
 log = logging.getLogger(__name__)
 
-# packed history entries ((N + 1) m (m + 1) / 2 per node) of one node chunk of
-# stability_select: the network splits into the fewest chunks within it, of
-# equal size (chunks of 667, 667 and 666 nodes at m=5, N=200, 2000 nodes; one
-# chunk at m=2). The admission check holds about four (P, entries)
-# arrays per node block; blocks of an eighth of the budget, split the same way,
-# keep them within half the chunk's histories
+# packed history entries of one node chunk of stability_select, budgeted at
+# (N + 1) m (m + 1) / 2 per node: the network splits into the fewest chunks
+# within it, of equal size (chunks of 667, 667 and 666 nodes at m=5, N=200,
+# 2000 nodes; one chunk at m=2). A chunk stores each node's history only at
+# the steps its admission reads, so with delays U[0, N] steps, as on the
+# benchmark, it fills about half the budget. The admission check holds about
+# four (P, entries) arrays per node block; blocks of an eighth of the budget,
+# split the same way, keep them within half of it
 STABILITY_CHUNK = 1 << 21
 
 
@@ -210,10 +212,12 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     Returns (selected ids, report): report is a STABILITY_REPORT record
     array with one record per node in id order.
 
-    The pass runs over node chunks of STABILITY_CHUNK packed history entries,
-    each taking its histories and beta-hat, then bounds and admission check
-    block by block, so neither the whole network's histories nor its bounds
-    are held at once.
+    The pass runs over node chunks of STABILITY_CHUNK packed history entries.
+    A chunk takes its nodes in delay order, so that the nodes whose admission
+    reads a step form one range, and stores their histories only there, with
+    each node's peak-trace matrix for beta-hat; then it runs bounds and
+    admission check block by block. Neither the whole network's histories nor
+    its bounds are held at once.
     """
     network = scenario.network
     if network is None:
@@ -242,7 +246,7 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     chunk = _split(n, STABILITY_CHUNK // ((n_steps + 1) * n_pairs))
     block = _split(chunk, STABILITY_CHUNK // (8 * n_pos * n_pairs))
     for lo in range(0, n, chunk):
-        part = slice(lo, lo + chunk)
+        part = lo + np.argsort(d[lo:lo + chunk], kind="stable")  # delay order within the chunk
         betas[part], ct_act[part] = _admit_chunk(scenario, params, operator, terms, block,
                                                  network.state[part], scenario.inv_r[part],
                                                  d[part], first[part], ct_exp[part])
@@ -263,29 +267,33 @@ def _split(n: int, cap: int) -> int:
     return -(-n // -(-n // max(cap, 1)))
 
 
-def _max_trace_matrices(hist) -> np.ndarray:
-    """Each node's matrix (n, m, m) at the step of largest trace in its packed
-    history (P, N+1, n); the traces add the diagonal rows in order, as np.trace
-    adds a matrix's diagonal, so ties break as they would on full matrices."""
-    diag = _kernels.packed_index(_kernels.packed_dim(hist.shape[0])).diagonal()
-    traces = hist[diag[0]].copy()  # (N+1, n)
-    for row in diag[1:]:
-        traces += hist[row]
-    n = hist.shape[2]
-    return _kernels.unpack(hist[:, np.argmax(traces, axis=0), np.arange(n)])
+def _admission_windows(d, k_bar: int, n_steps: int):
+    """(start, stop) per history step t = 0..N for nodes in ascending order
+    of their delays d (steps): nodes start[t] .. stop[t] - 1 are those whose
+    admission reads I_i(t), the t >= 1 with k_bar < t + d_i <= N."""
+    t = np.arange(n_steps + 1)
+    start = np.searchsorted(d, k_bar + 1 - t)
+    stop = np.searchsorted(d, n_steps - t, side="right")
+    stop[0] = start[0]  # no admission step reads the zero-prior step 0
+    return start, stop
 
 
 def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, terms, block, state,
                  inv_r, d, first, ct_exp):
-    """(beta-hat, steps passed) for one chunk of nodes of stability_select."""
+    """(beta-hat, steps passed) for one chunk of nodes of stability_select,
+    given in ascending delay order."""
     n = state.size
     k_bar = params.k_bar
-    # delay-free per-node information histories (the local IF recursions), packed
-    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r)
-    n_pairs, n_out, _ = hist.shape
+    n_pairs = operator.shape[2]
+    # delay-free per-node information histories (the local IF recursions),
+    # packed, stored only at the steps the admission reads
+    start, stop = _admission_windows(d, k_bar, scenario.n_steps)
+    column = _kernels.window_columns(start, stop)
+    peak = np.empty((n_pairs, n))
+    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r,
+                                        start=start, stop=stop, peak=peak)
     # per-node contraction from each node's own history bound
-    betas = beta_hat_batch(_max_trace_matrices(hist), params.alpha, terms)
-    flat_hist = hist.reshape(n_pairs, n_out * n)
+    betas = beta_hat_batch(_kernels.unpack(peak), params.alpha, terms)
     passed = np.empty(n, dtype=np.int64)
     for lo in range(0, n, block):
         nodes = slice(lo, lo + block)
@@ -301,7 +309,7 @@ def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, terms, b
                                   inv_r[nodes]).reshape(n_pairs, -1)
         diff = np.take(bounds, pos * counts.size + node, axis=1)
         del bounds
-        np.subtract(np.take(flat_hist, (k_bar + 1 + pos - d[lo + node]) * n + lo + node, axis=1),
+        np.subtract(np.take(hist, column[k_bar + 1 + pos - d[lo + node]] + lo + node, axis=1),
                     diff, out=diff)
         passed[nodes] = np.bincount(node, weights=_positive_definite(diff), minlength=counts.size)
     return betas, passed

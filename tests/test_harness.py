@@ -218,6 +218,19 @@ def test_export_csv_roundtrip_bit_exact(tmp_path):
     assert path.read_bytes().count(b"\r\n") == x.size + 1
 
 
+def test_export_csv_matches_per_value_formatter(tmp_path):
+    # one % template per row writes the bytes str.format writes value by
+    # value: bools as 1/0, integers in decimal, floats to 17 significant
+    # digits, nan, the infinities, -0.0, the smallest subnormal and 1e308 too
+    x = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0])
+    k = np.array([0, 1, -1, 2**62, -2**63, 7, 10, -11, 12, 2**63 - 1], dtype=np.int64)
+    flag = np.arange(x.size) % 3 == 0
+    path = export_csv(np.rec.fromarrays([flag, k, x], names=["flag", "k", "x"]),
+                      tmp_path / "edge.csv")
+    rows = ["{:d},{:d},{:.17g}\r\n".format(*v) for v in zip(flag.tolist(), k.tolist(), x.tolist())]
+    assert path.read_bytes() == ("flag,k,x\r\n" + "".join(rows)).encode()
+
+
 def test_trace_csv_layout(tmp_path):
     cfg = small_cfg(mode="fixed-subset", horizon=12, delay_range=(0.0, 0.0))
     run_experiment(cfg, out_dir=tmp_path)

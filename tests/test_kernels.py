@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dkfsim import _kernels
 from dkfsim.model import builtin_system, robust_inverse, transition_sequence
+from dkfsim.selection import _admission_windows
 
 from conftest import assert_rel_close, random_system
 from reference import oracle_histories
@@ -56,6 +57,47 @@ def test_soa_node_histories_match_per_node_oracle(seed, m, n):
     want = oracle_histories(a_inv, q_inv, state, inv_r)
     scale = np.abs(want).max(axis=(2, 3), keepdims=True)
     assert (np.abs(got - want) <= 1e-12 * scale).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n=st.integers(1, 12),
+       k_bar=st.integers(1, 8), extra_steps=st.integers(1, 25))
+def test_windowed_histories_match_all_nodes_call(seed, m, n, k_bar, extra_steps):
+    # delays of four kinds: 0, below k_bar, inside (k_bar, N) and at or past
+    # N; each step's window holds exactly the nodes whose admission reads it,
+    # every windowed entry is the all-nodes call's entry, bit for bit, and the
+    # peak is the full history's first max-trace matrix
+    rng = np.random.default_rng(seed)
+    n_steps = k_bar + extra_steps
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    a_seq = transition_sequence(sys_, n_steps)
+    a_inv = np.ascontiguousarray([robust_inverse(a)[0] for a in a_seq])
+    q_inv = np.linalg.inv(sys_.process_noise_cov)
+    state = rng.integers(0, m, size=n)
+    inv_r = 1.0 / (rng.standard_normal(n) ** 2 + 0.1)
+    kinds = [np.zeros(n, dtype=np.int64), rng.integers(0, k_bar, size=n),
+             rng.integers(k_bar + 1, max(n_steps, k_bar + 2), size=n),
+             rng.integers(n_steps, 2 * n_steps, size=n)]
+    d = np.sort(np.choose(rng.integers(0, 4, size=n), kinds))
+    start, stop = _admission_windows(d, k_bar, n_steps)
+    for t in range(n_steps + 1):
+        reads = (t >= 1) & (k_bar < t + d) & (t + d <= n_steps)
+        np.testing.assert_array_equal(np.flatnonzero(reads), np.arange(start[t], stop[t]))
+
+    full = _kernels.node_info_histories(a_inv, q_inv, state, inv_r)
+    peak = np.empty((m * (m + 1) // 2, n))
+    got = _kernels.node_info_histories(a_inv, q_inv, state, inv_r, start=start, stop=stop,
+                                       peak=peak)
+    want = np.concatenate([full[:, t, start[t]:stop[t]] for t in range(n_steps + 1)], axis=1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    hist = _kernels.unpack(full)  # (N+1, n, m, m)
+    kernel_peak = hist[np.argmax(np.trace(hist, axis1=2, axis2=3), axis=0), np.arange(n)]
+    assert _kernels.unpack(peak).tobytes() == kernel_peak.tobytes()
+    oracle = oracle_histories(a_inv, q_inv, state, inv_r)  # (n, N+1, m, m)
+    want_peak = oracle[np.arange(n), np.argmax(np.trace(oracle, axis1=2, axis2=3), axis=1)]
+    scale = np.abs(want_peak).max(axis=(1, 2), keepdims=True)
+    assert (np.abs(_kernels.unpack(peak) - want_peak) <= 1e-12 * scale).all()
 
 
 @settings(max_examples=60, deadline=None)

@@ -403,6 +403,58 @@ def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_s
                                       per_node_admission(sys_, nodes, params, n_steps))
 
 
+def spy_windowed_histories(monkeypatch):
+    """Record the shape of every windowed history stability_select stores."""
+    shapes = []
+    histories = _kernels.node_info_histories
+
+    def spy(*args, **kwargs):
+        hist = histories(*args, **kwargs)
+        shapes.append(hist.shape)
+        return hist
+    monkeypatch.setattr(_kernels, "node_info_histories", spy)
+    return shapes
+
+
+def test_stability_select_every_delay_past_horizon_matches_per_node_loop(monkeypatch):
+    # delays N .. 2N steps: no admission step reads any history, so each
+    # chunk's windowed history is empty and ct_exp is 0 everywhere, yet every
+    # node's beta-hat is still reported, the per-node loop's
+    rng = np.random.default_rng(41)
+    m, n_steps, k_bar = 3, 30, 5
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    nodes = [(state, r, d * sys_.sample_time) for state, r, d in
+             zip(rng.integers(0, m, 9).tolist(), rng.uniform(0.05, 0.5, 9).tolist(),
+                 [n_steps, *rng.integers(n_steps, 2 * n_steps, 8).tolist()])]
+    net = network_of(*nodes, m=m)
+    params = StabilityParams(k_bar=k_bar)
+    shapes = spy_windowed_histories(monkeypatch)
+    selected, report = stability_select(Scenario(sys_, net, n_steps), params)
+    assert shapes == [(m * (m + 1) // 2, 0)]
+    assert selected == set() and (report.ct_exp == 0).all() and (report.ct_act == 0).all()
+    assert np.isfinite(report.beta_hat).all()
+    assert_matches_per_node_admission(selected, report, net,
+                                      per_node_admission(sys_, nodes, params, n_steps))
+
+
+def test_stability_select_every_delay_zero_matches_per_node_loop(monkeypatch):
+    # zero delays: every admission step k in (k_bar, N] reads every node at
+    # step k, so each step past k_bar holds every node and no other step any
+    rng = np.random.default_rng(42)
+    m, n_steps, k_bar = 3, 30, 5
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    nodes = [(state, r, 0.0) for state, r in
+             zip(rng.integers(0, m, 9).tolist(), rng.uniform(0.05, 0.5, 9).tolist())]
+    net = network_of(*nodes, m=m)
+    params = StabilityParams(k_bar=k_bar)
+    shapes = spy_windowed_histories(monkeypatch)
+    selected, report = stability_select(Scenario(sys_, net, n_steps), params)
+    assert shapes == [(m * (m + 1) // 2, 9 * (n_steps - k_bar))]
+    assert (report.ct_exp == n_steps - k_bar).all()
+    assert_matches_per_node_admission(selected, report, net,
+                                      per_node_admission(sys_, nodes, params, n_steps))
+
+
 def assert_matches_per_node_admission(selected, report, net, reference):
     """stability_select's outcome against per_node_admission's."""
     np.testing.assert_array_equal(report.node_id, net.ids())
@@ -541,9 +593,9 @@ def spy_chunks(monkeypatch, nodes_per_chunk, n_steps, m):
     sizes = []
     histories = _kernels.node_info_histories
 
-    def spy(a_inv_seq, q_inv, state, inv_r):
+    def spy(a_inv_seq, q_inv, state, *args, **kwargs):
         sizes.append(len(state))
-        return histories(a_inv_seq, q_inv, state, inv_r)
+        return histories(a_inv_seq, q_inv, state, *args, **kwargs)
     monkeypatch.setattr(_kernels, "node_info_histories", spy)
     return sizes
 
@@ -624,19 +676,20 @@ def test_stability_select_takes_fewest_equal_chunks(monkeypatch):
     sizes = []
     histories = _kernels.node_info_histories
 
-    def spy(a_inv_seq, q_inv, state, inv_r):
+    def spy(a_inv_seq, q_inv, state, *args, **kwargs):
         sizes.append(len(state))
-        return histories(a_inv_seq, q_inv, state, inv_r)
+        return histories(a_inv_seq, q_inv, state, *args, **kwargs)
     monkeypatch.setattr(_kernels, "node_info_histories", spy)
     stability_select(benchmark_shaped_scenario(), StabilityParams(k_bar=20))
     assert sizes == [667, 667, 666]
 
 
 def test_stability_select_traced_peak_stays_within_chunk_budget():
-    # alive at the peak: one chunk's packed histories (~STABILITY_CHUNK
-    # entries), the bound operator (8.1e5 entries here) and one admission
-    # block's entries, 1.9x in all; unpacked (n, N+1, m, m) histories next to
-    # a whole chunk's bounds reach 2.8x
+    # alive at the peak: one chunk's packed histories at the steps its
+    # admission reads (~0.85 STABILITY_CHUNK entries here, delays of at most
+    # 50 of 200 steps), the bound operator (8.1e5 entries here) and one
+    # admission block's entries, 1.35x in all; unpacked (n, N+1, m, m)
+    # histories next to a whole chunk's bounds reach 2.8x
     scenario = benchmark_shaped_scenario()
     tracemalloc.start()
     try:
