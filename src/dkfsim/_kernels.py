@@ -22,8 +22,7 @@ the number of those calls, not their arithmetic, sets a step's cost.
   the layout the stability bounds and the admission check keep (unpack
   restores full matrices). It stores at each step only a caller-given range
   of nodes, step after step in one (P, entries) array, and keeps each node's
-  peak-trace matrix as it goes; the all-nodes range at every step is a
-  (P, N+1, n) history.
+  peak-trace matrix as it goes.
 - fused_info_recursion runs B estimator chains (the greedy sweep's subsets;
   single-chain callers pass one row); each chain's information vector is
   one more right-hand side of the elimination.
@@ -87,7 +86,7 @@ class _TimeUpdate:
         np.multiply(self.info, 0.5, self.info)
 
 
-def node_info_histories(a_inv_seq, q_inv, state, inv_r, start=None, stop=None, peak=None):
+def node_info_histories(a_inv_seq, q_inv, state, inv_r, start, stop, peak):
     """Posterior information histories I_i(k|k) of every node, k = 0..N,
     packed, stored only over the given node range of each step.
 
@@ -97,24 +96,17 @@ def node_info_histories(a_inv_seq, q_inv, state, inv_r, start=None, stop=None, p
     start, stop: (N+1,) ints; step k stores nodes start[k] .. stop[k] - 1,
     after the nodes every earlier step stores. Returns (P, sum(stop - start)):
     row p holds entry np.tril_indices(m)[p] of each stored matrix, and node i
-    at step k is column window_columns(start, stop)[k] + i. Without start and
-    stop every step stores every node, and the result is the (P, N+1, n)
-    history. The matrices are exactly symmetric, so the lower triangle is all
-    of them.
+    at step k is column window_columns(start, stop)[k] + i. The matrices are
+    exactly symmetric, so the lower triangle is all of them.
 
-    peak, if given, is a (P, n) array that receives each node's packed matrix
-    at its first step of largest trace (the diagonal added in order, as
-    np.trace adds it for m < 8), the step np.argmax picks over the whole
+    peak, a (P, n) array, receives each node's packed matrix at its first
+    step of largest trace (the diagonal added in order), over the whole
     history. Every I_i(k) lies below Q^{-1} + l_i, so the traces are finite.
     """
     n = state.shape[0]
     m = q_inv.shape[0]
-    n_out = a_inv_seq.shape[0] + 1
     rows, cols = np.tril_indices(m)
     lower = rows * m + cols  # flat index of each packed entry in an (m, m) matrix
-    full = start is None
-    if full:
-        start, stop = np.zeros(n_out, dtype=np.intp), np.full(n_out, n)
     columns = window_columns(start, stop)
     hist = np.empty((lower.size, int(columns[-1] + stop[-1])))
     step = _TimeUpdate(q_inv, n)
@@ -124,11 +116,10 @@ def node_info_histories(a_inv_seq, q_inv, state, inv_r, start=None, stop=None, p
     # a fancy-indexed one took 10x as long
     l_diag = np.zeros((m, n))
     l_diag[state, np.arange(n)] = inv_r
-    if peak is not None:
-        top = np.full(n, -np.inf)
-        trace = np.empty(n)
-        rising = np.empty(n, dtype=bool)
-        top_info = np.empty((m * m, n))
+    top = np.full(n, -np.inf)
+    trace = np.empty(n)
+    rising = np.empty(n, dtype=bool)
+    top_info = np.empty((m * m, n))
     # step 0 is l_i alone: no time update before it
     steps = zip(itertools.chain([None], a_inv_seq.transpose(0, 2, 1)), start.tolist(),
                 stop.tolist(), columns.tolist())
@@ -138,16 +129,14 @@ def node_info_histories(a_inv_seq, q_inv, state, inv_r, start=None, stop=None, p
         np.add(diag, l_diag, diag)
         if hi > lo:
             hist[:, col + lo:col + hi] = info[lower, lo:hi]
-        if peak is not None:
-            np.copyto(trace, diag[0])
-            for row in diag[1:]:
-                np.add(trace, row, trace)
-            np.greater(trace, top, rising)
-            np.copyto(top, trace, where=rising)
-            np.copyto(top_info, info, where=rising)
-    if peak is not None:
-        peak[...] = top_info[lower]
-    return hist.reshape(lower.size, n_out, n) if full else hist
+        np.copyto(trace, diag[0])
+        for row in diag[1:]:
+            np.add(trace, row, trace)
+        np.greater(trace, top, rising)
+        np.copyto(top, trace, where=rising)
+        np.copyto(top_info, info, where=rising)
+    peak[...] = top_info[lower]
+    return hist
 
 
 def window_columns(start, stop) -> np.ndarray:

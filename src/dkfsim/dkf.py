@@ -120,9 +120,9 @@ class Scenario:
     a_pinv_steps); q_inv: Q^{-1}; per node, inv_r (n,): 1/r_i, so that
     l_i = e_s e_s^T inv_r[i] for s = network.state[i], and delays (n,): d_i in
     steps (unresolved jitter raises ConfigError).
-    network=None prepares the plant part only. The engine, the stability
-    selection and the bound computations read these from one instance
-    instead of deriving them again.
+    network=None prepares the plant part only. DkfEngine is a Scenario, so
+    the stability selection and the bound computations read these from the
+    engine itself instead of deriving them again.
     """
 
     def __init__(self, sys: LtvSystem, network: SensorNetwork | None, n_steps: int):
@@ -144,9 +144,9 @@ class Scenario:
         self.delays = network.delay_steps(sys.sample_time)
 
 
-class DkfEngine:
-    """One realization of plant and sensor readings, reusable across subsets:
-    the one way to run the estimator (fused_run, fused_runs).
+class DkfEngine(Scenario):
+    """A Scenario with one realization of plant and sensor readings, reusable
+    across subsets: the one way to run the estimator (fused_run, fused_runs).
 
     z (n, N+1) holds every node's readings z_i(k) = x_s(k) + sqrt(r_i) w_i(k),
     s the state node i measures and r_i its variance. The noise w is drawn
@@ -160,15 +160,9 @@ class DkfEngine:
 
     def __init__(self, sys: LtvSystem, network: SensorNetwork, n_steps: int,
                  rng: np.random.Generator, info0=None, x0_hat=None):
-        self.scenario = sc = Scenario(sys, network, n_steps)
-        self.sys = sys
-        self.network = network
-        self.n_steps = n_steps
-        # perfbench's dkf.engine hook counts the pinv steps on the engine itself
-        self.a_pinv_steps = sc.a_pinv_steps
-        self.delays = sc.delays
+        super().__init__(sys, network, n_steps)
         self.info0, self.yv0 = _prior(info0, x0_hat, sys.state_dim)
-        self.truth = simulate(sys, sc.a_seq, rng)
+        self.truth = simulate(sys, self.a_seq, rng)
         self.z = rng.standard_normal((len(network), n_steps + 1))
         self.z *= np.sqrt(network.variance)[:, None]
         self.z += self.truth[:, network.state].T
@@ -213,9 +207,8 @@ class DkfEngine:
             raise SelectionError(f"mask row {int(empty[0])} selects no node")
         m = self.sys.state_dim
         info_inc, iv_inc = self._delivered_sums(masks)
-        sc = self.scenario
         info_hist, yv_hist = _kernels.fused_info_recursion(
-            sc.a_inv_seq, sc.q_inv, info_inc, iv_inc, self.info0, self.yv0
+            self.a_inv_seq, self.q_inv, info_inc, iv_inc, self.info0, self.yv0
         )
         finite = np.isfinite(info_hist).all(axis=(2, 3))
         if not finite.all():
@@ -252,7 +245,7 @@ class DkfEngine:
             return tuple(np.concatenate(sums) for sums in zip(*rows))
         n_out = self.n_steps + 1
         m = self.sys.state_dim
-        state, delays, inv_r = self.network.state, self.delays, self.scenario.inv_r
+        state, delays, inv_r = self.network.state, self.delays, self.inv_r
         exits = masks.sum(axis=0)
         used = np.flatnonzero((exits > 0) & (delays <= self.n_steps))
         bucket = (exits[used] - 1) * m + state[used]  # flat index of (exit - 1, state)

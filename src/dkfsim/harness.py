@@ -48,16 +48,25 @@ def make_rng(base_seed: int) -> np.random.Generator:
 
 
 # printf conversion of each column dtype kind: bool as 1/0, integers in
-# decimal, floats at full double precision (17 significant digits)
-_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
+# decimal, floats at full double precision (17 significant digits), strings
+# as they are
+_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+_NEEDS_QUOTES = frozenset(',"\r\n')  # what an unquoted CSV field cannot hold
 
 
 def export_csv(table, path) -> Path:
     """Write a structured array as RFC-4180-style CSV: a header row of its
     field names, CRLF line ends, '.' decimals; each row is one % template of
-    its columns' conversions, chosen by dtype kind (bool, integer or float)."""
+    its columns' conversions, chosen by dtype kind (bool, integer, float or
+    string). No field is quoted, so a string holding a comma, a double quote,
+    CR or LF raises ValueError naming its field."""
     path = Path(path)
     names = table.dtype.names
+    for c in names:
+        if table.dtype[c].kind == "U" and any(_NEEDS_QUOTES.intersection(v)
+                                              for v in table[c].tolist()):
+            raise ValueError(f"field {c!r} holds a string with a comma, quote, CR or LF, "
+                             "which export_csv does not quote")
     row = ",".join(_FORMATS[table.dtype[c].kind] for c in names)
     lines = [",".join(names), *map(row.__mod__, table.tolist())]
     path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
@@ -182,8 +191,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         trace(ids, "trace_greedy_best.csv")  # the outcome is the sweep's record, not this re-run
 
     if "stability" in modes:
-        params = compute_params(engine.scenario, k_bar=cfg.k_bar, alpha=cfg.alpha)
-        selected, report = stability_select(engine.scenario, params)
+        params = compute_params(k_bar=cfg.k_bar, alpha=cfg.alpha)
+        selected, report = stability_select(engine, params)
         files.append(export_csv(report, out / "stability_report.csv"))
         ids = selected_nodes["stability"] = sorted(selected)
         if ids:

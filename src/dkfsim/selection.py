@@ -205,12 +205,12 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     difference > 0), which is what the stability bound asserts and makes k_bar
     the tolerated staleness. Needs no ground-truth states.
 
-    The scenario supplies the plant, the network and the horizon N; a
-    scenario without a network raises ConfigError. Nodes whose delay leaves
-    no applicable step are excluded: they offer no evidence of stability.
-    Stochastic delays must be resolved beforehand (sensing.resolve_delays).
-    Returns (selected ids, report): report is a STABILITY_REPORT record
-    array with one record per node in id order.
+    The scenario (a DkfEngine is one) supplies the plant, the network and the
+    horizon N; a scenario without a network raises ConfigError. Nodes whose
+    delay leaves no applicable step are excluded: they offer no evidence of
+    stability. Stochastic delays must be resolved beforehand
+    (sensing.resolve_delays). Returns (selected ids, report): report is a
+    STABILITY_REPORT record array with one record per node in id order.
 
     The pass runs over node chunks of STABILITY_CHUNK packed history entries.
     A chunk takes its nodes in delay order, so that the nodes whose admission
@@ -247,9 +247,39 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     block = _split(chunk, STABILITY_CHUNK // (8 * n_pos * n_pairs))
     for lo in range(0, n, chunk):
         part = lo + np.argsort(d[lo:lo + chunk], kind="stable")  # delay order within the chunk
-        betas[part], ct_act[part] = _admit_chunk(scenario, params, operator, terms, block,
-                                                 network.state[part], scenario.inv_r[part],
-                                                 d[part], first[part], ct_exp[part])
+        state, inv_r, delay, first_pos, expected = (
+            a[part] for a in (network.state, scenario.inv_r, d, first, ct_exp))
+        # delay-free per-node information histories (the local IF recursions),
+        # packed, stored only at the steps the admission reads
+        start, stop = _admission_windows(delay, k_bar, n_steps)
+        column = _kernels.window_columns(start, stop)
+        peak = np.empty((n_pairs, part.size))
+        hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r,
+                                            start, stop, peak)
+        # per-node contraction from each node's own history bound
+        betas[part] = beta = beta_hat_batch(_kernels.unpack(peak), params.alpha, terms)
+        for b in range(0, part.size, block):
+            nodes = slice(b, b + block)
+            counts = expected[nodes]
+            # one entry per applicable (node, position) pair of this block
+            node = np.repeat(np.arange(counts.size), counts)
+            pos = (np.arange(node.size) - np.repeat(np.cumsum(counts) - counts, counts)
+                   + first_pos[b + node])
+            # each entry's bound, gathered from the block's (P, K, b) bounds, then
+            # the delayed history minus it; np.take keeps the (P, e) gathers
+            # C-ordered, where a[:, idx] returns them F-ordered, so the admission
+            # check's max/min and Cholesky rows read contiguous memory
+            bounds = i_tilde_matrices(operator, beta[nodes], state[nodes],
+                                      inv_r[nodes]).reshape(n_pairs, -1)
+            diff = np.take(bounds, pos * counts.size + node, axis=1)
+            del bounds
+            np.subtract(np.take(hist, column[k_bar + 1 + pos - delay[b + node]] + b + node, axis=1),
+                        diff, out=diff)
+            ct_act[part[nodes]] = np.bincount(node, weights=_positive_definite(diff),
+                                              minlength=counts.size)
+        # released before the next chunk's histories are made, or both chunks'
+        # would be alive at once
+        del hist, diff
 
     admitted = (ct_exp > 0) & (ct_exp == ct_act)
     if not (ct_exp > 0).any():
@@ -276,40 +306,3 @@ def _admission_windows(d, k_bar: int, n_steps: int):
     stop = np.searchsorted(d, n_steps - t, side="right")
     stop[0] = start[0]  # no admission step reads the zero-prior step 0
     return start, stop
-
-
-def _admit_chunk(scenario: Scenario, params: StabilityParams, operator, terms, block, state,
-                 inv_r, d, first, ct_exp):
-    """(beta-hat, steps passed) for one chunk of nodes of stability_select,
-    given in ascending delay order."""
-    n = state.size
-    k_bar = params.k_bar
-    n_pairs = operator.shape[2]
-    # delay-free per-node information histories (the local IF recursions),
-    # packed, stored only at the steps the admission reads
-    start, stop = _admission_windows(d, k_bar, scenario.n_steps)
-    column = _kernels.window_columns(start, stop)
-    peak = np.empty((n_pairs, n))
-    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r,
-                                        start=start, stop=stop, peak=peak)
-    # per-node contraction from each node's own history bound
-    betas = beta_hat_batch(_kernels.unpack(peak), params.alpha, terms)
-    passed = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, block):
-        nodes = slice(lo, lo + block)
-        counts = ct_exp[nodes]
-        # one entry per applicable (node, position) pair of this block
-        node = np.repeat(np.arange(counts.size), counts)
-        pos = np.arange(node.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[lo + node]
-        # each entry's bound, gathered from the block's (P, K, b) bounds, then
-        # the delayed history minus it; np.take keeps the (P, e) gathers
-        # C-ordered, where a[:, idx] returns them F-ordered, so the admission
-        # check's max/min and Cholesky rows read contiguous memory
-        bounds = i_tilde_matrices(operator, betas[nodes], state[nodes],
-                                  inv_r[nodes]).reshape(n_pairs, -1)
-        diff = np.take(bounds, pos * counts.size + node, axis=1)
-        del bounds
-        np.subtract(np.take(hist, column[k_bar + 1 + pos - d[lo + node]] + lo + node, axis=1),
-                    diff, out=diff)
-        passed[nodes] = np.bincount(node, weights=_positive_definite(diff), minlength=counts.size)
-    return betas, passed

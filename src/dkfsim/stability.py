@@ -139,12 +139,8 @@ def warn_pinv_steps(scenario: Scenario, k_bar: int):
             log.warning("i_tilde: A(%d) effectively singular, using pseudo-inverse", j)
 
 
-def compute_params(scenario: Scenario, k_bar: int = DEFAULT_K_BAR,
-                   alpha: float = DEFAULT_ALPHA) -> StabilityParams:
-    """StabilityParams for a prepared scenario (plant, network and horizon).
-
-    The scenario goes unread; the function stays as the one call through
-    which the harness makes the parameters, which perfbench times as its
-    stability.compute_params site.
-    """
+def compute_params(k_bar: int = DEFAULT_K_BAR, alpha: float = DEFAULT_ALPHA) -> StabilityParams:
+    """StabilityParams for a stability run: the one call through which the
+    harness makes the parameters, which perfbench times as its
+    stability.compute_params site."""
     return StabilityParams(k_bar=k_bar, alpha=alpha)

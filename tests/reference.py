@@ -18,6 +18,7 @@ whole networks at once:
   node's l_i = e_s e_s^T / r_i and the network as one stacked sensor (H, R);
 - node_l, iv_delta, stepwise_fused_run: one subset's fused run, step by step
   and node by node (DkfEngine.fused_runs);
+- in_order_trace: the traces by which the kernel picks each node's peak;
 - oracle_histories: node_history for every node (_kernels.node_info_histories);
 - per_iteration_sweep: the greedy sweep, one fused run per iteration
   (selection.greedy_select);
@@ -237,7 +238,7 @@ def node_information(state, inv_r, m):
 
 def node_l(engine, i):
     """Node i's information contribution l_i = e_s e_s^T / r_i."""
-    return node_information(engine.network.state[[i]], engine.scenario.inv_r[[i]],
+    return node_information(engine.network.state[[i]], engine.inv_r[[i]],
                             engine.sys.state_dim)[0]
 
 
@@ -257,8 +258,7 @@ def stepwise_fused_run(engine, ids):
     info, yv = engine.info0, engine.yv0
     for k in range(n_out):
         if k > 0:
-            info, yv = time_update_general(info, yv, engine.scenario.a_inv_seq[k - 1],
-                                           engine.scenario.q_inv)
+            info, yv = time_update_general(info, yv, engine.a_inv_seq[k - 1], engine.q_inv)
         for i in idx:
             d = engine.delays[i]
             if d <= k:
@@ -267,6 +267,13 @@ def stepwise_fused_run(engine, ids):
         info_hist[k] = info
         yv_hist[k] = yv
     return info_hist, yv_hist
+
+
+def in_order_trace(mats):
+    """Traces of a stack (..., m, m), the diagonal added in order as
+    _kernels.node_info_histories adds it to pick each node's peak (np.trace
+    adds it pairwise from m = 8 on, so a tie to the last bit may differ)."""
+    return sum(np.moveaxis(np.diagonal(mats, axis1=-2, axis2=-1), -1, 0))
 
 
 def oracle_histories(a_inv, q_inv, state, inv_r):
@@ -317,7 +324,7 @@ def per_node_admission(sys_, nodes, params, n_steps):
         h = np.eye(sys_.state_dim)[[state]]
         l_node = h.T @ np.linalg.solve([[r]], h)
         hist = node_history(a_inv, np.linalg.inv(q), l_node)
-        peak = hist[np.argmax(np.trace(hist, axis1=1, axis2=2))]
+        peak = hist[np.argmax(in_order_trace(hist))]
         beta = beta_hat(sys_, n_steps, peak, params.alpha)
         d = delay_steps(base, sys_.sample_time)
         margins = []

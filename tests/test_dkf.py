@@ -158,9 +158,8 @@ def test_fused_runs_rows_match_stepwise_oracle():
             assert_rel_close(xhat[b], want_x)
             np.testing.assert_array_equal(flags[b], want_flags)
         # node 7 never arrives: its run is the prior propagated alone, bit for bit
-        sc = eng.scenario
         alone_info, alone_yv = _kernels.fused_info_recursion(
-            sc.a_inv_seq, sc.q_inv, np.zeros((1, 61, m)), np.zeros((1, 61, m)),
+            eng.a_inv_seq, eng.q_inv, np.zeros((1, 61, m)), np.zeros((1, 61, m)),
             eng.info0, eng.yv0)
         np.testing.assert_array_equal(info_hist[2], alone_info[0])
         np.testing.assert_array_equal(yv_hist[2], alone_yv[0])

@@ -231,6 +231,27 @@ def test_export_csv_matches_per_value_formatter(tmp_path):
     assert path.read_bytes() == ("flag,k,x\r\n" + "".join(rows)).encode()
 
 
+def test_export_csv_writes_outcome_strings(tmp_path):
+    # the outcome table's mode field is a string: written as it stands, and
+    # read back field for field
+    res = run_experiment(small_cfg(mode="all"), out_dir=tmp_path)
+    path = export_csv(res.outcomes, tmp_path / "outcomes.csv")
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["mode"] for row in rows] == ["fixed-subset", "greedy", "stability"]
+    assert [int(row["n_selected"]) for row in rows] == res.outcomes.n_selected.tolist()
+    got = np.array([float(row["mse"]) for row in rows])
+    assert got.tobytes() == res.outcomes.mse.tobytes()
+
+
+@pytest.mark.parametrize("text", ["a,b", 'say "hi"', "line\rend", "line\nend"])
+def test_export_csv_refuses_strings_it_would_need_to_quote(tmp_path, text):
+    table = np.rec.fromarrays([np.array(["plain", text]), np.arange(2)], names=["label", "k"])
+    with pytest.raises(ValueError, match="field 'label'"):
+        export_csv(table, tmp_path / "bad.csv")
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_trace_csv_layout(tmp_path):
     cfg = small_cfg(mode="fixed-subset", horizon=12, delay_range=(0.0, 0.0))
     run_experiment(cfg, out_dir=tmp_path)

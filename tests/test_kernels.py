@@ -6,8 +6,8 @@ from dkfsim import _kernels
 from dkfsim.model import builtin_system, robust_inverse, transition_sequence
 from dkfsim.selection import _admission_windows
 
-from conftest import assert_rel_close, random_system
-from reference import oracle_histories
+from conftest import all_steps_histories, assert_rel_close, random_system
+from reference import in_order_trace, oracle_histories
 
 
 def problem(n=40, n_steps=120, m=2, seed=0):
@@ -39,7 +39,7 @@ def test_node_histories_match_time_update_oracle(m):
 
 def unpacked_histories(a_inv, q_inv, state, inv_r):
     """node_info_histories as full matrices (n, N+1, m, m)."""
-    return _kernels.unpack(_kernels.node_info_histories(a_inv, q_inv, state, inv_r)).swapaxes(0, 1)
+    return _kernels.unpack(all_steps_histories(a_inv, q_inv, state, inv_r)).swapaxes(0, 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -84,18 +84,17 @@ def test_windowed_histories_match_all_nodes_call(seed, m, n, k_bar, extra_steps)
         reads = (t >= 1) & (k_bar < t + d) & (t + d <= n_steps)
         np.testing.assert_array_equal(np.flatnonzero(reads), np.arange(start[t], stop[t]))
 
-    full = _kernels.node_info_histories(a_inv, q_inv, state, inv_r)
+    full = all_steps_histories(a_inv, q_inv, state, inv_r)
     peak = np.empty((m * (m + 1) // 2, n))
-    got = _kernels.node_info_histories(a_inv, q_inv, state, inv_r, start=start, stop=stop,
-                                       peak=peak)
+    got = _kernels.node_info_histories(a_inv, q_inv, state, inv_r, start, stop, peak)
     want = np.concatenate([full[:, t, start[t]:stop[t]] for t in range(n_steps + 1)], axis=1)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     hist = _kernels.unpack(full)  # (N+1, n, m, m)
-    kernel_peak = hist[np.argmax(np.trace(hist, axis1=2, axis2=3), axis=0), np.arange(n)]
+    kernel_peak = hist[np.argmax(in_order_trace(hist), axis=0), np.arange(n)]
     assert _kernels.unpack(peak).tobytes() == kernel_peak.tobytes()
     oracle = oracle_histories(a_inv, q_inv, state, inv_r)  # (n, N+1, m, m)
-    want_peak = oracle[np.arange(n), np.argmax(np.trace(oracle, axis1=2, axis2=3), axis=1)]
+    want_peak = oracle[np.arange(n), np.argmax(in_order_trace(oracle), axis=1)]
     scale = np.abs(want_peak).max(axis=(1, 2), keepdims=True)
     assert (np.abs(_kernels.unpack(peak) - want_peak) <= 1e-12 * scale).all()
 

@@ -259,7 +259,7 @@ def test_engine_measurements_match_per_node_construction():
         hr = h.T @ np.linalg.inv(r_mat)
         assert np.array_equal(engine.z[i], z[:, 0])
         l_node = 0.5 * ((hr @ h) + (hr @ h).T)
-        assert np.array_equal(np.outer(h[0], h[0]) * engine.scenario.inv_r[i], l_node)
+        assert np.array_equal(np.outer(h[0], h[0]) * engine.inv_r[i], l_node)
     np.testing.assert_array_equal(engine.delays, [
         delay_steps(base, sys_.sample_time)
         for _, _, base, _ in resolved_per_node(nodes, np.random.default_rng(8))])

@@ -15,7 +15,7 @@ from dkfsim.stability import (
     i_tilde_matrices,
 )
 
-from conftest import identity_system, network_of, random_psd, random_system
+from conftest import all_steps_histories, identity_system, network_of, random_psd, random_system
 from reference import (
     beta_hat,
     beta_hat_per_term_loop,
@@ -290,7 +290,7 @@ def test_histories_and_bounds_are_exactly_symmetric(m):
     l_all = node_information(state, inv_r, m)
     scenario = Scenario(sys_, None, n_steps)
     rows, cols = np.tril_indices(m)
-    hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r)
+    hist = all_steps_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r)
     betas = rng.uniform(0.3, 1.0, size=n)
     bounds = i_tilde_matrices(bound_operator(scenario, k_bar),
                               betas, state, inv_r)
@@ -319,10 +319,8 @@ def test_stability_params_validation():
 
 
 def test_compute_params_modes():
-    sys_ = builtin_system()
-    scenario = Scenario(sys_, network_of((0, 0.3)), 100)
-    assert compute_params(scenario) == StabilityParams()
-    assert compute_params(scenario, k_bar=5, alpha=1e-3) == StabilityParams(k_bar=5, alpha=1e-3)
+    assert compute_params() == StabilityParams()
+    assert compute_params(k_bar=5, alpha=1e-3) == StabilityParams(k_bar=5, alpha=1e-3)
 
 
 def test_information_inverse_matches_riccati_covariance():
