@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, SelectionError
+from .stability import DEFAULT_ALPHA, DEFAULT_K_BAR
 
 MODES = ("greedy", "stability", "fixed-subset", "all")
 _OWN_MODE = object()  # validate's default: the rules of the config's own mode
@@ -34,8 +35,8 @@ class ExperimentConfig:
     jitter_std: float = 0.0
     network_file: str = ""
     # stability machinery
-    k_bar: int = 20
-    alpha: float = 1e-6
+    k_bar: int = DEFAULT_K_BAR
+    alpha: float = DEFAULT_ALPHA
     # experiment
     mode: str = "stability"
     horizon: int = 200

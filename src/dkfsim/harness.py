@@ -15,14 +15,7 @@ from .dkf import DkfEngine
 from .errors import ConfigError
 from .model import LtvSystem, builtin_system, load_matrix_table, transition_matrix
 from .sensing import SensorNetwork, load_network, resolve_delays, sample_network
-from .selection import (
-    greedy_select,
-    max_deviation,
-    mse_raw,
-    settling_index,
-    stability_select,
-    sweep_masks,
-)
+from .selection import greedy_select, scores, settling_index, stability_select, sweep_masks
 from .stability import compute_params
 
 log = logging.getLogger(__name__)
@@ -155,51 +148,39 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     engine = DkfEngine(sys_, network, cfg.horizon, rng)
     settle = settling_index(engine.truth, cfg.band)  # the first step every MSE counts
     outcomes, selected_nodes, files = [], {}, []
-
-    def trace(ids, name):
-        """Run the estimator over ids and write its trace; returns its x̂."""
+    for mode in ("fixed-subset", "greedy", "stability") if cfg.mode == "all" else (cfg.mode,):
+        # each mode gives its sorted ids and trace name and writes its own report
+        if mode == "fixed-subset":
+            ids, name = sorted(set(cfg.subset_ids(network))), "trace_fixed.csv"
+        elif mode == "greedy":
+            sweep = greedy_select(
+                engine, cfg.iterations,
+                r_max=cfg.variance_range[1], tau_max=cfg.delay_range[1], settle=settle,
+            )
+            files.append(export_csv(sweep, out / "greedy_report.csv"))
+            if np.isnan(sweep.mse).all():
+                raise ConfigError("no greedy iteration produced a non-empty subset")
+            best = sweep[np.nanargmin(sweep.mse)]  # the first of tied minima
+            ids = (np.flatnonzero(sweep_masks(network, best.r0, best.tau0)) + 1).tolist()
+            name = "trace_greedy_best.csv"
+        else:
+            params = compute_params(k_bar=cfg.k_bar, alpha=cfg.alpha)
+            selected, report = stability_select(engine, params)
+            files.append(export_csv(report, out / "stability_report.csv"))
+            ids, name = sorted(selected), "trace_stability.csv"
+        selected_nodes[mode] = ids
+        if mode == "stability" and not ids:  # an empty fixed subset raises in fused_run
+            log.warning("stability selection returned no nodes")
+            outcomes.append((mode, 0, np.nan, np.nan, np.nan, 0, np.nan, np.nan))
+            continue
         info_hist, _, xhat, _ = engine.fused_run(ids)
         files.append(export_csv(_trace_table(engine.truth, xhat, info_hist), out / name))
-        return xhat
-
-    def scored(mode, ids, xhat):
-        """The outcome of a mode whose subset ids gave xhat; its MSE is mse_raw
-        over the steps it counts, as selection.mse."""
-        raw = mse_raw(xhat, engine.truth, settle)
-        return (mode, len(ids), raw / (len(engine.truth) - settle),
-                max_deviation(xhat, engine.truth), raw, 0, np.nan, np.nan)
-
-    modes = ("fixed-subset", "greedy", "stability") if cfg.mode == "all" else (cfg.mode,)
-
-    if "fixed-subset" in modes:
-        ids = selected_nodes["fixed-subset"] = sorted(set(cfg.subset_ids(network)))
-        outcomes.append(scored("fixed-subset", ids, trace(ids, "trace_fixed.csv")))
-
-    if "greedy" in modes:
-        sweep = greedy_select(
-            engine, cfg.iterations,
-            r_max=cfg.variance_range[1], tau_max=cfg.delay_range[1], settle=settle,
-        )
-        files.append(export_csv(sweep, out / "greedy_report.csv"))
-        if np.isnan(sweep.mse).all():
-            raise ConfigError("no greedy iteration produced a non-empty subset")
-        best = sweep[np.nanargmin(sweep.mse)]  # the first of tied minima
-        ids = selected_nodes["greedy"] = (
-            np.flatnonzero(sweep_masks(network, best.r0, best.tau0)) + 1).tolist()
-        outcomes.append(("greedy", best.n_selected, best.mse, best.md, best.mse_raw,
-                         best.iteration, best.r0, best.tau0))
-        trace(ids, "trace_greedy_best.csv")  # the outcome is the sweep's record, not this re-run
-
-    if "stability" in modes:
-        params = compute_params(k_bar=cfg.k_bar, alpha=cfg.alpha)
-        selected, report = stability_select(engine, params)
-        files.append(export_csv(report, out / "stability_report.csv"))
-        ids = selected_nodes["stability"] = sorted(selected)
-        if ids:
-            outcomes.append(scored("stability", ids, trace(ids, "trace_stability.csv")))
+        if mode == "greedy":  # the outcome is the sweep's record, not this re-run
+            outcomes.append((mode, best.n_selected, best.mse, best.md, best.mse_raw,
+                             best.iteration, best.r0, best.tau0))
         else:
-            log.warning("stability selection returned no nodes")
-            outcomes.append(("stability", 0, np.nan, np.nan, np.nan, 0, np.nan, np.nan))
+            outcomes.append((mode, len(ids), *scores(xhat, engine.truth, settle),
+                             0, np.nan, np.nan))
     return ExperimentResult(np.rec.fromrecords(outcomes, dtype=OUTCOME), selected_nodes, files)
 
 

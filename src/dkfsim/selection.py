@@ -91,6 +91,13 @@ def mse(x_hat, x, from_index: int = 0):
     return mse_raw(x_hat, x, from_index) / (np.shape(x)[0] - from_index)
 
 
+def scores(x_hat, x, from_index: int = 0):
+    """(mse, max_deviation, mse_raw) of one trajectory or a stack, as those
+    three give them, with mse_raw computed once."""
+    raw = mse_raw(x_hat, x, from_index)
+    return raw / (np.shape(x)[0] - from_index), max_deviation(x_hat, x), raw
+
+
 def max_deviation(x_hat, x):
     """max |xhat - x| over steps and components, divided by max |x|; one value
     per trajectory of a stack (..., N+1, m), as mse_raw."""
@@ -156,9 +163,7 @@ def greedy_select(engine: DkfEngine, iterations: int, r_max: float, tau_max: flo
                 f"non-finite fused information in greedy iteration {iteration} at step {exc.step}",
                 step=exc.step,
             ) from exc
-        report.mse_raw[ran] = mse_raw(xhats, engine.truth, settle)
-        report.mse[ran] = report.mse_raw[ran] / (len(engine.truth) - settle)  # as mse
-        report.md[ran] = max_deviation(xhats, engine.truth)
+        report.mse[ran], report.md[ran], report.mse_raw[ran] = scores(xhats, engine.truth, settle)
     return report
 
 

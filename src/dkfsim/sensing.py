@@ -8,6 +8,7 @@ import numpy as np
 from .errors import ConfigError
 
 R_MIN = 1e-6  # variance floor; keeps 1/R finite when sampled ranges touch 0
+MAX_DELAY_STEPS = 2**62  # far past any horizon, and below the int64 overflow at 2**63
 
 
 class SensorNetwork:
@@ -55,15 +56,17 @@ class SensorNetwork:
         return list(range(1, len(self) + 1))
 
     def delay_steps(self, ts: float) -> np.ndarray:
-        """Every node's delay in filter steps. A node with jitter raises
-        ConfigError: its delay is drawn by resolve_delays, not here."""
+        """Every node's delay in filter steps, at most MAX_DELAY_STEPS, so a
+        delay however long stays a step past any horizon. A node with jitter
+        raises ConfigError: its delay is drawn by resolve_delays, not here."""
         if ts <= 0.0:
             raise ConfigError("ts must be positive", keys=("ts",))
         jittered = np.flatnonzero(self.jitter > 0.0)
         if jittered.size:
             raise ConfigError(f"node {jittered[0] + 1} has unresolved stochastic delay; "
                               "apply sensing.resolve_delays")
-        return _round_steps(self.base, ts).astype(np.int64)
+        with np.errstate(over="ignore"):  # a quotient past the float range clips as inf
+            return np.minimum(_round_steps(self.base, ts), MAX_DELAY_STEPS).astype(np.int64)
 
 
 def _round_steps(eff, ts):

@@ -21,6 +21,7 @@ from dkfsim.harness import (
     monte_carlo,
     run_experiment,
 )
+from dkfsim.selection import scores, settling_index
 
 
 def small_cfg(**overrides):
@@ -398,6 +399,47 @@ def test_run_experiment_runs_each_subset_once(tmp_path, monkeypatch):
     with open(tmp_path / "greedy_report.csv", newline="") as fh:
         evaluated = sum(1 for row in csv.DictReader(fh) if int(row["n_selected"]) > 0)
     assert batch_sizes[1] == evaluated > 1
+
+
+def test_run_experiment_outcomes_are_the_runs_their_traces_hold(tmp_path):
+    # a trace's 17 significant digits round-trip, so its scores match bit for bit
+    cfg = small_cfg(mode="all")
+    res = run_experiment(cfg, out_dir=tmp_path)
+    for mode, name in (("fixed-subset", "trace_fixed.csv"), ("stability", "trace_stability.csv")):
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        truth, xhat = (np.array([[float(r[f"{col}_{j}"]) for j in (1, 2)] for r in rows])
+                       for col in ("x_true", "x_hat"))
+        rec = res.report(mode)
+        assert (rec.mse, rec.md, rec.mse_raw) == scores(xhat, truth,
+                                                         settling_index(truth, cfg.band))
+    # greedy's outcome is the first minimum row of its sweep
+    with open(tmp_path / "greedy_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    best = rows[int(np.nanargmin([float(r["mse"]) for r in rows]))]
+    rec = res.report("greedy")
+    assert all(float(value) == rec[key] for key, value in best.items())
+
+
+def test_run_experiment_delay_past_the_int64_range_is_any_late_node(tmp_path):
+    # 1e300 s is more than 2**63 steps: the node delivers nothing and has no
+    # admission step, exactly as a 5 s delay on the 60-step horizon
+    results = {}
+    for delay in ("1e300", "5"):
+        net_file = tmp_path / f"net-{delay}.txt"
+        net_file.write_text(f"1 0 0.1 0.0 0.0\n2 1 0.2 0.05 0.0\n3 0 0.3 {delay} 0.0\n"
+                            "4 1 0.4 0.0 0.0\n")
+        cfg = small_cfg(mode="all", network_file=str(net_file), horizon=60, seed=1)
+        res = run_experiment(cfg, out_dir=tmp_path / delay)
+        with open(tmp_path / delay / "stability_report.csv", newline="") as fh:
+            report = [{k: v for k, v in row.items() if k != "delay_s"}
+                      for row in csv.DictReader(fh)]
+        results[delay] = res, report
+    (huge, huge_report), (late, late_report) = results["1e300"], results["5"]
+    assert huge.selected_nodes == late.selected_nodes
+    for name in huge.outcomes.dtype.names:
+        np.testing.assert_array_equal(huge.outcomes[name], late.outcomes[name])
+    assert huge_report == late_report
 
 
 def test_run_experiment_deterministic_csvs(tmp_path):

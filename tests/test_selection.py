@@ -17,6 +17,7 @@ from dkfsim.selection import (
     mse,
     mse_raw,
     _positive_definite,
+    scores,
     settling_index,
     stability_select,
     sweep_masks,
@@ -128,6 +129,12 @@ def test_metrics_on_a_stack_equal_per_row_calls(seed, batch, n_steps, m, data):
         batched = metric(stack, truth, *args)
         assert batched.shape == (batch,)
         assert np.array_equal(batched, [metric(row, truth, *args) for row in stack])
+    # scores gives the three metrics of one trajectory or a stack in one call
+    for x_hat in (stack[0], stack):
+        want = (mse(x_hat, truth, from_index), max_deviation(x_hat, truth),
+                mse_raw(x_hat, truth, from_index))
+        assert all(np.array_equal(got, value)
+                   for got, value in zip(scores(x_hat, truth, from_index), want, strict=True))
 
 
 @pytest.mark.parametrize("metric", [mse, mse_raw, max_deviation])

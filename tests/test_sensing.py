@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dkfsim import sensing
 from dkfsim.errors import ConfigError
 from dkfsim.sensing import (
     R_MIN,
@@ -99,6 +100,15 @@ def test_delay_steps_refuses_unresolved_jitter():
 def test_delay_steps_integer_multiple_exact():
     for k in range(0, 300, 13):
         assert both_delay_steps(k * 0.01, ts=0.01) == (k, k)
+
+
+def test_delay_steps_past_the_int64_range_clip_instead_of_wrapping():
+    # 1e300 s at ts = 0.01, and any positive delay at ts = 1e-300, is 2**63
+    # steps or more: the count clips far past any horizon, where the int64
+    # cast would wrap it negative
+    net = network_of((0, 0.25, 1e300), (1, 0.25, 2.0), (0, 0.25, 0.0))
+    assert net.delay_steps(0.01).tolist() == [sensing.MAX_DELAY_STEPS, 200, 0]
+    assert net.delay_steps(1e-300).tolist() == [sensing.MAX_DELAY_STEPS] * 2 + [0]
 
 
 def test_resolve_delays_folds_jitter_once():
