@@ -78,7 +78,7 @@ def _cmd_run(cfg, command):
     _, _, cfg.mode, label = COMMANDS[command]
     result = run_experiment(cfg)
     report = result.report(cfg.mode)
-    if cfg.mode == "greedy":
+    if cfg.mode == "greedy" and report.n_selected:
         print(f"best iteration: {report.iteration} (R0={report.r0:.6g}, tau0={report.tau0:.6g})")
     if report.n_selected:
         print(f"{label}: {report.n_selected} nodes, MSE={report.mse:.6g}, MD={report.md:.6g}")

@@ -49,9 +49,9 @@ class ExperimentConfig:
 
     def validate(self, mode=_OWN_MODE):
         """Raise one ConfigError naming every invalid key; NaN and +-inf are
-        invalid in every float key. The stability window and the fixed
-        subset's ids are checked only where mode, by default the config's
-        own, runs them; mode None runs neither."""
+        invalid in every float key, and so is an empty subset. The stability
+        window and the subset's range are checked only where mode, by default
+        the config's own, runs them; mode None runs neither."""
         if mode is _OWN_MODE:
             mode = self.mode
         bad = []
@@ -98,8 +98,8 @@ class ExperimentConfig:
             except (TypeError, ValueError):
                 bad.append("subset")
             else:
-                if (mode in ("fixed-subset", "all") and not self.network_file
-                        and not all(1 <= i <= self.n_sensors for i in ids)):
+                if not ids or (mode in ("fixed-subset", "all") and not self.network_file
+                               and not all(1 <= i <= self.n_sensors for i in ids)):
                     bad.append("subset")
         if bad:
             raise ConfigError(f"invalid configuration values for: {', '.join(bad)}", keys=bad)

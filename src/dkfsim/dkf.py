@@ -119,7 +119,7 @@ class Scenario:
     inverse for k < n_steps (the pseudo-inverse at the steps listed in
     a_pinv_steps); q_inv: Q^{-1}; per node, inv_r (n,): 1/r_i, so that
     l_i = e_s e_s^T inv_r[i] for s = network.state[i], and delays (n,): d_i in
-    steps (unresolved jitter raises ConfigError).
+    steps. A Q^{-1} not finite or unresolved jitter raises ConfigError.
     network=None prepares the plant part only. DkfEngine is a Scenario, so
     the stability selection and the bound computations read these from the
     engine itself instead of deriving them again.
@@ -138,6 +138,8 @@ class Scenario:
         self.a_inv_seq, used_pinv = robust_inverse(self.a_seq)
         self.a_pinv_steps = np.flatnonzero(used_pinv).tolist()
         self.q_inv = np.linalg.inv(sys.process_noise_cov)
+        if not np.isfinite(self.q_inv).all():
+            raise ConfigError("process noise Q has no finite inverse", keys=("q_scale",))
         if network is None:
             return
         self.inv_r = 1.0 / network.variance

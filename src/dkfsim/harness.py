@@ -13,7 +13,7 @@ import numpy as np
 from .config import MODES, ExperimentConfig
 from .dkf import DkfEngine
 from .errors import ConfigError
-from .model import LtvSystem, builtin_system, load_matrix_table, transition_matrix
+from .model import LtvSystem, builtin_system, load_matrix_table
 from .sensing import SensorNetwork, load_network, resolve_delays, sample_network
 from .selection import greedy_select, scores, settling_index, stability_select, sweep_masks
 from .stability import compute_params
@@ -48,11 +48,11 @@ _NEEDS_QUOTES = frozenset(',"\r\n')  # what an unquoted CSV field cannot hold
 
 
 def export_csv(table, path) -> Path:
-    """Write a structured array as RFC-4180-style CSV: a header row of its
-    field names, CRLF line ends, '.' decimals; each row is one % template of
-    its columns' conversions, chosen by dtype kind (bool, integer, float or
-    string). No field is quoted, so a string holding a comma, a double quote,
-    CR or LF raises ValueError naming its field."""
+    """Write a structured array as RFC-4180-style CSV, making its directory if
+    needed: a header row of its field names, CRLF line ends, '.' decimals; each
+    row is one % template of its columns' conversions, chosen by dtype kind
+    (bool, integer, float or string). No field is quoted, so a string holding a
+    comma, a double quote, CR or LF raises ValueError naming its field."""
     path = Path(path)
     names = table.dtype.names
     for c in names:
@@ -62,6 +62,7 @@ def export_csv(table, path) -> Path:
                              "which export_csv does not quote")
     row = ",".join(_FORMATS[table.dtype[c].kind] for c in names)
     lines = [",".join(names), *map(row.__mod__, table.tolist())]
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
     return path
 
@@ -114,8 +115,8 @@ def make_network(cfg: ExperimentConfig, rng: np.random.Generator) -> SensorNetwo
 
 
 # one record per selection mode that ran: its subset size and metrics. A mode
-# that ran no estimator (stability selected nothing) holds NaN metrics;
-# iteration, r0 and tau0 name greedy's best sweep record (0 and NaN elsewhere).
+# that selected nothing holds n_selected 0 and NaN metrics; iteration, r0 and
+# tau0 name greedy's best sweep record (0 and NaN elsewhere).
 # The mode field fits the longest mode name, so no name is stored truncated
 OUTCOME = np.dtype([
     ("mode", f"U{max(map(len, MODES))}"), ("n_selected", np.int64), ("mse", float), ("md", float),
@@ -140,7 +141,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Execute the configured pipeline end-to-end; deterministic per seed."""
     cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     rng = make_rng(cfg.seed)
     sys_ = make_system(cfg)
     network = make_network(cfg, rng)
@@ -158,9 +158,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
                 r_max=cfg.variance_range[1], tau_max=cfg.delay_range[1], settle=settle,
             )
             files.append(export_csv(sweep, out / "greedy_report.csv"))
-            if np.isnan(sweep.mse).all():
-                raise ConfigError("no greedy iteration produced a non-empty subset")
-            best = sweep[np.nanargmin(sweep.mse)]  # the first of tied minima
+            # the first of tied minima, an empty record's NaN counted as +inf:
+            # a sweep that ran nothing gives its first record, which is empty
+            best = sweep[np.where(np.isnan(sweep.mse), np.inf, sweep.mse).argmin()]
             ids = (np.flatnonzero(sweep_masks(network, best.r0, best.tau0)) + 1).tolist()
             name = "trace_greedy_best.csv"
         else:
@@ -169,8 +169,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             files.append(export_csv(report, out / "stability_report.csv"))
             ids, name = sorted(selected), "trace_stability.csv"
         selected_nodes[mode] = ids
-        if mode == "stability" and not ids:  # an empty fixed subset raises in fused_run
-            log.warning("stability selection returned no nodes")
+        if not ids:  # validate refuses an empty fixed subset
+            log.warning("%s selection returned no nodes", mode)
             outcomes.append((mode, 0, np.nan, np.nan, np.nan, 0, np.nan, np.nan))
             continue
         info_hist, _, xhat, _ = engine.fused_run(ids)
@@ -190,8 +190,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
 
 # one record per Monte Carlo run: the columns of montecarlo_runs.csv. A run
-# fails when it raises or its selection comes back empty; it then holds
-# n_selected 0 and NaN metrics
+# fails when it raises a numeric error or its selection comes back empty; it
+# then holds n_selected 0 and NaN metrics
 MC_RUN = np.dtype([("run", np.int64), ("seed", np.int64), ("failed", bool),
                    ("n_selected", np.int64), ("mse", float), ("md", float)])
 
@@ -221,39 +221,26 @@ class MonteCarloSummary:
         return stats
 
 
-def _check_draw_free(cfg: ExperimentConfig, mode: str):
-    """Raise the ConfigError every run in mode would raise before its first
-    draw: the plant lacks A(horizon - 1) (a table holds A(0), A(1), ... in
-    order), the network file is bad, or a fixed subset names an id it lacks."""
-    transition_matrix(make_system(cfg), cfg.horizon - 1)
-    if cfg.network_file:
-        network = load_network(cfg.network_file, state_dim=cfg.state_dim)
-        if mode == "fixed-subset":
-            cfg.subset_ids(network)
-
-
 def monte_carlo(cfg: ExperimentConfig, runs: int | None = None, out_dir=None) -> MonteCarloSummary:
     """Repeat run_experiment with per-run derived seeds and aggregate the metrics.
 
-    A config fault that fails every run alike raises ConfigError before the
-    first run. Failed runs are recorded and skipped in the aggregates; callers
-    decide the exit status. Writes montecarlo_runs.csv and montecarlo_summary.csv.
+    A run fails on a numeric error or an empty selection and is recorded and
+    skipped in the aggregates; a ConfigError, which no draw decides, raises
+    from the first run. Writes montecarlo_runs.csv and montecarlo_summary.csv.
     """
     mode = cfg.mode if cfg.mode != "all" else "stability"
     cfg.validate(mode)
     runs = cfg.runs if runs is None else runs
     if runs < 1:
         raise ConfigError("runs must be >= 1", keys=("runs",))
-    _check_draw_free(cfg, mode)
     out = Path(out_dir if out_dir is not None else cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary = MonteCarloSummary(np.recarray(runs, dtype=MC_RUN))
     for idx in range(runs):
         run_cfg = replace(cfg, mode=mode, seed=int(derive_seed(cfg.seed, idx).generate_state(1)[0]))
         try:
             rep = run_experiment(run_cfg, out_dir=out / f"run_{idx:03d}").report(mode)
             row = (rep.n_selected, rep.mse, rep.md)
-        except (ConfigError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
             log.warning("monte carlo run %d failed: %s", idx, exc)
             row = (0, np.nan, np.nan)
         summary.table[idx] = (idx, run_cfg.seed, np.isnan(row[1]), *row)

@@ -215,7 +215,8 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     delay leaves no applicable step are excluded: they offer no evidence of
     stability. Stochastic delays must be resolved beforehand
     (sensing.resolve_delays). Returns (selected ids, report): report is a
-    STABILITY_REPORT record array with one record per node in id order.
+    STABILITY_REPORT record array with one record per node in id order. A
+    stored history that is not finite raises DivergenceError naming its node.
 
     The pass runs over node chunks of STABILITY_CHUNK packed history entries.
     A chunk takes its nodes in delay order, so that the nodes whose admission
@@ -259,8 +260,15 @@ def stability_select(scenario: Scenario, params: StabilityParams):
         start, stop = _admission_windows(delay, k_bar, n_steps)
         column = _kernels.window_columns(start, stop)
         peak = np.empty((n_pairs, part.size))
-        hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r,
-                                            start, stop, peak)
+        with np.errstate(invalid="ignore"):  # a NaN history raises below
+            hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state,
+                                                inv_r, start, stop, peak)
+        finite = np.isfinite(hist).all(axis=0)
+        if not finite.all():  # name the first stored step, then the first node, that fails
+            c = int(np.argmin(finite))
+            k = int(np.searchsorted(column + start, c, side="right")) - 1
+            raise DivergenceError(f"non-finite information history of node "
+                                  f"{part[c - column[k]] + 1} at step {k}", step=k)
         # per-node contraction from each node's own history bound
         betas[part] = beta = beta_hat_batch(_kernels.unpack(peak), params.alpha, terms)
         for b in range(0, part.size, block):

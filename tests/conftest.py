@@ -81,6 +81,12 @@ def random_psd(rng, m=2, scale=1.0):
     return scale * (a @ a.T)
 
 
+# a network file whose every delay (2.5-4 s) exceeds the default delay_range's
+# upper end of 2 s and a 60-step horizon: no greedy threshold admits a node
+# and no node has an admission step
+ALL_LATE = "1 0 0.1 2.5 0.0\n2 1 0.2 3.0 0.0\n3 0 0.3 3.5 0.0\n4 1 0.4 4.0 0.0\n"
+
+
 def network_of(*nodes, m=2):
     """Network of nodes 1..n, each given as (state, variance[, base[, jitter]]);
     base and jitter default to 0."""

@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from dkfsim.cli import main
 from dkfsim.errors import ConfigError
 from dkfsim.sensing import load_network
+
+from conftest import ALL_LATE
 
 
 def write_cfg(tmp_path, **overrides):
@@ -111,6 +114,50 @@ def test_montecarlo_failed_runs_exit_nonzero(tmp_path):
     out = tmp_path / "mc-fail"
     assert main(["montecarlo", "--config", str(cfg), "--out", str(out)]) == 3
     assert (out / "montecarlo_runs.csv").exists()
+
+
+def test_select_greedy_on_an_all_late_file_selects_nothing(tmp_path, capsys):
+    # an empty sweep is an outcome, as an empty stability selection is; it
+    # once raised ConfigError and exited 1
+    net = tmp_path / "late.txt"
+    net.write_text(ALL_LATE)
+    cfg = write_cfg(tmp_path, network_file=net, horizon=60)
+    out = tmp_path / "out"
+    assert main(["select-greedy", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "greedy selection returned no nodes", f"wrote {out / 'greedy_report.csv'}"]
+    with open(out / "greedy_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["n_selected"] for r in rows] == ["0"] * 10
+    assert {(r["mse"], r["md"], r["mse_raw"]) for r in rows} == {("nan", "nan", "nan")}
+    assert [p.name for p in out.iterdir()] == ["greedy_report.csv"]
+
+
+def test_montecarlo_greedy_on_an_all_late_file_fails_every_run(tmp_path, caplog):
+    # each run holds its empty selection's NaN outcome, where it once raised
+    # ConfigError, which monte_carlo caught as the run's failure
+    net = tmp_path / "late.txt"
+    net.write_text(ALL_LATE)
+    cfg = write_cfg(tmp_path, network_file=net, horizon=60, mode="greedy", runs=2)
+    out = tmp_path / "out"
+    assert main(["montecarlo", "--config", str(cfg), "--out", str(out)]) == 3
+    with open(out / "montecarlo_runs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["failed"], r["n_selected"], r["mse"]) for r in rows] == [("1", "0", "nan")] * 2
+    assert [rec.message for rec in caplog.records if rec.name == "dkfsim.harness"] == [
+        "greedy selection returned no nodes"] * 2
+    assert all((out / f"run_00{i}" / "greedy_report.csv").exists() for i in range(2))
+
+
+@pytest.mark.parametrize("command", ["simulate", "select-greedy", "select-stability", "montecarlo"])
+def test_process_noise_without_finite_inverse_is_validation_error(tmp_path, caplog, command):
+    # Q = 1e-320 I overflows its inverse: select-stability once selected
+    # nothing and exited 0, simulate and select-greedy exited 3
+    cfg = write_cfg(tmp_path, q_scale="1e-320")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert caplog.messages == ["invalid configuration: process noise Q has no finite inverse"]
+    assert not out.exists()
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -246,7 +293,8 @@ def test_non_finite_transition_table_is_validation_error(tmp_path, caplog):
 @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
 def test_draw_free_fault_is_validation_error(tmp_path, caplog, command, case):
     # montecarlo once ran every run into the same ConfigError and exited 3;
-    # it checks the plant, the network file and the fixed subset once, first
+    # no ConfigError depends on a draw, so its first run raises the fault,
+    # before anything is written
     if case == "subset-missing-from-file":
         net = tmp_path / "net.txt"
         net.write_text("1 0 0.1 0.0 0.0\n2 1 0.2 0.05 0.0\n")

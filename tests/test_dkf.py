@@ -525,6 +525,14 @@ def test_engine_accepts_a_semidefinite_prior_within_rounding():
     assert np.array_equal(eng.info0, info0)
 
 
+def test_scenario_refuses_process_noise_without_finite_inverse():
+    # Q = 1e-320 I is positive definite but its inverse overflows; the
+    # stability selection once admitted no node and the fused runs diverged
+    with pytest.raises(ConfigError, match="^process noise Q has no finite inverse$") as err:
+        Scenario(builtin_system(q_scale=1e-320), None, 10)
+    assert err.value.keys == ("q_scale",)
+
+
 def test_engine_rejects_network_of_another_state_dim():
     net = network_of((2, 0.2), m=3)
     message = "^nodes measure a 3-state plant, the system has 2 states$"

@@ -23,6 +23,8 @@ from dkfsim.harness import (
 )
 from dkfsim.selection import scores, settling_index
 
+from conftest import ALL_LATE
+
 
 def small_cfg(**overrides):
     base = dict(
@@ -124,6 +126,15 @@ def test_validate_checks_window_and_subset_only_where_a_mode_reads_them():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(seed=-1, subset=(0,), mode="all", k_bar=200).validate()
     assert err.value.keys == ("seed", "k_bar", "horizon", "subset")
+
+
+@pytest.mark.parametrize("mode", ["fixed-subset", "all", "stability"])
+def test_validate_refuses_an_empty_subset(mode):
+    # fused_run once refused it; an empty selection is now an outcome, so
+    # validate keeps an empty fixed subset a config fault
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(seed=1, subset=(), mode=mode).validate()
+    assert err.value.keys == ("subset",)
 
 
 @pytest.mark.parametrize("key, text", [
@@ -365,6 +376,31 @@ def test_run_experiment_greedy_reports_first_of_tied_minima(tmp_path):
     assert res.selected_nodes["greedy"] == list(range(1, 7))
 
 
+def test_run_experiment_all_mode_on_an_all_late_file(tmp_path, caplog):
+    # the fixed subset still runs; greedy and stability each hold a NaN
+    # outcome, where the empty sweep once raised ConfigError
+    net_file = tmp_path / "late.txt"
+    net_file.write_text(ALL_LATE)
+    cfg = small_cfg(mode="all", network_file=str(net_file), horizon=60, seed=1)
+    with caplog.at_level("WARNING", logger="dkfsim.harness"):
+        res = run_experiment(cfg, out_dir=tmp_path / "out")
+    assert res.outcomes.mode.tolist() == ["fixed-subset", "greedy", "stability"]
+    fixed = res.report("fixed-subset")
+    assert fixed.n_selected == 4 and np.isfinite([fixed.mse, fixed.md, fixed.mse_raw]).all()
+    for mode in ("greedy", "stability"):
+        rec = res.report(mode)
+        assert (rec.n_selected, rec.iteration) == (0, 0)
+        assert np.isnan([rec.mse, rec.md, rec.mse_raw, rec.r0, rec.tau0]).all()
+        assert res.selected_nodes[mode] == []
+    assert [rec.message for rec in caplog.records if rec.name == "dkfsim.harness"] == [
+        "greedy selection returned no nodes", "stability selection returned no nodes"]
+    with open(tmp_path / "out" / "greedy_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == cfg.iterations and {r["mse"] for r in rows} == {"nan"}
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == ["greedy_report.csv", "stability_report.csv", "trace_fixed.csv"]
+
+
 def test_run_experiment_all_mode_warns_once_when_truth_never_settles(tmp_path, caplog):
     # the settling index is computed once per experiment and shared by the
     # fixed run, the greedy sweep and the stability run
@@ -491,6 +527,17 @@ def test_monte_carlo_runs_differ(tmp_path):
     ok = summary.table[~summary.table.failed]
     assert len(ok) == 3
     assert len(set(ok.n_selected)) > 1 or len(set(ok.mse)) == 3
+
+
+@pytest.mark.parametrize("mode", ["stability", "greedy", "fixed-subset"])
+def test_monte_carlo_config_fault_raises_from_the_first_run(tmp_path, mode, caplog):
+    # a ConfigError is no run failure: the first run raises it, uncaught,
+    # before anything is written
+    with pytest.raises(ConfigError, match="no finite inverse") as err:
+        monte_carlo(small_cfg(mode=mode, q_scale=1e-320, runs=3), out_dir=tmp_path / "out")
+    assert err.value.keys == ("q_scale",)
+    assert not (tmp_path / "out").exists()
+    assert not caplog.records
 
 
 def test_monte_carlo_run_that_raises_counts_as_failed(tmp_path, monkeypatch, caplog):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dkfsim import _kernels, selection
 from dkfsim.dkf import DkfEngine, Scenario
-from dkfsim.errors import ConfigError, MetricError, NumericError
+from dkfsim.errors import ConfigError, DivergenceError, MetricError, NumericError
 from dkfsim.model import LtvSystem, MatrixTable, builtin_system
 from dkfsim.sensing import R_MIN, SensorNetwork, sample_network
 from dkfsim.selection import (
@@ -24,7 +24,7 @@ from dkfsim.selection import (
 )
 from dkfsim.stability import StabilityParams, bound_operator, compute_params, i_tilde_matrices
 
-from conftest import network_of, random_system
+from conftest import all_steps_histories, network_of, random_system
 from reference import i_tilde, per_iteration_sweep, per_node_admission
 
 
@@ -375,6 +375,23 @@ def test_stability_select_prefers_low_staleness():
         rejected = [i for i in net.ids() if i not in selected and report[i - 1].ct_exp > 0]
         if rejected:
             assert min(delays[i] for i in rejected) >= worst_selected
+
+
+def test_stability_select_refuses_non_finite_histories():
+    # with Q = 1e300 I every node's history is NaN from step 1 on; beta-hat
+    # came out finite from step 0 and the pass admitted no node, exit 0
+    scenario = Scenario(builtin_system(q_scale=1e300),
+                        sample_network(50, (0.0, 0.5), (0.0, 0.2), np.random.default_rng(7)), 60)
+    with pytest.raises(DivergenceError, match=r"^non-finite information history of node (\d+) "
+                                              r"at step 1$") as err:
+        stability_select(scenario, StabilityParams(k_bar=5))
+    assert err.value.step == 1
+    node = int(err.value.args[0].split()[5])
+    with np.errstate(invalid="ignore"):
+        hist = all_steps_histories(scenario.a_inv_seq, scenario.q_inv, scenario.network.state,
+                                   scenario.inv_r)
+    assert np.isfinite(hist[:, 0]).all()
+    assert not np.isfinite(hist[:, 1, node - 1]).all()
 
 
 def test_stability_select_requires_horizon_beyond_window():
