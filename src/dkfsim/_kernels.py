@@ -27,9 +27,9 @@ the number of those calls, not their arithmetic, sets a step's cost.
   single-chain callers pass one row); each chain's information vector is
   one more right-hand side of the elimination.
 
-The same packed layout carries the shifted-Cholesky bracket (_cholesky_outcome)
-that the admission check and the estimate recovery use to decide eigenvalue
-tests without eigvalsh.
+The same packed layout carries the shifted Cholesky (_cholesky_succeeds) that
+the admission check and the estimate recovery use to certify eigenvalue
+bounds without eigvalsh.
 """
 
 import itertools
@@ -220,29 +220,28 @@ def rounding_shift(packed):
     return delta, (scale > 1e-150) & (scale < 1e150)
 
 
-def _cholesky_outcome(w, shift):
-    """(succeeded, broke down) of an unpivoted Cholesky of each D - shift I.
+def _cholesky_succeeds(w, shift):
+    """Whether an unpivoted Cholesky of each D - shift I succeeds, every pivot
+    positive.
 
     w (P, e) holds the lower triangle of one symmetric matrix D per column,
     in np.tril_indices order, so row i of the triangle is one run of packed
     rows; shift is (e,). The factorization runs in place: w is overwritten,
-    so callers pass a copy of what they still need. A pivot that is NaN
-    counts as neither outcome.
+    so callers pass a copy of what they still need. A pivot that is NaN, as
+    every pivot after a breakdown is, counts as a failure.
     """
     m = packed_dim(w.shape[0])
     index = packed_index(m)
     w[index.diagonal()] -= shift
     succeeded = np.ones(w.shape[-1], dtype=bool)
-    broke = np.zeros(w.shape[-1], dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for j in range(m):
             pivot = w[index[j, j]]
             succeeded &= pivot > 0.0
-            broke |= pivot <= 0.0
             col = w[index[j + 1:, j]] / np.sqrt(pivot)  # column j of the factor below the pivot
             for i in range(j + 1, m):
                 w[index[i, j + 1]:index[i, i] + 1] -= col[i - j - 1] * col[:i - j]
-    return succeeded, broke
+    return succeeded
 
 
 def fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0):
@@ -270,11 +269,14 @@ def fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0):
     yv_rhs, yv_pred = step.extra[:, 0], step.extra_out[:, 0]
     steps = zip(a_inv_seq.transpose(0, 2, 1), info_inc[1:], iv_inc[1:], info_hist[1:],
                 yv_hist[:-1], yv_hist[1:])
-    for a_inv_t, info_k, iv_k, info_out, yv, yv_out in steps:
-        np.matmul(a_inv_t, yv, yv_rhs)
-        step(a_inv_t)
-        np.add(yv_pred, iv_k, yv_out)
-        np.add(diag, info_k, diag)
-        np.copyto(info_out, info)
+    # a diverging chain turns non-finite silently: DkfEngine.fused_runs checks
+    # the histories right after this call and raises DivergenceError naming it
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for a_inv_t, info_k, iv_k, info_out, yv, yv_out in steps:
+            np.matmul(a_inv_t, yv, yv_rhs)
+            step(a_inv_t)
+            np.add(yv_pred, iv_k, yv_out)
+            np.add(diag, info_k, diag)
+            np.copyto(info_out, info)
     return (np.ascontiguousarray(info_hist.transpose(3, 0, 1, 2)),
             np.ascontiguousarray(yv_hist.transpose(2, 0, 1)))

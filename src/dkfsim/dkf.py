@@ -72,7 +72,7 @@ def recover_estimates(info_hist, yv_hist):
     delta, trusted = _kernels.rounding_shift(work)
     shift = 1e-10 * work[rows == cols].sum(axis=0)
     shift += delta
-    certified, _ = _kernels._cholesky_outcome(work, shift)
+    certified = _kernels._cholesky_succeeds(work, shift)
     del work, delta, shift
     rest = np.flatnonzero(~(certified & trusted))
     flags = np.zeros(n_mats, dtype=bool)

@@ -26,13 +26,14 @@ from . import _kernels, stability
 log = logging.getLogger(__name__)
 
 # packed history entries of one node chunk of stability_select, budgeted at
-# (N + 1) m (m + 1) / 2 per node: the network splits into the fewest chunks
-# within it, of equal size (chunks of 667, 667 and 666 nodes at m=5, N=200,
-# 2000 nodes; one chunk at m=2). A chunk stores each node's history only at
-# the steps its admission reads, so with delays U[0, N] steps, as on the
-# benchmark, it fills about half the budget. The admission check holds about
-# four (P, entries) arrays per node block; blocks of an eighth of the budget,
-# split the same way, keep them within half of it
+# (N + 1) m (m + 1) / 2 per live node: the live nodes split into the fewest
+# chunks within it, of equal size (at most 695 nodes a chunk at m=5, N=200, and
+# 3477 at m=2). With delays U[0, N] steps and k_bar = 20, as on the benchmark,
+# about 200 of 2000 nodes are live, so they form one chunk at either m. A chunk
+# stores each node's history only at the steps its admission reads, N - k_bar
+# of them for a live node at m >= 2, so it fills about 90% of the budget. The
+# admission check holds about four (P, entries) arrays per node block; blocks
+# of an eighth of the budget, split the same way, keep them within half of it
 STABILITY_CHUNK = 1 << 21
 
 
@@ -169,38 +170,27 @@ def greedy_select(engine: DkfEngine, iterations: int, r_max: float, tau_max: flo
 
 # one record per node of stability_select's report, in id order
 STABILITY_REPORT = np.dtype([
-    ("node_id", np.int64), ("selected", bool), ("ct_exp", np.int64), ("ct_act", np.int64),
+    ("node_id", np.int64), ("selected", bool), ("ct_exp", np.int64), ("first_fail", np.int64),
     ("delay_s", float), ("variance", float), ("beta_hat", float),
 ])
 
 
 def _positive_definite(packed) -> np.ndarray:
-    """Whether lambda_min > 0 for each symmetric matrix of a packed stack
-    (P, e) (lower triangles in np.tril_indices order, one matrix per column),
-    decided as np.linalg.eigvalsh decides it.
+    """Whether each symmetric matrix D of a packed stack (P, e) (lower
+    triangles in np.tril_indices order, one matrix per column) is certified
+    positive definite.
 
-    A Cholesky bracket decides: with delta = c m (m + 1) eps max|D|, the
-    computed factor of D - delta I is exact for a perturbation smaller than
-    m (m + 1) eps max|D| (Higham, Accuracy and Stability, Thm 10.3), so
-    success means lambda_min(D) exceeds eigvalsh's own backward error and
-    eigvalsh finds it positive. A breakdown on D + delta I means
-    lambda_min(D) lies below minus that error (Demmel's success condition,
-    Thm 10.7), and eigvalsh finds it negative. The second test runs only where
-    the first fails; eigvalsh decides what neither does, and any entry so small
-    or large that the products could under- or overflow, on those entries
-    unpacked.
+    With delta = c m (m + 1) eps max|D|, the computed Cholesky factor of
+    D - delta I is exact for a perturbation smaller than m (m + 1) eps max|D|
+    (Higham, Accuracy and Stability, Thm 10.3), so its success means
+    lambda_min(D) exceeds the backward error of any eigensolver on D, and
+    np.linalg.eigvalsh finds it positive. Every other entry fails: one whose
+    lambda_min lies below -delta, and one within delta of zero, singular to
+    within rounding, which a strict domination test cannot certify. So does any
+    entry so small or large that the products could under- or overflow.
     """
     delta, trusted = _kernels.rounding_shift(packed)
-    positive, _ = _kernels._cholesky_outcome(packed.copy(), delta)
-    positive &= trusted
-    rest = np.flatnonzero(~positive)
-    # the gather is a fresh array, so the bracket may factor it in place
-    _, negative = _kernels._cholesky_outcome(np.take(packed, rest, axis=1), -delta[rest])
-    undecided = rest[~(negative & trusted[rest])]
-    if undecided.size:
-        full = _kernels.unpack(np.take(packed, undecided, axis=1))
-        positive[undecided] = np.linalg.eigvalsh(full)[:, 0] > 0.0
-    return positive
+    return _kernels._cholesky_succeeds(packed.copy(), delta) & trusted
 
 
 def stability_select(scenario: Scenario, params: StabilityParams):
@@ -214,16 +204,32 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     horizon N; a scenario without a network raises ConfigError. Nodes whose
     delay leaves no applicable step are excluded: they offer no evidence of
     stability. Stochastic delays must be resolved beforehand
-    (sensing.resolve_delays). Returns (selected ids, report): report is a
-    STABILITY_REPORT record array with one record per node in id order. A
-    stored history that is not finite raises DivergenceError naming its node.
+    (sensing.resolve_delays).
 
-    The pass runs over node chunks of STABILITY_CHUNK packed history entries.
-    A chunk takes its nodes in delay order, so that the nodes whose admission
-    reads a step form one range, and stores their histories only there, with
-    each node's peak-trace matrix for beta-hat; then it runs bounds and
-    admission check block by block. Neither the whole network's histories nor
-    its bounds are held at once.
+    At m >= 2 a node with k_bar <= d_i < N is rejected by proof, before its
+    history is computed. Its first applicable step k = d_i + 1 reads
+    I_i(1) = psi(l_i) + l_i, where psi(l_i), the time update of the zero
+    prior's first step l_i, has rank one as l_i has. The bound's tau = 1 term
+    is l_i and every other term is PSD, so the difference is psi(l_i) minus a
+    PSD matrix, which has an eigenvalue <= 0 when m >= 2. The proof needs
+    m >= 2, one measured state per node and the zero node prior that
+    node_info_histories starts from. So only the live nodes are computed:
+    those with d_i < k_bar at m >= 2, every node with an applicable step at
+    m = 1.
+
+    Returns (selected ids, report): report is a STABILITY_REPORT record array
+    with one record per node in id order. ct_exp counts its applicable steps;
+    first_fail is the first of them whose check fails (d_i + 1 for a node the
+    proof rejects), 0 if none does; beta_hat is NaN for a node not computed.
+    A node is selected iff ct_exp > 0 and first_fail == 0. A stored history
+    that is not finite raises DivergenceError naming its node.
+
+    The pass runs over chunks of live nodes, of STABILITY_CHUNK packed history
+    entries. A chunk takes its nodes in delay order, so that the nodes whose
+    admission reads a step form one range, and stores their histories only
+    there, with each node's peak-trace matrix for beta-hat; then it runs
+    bounds and admission check block by block. Neither the whole network's
+    histories nor its bounds are held at once.
     """
     network = scenario.network
     if network is None:
@@ -244,15 +250,20 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     n_pos = n_steps - k_bar
     first = np.clip(d - k_bar, 0, n_pos)
     ct_exp = n_pos - first
+    # the live nodes, which the docstring's proof does not decide; every other
+    # node with an applicable step fails at its first, k = d_i + 1
+    live = np.flatnonzero((d < k_bar) if m >= 2 else (ct_exp > 0))
+    first_fail = np.where(ct_exp > 0, d + 1, 0)
+    first_fail[live] = 0
+    betas = np.full(n, np.nan)
     warn_pinv_steps(scenario, k_bar)
-    betas = np.empty(n)
-    ct_act = np.empty(n, dtype=np.int64)
     operator = bound_operator(scenario, k_bar)
     terms = stability._distinct_noise_terms(scenario)
-    chunk = _split(n, STABILITY_CHUNK // ((n_steps + 1) * n_pairs))
+    chunk = _split(live.size, STABILITY_CHUNK // ((n_steps + 1) * n_pairs))
     block = _split(chunk, STABILITY_CHUNK // (8 * n_pos * n_pairs))
-    for lo in range(0, n, chunk):
-        part = lo + np.argsort(d[lo:lo + chunk], kind="stable")  # delay order within the chunk
+    for lo in range(0, live.size, chunk):
+        part = live[lo:lo + chunk]
+        part = part[np.argsort(d[part], kind="stable")]  # delay order within the chunk
         state, inv_r, delay, first_pos, expected = (
             a[part] for a in (network.state, scenario.inv_r, d, first, ct_exp))
         # delay-free per-node information histories (the local IF recursions),
@@ -288,25 +299,29 @@ def stability_select(scenario: Scenario, params: StabilityParams):
             del bounds
             np.subtract(np.take(hist, column[k_bar + 1 + pos - delay[b + node]] + b + node, axis=1),
                         diff, out=diff)
-            ct_act[part[nodes]] = np.bincount(node, weights=_positive_definite(diff),
-                                              minlength=counts.size)
+            # a node's entries run in step order, so its first failing one is its first_fail
+            fail = np.flatnonzero(~_positive_definite(diff))
+            failing, at = np.unique(node[fail], return_index=True)
+            first_fail[part[b + failing]] = k_bar + 1 + pos[fail[at]]
         # released before the next chunk's histories are made, or both chunks'
         # would be alive at once
         del hist, diff
 
-    admitted = (ct_exp > 0) & (ct_exp == ct_act)
+    admitted = (ct_exp > 0) & (first_fail == 0)
     if not (ct_exp > 0).any():
         log.warning("no node has an applicable step: delays are larger than the estimation horizon")
     selected = set((np.flatnonzero(admitted) + 1).tolist())
     report = np.rec.fromarrays(
-        [np.arange(1, n + 1), admitted, ct_exp, ct_act, network.base, network.variance, betas],
+        [np.arange(1, n + 1), admitted, ct_exp, first_fail, network.base, network.variance, betas],
         dtype=STABILITY_REPORT,
     )
     return selected, report
 
 
 def _split(n: int, cap: int) -> int:
-    """Size of the fewest equal parts of n nodes with at most cap nodes each."""
+    """Size of the fewest equal parts of n nodes with at most cap nodes each
+    (1 for no nodes, a step a loop over none can take)."""
+    n = max(n, 1)
     return -(-n // -(-n // max(cap, 1)))
 
 

@@ -1,5 +1,6 @@
 import csv
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,21 @@ def test_process_noise_without_finite_inverse_is_validation_error(tmp_path, capl
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert caplog.messages == ["invalid configuration: process noise Q has no finite inverse"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "select-greedy"])
+def test_diverging_fused_run_exits_numeric_without_warning(tmp_path, capsys, caplog, command):
+    # Q = 1e300 I makes the fused information NaN from step 2 on; the fused
+    # recursion once warned "invalid value encountered in divide" before
+    # fused_runs raised, and under -W error the warning escaped main as a
+    # traceback with exit 1
+    cfg = write_cfg(tmp_path, q_scale="1e300", mode="greedy")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    failures = [m for m in caplog.messages if m.startswith("numeric failure")]
+    assert len(failures) == 1 and "non-finite fused information" in failures[0]
 
 
 def test_seed_flag_overrides_config(tmp_path):

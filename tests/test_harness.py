@@ -325,11 +325,21 @@ def test_run_experiment_stability_writes_per_node_rows(tmp_path):
     with open(tmp_path / "stability_report.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == cfg.n_sensors
-    assert list(rows[0]) == ["node_id", "selected", "ct_exp", "ct_act", "delay_s", "variance",
-                             "beta_hat"]
+    assert list(rows[0]) == ["node_id", "selected", "ct_exp", "first_fail", "delay_s",
+                             "variance", "beta_hat"]
     n_selected = sum(int(r["selected"]) for r in rows)
     assert n_selected == res.report("stability").n_selected
-    assert all(0.0 < float(r["beta_hat"]) <= 1.0 for r in rows)
+    # on the two-state plant only nodes delayed by fewer than k_bar steps, all
+    # of whose N - k_bar steps apply, are computed; every other node with an
+    # applicable step fails at its first, d_i + 1 = N - ct_exp + 1, uncomputed
+    live = [int(r["ct_exp"]) == cfg.horizon - cfg.k_bar for r in rows]
+    assert 0 < sum(live) < len(rows)
+    for r, computed in zip(rows, live):
+        beta, ct_exp, first_fail = float(r["beta_hat"]), int(r["ct_exp"]), int(r["first_fail"])
+        assert 0.0 < beta <= 1.0 if computed else math.isnan(beta)
+        if not computed:
+            assert first_fail == (cfg.horizon - ct_exp + 1 if ct_exp else 0)
+        assert r["selected"] == ("1" if ct_exp and not first_fail else "0")
 
 
 def test_run_experiment_greedy_without_delays_sweeps_variance(tmp_path):
