@@ -17,12 +17,10 @@ is only ufunc and matmul calls writing into them: at a batch of one chain
 the number of those calls, not their arithmetic, sets a step's cost.
 
 - node_info_histories runs one recursion per node, given as (s_i, 1/r_i),
-  over thousands of nodes and stores each step packed: the P = m (m + 1) / 2
+  over thousands of nodes and stores every step packed: the P = m (m + 1) / 2
   lower-triangle entries of each symmetric matrix, in np.tril_indices order,
   the layout the stability bounds and the admission check keep (unpack
-  restores full matrices). It stores at each step only a caller-given range
-  of nodes, step after step in one (P, entries) array, and keeps each node's
-  peak-trace matrix as it goes.
+  restores full matrices), as one (P, N+1, n) array.
 - fused_info_recursion runs B estimator chains (the greedy sweep's subsets;
   single-chain callers pass one row); each chain's information vector is
   one more right-hand side of the elimination.
@@ -86,29 +84,22 @@ class _TimeUpdate:
         np.multiply(self.info, 0.5, self.info)
 
 
-def node_info_histories(a_inv_seq, q_inv, state, inv_r, start, stop, peak):
+def node_info_histories(a_inv_seq, q_inv, state, inv_r):
     """Posterior information histories I_i(k|k) of every node, k = 0..N,
-    packed, stored only over the given node range of each step.
+    packed.
 
     a_inv_seq: (N, m, m) inverses of A(0..N-1); q_inv: (m, m); node i measures
     state s = state[i] with 1/r_i = inv_r[i], so l_i = e_s e_s^T inv_r[i] adds
     to its diagonal only. Every node starts from zero prior information.
-    start, stop: (N+1,) ints; step k stores nodes start[k] .. stop[k] - 1,
-    after the nodes every earlier step stores. Returns (P, sum(stop - start)):
-    row p holds entry np.tril_indices(m)[p] of each stored matrix, and node i
-    at step k is column window_columns(start, stop)[k] + i. The matrices are
-    exactly symmetric, so the lower triangle is all of them.
-
-    peak, a (P, n) array, receives each node's packed matrix at its first
-    step of largest trace (the diagonal added in order), over the whole
-    history. Every I_i(k) lies below Q^{-1} + l_i, so the traces are finite.
+    Returns (P, N+1, n): row p holds entry np.tril_indices(m)[p] of node i's
+    matrix at step k in column (k, i). The matrices are exactly symmetric, so
+    the lower triangle is all of them.
     """
     n = state.shape[0]
     m = q_inv.shape[0]
     rows, cols = np.tril_indices(m)
     lower = rows * m + cols  # flat index of each packed entry in an (m, m) matrix
-    columns = window_columns(start, stop)
-    hist = np.empty((lower.size, int(columns[-1] + stop[-1])))
+    hist = np.empty((lower.size, a_inv_seq.shape[0] + 1, n))
     step = _TimeUpdate(q_inv, n)
     info = step.info.reshape(m * m, n)
     diag = info[::m + 1]  # (m, n) view of every node's diagonal
@@ -116,34 +107,13 @@ def node_info_histories(a_inv_seq, q_inv, state, inv_r, start, stop, peak):
     # a fancy-indexed one took 10x as long
     l_diag = np.zeros((m, n))
     l_diag[state, np.arange(n)] = inv_r
-    top = np.full(n, -np.inf)
-    trace = np.empty(n)
-    rising = np.empty(n, dtype=bool)
-    top_info = np.empty((m * m, n))
     # step 0 is l_i alone: no time update before it
-    steps = zip(itertools.chain([None], a_inv_seq.transpose(0, 2, 1)), start.tolist(),
-                stop.tolist(), columns.tolist())
-    for a_inv_t, lo, hi, col in steps:
+    for k, a_inv_t in enumerate(itertools.chain([None], a_inv_seq.transpose(0, 2, 1))):
         if a_inv_t is not None:
             step(a_inv_t)
         np.add(diag, l_diag, diag)
-        if hi > lo:
-            hist[:, col + lo:col + hi] = info[lower, lo:hi]
-        np.copyto(trace, diag[0])
-        for row in diag[1:]:
-            np.add(trace, row, trace)
-        np.greater(trace, top, rising)
-        np.copyto(top, trace, where=rising)
-        np.copyto(top_info, info, where=rising)
-    peak[...] = top_info[lower]
+        hist[:, k] = info[lower]
     return hist
-
-
-def window_columns(start, stop) -> np.ndarray:
-    """(N+1,) column of node 0 at each step of node_info_histories' windowed
-    layout, steps stored one after another: node i at step k is column
-    window_columns(start, stop)[k] + i."""
-    return np.cumsum(stop - start) - stop
 
 
 def packed_dim(n_pairs: int) -> int:

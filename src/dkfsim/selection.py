@@ -30,10 +30,10 @@ log = logging.getLogger(__name__)
 # chunks within it, of equal size (at most 695 nodes a chunk at m=5, N=200, and
 # 3477 at m=2). With delays U[0, N] steps and k_bar = 20, as on the benchmark,
 # about 200 of 2000 nodes are live, so they form one chunk at either m. A chunk
-# stores each node's history only at the steps its admission reads, N - k_bar
-# of them for a live node at m >= 2, so it fills about 90% of the budget. The
-# admission check holds about four (P, entries) arrays per node block; blocks
-# of an eighth of the budget, split the same way, keep them within half of it
+# stores every step of its nodes' histories. The admission check holds the
+# block's (P, K, b) bounds, which it overwrites, and the history gathered
+# against them; blocks of an eighth of the budget, split the same way, keep
+# the two within a quarter of it
 STABILITY_CHUNK = 1 << 21
 
 
@@ -188,9 +188,11 @@ def _positive_definite(packed) -> np.ndarray:
     lambda_min lies below -delta, and one within delta of zero, singular to
     within rounding, which a strict domination test cannot certify. So does any
     entry so small or large that the products could under- or overflow.
+
+    The factorization runs in packed itself, which it overwrites.
     """
     delta, trusted = _kernels.rounding_shift(packed)
-    return _kernels._cholesky_succeeds(packed.copy(), delta) & trusted
+    return _kernels._cholesky_succeeds(packed, delta) & trusted
 
 
 def stability_select(scenario: Scenario, params: StabilityParams):
@@ -221,15 +223,18 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     with one record per node in id order. ct_exp counts its applicable steps;
     first_fail is the first of them whose check fails (d_i + 1 for a node the
     proof rejects), 0 if none does; beta_hat is NaN for a node not computed.
-    A node is selected iff ct_exp > 0 and first_fail == 0. A stored history
-    that is not finite raises DivergenceError naming its node.
+    A node is selected iff ct_exp > 0 and first_fail == 0. A computed history
+    that is not finite raises DivergenceError naming its first non-finite
+    step, then the first node there.
 
     The pass runs over chunks of live nodes, of STABILITY_CHUNK packed history
-    entries. A chunk takes its nodes in delay order, so that the nodes whose
-    admission reads a step form one range, and stores their histories only
-    there, with each node's peak-trace matrix for beta-hat; then it runs
-    bounds and admission check block by block. Neither the whole network's
-    histories nor its bounds are held at once.
+    entries. A chunk stores its nodes' whole histories, (P, N+1, nodes), and
+    picks beta-hat's input from them, each node's matrix at its first step of
+    largest trace. Then it runs bounds and admission check block by block on
+    the dense (P, K, b) grid of positions and nodes, where a mask drops the
+    pairs ahead of a node's first applicable position (only at m = 1 does a
+    live node have any). Neither the whole network's histories nor its bounds
+    are held at once.
     """
     network = scenario.network
     if network is None:
@@ -261,51 +266,40 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     terms = stability._distinct_noise_terms(scenario)
     chunk = _split(live.size, STABILITY_CHUNK // ((n_steps + 1) * n_pairs))
     block = _split(chunk, STABILITY_CHUNK // (8 * n_pos * n_pairs))
+    positions = np.arange(n_pos)[:, None]
     for lo in range(0, live.size, chunk):
         part = live[lo:lo + chunk]
-        part = part[np.argsort(d[part], kind="stable")]  # delay order within the chunk
-        state, inv_r, delay, first_pos, expected = (
-            a[part] for a in (network.state, scenario.inv_r, d, first, ct_exp))
+        state, inv_r, delay, first_pos = (a[part] for a in (network.state, scenario.inv_r, d, first))
         # delay-free per-node information histories (the local IF recursions),
-        # packed, stored only at the steps the admission reads
-        start, stop = _admission_windows(delay, k_bar, n_steps)
-        column = _kernels.window_columns(start, stop)
-        peak = np.empty((n_pairs, part.size))
+        # packed (P, N+1, nodes)
         with np.errstate(invalid="ignore"):  # a NaN history raises below
-            hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state,
-                                                inv_r, start, stop, peak)
+            hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r)
         finite = np.isfinite(hist).all(axis=0)
-        if not finite.all():  # name the first stored step, then the first node, that fails
-            c = int(np.argmin(finite))
-            k = int(np.searchsorted(column + start, c, side="right")) - 1
-            raise DivergenceError(f"non-finite information history of node "
-                                  f"{part[c - column[k]] + 1} at step {k}", step=k)
+        if not finite.all():  # name the first step, then the first node, that fails
+            k, c = divmod(int(np.argmin(finite)), part.size)
+            raise DivergenceError(f"non-finite information history of node {part[c] + 1} "
+                                  f"at step {k}", step=k)
         # per-node contraction from each node's own history bound
-        betas[part] = beta = beta_hat_batch(_kernels.unpack(peak), params.alpha, terms)
+        betas[part] = beta = beta_hat_batch(_kernels.unpack(_peak_trace_matrices(hist)),
+                                            params.alpha, terms)
         for b in range(0, part.size, block):
             nodes = slice(b, b + block)
-            counts = expected[nodes]
-            # one entry per applicable (node, position) pair of this block
-            node = np.repeat(np.arange(counts.size), counts)
-            pos = (np.arange(node.size) - np.repeat(np.cumsum(counts) - counts, counts)
-                   + first_pos[b + node])
-            # each entry's bound, gathered from the block's (P, K, b) bounds, then
-            # the delayed history minus it; np.take keeps the (P, e) gathers
-            # C-ordered, where a[:, idx] returns them F-ordered, so the admission
-            # check's max/min and Cholesky rows read contiguous memory
-            bounds = i_tilde_matrices(operator, beta[nodes], state[nodes],
-                                      inv_r[nodes]).reshape(n_pairs, -1)
-            diff = np.take(bounds, pos * counts.size + node, axis=1)
-            del bounds
-            np.subtract(np.take(hist, column[k_bar + 1 + pos - delay[b + node]] + b + node, axis=1),
-                        diff, out=diff)
-            # a node's entries run in step order, so its first failing one is its first_fail
-            fail = np.flatnonzero(~_positive_definite(diff))
-            failing, at = np.unique(node[fail], return_index=True)
-            first_fail[part[b + failing]] = k_bar + 1 + pos[fail[at]]
-        # released before the next chunk's histories are made, or both chunks'
-        # would be alive at once
-        del hist, diff
+            # bound position j reads each node's history at step k_bar + 1 + j - d_i,
+            # which is before step 1 only for the pairs ahead of first_pos (m = 1)
+            steps = np.maximum(k_bar + 1 + positions - delay[nodes], 0)
+            cols = np.arange(b, b + steps.shape[1])
+            # the block's (P, K, b) bounds become the delayed history minus them,
+            # then the admission check factors them in place
+            diff = i_tilde_matrices(operator, beta[nodes], state[nodes], inv_r[nodes])
+            np.subtract(hist[:, steps, cols], diff, out=diff)
+            fail = ~_positive_definite(diff.reshape(n_pairs, -1)).reshape(steps.shape)
+            fail &= positions >= first_pos[nodes]
+            failing = fail.any(axis=0)
+            first_fail[part[cols[failing]]] = k_bar + 1 + fail.argmax(axis=0)[failing]
+            # released before the next block's bounds are made, or both blocks'
+            # would be alive at once; the same holds for the chunks' histories
+            del diff
+        del hist
 
     admitted = (ct_exp > 0) & (first_fail == 0)
     if not (ct_exp > 0).any():
@@ -318,19 +312,19 @@ def stability_select(scenario: Scenario, params: StabilityParams):
     return selected, report
 
 
+def _peak_trace_matrices(hist) -> np.ndarray:
+    """(P, n) each node's packed matrix at its first step of largest trace,
+    the diagonal added in order, from packed histories (P, N+1, n)."""
+    diag = _kernels.packed_index(_kernels.packed_dim(hist.shape[0])).diagonal()
+    trace = hist[diag[0]].copy()
+    for row in diag[1:]:
+        np.add(trace, hist[row], trace)
+    return hist[:, np.argmax(trace, axis=0), np.arange(hist.shape[2])]
+
+
 def _split(n: int, cap: int) -> int:
     """Size of the fewest equal parts of n nodes with at most cap nodes each
     (1 for no nodes, a step a loop over none can take)."""
     n = max(n, 1)
     return -(-n // -(-n // max(cap, 1)))
 
-
-def _admission_windows(d, k_bar: int, n_steps: int):
-    """(start, stop) per history step t = 0..N for nodes in ascending order
-    of their delays d (steps): nodes start[t] .. stop[t] - 1 are those whose
-    admission reads I_i(t), the t >= 1 with k_bar < t + d_i <= N."""
-    t = np.arange(n_steps + 1)
-    start = np.searchsorted(d, k_bar + 1 - t)
-    stop = np.searchsorted(d, n_steps - t, side="right")
-    stop[0] = start[0]  # no admission step reads the zero-prior step 0
-    return start, stop

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from dkfsim import _kernels
 from dkfsim.model import LtvSystem, MatrixTable, builtin_system
 from dkfsim.sensing import SensorNetwork
 
@@ -100,13 +99,3 @@ def assert_rel_close(a, b, rel=1e-12):
     all-zero b asks for an exact match."""
     assert np.abs(a - b).max() <= rel * max(np.abs(b).max(), 1e-300)
 
-
-def all_steps_histories(a_inv_seq, q_inv, state, inv_r):
-    """_kernels.node_info_histories storing every node at every step: the
-    packed (P, N+1, n) history, row p entry np.tril_indices(m)[p]."""
-    n, m = len(state), q_inv.shape[0]
-    n_out = a_inv_seq.shape[0] + 1
-    peak = np.empty((m * (m + 1) // 2, n))
-    hist = _kernels.node_info_histories(a_inv_seq, q_inv, state, inv_r,
-                                        np.zeros(n_out, dtype=np.intp), np.full(n_out, n), peak)
-    return hist.reshape(peak.shape[0], n_out, n)

@@ -21,7 +21,7 @@ from dkfsim.sensing import SensorNetwork
 from dkfsim import _kernels
 from dkfsim.model import robust_inverse, transition_sequence
 
-from conftest import all_steps_histories, random_psd, random_system
+from conftest import random_psd, random_system
 from reference import beta_hat, i_tilde, kf_covariance_form, psi
 
 BASE_SEED = 0  # the seed-fixed benchmark realization used by criteria 6-8
@@ -149,7 +149,7 @@ def test_criterion_05_empirical_error_covariance_floor():
     )
     q_inv = np.linalg.inv(sys_.process_noise_cov)
     hist = _kernels.unpack(
-        all_steps_histories(a_inv_seq, q_inv, net.state, l_node[1, 1][None]))[:, 0]
+        _kernels.node_info_histories(a_inv_seq, q_inv, net.state, l_node[1, 1][None]))[:, 0]
     peak = int(np.argmax(np.trace(hist, axis1=1, axis2=2)))
     i_bound = 0.5 * (hist[peak] + hist[peak].T)
     beta = beta_hat(sys_, n_steps, i_bound, alpha=1e-6)

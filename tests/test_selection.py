@@ -24,8 +24,9 @@ from dkfsim.selection import (
 )
 from dkfsim.stability import StabilityParams, bound_operator, compute_params, i_tilde_matrices
 
-from conftest import all_steps_histories, network_of, random_system
-from reference import i_tilde, per_iteration_sweep, per_node_admission
+from conftest import network_of, random_system
+from reference import (i_tilde, in_order_trace, oracle_histories, per_iteration_sweep,
+                       per_node_admission)
 
 
 # ---------------------------------------------------------------------------
@@ -380,23 +381,22 @@ def test_stability_select_prefers_low_staleness():
 def test_stability_select_refuses_non_finite_histories():
     # with Q = 1e300 I every node's history is NaN from step 1 on; beta-hat
     # came out finite from step 0 and the pass admitted no node, exit 0. Only
-    # the nodes with d_i < k_bar are computed, and the first step any of them
-    # stores is k_bar + 1 - d_i for the largest such delay, step 2 here
+    # the nodes with d_i < k_bar are computed, and the error names the first
+    # non-finite step, 1, and the first of those nodes in id order
     scenario = Scenario(builtin_system(q_scale=1e300),
                         sample_network(50, (0.0, 0.5), (0.0, 0.2), np.random.default_rng(7)), 60)
     k_bar = 5
-    live_delays = scenario.delays[scenario.delays < k_bar]
-    with pytest.raises(DivergenceError, match=r"^non-finite information history of node (\d+) "
-                                              r"at step 2$") as err:
+    live = np.flatnonzero(scenario.delays < k_bar)
+    assert live[0] > 0  # node 1 is not live, so naming it would be wrong
+    with pytest.raises(DivergenceError, match=rf"^non-finite information history of node "
+                                              rf"{live[0] + 1} at step 1$") as err:
         stability_select(scenario, StabilityParams(k_bar=k_bar))
-    assert err.value.step == k_bar + 1 - live_delays.max() == 2
-    node = int(err.value.args[0].split()[5])
-    assert scenario.delays[node - 1] == live_delays.max()
+    assert err.value.step == 1
     with np.errstate(invalid="ignore"):
-        hist = all_steps_histories(scenario.a_inv_seq, scenario.q_inv, scenario.network.state,
-                                   scenario.inv_r)
+        hist = _kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv,
+                                            scenario.network.state, scenario.inv_r)
     assert np.isfinite(hist[:, 0]).all()
-    assert not np.isfinite(hist[:, 1, node - 1]).all()
+    assert not np.isfinite(hist[:, 1, live[0]]).all()
 
 
 def test_stability_select_requires_horizon_beyond_window():
@@ -417,8 +417,8 @@ def test_stability_select_rejects_unresolved_jitter():
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([2, 3, 5, 8]), n_nodes=st.integers(1, 8),
-       k_bar=st.integers(1, 8), extra_steps=st.integers(1, 30))
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2, 3, 5, 8]),
+       n_nodes=st.integers(1, 8), k_bar=st.integers(1, 8), extra_steps=st.integers(1, 30))
 def test_stability_select_matches_per_node_loop(seed, m, n_nodes, k_bar, extra_steps):
     rng = np.random.default_rng(seed)
     n_steps = k_bar + extra_steps
@@ -484,8 +484,51 @@ def test_stability_select_one_state_plant_computes_every_applicable_node(monkeyp
     assert_matches_per_node_admission(scenario, nodes, params, selected, report)
 
 
-def spy_windowed_histories(monkeypatch):
-    """Record the shape of every windowed history stability_select stores."""
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n=st.integers(1, 12),
+       k_bar=st.integers(1, 8), extra_steps=st.integers(1, 25))
+def test_stability_select_beta_hat_reads_first_max_trace_matrix(seed, m, n, k_bar, extra_steps):
+    # delays of four kinds: 0, below k_bar, inside (k_bar, N) and at or past
+    # N. Each computed node's beta-hat input is, bit for bit, its history's
+    # matrix at the first step of largest trace (the diagonal added in order),
+    # and within 1e-12 of the per-node oracle's
+    rng = np.random.default_rng(seed)
+    n_steps = k_bar + extra_steps
+    sys_ = random_system(rng, m=m, n_steps=n_steps)
+    kinds = [np.zeros(n, dtype=np.int64), rng.integers(0, k_bar, size=n),
+             rng.integers(k_bar + 1, max(n_steps, k_bar + 2), size=n),
+             rng.integers(n_steps, 2 * n_steps, size=n)]
+    delays = np.choose(rng.integers(0, 4, size=n), kinds)
+    nodes = [(int(rng.integers(0, m)), float(rng.uniform(0.01, 0.5)), d * sys_.sample_time)
+             for d in delays.tolist()]
+    scenario = Scenario(sys_, network_of(*nodes, m=m), n_steps)
+    inputs = []
+    beta_hat_batch = selection.beta_hat_batch
+
+    def spy(bounds, alpha, terms):
+        inputs.append(bounds)
+        return beta_hat_batch(bounds, alpha, terms)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "beta_hat_batch", spy)
+        report = stability_select(scenario, StabilityParams(k_bar=k_bar))[1]
+    computed = np.isfinite(report.beta_hat)
+    if not computed.any():
+        assert inputs == []
+        return
+    got = np.concatenate(inputs)
+    state, inv_r = scenario.network.state[computed], scenario.inv_r[computed]
+    hist = _kernels.unpack(_kernels.node_info_histories(scenario.a_inv_seq, scenario.q_inv,
+                                                        state, inv_r))  # (N+1, n, m, m)
+    want = hist[np.argmax(in_order_trace(hist), axis=0), np.arange(state.size)]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    oracle = oracle_histories(scenario.a_inv_seq, scenario.q_inv, state, inv_r)
+    want_peak = oracle[np.arange(state.size), np.argmax(in_order_trace(oracle), axis=1)]
+    scale = np.abs(want_peak).max(axis=(1, 2), keepdims=True)
+    assert (np.abs(got - want_peak) <= 1e-12 * scale).all()
+
+
+def spy_history_shapes(monkeypatch):
+    """Record the shape of every history stability_select computes."""
     shapes = []
     histories = _kernels.node_info_histories
 
@@ -508,7 +551,7 @@ def test_stability_select_every_delay_past_horizon_matches_per_node_loop(monkeyp
                  [n_steps, *rng.integers(n_steps, 2 * n_steps, 8).tolist()])]
     scenario = Scenario(sys_, network_of(*nodes, m=m), n_steps)
     params = StabilityParams(k_bar=k_bar)
-    shapes = spy_windowed_histories(monkeypatch)
+    shapes = spy_history_shapes(monkeypatch)
     selected, report = stability_select(scenario, params)
     assert shapes == []
     assert selected == set() and (report.ct_exp == 0).all() and (report.first_fail == 0).all()
@@ -525,7 +568,7 @@ def test_stability_select_without_live_nodes_computes_no_history(monkeypatch):
     net = network_of(*[(int(i % m), 0.2, d * 0.01) for i, d in enumerate(delays.tolist())])
     scenario = Scenario(builtin_system(q_scale=1e300), net, n_steps)
     np.testing.assert_array_equal(scenario.delays, delays)
-    shapes = spy_windowed_histories(monkeypatch)
+    shapes = spy_history_shapes(monkeypatch)
     selected, report = stability_select(scenario, StabilityParams(k_bar=k_bar))
     assert shapes == []
     assert selected == set() and not report.selected.any()
@@ -535,8 +578,8 @@ def test_stability_select_without_live_nodes_computes_no_history(monkeypatch):
 
 
 def test_stability_select_every_delay_zero_matches_per_node_loop(monkeypatch):
-    # zero delays: every admission step k in (k_bar, N] reads every node at
-    # step k, so each step past k_bar holds every node and no other step any
+    # zero delays: every node is live, so one chunk holds every node's whole
+    # history, steps 0 to N
     rng = np.random.default_rng(42)
     m, n_steps, k_bar = 3, 30, 5
     sys_ = random_system(rng, m=m, n_steps=n_steps)
@@ -544,9 +587,9 @@ def test_stability_select_every_delay_zero_matches_per_node_loop(monkeypatch):
              zip(rng.integers(0, m, 9).tolist(), rng.uniform(0.05, 0.5, 9).tolist())]
     scenario = Scenario(sys_, network_of(*nodes, m=m), n_steps)
     params = StabilityParams(k_bar=k_bar)
-    shapes = spy_windowed_histories(monkeypatch)
+    shapes = spy_history_shapes(monkeypatch)
     selected, report = stability_select(scenario, params)
-    assert shapes == [(m * (m + 1) // 2, 9 * (n_steps - k_bar))]
+    assert shapes == [(m * (m + 1) // 2, n_steps + 1, 9)]
     assert (report.ct_exp == n_steps - k_bar).all()
     assert_matches_per_node_admission(scenario, nodes, params, selected, report)
 
@@ -830,16 +873,15 @@ def test_stability_select_takes_fewest_equal_chunks(monkeypatch):
 
 
 def test_stability_select_traced_peak_stays_within_chunk_budget():
-    # alive at the peak: one chunk's packed histories at the steps its
-    # admission reads, the bound operator (8.1e5 entries here) and one
-    # admission block's entries. With delays U[0, 0.19 s], under k_bar = 20
-    # steps, every node is live, three chunks fill the budget and their
-    # windows are 90% full: the peak is 1.41x the budget. With delays
-    # U[0, 2 s], as on the benchmark, about 200 nodes are live, in one chunk:
-    # 0.76x. Keeping every chunk's histories alive reaches 3.12x, and
-    # computing every node, as before the proof's skip, 0.99x on the
-    # benchmark's delays
-    for max_delay, bound in ((0.19, 1.5), (2.0, 0.85)):
+    # alive at the peak: one chunk's whole packed histories, the bound
+    # operator (2.7e5 entries here), and one admission block's bounds with the
+    # history gathered against them. With delays U[0, 0.19 s], under k_bar = 20
+    # steps, every node is live and three chunks fill the budget: the peak is
+    # 1.37x the budget. With delays U[0, 2 s], as on the benchmark, about 200
+    # nodes are live, in one chunk: 0.66x. Copying each block for its Cholesky
+    # check reaches 1.46x and 0.75x, and keeping every chunk's histories
+    # alive 3.28x
+    for max_delay, bound in ((0.19, 1.4), (2.0, 0.7)):
         scenario = benchmark_shaped_scenario(max_delay=max_delay)
         tracemalloc.start()
         try:
