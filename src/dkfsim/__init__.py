@@ -21,6 +21,7 @@ from .observability import is_structurally_observable, structure_of
 from .sensing import SensorNetwork, resolve_delays, sample_network
 from .selection import (
     greedy_select,
+    greedy_sweep,
     max_deviation,
     mse,
     settling_index,
@@ -34,8 +35,8 @@ __all__ = [
     "DkfEngine", "ExperimentConfig", "LtvSystem", "MonteCarloSummary",
     "Scenario", "SensorNetwork", "StabilityParams",
     "backend_name", "builtin_system", "derive_seed", "export_csv",
-    "greedy_select", "is_effectively_singular", "is_structurally_observable", "load_config",
-    "max_deviation", "monte_carlo", "mse", "resolve_delays", "run_experiment",
+    "greedy_select", "greedy_sweep", "is_effectively_singular", "is_structurally_observable",
+    "load_config", "max_deviation", "monte_carlo", "mse", "resolve_delays", "run_experiment",
     "sample_network", "settling_index", "simulate", "stability_select", "structure_of",
     "transition_matrix",
 ]

@@ -239,7 +239,7 @@ def fused_info_recursion(a_inv_seq, q_inv, info_inc, iv_inc, info0, yv0):
     yv_rhs, yv_pred = step.extra[:, 0], step.extra_out[:, 0]
     steps = zip(a_inv_seq.transpose(0, 2, 1), info_inc[1:], iv_inc[1:], info_hist[1:],
                 yv_hist[:-1], yv_hist[1:])
-    # a diverging chain turns non-finite silently: DkfEngine.fused_runs checks
+    # a diverging chain turns non-finite silently: DkfEngine.fused_run checks
     # the histories right after this call and raises DivergenceError naming it
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for a_inv_t, info_k, iv_k, info_out, yv, yv_out in steps:

@@ -4,7 +4,7 @@ and the prepared Scenario it reads.
 Node filters run on their own delay-free clocks. The estimator receives each
 node's (posterior - prior) information differences with a per-node staleness
 of d_i steps and compensates only through its own time updates
-(DkfEngine.fused_runs, batched over subsets).
+(DkfEngine.fused_run, batched over subsets).
 
 Every node measures one state with a scalar variance, so below the network a
 node is the pair (s_i, 1/r_i) and l_i = e_s e_s^T / r_i is never formed: what
@@ -40,7 +40,7 @@ def _symmetrize(a):
 def recover_estimates(info_hist, yv_hist):
     """x = I^{-1} yv for each matrix of a stack, pseudo-inverse where singular.
 
-    info_hist is (S, m, m) and yv_hist (S, m): fused_runs passes its B
+    info_hist is (S, m, m) and yv_hist (S, m): fused_run passes its B
     histories of N+1 steps stacked, S = B (N+1). Singular (flagged) means
     |lambda|_min < 1e-10 |lambda|_max or |lambda|_min == 0 over the
     eigenvalues np.linalg.eigvalsh computes; the information matrices are
@@ -148,7 +148,7 @@ class Scenario:
 
 class DkfEngine(Scenario):
     """A Scenario with one realization of plant and sensor readings, reusable
-    across subsets: the one way to run the estimator (fused_run, fused_runs).
+    across subsets: the one way to run the estimator (fused_run).
 
     z (n, N+1) holds every node's readings z_i(k) = x_s(k) + sqrt(r_i) w_i(k),
     s the state node i measures and r_i its variance. The noise w is drawn
@@ -169,30 +169,14 @@ class DkfEngine(Scenario):
         self.z *= np.sqrt(network.variance)[:, None]
         self.z += self.truth[:, network.state].T
 
-    def fused_run(self, subset):
-        """Run the estimator over one subset of node ids (integers, repeats
-        counted once); returns (info_hist, yv_hist, xhat, flags)."""
-        not_integers = [i for i in subset
-                        if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
-        if not_integers:
-            raise SelectionError(f"node ids must be integers, got {not_integers}")
-        ids = sorted(set(int(i) for i in subset))
-        if not ids:
-            raise SelectionError("node subset is empty")
-        n = len(self.network)
-        unknown = [i for i in ids if not 1 <= i <= n]
-        if unknown:
-            raise SelectionError(f"unknown node ids in subset: {unknown}")
-        mask = np.zeros((1, n), dtype=bool)
-        mask[0, np.array(ids) - 1] = True
-        return tuple(a[0] for a in self.fused_runs(mask))
+    def fused_run(self, masks):
+        """Run the estimator over the subsets of bool masks, one shared realization.
 
-    def fused_runs(self, masks):
-        """Run the estimator over B subsets at once, one shared realization.
-
-        masks: (B, n) bool; row b selects the nodes of run b (column i is node
-        id i+1). Returns (info_hist (B, N+1, m, m), yv_hist (B, N+1, m),
-        xhat (B, N+1, m), flags (B, N+1)).
+        masks: (B, n) bool, row b selecting the nodes of run b (column i is
+        node id i+1), gives B runs: (info_hist (B, N+1, m, m), yv_hist
+        (B, N+1, m), xhat (B, N+1, m), flags (B, N+1)). One (n,) mask gives
+        one run, the same arrays without the leading axis. SensorNetwork.mask
+        turns node ids into a mask.
 
         What the subsets' nodes deliver is summed per state class
         (_delivered_sums): in one pass over the used nodes when each row
@@ -200,10 +184,12 @@ class DkfEngine(Scenario):
         """
         masks = np.asarray(masks)
         n = len(self.network)
-        if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != n:
+        if masks.dtype != bool or masks.ndim not in (1, 2) or masks.shape[-1] != n:
             raise SelectionError(
-                f"masks must be a (B, {n}) bool array, got {masks.dtype} {masks.shape}"
+                f"masks must be a ({n},) or (B, {n}) bool array, got {masks.dtype} {masks.shape}"
             )
+        single = masks.ndim == 1
+        masks = np.atleast_2d(masks)
         empty = np.flatnonzero(~masks.any(axis=1))
         if empty.size:
             raise SelectionError(f"mask row {int(empty[0])} selects no node")
@@ -220,7 +206,8 @@ class DkfEngine(Scenario):
                 step=step, row=row,
             )
         xhat, flags = recover_estimates(info_hist.reshape(-1, m, m), yv_hist.reshape(-1, m))
-        return info_hist, yv_hist, xhat.reshape(yv_hist.shape), flags.reshape(yv_hist.shape[:2])
+        runs = info_hist, yv_hist, xhat.reshape(yv_hist.shape), flags.reshape(yv_hist.shape[:2])
+        return tuple(a[0] for a in runs) if single else runs
 
     def _delivered_sums(self, masks):
         """What the nodes of each mask row have delivered by each step.

@@ -15,7 +15,7 @@ from .dkf import DkfEngine
 from .errors import ConfigError
 from .model import LtvSystem, builtin_system, load_matrix_table
 from .sensing import SensorNetwork, load_network, resolve_delays, sample_network
-from .selection import greedy_select, scores, settling_index, stability_select, sweep_masks
+from .selection import greedy_select, greedy_sweep, scores, settling_index, stability_select
 from .stability import compute_params
 
 log = logging.getLogger(__name__)
@@ -153,15 +153,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         if mode == "fixed-subset":
             ids, name = sorted(set(cfg.subset_ids(network))), "trace_fixed.csv"
         elif mode == "greedy":
-            sweep = greedy_select(
-                engine, cfg.iterations,
-                r_max=cfg.variance_range[1], tau_max=cfg.delay_range[1], settle=settle,
-            )
-            files.append(export_csv(sweep, out / "greedy_report.csv"))
+            sweep = greedy_sweep(engine, cfg.iterations,
+                                 r_max=cfg.variance_range[1], tau_max=cfg.delay_range[1])
+            report = greedy_select(sweep, engine.truth, settle)
+            files.append(export_csv(report, out / "greedy_report.csv"))
             # the first of tied minima, an empty record's NaN counted as +inf:
             # a sweep that ran nothing gives its first record, which is empty
-            best = sweep[np.where(np.isnan(sweep.mse), np.inf, sweep.mse).argmin()]
-            ids = (np.flatnonzero(sweep_masks(network, best.r0, best.tau0)) + 1).tolist()
+            best = np.where(np.isnan(report.mse), np.inf, report.mse).argmin()
+            ids = (np.flatnonzero(sweep.masks[best]) + 1).tolist()
             name = "trace_greedy_best.csv"
         else:
             params = compute_params(k_bar=cfg.k_bar, alpha=cfg.alpha)
@@ -173,14 +172,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             log.warning("%s selection returned no nodes", mode)
             outcomes.append((mode, 0, np.nan, np.nan, np.nan, 0, np.nan, np.nan))
             continue
-        info_hist, _, xhat, _ = engine.fused_run(ids)
-        files.append(export_csv(_trace_table(engine.truth, xhat, info_hist), out / name))
-        if mode == "greedy":  # the outcome is the sweep's record, not this re-run
-            outcomes.append((mode, best.n_selected, best.mse, best.md, best.mse_raw,
-                             best.iteration, best.r0, best.tau0))
+        if mode == "greedy":  # the best record's own run, which its metrics score
+            info_hist, xhat = sweep.run(best)
+            rec = report[best]
+            outcomes.append((mode, rec.n_selected, rec.mse, rec.md, rec.mse_raw,
+                             rec.iteration, rec.r0, rec.tau0))
         else:
+            info_hist, _, xhat, _ = engine.fused_run(network.mask(ids))
             outcomes.append((mode, len(ids), *scores(xhat, engine.truth, settle),
                              0, np.nan, np.nan))
+        files.append(export_csv(_trace_table(engine.truth, xhat, info_hist), out / name))
     return ExperimentResult(np.rec.fromrecords(outcomes, dtype=OUTCOME), selected_nodes, files)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +110,7 @@ def max_deviation(x_hat, x):
     return np.abs(a - b).max(axis=(-2, -1)) / denom
 
 
-# one record per iteration of greedy_select's sweep: the columns of greedy_report.csv
+# one record per iteration of the greedy sweep: the columns of greedy_report.csv
 GREEDY_REPORT = np.dtype([
     ("iteration", np.int64), ("r0", float), ("tau0", float), ("n_selected", np.int64),
     ("mse", float), ("md", float), ("mse_raw", float),
@@ -128,18 +129,37 @@ def sweep_masks(network, r0, tau0) -> np.ndarray:
     return (network.variance <= r0) & (network.base <= tau0)
 
 
-def greedy_select(engine: DkfEngine, iterations: int, r_max: float, tau_max: float,
-                  settle: int) -> np.recarray:
+@dataclass
+class GreedySweep:
+    """The threshold sweep's fused runs, which greedy_select scores.
+
+    report: one GREEDY_REPORT record per iteration, metrics NaN; masks
+    (iterations, n): the nodes each iteration admits. The iterations that
+    admit a node ran, in order, as the rows of info_hist (R, N+1, m, m) and
+    xhat (R, N+1, m).
+    """
+
+    report: np.recarray
+    masks: np.ndarray
+    info_hist: np.ndarray
+    xhat: np.ndarray
+
+    def run(self, index: int):
+        """(info_hist, xhat) of the run of iteration index (0-based), which
+        must admit a node."""
+        row = np.count_nonzero(self.report.n_selected[:index] > 0)
+        return self.info_hist[row], self.xhat[row]
+
+
+def greedy_sweep(engine: DkfEngine, iterations: int, r_max: float,
+                 tau_max: float) -> GreedySweep:
     """Threshold sweep: iteration k admits sweep_masks(network, R0(k), tau0(k)),
     with R0, tau0 shrinking linearly from (r_max, tau_max) toward zero.
 
-    The engine's network supplies the variances and delays. All non-empty
-    iterations run as one batched DKF pass (DkfEngine.fused_runs) against the
-    engine's one plant/noise realization, so the sweep compares subsets, not
-    sample paths. Each is scored against the engine's ground-truth states
-    (benchmark use only), the MSE over steps settle..N (the harness passes
-    settling_index of the truth). Returns a GREEDY_REPORT record array, one
-    record per iteration; an iteration with an empty subset holds NaN metrics.
+    The engine's network supplies the variances and delays. All iterations
+    that admit a node run as one batched DKF pass (DkfEngine.fused_run)
+    against the engine's one plant/noise realization, so the sweep compares
+    subsets, not sample paths.
     """
     if iterations < 1:
         raise ConfigError("iterations must be >= 1", keys=("iterations",))
@@ -155,16 +175,31 @@ def greedy_select(engine: DkfEngine, iterations: int, r_max: float, tau_max: flo
     report = np.rec.fromarrays([np.arange(1, iterations + 1), r0, tau0, n_selected, nan, nan, nan],
                                dtype=GREEDY_REPORT)
     ran = n_selected > 0
+    m = engine.sys.state_dim
+    info_hist, xhat = np.empty((0, engine.n_steps + 1, m, m)), np.empty((0, engine.n_steps + 1, m))
     if ran.any():
         try:
-            xhats = engine.fused_runs(masks[ran])[2]
+            info_hist, _, xhat, _ = engine.fused_run(masks[ran])
         except DivergenceError as exc:
             iteration = int(np.flatnonzero(ran)[exc.row]) + 1
             raise DivergenceError(
                 f"non-finite fused information in greedy iteration {iteration} at step {exc.step}",
                 step=exc.step,
             ) from exc
-        report.mse[ran], report.md[ran], report.mse_raw[ran] = scores(xhats, engine.truth, settle)
+    return GreedySweep(report, masks, info_hist, xhat)
+
+
+def greedy_select(sweep: GreedySweep, truth, settle: int) -> np.recarray:
+    """The sweep's report with each run scored against the ground-truth states
+    truth (N+1, m), benchmark use only: the MSE over steps settle..N (the
+    harness passes settling_index of the truth). Returns a GREEDY_REPORT
+    record array, one record per iteration; an iteration with an empty
+    subset holds NaN metrics.
+    """
+    report = sweep.report.copy()
+    ran = report.n_selected > 0
+    if ran.any():
+        report.mse[ran], report.md[ran], report.mse_raw[ran] = scores(sweep.xhat, truth, settle)
     return report
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SelectionError
 
 R_MIN = 1e-6  # variance floor; keeps 1/R finite when sampled ranges touch 0
 MAX_DELAY_STEPS = 2**62  # far past any horizon, and below the int64 overflow at 2**63
@@ -54,6 +54,24 @@ class SensorNetwork:
 
     def ids(self) -> list[int]:
         return list(range(1, len(self) + 1))
+
+    def mask(self, ids) -> np.ndarray:
+        """The (n,) bool mask of node ids (column i is id i+1), repeats counted
+        once. SelectionError for an id that is not an integer, no id at all,
+        or an id outside 1..n."""
+        not_integers = [i for i in ids
+                        if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+        if not_integers:
+            raise SelectionError(f"node ids must be integers, got {not_integers}")
+        ids = sorted(set(int(i) for i in ids))
+        if not ids:
+            raise SelectionError("node subset is empty")
+        unknown = [i for i in ids if not 1 <= i <= len(self)]
+        if unknown:
+            raise SelectionError(f"unknown node ids in subset: {unknown}")
+        mask = np.zeros(len(self), dtype=bool)
+        mask[np.array(ids) - 1] = True
+        return mask
 
     def delay_steps(self, ts: float) -> np.ndarray:
         """Every node's delay in filter steps, at most MAX_DELAY_STEPS, so a

@@ -9,7 +9,7 @@ whole networks at once:
 
 - time_update_general: one information time update (_kernels._TimeUpdate);
 - node_history: one node's information history (_kernels.node_info_histories);
-- kf_covariance_form: the covariance-form Kalman filter (DkfEngine.fused_runs);
+- kf_covariance_form: the covariance-form Kalman filter (DkfEngine.fused_run);
 - recover_estimate: one estimate from an information pair (dkf.recover_estimates);
 - psi, gamma_hat, beta_hat, i_tilde: the stability operator, contraction
   constant and bound matrix (stability.beta_hat_batch, i_tilde_matrices);
@@ -17,11 +17,11 @@ whole networks at once:
 - node_information, stacked_model: the one-matrix oracles' inputs, each
   node's l_i = e_s e_s^T / r_i and the network as one stacked sensor (H, R);
 - node_l, iv_delta, stepwise_fused_run: one subset's fused run, step by step
-  and node by node (DkfEngine.fused_runs);
+  and node by node (DkfEngine.fused_run);
 - in_order_trace: the traces by which the kernel picks each node's peak;
 - oracle_histories: node_history for every node (_kernels.node_info_histories);
 - per_iteration_sweep: the greedy sweep, one fused run per iteration
-  (selection.greedy_select);
+  (selection.greedy_sweep, scored by selection.greedy_select);
 - per_node_admission: the stability admission, one node at a time
   (selection.stability_select);
 - beta_hat_per_term_loop: the contraction constants with one eigvalsh per
@@ -305,7 +305,7 @@ def per_iteration_sweep(engine, nodes, iterations, r_max, tau_max):
         if not chosen:
             out.append((frozenset(), (r0, tau0), math.nan, math.nan, math.nan))
             continue
-        _, _, xhat, _ = engine.fused_run(chosen)
+        _, _, xhat, _ = engine.fused_run(engine.network.mask(chosen))
         out.append((frozenset(chosen), (r0, tau0), mse(xhat, engine.truth, settle),
                     max_deviation(xhat, engine.truth), mse_raw(xhat, engine.truth, settle)))
     return out

@@ -58,7 +58,7 @@ def test_criterion_01_if_covariance_equivalence():
         p0 = float(rng.uniform(0.5, 3.0)) * np.eye(2)
         eng = DkfEngine(sys_, net, 200, np.random.default_rng(200 + trial),
                         info0=np.linalg.inv(p0))
-        _, _, xhat, _ = eng.fused_run([1])
+        _, _, xhat, _ = eng.fused_run(eng.network.mask([1]))
         xs, _ = kf_covariance_form(sys_, h, r, eng.z[0], 200, p0=p0)
         worst = max(worst, float(np.abs(xhat - xs).max()))
     elapsed = time.perf_counter() - start
@@ -80,7 +80,7 @@ def test_criterion_02_zero_delay_fusion_equivalence():
         p0 = 2.0 * np.eye(2)
         eng = DkfEngine(sys_, net, 200, np.random.default_rng(400 + n),
                         info0=np.linalg.inv(p0), x0_hat=np.array([1.0, 1.0]))
-        _, _, xhat, _ = eng.fused_run(net.ids())
+        _, _, xhat, _ = eng.fused_run(net.mask(net.ids()))
         xs, _ = kf_covariance_form(sys_, h_st, r_st, eng.z.T, 200,
                                    x0_hat=np.array([1.0, 1.0]), p0=p0)
         worst = max(worst, float(np.abs(xhat - xs).max()))
@@ -128,7 +128,7 @@ def test_criterion_04_information_inverse_equals_error_covariance():
     h, r, net = single_row_node(1, 0.15)
     p0 = 2.0 * np.eye(2)
     eng = DkfEngine(sys_, net, 200, np.random.default_rng(600), info0=np.linalg.inv(p0))
-    info_hist, _, _, _ = eng.fused_run([1])
+    info_hist, _, _, _ = eng.fused_run(eng.network.mask([1]))
     _, ps = kf_covariance_form(sys_, h, r, eng.z[0], 200, p0=p0)
     worst = max(
         float(np.abs(np.linalg.inv(info_hist[k]) - ps[k]).max()) for k in range(201)
@@ -160,7 +160,7 @@ def test_criterion_05_empirical_error_covariance_floor():
     errors = []
     for run in range(100):
         eng = DkfEngine(sys_, net, n_steps, np.random.default_rng(700 + run))
-        _, _, xhat, _ = eng.fused_run([1])
+        _, _, xhat, _ = eng.fused_run(eng.network.mask([1]))
         e = eng.truth[n_steps] - xhat[n_steps]
         errors.append(np.outer(e, e))
     emp_trace = float(np.trace(np.mean(errors, axis=0)))

@@ -165,7 +165,7 @@ def test_process_noise_without_finite_inverse_is_validation_error(tmp_path, capl
 def test_diverging_fused_run_exits_numeric_without_warning(tmp_path, capsys, caplog, command):
     # Q = 1e300 I makes the fused information NaN from step 2 on; the fused
     # recursion once warned "invalid value encountered in divide" before
-    # fused_runs raised, and under -W error the warning escaped main as a
+    # fused_run raised, and under -W error the warning escaped main as a
     # traceback with exit 1
     cfg = write_cfg(tmp_path, q_scale="1e300", mode="greedy")
     with warnings.catch_warnings():

@@ -72,7 +72,7 @@ def test_zero_delay_fusion_matches_centralized_stacked_kf():
     x0h = np.array([1.0, 1.0])
     eng = DkfEngine(sys_, net, 150, np.random.default_rng(2),
                     info0=np.linalg.inv(p0), x0_hat=x0h)
-    _, _, xhat, _ = eng.fused_run([1, 2, 3])
+    _, _, xhat, _ = eng.fused_run(net.mask([1, 2, 3]))
     xs, _ = kf_covariance_form(sys_, *stacked_model(net), eng.z.T, 150, x0_hat=x0h, p0=p0)
     assert np.abs(xhat - xs).max() < 1e-6
 
@@ -86,8 +86,8 @@ def test_fused_run_deterministic():
     sys_ = builtin_system()
     net = random_network(np.random.default_rng(1), 5, delay_range=(0.0, 0.5))
     e1, e2 = (DkfEngine(sys_, net, 80, np.random.default_rng(99)) for _ in range(2))
-    info1, _, x1, _ = e1.fused_run([1, 3, 5])
-    info2, _, x2, _ = e2.fused_run([1, 3, 5])
+    info1, _, x1, _ = e1.fused_run(net.mask([1, 3, 5]))
+    info2, _, x2, _ = e2.fused_run(net.mask([1, 3, 5]))
     np.testing.assert_array_equal(x1, x2)
     np.testing.assert_array_equal(e1.truth, e2.truth)
     np.testing.assert_array_equal(info1, info2)
@@ -97,18 +97,24 @@ def test_fused_run_rejects_bad_subsets():
     sys_ = builtin_system()
     net = random_network(np.random.default_rng(1), 3)
     engine = DkfEngine(sys_, net, 10, np.random.default_rng(0))
-    with pytest.raises(SelectionError):
-        engine.fused_run([])
-    with pytest.raises(SelectionError):
-        engine.fused_run([7])
+    with pytest.raises(SelectionError, match="^node subset is empty$"):
+        net.mask([])
+    with pytest.raises(SelectionError, match=r"^unknown node ids in subset: \[0, 7\]$"):
+        net.mask([7, 0, 7])
     # ids that are not integers are named, not truncated to their integer part
     with pytest.raises(SelectionError, match=r"^node ids must be integers, got \[2\.7, 1\.2\]$"):
-        engine.fused_run([2.7, 1.2])
+        net.mask([2.7, 1.2])
     with pytest.raises(SelectionError, match="^node ids must be integers"):
-        engine.fused_run(np.array([1.0, 2.0]))
+        net.mask(np.array([1.0, 2.0]))
     with pytest.raises(SelectionError, match=r"^node ids must be integers, got \[True\]$"):
-        engine.fused_run([True, 2])
-    np.testing.assert_array_equal(engine.fused_run(np.array([3, 1]))[0], engine.fused_run([1, 3])[0])
+        net.mask([True, 2])
+    # repeats count once, in any order
+    assert net.mask(np.array([3, 1, 3])).tolist() == [True, False, True]
+    # a list of ids is no mask: the engine takes bool masks only
+    with pytest.raises(SelectionError, match=r"^masks must be a \(3,\) or \(B, 3\) bool array"):
+        engine.fused_run([1, 3])
+    np.testing.assert_array_equal(engine.fused_run(net.mask(np.array([3, 1])))[0],
+                                  engine.fused_run(net.mask([1, 3]))[0])
 
 
 def test_delays_increase_transient_deviation():
@@ -119,8 +125,8 @@ def test_delays_increase_transient_deviation():
                                np.zeros(400), 2)
     eng_d = DkfEngine(sys_, nodes_delayed, 200, np.random.default_rng(12))
     eng_0 = DkfEngine(sys_, nodes_zero, 200, np.random.default_rng(12))
-    md_delayed = max_deviation(eng_d.fused_run(nodes_delayed.ids())[2], eng_d.truth)
-    md_zero = max_deviation(eng_0.fused_run(nodes_zero.ids())[2], eng_0.truth)
+    md_delayed = max_deviation(eng_d.fused_run(np.ones(400, dtype=bool))[2], eng_d.truth)
+    md_zero = max_deviation(eng_0.fused_run(np.ones(400, dtype=bool))[2], eng_0.truth)
     assert md_delayed > md_zero
 
 
@@ -145,10 +151,8 @@ def test_fused_runs_rows_match_stepwise_oracle():
         eng = DkfEngine(sys_, net, 60, np.random.default_rng(4),
                         info0=0.5 * np.eye(m), x0_hat=np.array([1.0, -1.0, 0.5][:m]))
         subsets = [net.ids(), [2, 6], [7], [1, 3, 7]]
-        masks = np.zeros((len(subsets), len(net)), dtype=bool)
-        for b, ids in enumerate(subsets):
-            masks[b, np.array(ids) - 1] = True
-        info_hist, yv_hist, xhat, flags = eng.fused_runs(masks)
+        masks = np.array([net.mask(ids) for ids in subsets])
+        info_hist, yv_hist, xhat, flags = eng.fused_run(masks)
         assert info_hist.shape == (4, 61, m, m) and xhat.shape == (4, 61, m)
         for b, ids in enumerate(subsets):
             want_info, want_yv = stepwise_fused_run(eng, ids)
@@ -186,7 +190,7 @@ def test_fused_runs_match_stepwise_oracle_on_random_plants(seed, m, n, prior):
     eng = DkfEngine(sys_, net, 30, rng, info0=info0, x0_hat=x0_hat)
     masks = rng.random((int(rng.integers(1, 5)), n)) < 0.5
     masks[np.arange(len(masks)), rng.integers(0, n, len(masks))] = True
-    info_hist, yv_hist, xhat, flags = eng.fused_runs(masks)
+    info_hist, yv_hist, xhat, flags = eng.fused_run(masks)
     for b, mask in enumerate(masks):
         want_info, want_yv = stepwise_fused_run(eng, np.flatnonzero(mask) + 1)
         want_x, want_flags = recover_estimates(want_info, want_yv)
@@ -220,7 +224,7 @@ def test_fused_runs_match_stepwise_oracle_across_delivery_blocks(seed, m, n, blo
     masks[np.arange(len(masks)), rng.integers(0, n, len(masks))] = True
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dkf, "DELIVERY_BLOCK", block)
-        info_hist, yv_hist, _, flags = eng.fused_runs(masks)
+        info_hist, yv_hist, _, flags = eng.fused_run(masks)
     for b, mask in enumerate(masks):
         want_info, want_yv = stepwise_fused_run(eng, np.flatnonzero(mask) + 1)
         assert_rel_close(info_hist[b], want_info)
@@ -251,7 +255,7 @@ def test_chain_rows_match_stepwise_oracle(seed, m, n, n_rows, block):
     assert not (masks[1:] & ~masks[:-1]).any()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dkf, "DELIVERY_BLOCK", block)
-        info_hist, yv_hist, _, flags = eng.fused_runs(masks)
+        info_hist, yv_hist, _, flags = eng.fused_run(masks)
     for b, mask in enumerate(masks):
         want_info, want_yv = stepwise_fused_run(eng, np.flatnonzero(mask) + 1)
         assert_rel_close(info_hist[b], want_info)
@@ -283,7 +287,7 @@ def test_fused_runs_traced_peak_stays_within_one_delivery_block(monkeypatch):
     def traced_peak():
         tracemalloc.start()
         try:
-            outputs = sum(a.nbytes for a in eng.fused_runs(masks))
+            outputs = sum(a.nbytes for a in eng.fused_run(masks))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -300,9 +304,9 @@ def test_sweep_rows_match_single_row_runs():
     # the greedy sweep's chain of ~98 rows sums each row's deliveries as a
     # suffix over exit rows; each row run alone sums them as one bucket per state
     eng, masks = greedy_sweep_engine()
-    info_hist, yv_hist, xhat, flags = eng.fused_runs(masks)
+    info_hist, yv_hist, xhat, flags = eng.fused_run(masks)
     for b, mask in enumerate(masks):
-        info, yv, x, f = eng.fused_run(np.flatnonzero(mask) + 1)
+        info, yv, x, f = eng.fused_run(mask)
         assert_rel_close(info_hist[b], info)
         assert_rel_close(yv_hist[b], yv)
         assert_rel_close(xhat[b], x)
@@ -326,7 +330,7 @@ def test_recovery_sends_only_flagged_entries_to_eigvalsh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     monkeypatch.setattr(np.linalg, "solve", no_solve)
-    info_hist, _, _, flags = eng.fused_runs(masks)
+    info_hist, _, _, flags = eng.fused_run(masks)
     assert len(masks) >= 90 and flags.any()
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], info_hist[flags])
@@ -382,17 +386,17 @@ def test_zero_delay_fused_run_matches_stacked_kf_on_random_plants(seed, m, n):
     p0 = random_psd(rng, m=m) + 0.1 * np.eye(m)
     x0_hat = rng.standard_normal(m)
     eng = DkfEngine(sys_, net, 30, rng, info0=np.linalg.inv(p0), x0_hat=x0_hat)
-    _, _, xhat, _ = eng.fused_run(net.ids())
+    _, _, xhat, _ = eng.fused_run(np.ones(n, dtype=bool))
     xs, _ = kf_covariance_form(sys_, *stacked_model(net), eng.z.T, 30, x0_hat=x0_hat, p0=p0)
     assert np.abs(xhat - xs).max() <= 1e-8 * max(np.abs(xs).max(), 1.0)
 
 
 def test_fused_run_is_row_zero_of_fused_runs():
+    # an (n,) mask runs as the one row of a (1, n) batch, without its axis
     eng = DkfEngine(builtin_system(), mixed_network(), 60, np.random.default_rng(5))
-    mask = np.zeros((1, 7), dtype=bool)
-    mask[0, [0, 3, 5]] = True
-    single = eng.fused_run([1, 4, 6])
-    batched = eng.fused_runs(mask)
+    mask = eng.network.mask([1, 4, 6])
+    single = eng.fused_run(mask)
+    batched = eng.fused_run(mask[None])
     for got, want in zip(single, batched):
         np.testing.assert_array_equal(got, want[0])
 
@@ -400,11 +404,12 @@ def test_fused_run_is_row_zero_of_fused_runs():
 def test_fused_runs_rejects_bad_masks():
     eng = DkfEngine(builtin_system(), mixed_network(), 20, np.random.default_rng(0))
     with pytest.raises(SelectionError, match="row 1"):
-        eng.fused_runs(np.array([[True] * 7, [False] * 7]))
-    with pytest.raises(SelectionError):
-        eng.fused_runs(np.ones((2, 6), dtype=bool))
-    with pytest.raises(SelectionError):
-        eng.fused_runs(np.ones((2, 7)))
+        eng.fused_run(np.array([[True] * 7, [False] * 7]))
+    with pytest.raises(SelectionError, match="row 0"):
+        eng.fused_run(np.zeros(7, dtype=bool))
+    for bad in (np.ones((2, 6), dtype=bool), np.ones((2, 7)), np.ones((1, 2, 7), dtype=bool)):
+        with pytest.raises(SelectionError, match=r"^masks must be a \(7,\) or \(B, 7\) bool"):
+            eng.fused_run(bad)
 
 
 def test_fused_runs_non_finite_names_row_and_step(monkeypatch):
@@ -419,7 +424,7 @@ def test_fused_runs_non_finite_names_row_and_step(monkeypatch):
     monkeypatch.setattr(_kernels, "fused_info_recursion", poisoned)
     eng = DkfEngine(builtin_system(), mixed_network(), 20, np.random.default_rng(0))
     with pytest.raises(NumericError, match=r"mask row 1 \(0-based\) at step 7$") as err:
-        eng.fused_runs(np.ones((3, 7), dtype=bool))
+        eng.fused_run(np.ones((3, 7), dtype=bool))
     assert (err.value.row, err.value.step) == (1, 7)
 
 
@@ -456,7 +461,7 @@ def test_if_covariance_duality_on_random_systems():
         net = network_of((int(rng.integers(0, 2)), float(rng.uniform(0.1, 0.5))))
         p0 = np.eye(2) * float(rng.uniform(0.5, 3.0))
         eng = DkfEngine(sys_, net, 200, np.random.default_rng(trial), info0=np.linalg.inv(p0))
-        info_hist, _, xhat, _ = eng.fused_run([1])
+        info_hist, _, xhat, _ = eng.fused_run(np.ones(1, dtype=bool))
         xs, ps = kf_covariance_form(sys_, *stacked_model(net), eng.z[0], 200, p0=p0)
         assert np.abs(xhat - xs).max() < 1e-8
         for k in range(0, 201, 20):
@@ -467,7 +472,7 @@ def test_if_covariance_duality_on_random_systems():
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), n=st.integers(2, 6))
 def test_subset_growth_never_decreases_information(seed, m, n):
     # random LTV plants, sensors on random states, delays up to 0.4 s on a
-    # 0.3 s horizon and a random prior; nested masks run as one fused_runs
+    # 0.3 s horizon and a random prior; nested masks run as one fused_run
     # call, and at every step a superset's information minus its subset's is PSD
     rng = np.random.default_rng(seed)
     sys_ = random_system(rng, m=m, n_steps=30)
@@ -475,7 +480,7 @@ def test_subset_growth_never_decreases_information(seed, m, n):
     info0 = random_psd(rng, m=m) + 0.1 * np.eye(m)
     eng = DkfEngine(sys_, net, 30, rng, info0=info0, x0_hat=rng.standard_normal(m))
     masks = np.tri(n, dtype=bool)[:, rng.permutation(n)]  # row b holds b + 1 nodes
-    info_hist = eng.fused_runs(masks)[0]
+    info_hist = eng.fused_run(masks)[0]
     growth = np.linalg.eigvalsh(info_hist[1:] - info_hist[:-1])[..., 0]
     scale = np.abs(info_hist[1:]).max(axis=(-2, -1))
     assert (growth >= -1e-12 * scale).all()
@@ -488,7 +493,7 @@ def test_node_delayed_by_the_horizon_delivers_only_at_the_last_step():
     net = network_of((0, 0.2), (1, 0.1, 0.4))
     eng = DkfEngine(builtin_system(), net, n_steps, np.random.default_rng(6))
     assert eng.delays.tolist() == [0, n_steps]
-    info_hist, yv_hist, _, _ = eng.fused_runs(np.array([[True, False], [True, True]]))
+    info_hist, yv_hist, _, _ = eng.fused_run(np.array([[True, False], [True, True]]))
     assert_rel_close(info_hist[1, :n_steps], info_hist[0, :n_steps])
     assert_rel_close(yv_hist[1, :n_steps], yv_hist[0, :n_steps])
     scale = np.abs(info_hist[1, n_steps]).max()

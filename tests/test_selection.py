@@ -13,6 +13,7 @@ from dkfsim.sensing import R_MIN, SensorNetwork, sample_network
 from dkfsim.selection import (
     GREEDY_REPORT,
     greedy_select,
+    greedy_sweep,
     max_deviation,
     mse,
     mse_raw,
@@ -151,7 +152,8 @@ def test_metrics_reject_a_stack_of_other_trailing_shape(metric, shape):
 
 
 def sweep(engine, iterations, r_max, tau_max):
-    return greedy_select(engine, iterations, r_max, tau_max, settling_index(engine.truth, 0.01))
+    return greedy_select(greedy_sweep(engine, iterations, r_max, tau_max), engine.truth,
+                         settling_index(engine.truth, 0.01))
 
 
 def test_greedy_first_iteration_selects_everything():
@@ -285,8 +287,7 @@ def test_greedy_non_finite_names_iteration_and_step(monkeypatch):
     monkeypatch.setattr(_kernels, "fused_info_recursion", poisoned)
     net = network_of(*[(0, 0.1 * (i + 1)) for i in range(4)])
     with pytest.raises(NumericError, match=r"greedy iteration 2 at step 12$") as err:
-        greedy_select(DkfEngine(builtin_system(), net, 30, np.random.default_rng(0)), 4, 0.5, 1.0,
-                      settle=0)
+        greedy_sweep(DkfEngine(builtin_system(), net, 30, np.random.default_rng(0)), 4, 0.5, 1.0)
     assert err.value.step == 12
 
 
@@ -294,7 +295,7 @@ def test_greedy_requires_resolved_network():
     sys_ = builtin_system()
     net = network_of((0, 0.25, 0.0, 0.1))
     with pytest.raises(ConfigError, match="node 1 has unresolved stochastic delay"):
-        greedy_select(DkfEngine(sys_, net, 30, np.random.default_rng(0)), 2, 0.5, 2.0, settle=0)
+        greedy_sweep(DkfEngine(sys_, net, 30, np.random.default_rng(0)), 2, 0.5, 2.0)
 
 
 @pytest.mark.parametrize("r_max, tau_max", [(np.nan, 2.0), (0.5, np.nan), (np.inf, 2.0),
@@ -304,7 +305,7 @@ def test_greedy_refuses_thresholds_not_finite_and_non_negative(r_max, tau_max):
     engine = DkfEngine(builtin_system(), network_of((0, 0.2), (1, 0.3)), 30,
                        np.random.default_rng(0))
     with pytest.raises(ConfigError, match="^r_max and tau_max must be finite and >= 0, got ") as err:
-        greedy_select(engine, 4, r_max, tau_max, settle=0)
+        greedy_sweep(engine, 4, r_max, tau_max)
     assert err.value.keys == ("variance_range", "delay_range")
 
 
