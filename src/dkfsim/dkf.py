@@ -12,7 +12,9 @@ a subset has delivered by step k is a sum per state class, node i measuring
 state j adding 1/r_i to diagonal entry j from step d_i on and z_i(k - d_i) / r_i
 to IV entry j. DkfEngine._delivered_sums forms these sums for a chain of
 nested subsets, such as the greedy sweep's, as suffix sums over the rows, in
-blocks of DELIVERY_BLOCK nodes.
+blocks of DELIVERY_BLOCK nodes. The engine keeps the standard-normal draw
+behind the readings, not the readings: each block forms the readings of its
+own nodes (DkfEngine.readings), so a run forms only the readings it delivers.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .model import LtvSystem, robust_inverse, simulate, transition_sequence
 from .model import transition_matrix  # noqa: F401 - per-layer tracing wraps this name
 from .sensing import SensorNetwork
 
-# nodes per block of DkfEngine._delivered_sums: its padded and delivered
-# readings are (b, 2(N+1)) and (b, N+1), so no buffer grows with the network
+# nodes per block of DkfEngine._delivered_sums: its readings, padded and
+# delivered readings are (b, N+1), (b, 2(N+1)) and (b, N+1), so no buffer
+# grows with the network
 # (one whole-network block took the greedy sweep's traced peak from 4.2 to 14 MB)
 DELIVERY_BLOCK = 256
 
@@ -150,14 +153,17 @@ class DkfEngine(Scenario):
     """A Scenario with one realization of plant and sensor readings, reusable
     across subsets: the one way to run the estimator (fused_run).
 
-    z (n, N+1) holds every node's readings z_i(k) = x_s(k) + sqrt(r_i) w_i(k),
-    s the state node i measures and r_i its variance. The noise w is drawn
-    for every network node in one call (node i's N+1 draws right after node
-    i-1's) regardless of the subset later filtered on, so runs over different
-    subsets of the same engine share one realization; the greedy sweep
-    depends on this. Delays must be constant: a network with jitter raises
-    ConfigError (sensing.resolve_delays draws it first). The optional prior
-    info0 (m, m) and x0_hat (m,) is checked before any draw (_prior).
+    truth (N+1, m) holds the plant's states x(k) and noise (n, N+1) the
+    standard-normal w_i(k) behind node i's readings
+    z_i(k) = x_s(k) + sqrt(r_i) w_i(k), s the state node i measures and r_i
+    its variance; readings(nodes) forms them for the nodes asked for. The
+    noise is drawn for every network node in one call (node i's N+1 draws
+    right after node i-1's) regardless of the subset later filtered on, so
+    runs over different subsets of the same engine share one realization;
+    the greedy sweep depends on this. Delays must be constant: a network with
+    jitter raises ConfigError (sensing.resolve_delays draws it first). The
+    optional prior info0 (m, m) and x0_hat (m,) is checked before any draw
+    (_prior).
     """
 
     def __init__(self, sys: LtvSystem, network: SensorNetwork, n_steps: int,
@@ -165,9 +171,18 @@ class DkfEngine(Scenario):
         super().__init__(sys, network, n_steps)
         self.info0, self.yv0 = _prior(info0, x0_hat, sys.state_dim)
         self.truth = simulate(sys, self.a_seq, rng)
-        self.z = rng.standard_normal((len(network), n_steps + 1))
-        self.z *= np.sqrt(network.variance)[:, None]
-        self.z += self.truth[:, network.state].T
+        self.noise = rng.standard_normal((len(network), n_steps + 1))
+
+    def readings(self, nodes, out=None):
+        """The readings z_i(k) = x_s(k) + sqrt(r_i) w_i(k), k = 0..N, of the
+        0-based nodes, one row per node in the order given: (len(nodes), N+1),
+        written into out when given. A node's row is the same bits whichever
+        nodes share the call."""
+        nodes = np.asarray(nodes)
+        out = np.take(self.noise, nodes, axis=0, out=out)
+        out *= np.sqrt(self.network.variance[nodes])[:, None]
+        out += np.take(self.truth.T, self.network.state[nodes], axis=0)
+        return out
 
     def fused_run(self, masks):
         """Run the estimator over the subsets of bool masks, one shared realization.
@@ -250,10 +265,14 @@ class DkfEngine(Scenario):
         # is z_i(k - d_i) / r_i for k >= d_i and zero before
         padded = np.zeros((min(used.size, DELIVERY_BLOCK), 2 * n_out))
         windows = sliding_window_view(padded, n_out, axis=1)
+        # the readings are formed in a contiguous buffer: formed in padded's
+        # strided right half, the greedy sweep's took a third longer
+        z_buf = np.empty((padded.shape[0], n_out))
         for start in range(0, used.size, DELIVERY_BLOCK):
             block = used[start:start + DELIVERY_BLOCK]
             b = bucket[start:start + DELIVERY_BLOCK]
-            np.multiply(self.z[block], inv_r[block, None], out=padded[:block.size, n_out:])
+            z = self.readings(block, out=z_buf[:block.size])
+            np.multiply(z, inv_r[block, None], out=padded[:block.size, n_out:])
             delivered = windows[np.arange(block.size), n_out - delays[block]]
             firsts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
             iv_rows[b[firsts]] += np.add.reduceat(delivered, firsts, axis=0)

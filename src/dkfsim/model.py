@@ -123,7 +123,8 @@ def transition_sequence(sys: LtvSystem, n_steps: int) -> np.ndarray:
 def simulate(sys: LtvSystem, a_seq, rng: np.random.Generator) -> np.ndarray:
     """Propagate the plant through the prepared transitions a_seq = A(0..N-1)
     (transition_sequence), with w(k) ~ N(0, Q) drawn from rng; returns the
-    states x(0..N) as an (N+1, m) array."""
+    states x(0..N) as an (N+1, m) array. DivergenceError names the first step
+    whose state is not finite."""
     n_steps = len(a_seq)
     if n_steps < 1:
         raise ConfigError("n_steps must be >= 1", keys=("horizon",))
@@ -131,10 +132,15 @@ def simulate(sys: LtvSystem, a_seq, rng: np.random.Generator) -> np.ndarray:
     noise = rng.standard_normal((n_steps, m)) @ sys._chol_q.T
     states = np.empty((n_steps + 1, m))
     states[0] = sys.initial_state
-    for k in range(n_steps):
-        states[k + 1] = a_seq[k] @ states[k] + noise[k]
-        if not np.isfinite(states[k + 1]).all():
-            raise DivergenceError(f"state diverged at step {k + 1}", step=k + 1)
+    # a diverging state turns non-finite silently: the check below names the
+    # first non-finite step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            states[k + 1] = a_seq[k] @ states[k] + noise[k]
+    diverged = ~np.isfinite(states).all(axis=1)
+    if diverged.any():
+        step = int(diverged.argmax())
+        raise DivergenceError(f"state diverged at step {step}", step=step)
     return states
 
 

@@ -244,7 +244,7 @@ def node_l(engine, i):
 
 def iv_delta(engine, i, k):
     """Node i's IV delta H_i^T R_i^{-1} z_i(k), the column l_i e_s times z_i(k)."""
-    return node_l(engine, i)[:, engine.network.state[i]] * engine.z[i, k]
+    return node_l(engine, i)[:, engine.network.state[i]] * engine.readings([i])[0, k]
 
 
 def stepwise_fused_run(engine, ids):

@@ -59,7 +59,7 @@ def test_criterion_01_if_covariance_equivalence():
         eng = DkfEngine(sys_, net, 200, np.random.default_rng(200 + trial),
                         info0=np.linalg.inv(p0))
         _, _, xhat, _ = eng.fused_run(eng.network.mask([1]))
-        xs, _ = kf_covariance_form(sys_, h, r, eng.z[0], 200, p0=p0)
+        xs, _ = kf_covariance_form(sys_, h, r, eng.readings([0])[0], 200, p0=p0)
         worst = max(worst, float(np.abs(xhat - xs).max()))
     elapsed = time.perf_counter() - start
     assert worst < 1e-8
@@ -81,7 +81,7 @@ def test_criterion_02_zero_delay_fusion_equivalence():
         eng = DkfEngine(sys_, net, 200, np.random.default_rng(400 + n),
                         info0=np.linalg.inv(p0), x0_hat=np.array([1.0, 1.0]))
         _, _, xhat, _ = eng.fused_run(net.mask(net.ids()))
-        xs, _ = kf_covariance_form(sys_, h_st, r_st, eng.z.T, 200,
+        xs, _ = kf_covariance_form(sys_, h_st, r_st, eng.readings(np.arange(n)).T, 200,
                                    x0_hat=np.array([1.0, 1.0]), p0=p0)
         worst = max(worst, float(np.abs(xhat - xs).max()))
     assert worst < 1e-6
@@ -129,7 +129,7 @@ def test_criterion_04_information_inverse_equals_error_covariance():
     p0 = 2.0 * np.eye(2)
     eng = DkfEngine(sys_, net, 200, np.random.default_rng(600), info0=np.linalg.inv(p0))
     info_hist, _, _, _ = eng.fused_run(eng.network.mask([1]))
-    _, ps = kf_covariance_form(sys_, h, r, eng.z[0], 200, p0=p0)
+    _, ps = kf_covariance_form(sys_, h, r, eng.readings([0])[0], 200, p0=p0)
     worst = max(
         float(np.abs(np.linalg.inv(info_hist[k]) - ps[k]).max()) for k in range(201)
     )

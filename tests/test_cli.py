@@ -176,6 +176,21 @@ def test_diverging_fused_run_exits_numeric_without_warning(tmp_path, capsys, cap
     assert len(failures) == 1 and "non-finite fused information" in failures[0]
 
 
+def test_diverging_simulation_exits_numeric_without_warning(tmp_path, capsys, caplog):
+    # a 1-state plant with A = x0 = 1e200 overflows at step 1; simulate once
+    # warned "overflow encountered in matmul" before its DivergenceError, and
+    # under -W error the warning escaped main as a traceback with exit 1
+    table = tmp_path / "table.txt"
+    table.write_text("\n\n".join(["1e200"] * 60) + "\n")
+    cfg = write_cfg(tmp_path, state_dim=1, x0="1e200", transition=f"table:{table}", horizon=60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert [m for m in caplog.messages if m.startswith("numeric failure")] == [
+        "numeric failure: state diverged at step 1"]
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path)
     out_a = tmp_path / "a"

@@ -73,7 +73,8 @@ def test_zero_delay_fusion_matches_centralized_stacked_kf():
     eng = DkfEngine(sys_, net, 150, np.random.default_rng(2),
                     info0=np.linalg.inv(p0), x0_hat=x0h)
     _, _, xhat, _ = eng.fused_run(net.mask([1, 2, 3]))
-    xs, _ = kf_covariance_form(sys_, *stacked_model(net), eng.z.T, 150, x0_hat=x0h, p0=p0)
+    xs, _ = kf_covariance_form(sys_, *stacked_model(net), eng.readings(np.arange(3)).T, 150,
+                               x0_hat=x0h, p0=p0)
     assert np.abs(xhat - xs).max() < 1e-6
 
 
@@ -300,6 +301,22 @@ def test_fused_runs_traced_peak_stays_within_one_delivery_block(monkeypatch):
     assert traced_peak()[0] > bound
 
 
+def test_engine_build_keeps_one_network_sized_array():
+    # the benchmark's shape, 2000 nodes and N = 200: the engine keeps the
+    # (n, N+1) noise draw and forms readings per delivery block. Forming every
+    # node's readings at build, through a second (n, N+1) gather of the truth,
+    # peaked at 2.02 n(N+1) 8 bytes
+    rng = np.random.default_rng(3)
+    net = sample_network(2000, (0.0, 0.5), (0.0, 2.0), rng)
+    tracemalloc.start()
+    try:
+        DkfEngine(builtin_system(), net, 200, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * len(net) * 201 * 8
+
+
 def test_sweep_rows_match_single_row_runs():
     # the greedy sweep's chain of ~98 rows sums each row's deliveries as a
     # suffix over exit rows; each row run alone sums them as one bucket per state
@@ -387,7 +404,8 @@ def test_zero_delay_fused_run_matches_stacked_kf_on_random_plants(seed, m, n):
     x0_hat = rng.standard_normal(m)
     eng = DkfEngine(sys_, net, 30, rng, info0=np.linalg.inv(p0), x0_hat=x0_hat)
     _, _, xhat, _ = eng.fused_run(np.ones(n, dtype=bool))
-    xs, _ = kf_covariance_form(sys_, *stacked_model(net), eng.z.T, 30, x0_hat=x0_hat, p0=p0)
+    xs, _ = kf_covariance_form(sys_, *stacked_model(net), eng.readings(np.arange(n)).T, 30,
+                               x0_hat=x0_hat, p0=p0)
     assert np.abs(xhat - xs).max() <= 1e-8 * max(np.abs(xs).max(), 1.0)
 
 
@@ -462,7 +480,8 @@ def test_if_covariance_duality_on_random_systems():
         p0 = np.eye(2) * float(rng.uniform(0.5, 3.0))
         eng = DkfEngine(sys_, net, 200, np.random.default_rng(trial), info0=np.linalg.inv(p0))
         info_hist, _, xhat, _ = eng.fused_run(np.ones(1, dtype=bool))
-        xs, ps = kf_covariance_form(sys_, *stacked_model(net), eng.z[0], 200, p0=p0)
+        xs, ps = kf_covariance_form(sys_, *stacked_model(net), eng.readings([0])[0], 200,
+                                    p0=p0)
         assert np.abs(xhat - xs).max() < 1e-8
         for k in range(0, 201, 20):
             np.testing.assert_allclose(np.linalg.inv(info_hist[k]), ps[k], atol=1e-8)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,9 +104,12 @@ def test_simulate_divergence_names_step():
         initial_state=np.array([1e200]),
         sample_time=1.0,
     )
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
-        simulate(sys_, transition_sequence(sys_, 4), np.random.default_rng(0))
-    assert err.value.step is not None
+    # the overflow at step 1 once warned before the DivergenceError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=r"^state diverged at step 1$") as err:
+            simulate(sys_, transition_sequence(sys_, 4), np.random.default_rng(0))
+    assert err.value.step == 1
 
 
 def test_noise_covariance_matches_scaled_q():

@@ -256,20 +256,28 @@ def test_engine_measurements_match_per_node_construction():
     sys_ = builtin_system()
     engine_rng = np.random.default_rng(9)
     engine = DkfEngine(sys_, net, 60, engine_rng)
-    assert engine.z.shape == (300, 61)
+    assert engine.noise.shape == (300, 61)
     # reference: the per-node set-up with one-row H = e_s^T and R = [[r]]:
     # z = H x + chol(R) w, l = H^T R^{-1} H, N+1 draws per node in id order
     rng = np.random.default_rng(9)
     truth = simulate(sys_, transition_sequence(sys_, 60), rng)
     assert np.array_equal(truth, engine.truth)
+    want = np.empty((300, 61))
     for i, (s, r, _, _) in enumerate(nodes):
         h = np.eye(2)[[s]]
         r_mat = np.array([[r]])
         z = (h @ truth.T).T + rng.standard_normal((61, 1)) @ np.linalg.cholesky(r_mat).T
+        want[i] = z[:, 0]
         hr = h.T @ np.linalg.inv(r_mat)
-        assert np.array_equal(engine.z[i], z[:, 0])
         l_node = 0.5 * ((hr @ h) + (hr @ h).T)
         assert np.array_equal(np.outer(h[0], h[0]) * engine.inv_r[i], l_node)
+    # every reading bit for bit, the nodes asked for in id order and, as the
+    # delivery blocks ask (by bucket), in any other order
+    assert np.array_equal(engine.readings(np.arange(300)), want)
+    order = np.random.default_rng(3).permutation(300)
+    out = np.empty((300, 61))
+    assert engine.readings(order, out=out) is out
+    assert np.array_equal(out, want[order])
     np.testing.assert_array_equal(engine.delays, [
         delay_steps(base, sys_.sample_time)
         for _, _, base, _ in resolved_per_node(nodes, np.random.default_rng(8))])

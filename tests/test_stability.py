@@ -334,6 +334,7 @@ def test_information_inverse_matches_riccati_covariance():
     eng = DkfEngine(sys_, network_of((1, 0.15)), 200, np.random.default_rng(9),
                     info0=np.linalg.inv(p0))
     info_hist, _, _, _ = eng.fused_run(eng.network.mask([1]))
-    _, ps = kf_covariance_form(sys_, np.array([[0.0, 1.0]]), [[0.15]], eng.z[0], 200, p0=p0)
+    _, ps = kf_covariance_form(sys_, np.array([[0.0, 1.0]]), [[0.15]], eng.readings([0])[0], 200,
+                               p0=p0)
     for k in range(201):
         np.testing.assert_allclose(np.linalg.inv(info_hist[k]), ps[k], atol=1e-8)
