@@ -15,9 +15,20 @@ nested subsets, such as the greedy sweep's, as suffix sums over the rows, in
 blocks of DELIVERY_BLOCK nodes. The engine keeps the standard-normal draw
 behind the readings, not the readings: each block forms the readings of its
 own nodes (DkfEngine.readings), so a run forms only the readings it delivers.
+
+The draw runs beside the caller. DkfEngine's constructor returns while a
+worker thread fills the (n, N+1) noise holding rng's bit-generator lock, so
+the caller's work up to the first reading, such as the stability selection,
+which reads none, overlaps it. A later draw from rng, or from any Generator
+on the same bit generator, waits on that lock and continues the stream
+exactly where the synchronous draw would leave it; DkfEngine.noise waits for
+the draw.
 """
 
 from __future__ import annotations
+
+import copy
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +44,53 @@ from .sensing import SensorNetwork
 # grows with the network
 # (one whole-network block took the greedy sweep's traced peak from 4.2 to 14 MB)
 DELIVERY_BLOCK = 256
+
+
+def _standard_normal_into(bit_generator, out):
+    """Fill out with the standard normals a Generator on bit_generator draws
+    next, and move bit_generator past them. The caller holds
+    bit_generator.lock, which a Generator's own draw takes again and which
+    need not be reentrant, so the draw runs on a copy whose end state is then
+    written back."""
+    twin = copy.deepcopy(bit_generator)
+    np.random.Generator(twin).standard_normal(out=out)
+    bit_generator.state = twin.state
+
+
+class _NoiseDraw:
+    """rng.standard_normal(shape), drawn in a daemon thread.
+
+    The constructor returns once the thread holds rng.bit_generator.lock, so
+    every later draw on that bit generator comes after this one in the
+    stream, with the same bits as after the synchronous call. result() waits
+    for the thread and returns the array, or raises what the draw raised
+    (the lock is released either way).
+    """
+
+    def __init__(self, rng: np.random.Generator, shape):
+        # allocated here, not in the worker, so no second malloc arena holds it
+        self._out = np.empty(shape)
+        self._error = None
+        bit_generator = rng.bit_generator
+        held = threading.Event()
+
+        def draw():
+            with bit_generator.lock:
+                held.set()
+                try:
+                    _standard_normal_into(bit_generator, self._out)
+                except BaseException as exc:  # result() re-raises it, as a future does
+                    self._error = exc
+
+        self._thread = threading.Thread(target=draw, name="dkfsim-noise", daemon=True)
+        self._thread.start()
+        held.wait()
+
+    def result(self):
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._out
 
 
 def _symmetrize(a):
@@ -164,6 +222,13 @@ class DkfEngine(Scenario):
     jitter raises ConfigError (sensing.resolve_delays draws it first). The
     optional prior info0 (m, m) and x0_hat (m,) is checked before any draw
     (_prior).
+
+    The truth is drawn before the constructor returns, the noise after it in
+    a worker thread (_NoiseDraw) that holds rng's bit-generator lock from
+    before the constructor returns: a later draw from rng waits for it and
+    continues the stream exactly as after the synchronous
+    rng.standard_normal((n, N+1)). noise waits for the draw and raises what
+    the draw raised.
     """
 
     def __init__(self, sys: LtvSystem, network: SensorNetwork, n_steps: int,
@@ -171,16 +236,25 @@ class DkfEngine(Scenario):
         super().__init__(sys, network, n_steps)
         self.info0, self.yv0 = _prior(info0, x0_hat, sys.state_dim)
         self.truth = simulate(sys, self.a_seq, rng)
-        self.noise = rng.standard_normal((len(network), n_steps + 1))
+        self._noise = _NoiseDraw(rng, (len(network), n_steps + 1))
+
+    @property
+    def noise(self):
+        """The (n, N+1) standard normals w_i(k), once the draw is done."""
+        return self._noise.result()
 
     def readings(self, nodes, out=None):
         """The readings z_i(k) = x_s(k) + sqrt(r_i) w_i(k), k = 0..N, of the
         0-based nodes, one row per node in the order given: (len(nodes), N+1),
         written into out when given. A node's row is the same bits whichever
-        nodes share the call."""
+        nodes share the call. An index outside [-n, n) raises IndexError
+        before out is written; a negative one counts from the end."""
         nodes = np.asarray(nodes)
-        out = np.take(self.noise, nodes, axis=0, out=out)
-        out *= np.sqrt(self.network.variance[nodes])[:, None]
+        # the gather checks the indices, so the take need not: in its default
+        # mode="raise" numpy buffers out, two more block-sized copies
+        scale = np.sqrt(self.network.variance[nodes])
+        out = np.take(self.noise, nodes, axis=0, out=out, mode="wrap")
+        out *= scale[:, None]
         out += np.take(self.truth.T, self.network.state[nodes], axis=0)
         return out
 

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dkfsim import _kernels, dkf
 from dkfsim.dkf import DkfEngine, Scenario, recover_estimates
 from dkfsim.errors import ConfigError, NumericError, SelectionError
-from dkfsim.model import builtin_system, robust_inverse, transition_matrix
+from dkfsim.model import builtin_system, robust_inverse, simulate, transition_matrix
 from dkfsim.sensing import SensorNetwork, sample_network
 from dkfsim.selection import max_deviation, sweep_masks
 
@@ -315,6 +317,106 @@ def test_engine_build_keeps_one_network_sized_array():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * len(net) * 201 * 8
+
+
+# ---------------------------------------------------------------------------
+# the noise draw, made beside the caller
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
+                                           np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_engine_noise_draw_hands_the_stream_on_exactly(bit_generator):
+    # the draw runs in a worker thread on a copy of rng's bit generator; a draw
+    # from rng right after the constructor waits for it and continues the
+    # stream where the synchronous draw of a seeded twin leaves it
+    # (threads switch every microsecond, so a draw not ordered by the lock
+    # would interleave with the worker's)
+    sys_ = builtin_system()
+    net = sample_network(300, (0.0, 0.5), (0.0, 2.0), np.random.default_rng(5))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(20):
+            rng = np.random.Generator(bit_generator(seed))
+            twin = np.random.Generator(bit_generator(seed))
+            eng = DkfEngine(sys_, net, 200, rng)
+            got = rng.random(5)
+            truth = simulate(sys_, eng.a_seq, twin)
+            noise = twin.standard_normal((300, 201))
+            assert np.array_equal(got, twin.random(5))
+            assert np.array_equal(eng.noise, noise)
+            assert np.array_equal(eng.truth, truth)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_engine_returns_with_the_draw_holding_the_lock(monkeypatch):
+    # the worker's fill waits on a gate: the constructor has returned, the
+    # worker holds rng's lock, and a draw from rng in another thread waits
+    # until the noise is drawn, then continues the stream after it
+    gate = threading.Event()
+    fill = dkf._standard_normal_into
+
+    def gated(bit_generator, out):
+        assert gate.wait(10)
+        fill(bit_generator, out)
+
+    monkeypatch.setattr(dkf, "_standard_normal_into", gated)
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    net = network_of((0, 0.2), (1, 0.3))
+    eng = DkfEngine(builtin_system(), net, 10, rng)
+    assert not rng.bit_generator.lock.acquire(blocking=False)  # held by the worker
+    later = []
+    reader = threading.Thread(target=lambda: later.append(rng.random(5)))
+    reader.start()
+    reader.join(0.2)
+    assert reader.is_alive() and not later
+    gate.set()
+    reader.join(10)
+    assert not reader.is_alive()
+    simulate(builtin_system(), eng.a_seq, twin)
+    assert np.array_equal(eng.noise, twin.standard_normal((2, 11)))
+    assert np.array_equal(later[0], twin.random(5))
+
+
+def test_readings_check_indices_before_writing():
+    # the take skips numpy's own index check (and its buffering of out): the
+    # variance gather refuses an index outside [-n, n) before out is touched,
+    # and wraps a negative one as the take does
+    eng = DkfEngine(builtin_system(), network_of((0, 0.2), (1, 0.3), (0, 0.4)), 10,
+                    np.random.default_rng(2))
+    out = np.full((1, 11), 7.0)
+    with pytest.raises(IndexError):
+        eng.readings([3], out=out)
+    assert (out == 7.0).all()
+    assert np.array_equal(eng.readings([-1]), eng.readings(np.arange(3))[2:])
+
+
+def test_failed_noise_draw_raises_where_the_noise_is_read(monkeypatch):
+    def fail(bit_generator, out):
+        raise RuntimeError("draw failed")
+
+    monkeypatch.setattr(dkf, "_standard_normal_into", fail)
+    rng = np.random.default_rng(4)
+    eng = DkfEngine(builtin_system(), network_of((0, 0.2), (1, 0.3)), 10, rng)
+    for read in (lambda: eng.noise, lambda: eng.readings([0]),
+                 lambda: eng.fused_run(np.array([True, True]))):
+        with pytest.raises(RuntimeError, match="^draw failed$"):
+            read()
+    # the worker released rng's lock: a later draw returns instead of blocking
+    assert rng.bit_generator.lock.acquire(timeout=10)
+    rng.bit_generator.lock.release()
+    rng.random()
+
+
+def test_unread_engine_leaves_no_thread_behind():
+    before = set(threading.enumerate())
+    DkfEngine(builtin_system(), network_of((0, 0.2), (1, 0.3)), 10, np.random.default_rng(0))
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert threading.active_count() == len(before)
 
 
 def test_sweep_rows_match_single_row_runs():

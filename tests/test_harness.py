@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -33,6 +34,15 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize("mode", ["fixed-subset", "greedy", "stability", "all"])
+def test_run_experiment_leaves_no_thread_behind(mode, tmp_path):
+    # each mode reads the engine's noise, which joins the thread that drew it
+    count = threading.active_count()
+    result = run_experiment(small_cfg(mode=mode, subset=(1, 2, 3)), out_dir=tmp_path)
+    assert all(rec.n_selected for rec in result.outcomes)
+    assert threading.active_count() == count
 
 
 # ---------------------------------------------------------------------------
