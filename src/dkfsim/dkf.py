@@ -10,10 +10,10 @@ Every node measures one state with a scalar variance, so below the network a
 node is the pair (s_i, 1/r_i) and l_i = e_s e_s^T / r_i is never formed: what
 a subset has delivered by step k is a sum per state class, node i measuring
 state j adding 1/r_i to diagonal entry j from step d_i on and z_i(k - d_i) / r_i
-to IV entry j. DkfEngine._delivered_sums forms these sums for a chain of
-nested subsets, such as the greedy sweep's, as suffix sums over the rows, in
-blocks of DELIVERY_BLOCK nodes. The engine keeps the standard-normal draw
-behind the readings, not the readings: each block forms the readings of its
+to IV entry j. DkfEngine._delivered_sums sums them for any batch of subsets
+once per group of nodes sharing a mask column, in blocks of DELIVERY_BLOCK
+nodes, and adds each row's groups in one matrix product. The engine keeps the
+standard-normal draw behind the readings: each block forms the readings of its
 own nodes (DkfEngine.readings), so a run forms only the readings it delivers.
 
 The draw runs beside the caller. DkfEngine's constructor returns while a
@@ -22,13 +22,16 @@ the caller's work up to the first reading, such as the stability selection,
 which reads none, overlaps it. A later draw from rng, or from any Generator
 on the same bit generator, waits on that lock and continues the stream
 exactly where the synchronous draw would leave it; DkfEngine.noise waits for
-the draw.
+the draw. A fork waits for every unfinished draw, so the child starts with
+rng's lock free and the noise complete.
 """
 
 from __future__ import annotations
 
 import copy
+import os
 import threading
+import weakref
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,6 +87,7 @@ class _NoiseDraw:
 
         self._thread = threading.Thread(target=draw, name="dkfsim-noise", daemon=True)
         self._thread.start()
+        _DRAWS.add(self)
         held.wait()
 
     def result(self):
@@ -91,6 +95,20 @@ class _NoiseDraw:
         if self._error is not None:
             raise self._error
         return self._out
+
+
+# the draws a fork waits for: in the child the worker is gone, so a draw it
+# left unfinished would hold rng's lock for ever and leave the noise partly drawn
+_DRAWS = weakref.WeakSet()
+
+
+def _finish_draws():
+    for draw in list(_DRAWS):
+        draw._thread.join()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_finish_draws)
 
 
 def _symmetrize(a):
@@ -267,9 +285,8 @@ class DkfEngine(Scenario):
         one run, the same arrays without the leading axis. SensorNetwork.mask
         turns node ids into a mask.
 
-        What the subsets' nodes deliver is summed per state class
-        (_delivered_sums): in one pass over the used nodes when each row
-        holds the next, as in the greedy sweep, else one pass per row.
+        What the subsets' nodes deliver is summed per state class, in one
+        pass over the used nodes for any batch (_delivered_sums).
         """
         masks = np.asarray(masks)
         n = len(self.network)
@@ -306,34 +323,30 @@ class DkfEngine(Scenario):
         deltas z_i(k - d_i) / r_i in their states' entries. Nodes delayed past
         the horizon deliver nothing.
 
-        The rows are summed as a chain, each row holding the next, as a single
-        row does and as the greedy sweep's shrinking thresholds give; a batch
-        that is not a chain runs one row at a time. In a chain node i sits in
-        rows 0..e_i - 1, e_i the number of rows that hold it (its exit row),
-        so row b's sums are suffix sums, over exits e > b, of sums per bucket
-        (exit, state). The used nodes, sorted by bucket, are taken
+        The used nodes are grouped by their mask column, the set of rows that
+        hold them: a single row is one group, the greedy sweep's chain one
+        group per exit row. Sorted by bucket (group, state), they are taken
         DELIVERY_BLOCK at a time, each block adding its delayed readings to
-        their buckets; the buckets' 1/r_i are summed per delay. One suffix
-        cumsum over exits, and for the information one cumsum over k, then
-        give every row's sums.
+        their buckets; the buckets' 1/r_i are summed per delay. The (B, G)
+        membership matrix times the G groups' sums, and for the information
+        one cumsum over k, then give every row's sums.
         """
         n_runs = masks.shape[0]
-        if (masks[1:] & ~masks[:-1]).any():
-            rows = (self._delivered_sums(row[None]) for row in masks)
-            return tuple(np.concatenate(sums) for sums in zip(*rows))
         n_out = self.n_steps + 1
         m = self.sys.state_dim
         state, delays, inv_r = self.network.state, self.delays, self.inv_r
-        exits = masks.sum(axis=0)
-        used = np.flatnonzero((exits > 0) & (delays <= self.n_steps))
-        bucket = (exits[used] - 1) * m + state[used]  # flat index of (exit - 1, state)
+        used = np.flatnonzero(masks.any(axis=0) & (delays <= self.n_steps))
+        # each column's packed bits as one void scalar: np.unique(axis=0) took 13x as long
+        packed = np.packbits(masks.T[used], axis=1)
+        width = packed.shape[1]
+        keys, group = np.unique(packed.view(f"V{width}").ravel(), return_inverse=True)
+        bucket = group * m + state[used]  # flat index of (group, state)
         order = np.argsort(bucket, kind="stable")
         used, bucket = used[order], bucket[order]
-        # (B, m, N+1) buckets, summed in place into the rows' sums
+        # (G, m(N+1)) and (G m, N+1) buckets
         info = np.bincount(bucket * n_out + delays[used], weights=inv_r[used],
-                           minlength=n_runs * m * n_out).reshape(n_runs, m, n_out)
-        iv = np.zeros((n_runs, m, n_out))
-        iv_rows = iv.reshape(n_runs * m, n_out)
+                           minlength=keys.size * m * n_out).reshape(keys.size, m * n_out)
+        iv = np.zeros((keys.size * m, n_out))
         # z_i times 1/r_i (not divided by r_i, which rounds differently),
         # right-aligned in zeros so that row i's window at offset N+1 - d_i
         # is z_i(k - d_i) / r_i for k >= d_i and zero before
@@ -349,8 +362,11 @@ class DkfEngine(Scenario):
             np.multiply(z, inv_r[block, None], out=padded[:block.size, n_out:])
             delivered = windows[np.arange(block.size), n_out - delays[block]]
             firsts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
-            iv_rows[b[firsts]] += np.add.reduceat(delivered, firsts, axis=0)
-        for sums in (info[::-1], iv[::-1]):
-            np.cumsum(sums, axis=0, out=sums)
+            iv[b[firsts]] += np.add.reduceat(delivered, firsts, axis=0)
+        # (B, G); the explicit width keeps the reshape defined when G = 0
+        membership = np.unpackbits(keys.view(np.uint8).reshape(keys.size, width), axis=1,
+                                   count=n_runs).T.astype(float)
+        info = (membership @ info).reshape(n_runs, m, n_out)
+        iv = (membership @ iv.reshape(keys.size, m * n_out)).reshape(n_runs, m, n_out)
         np.cumsum(info, axis=2, out=info)
         return info.transpose(0, 2, 1), iv.transpose(0, 2, 1)

@@ -1,6 +1,9 @@
+import os
+import signal
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -213,7 +216,9 @@ def test_fused_runs_match_stepwise_oracle_on_random_plants(seed, m, n, prior):
 def test_fused_runs_match_stepwise_oracle_across_delivery_blocks(seed, m, n, block):
     # blocks of 1-4 nodes split state classes and delay groups; every state
     # but one has nodes, node 1 is delayed by exactly the horizon, node 2 past
-    # it, and delays repeat
+    # it, and delays repeat. The batch repeats columns, so that the nodes of
+    # one mask column span delivery blocks, repeats a row, and has a row that
+    # selects node 2 alone
     n_steps = 20
     rng = np.random.default_rng(seed)
     sys_ = random_system(rng, m=m, n_steps=n_steps)
@@ -224,7 +229,9 @@ def test_fused_runs_match_stepwise_oracle_across_delivery_blocks(seed, m, n, blo
                        for s, d in zip(state, steps)], m=m)
     eng = DkfEngine(sys_, net, n_steps, rng)
     masks = rng.random((int(rng.integers(1, 5)), n)) < 0.6
+    masks[:, rng.random(n) < 0.5] = masks[:, [rng.integers(0, n)]]
     masks[np.arange(len(masks)), rng.integers(0, n, len(masks))] = True
+    masks = np.vstack([masks, masks[rng.integers(0, len(masks))], np.arange(n) == 1])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dkf, "DELIVERY_BLOCK", block)
         info_hist, yv_hist, _, flags = eng.fused_run(masks)
@@ -242,7 +249,7 @@ def test_chain_rows_match_stepwise_oracle(seed, m, n, n_rows, block):
     # the greedy sweep's masks: shrinking random thresholds on a random network
     # give a chain, each row holding the next, with repeated rows. Node 1 is
     # delayed by exactly the horizon and node 2 past it, and blocks of 1-4
-    # nodes split the (exit row, state) buckets
+    # nodes split the (group, state) buckets, one group per exit row
     n_steps = 20
     rng = np.random.default_rng(seed)
     sys_ = random_system(rng, m=m, n_steps=n_steps)
@@ -380,6 +387,44 @@ def test_engine_returns_with_the_draw_holding_the_lock(monkeypatch):
     assert np.array_equal(later[0], twin.random(5))
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fork_waits_for_the_noise_draw(monkeypatch):
+    # the worker's fill waits on a gate that a timer opens, so the fork comes
+    # while the draw is unfinished. The fork waits for it, and the one child
+    # continues rng's stream and reads the noise as a synchronous twin does.
+    # A child forked mid-draw would block on rng's lock, which no thread in
+    # it releases, until the alarm ends it
+    gate = threading.Event()
+    fill = dkf._standard_normal_into
+
+    def gated(bit_generator, out):
+        assert gate.wait(10)
+        fill(bit_generator, out)
+
+    monkeypatch.setattr(dkf, "_standard_normal_into", gated)
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    eng = DkfEngine(builtin_system(), network_of((0, 0.2), (1, 0.3)), 10, rng)
+    simulate(builtin_system(), eng.a_seq, twin)
+    noise, after = twin.standard_normal((2, 11)), twin.random(5)
+    opener = threading.Timer(0.2, gate.set)
+    opener.start()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns of a fork while the timer thread may be alive
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child exits here, without the parent's cleanup
+        same = False
+        try:
+            signal.alarm(5)
+            same = np.array_equal(rng.random(5), after) and np.array_equal(eng.noise, noise)
+        finally:
+            os._exit(0 if same else 1)
+    opener.join()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0  # -SIGALRM if the child hung
+    assert np.array_equal(rng.random(5), after) and np.array_equal(eng.noise, noise)
+
+
 def test_readings_check_indices_before_writing():
     # the take skips numpy's own index check (and its buffering of out): the
     # variance gather refuses an index outside [-n, n) before out is touched,
@@ -419,17 +464,33 @@ def test_unread_engine_leaves_no_thread_behind():
     assert threading.active_count() == len(before)
 
 
-def test_sweep_rows_match_single_row_runs():
-    # the greedy sweep's chain of ~98 rows sums each row's deliveries as a
-    # suffix over exit rows; each row run alone sums them as one bucket per state
-    eng, masks = greedy_sweep_engine()
-    info_hist, yv_hist, xhat, flags = eng.fused_run(masks)
-    for b, mask in enumerate(masks):
-        info, yv, x, f = eng.fused_run(mask)
-        assert_rel_close(info_hist[b], info)
-        assert_rel_close(yv_hist[b], yv)
-        assert_rel_close(xhat[b], x)
-        np.testing.assert_array_equal(flags[b], f)
+def test_sweep_rows_match_single_row_runs(monkeypatch):
+    # the greedy sweep's chain of ~98 rows, and a random batch of its shape
+    # that is no chain: one pass over the used nodes, one readings call per
+    # delivery block, sums every row, and each row matches its run alone
+    eng, sweep = greedy_sweep_engine()
+    rng = np.random.default_rng(11)
+    batch = rng.random(sweep.shape) < rng.uniform(0.05, 0.95, (len(sweep), 1))
+    batch[np.arange(len(batch)), rng.integers(0, batch.shape[1], len(batch))] = True
+    assert (batch[1:] & ~batch[:-1]).any()
+    readings, calls = eng.readings, []
+
+    def spy(nodes, out=None):
+        calls.append(len(nodes))
+        return readings(nodes, out=out)
+
+    monkeypatch.setattr(eng, "readings", spy)
+    for masks in (sweep, batch):
+        calls.clear()
+        info_hist, yv_hist, xhat, flags = eng.fused_run(masks)
+        used = np.count_nonzero(masks.any(axis=0) & (eng.delays <= eng.n_steps))
+        assert sum(calls) == used and len(calls) == -(-used // dkf.DELIVERY_BLOCK)
+        for b, mask in enumerate(masks):
+            info, yv, x, f = eng.fused_run(mask)
+            assert_rel_close(info_hist[b], info)
+            assert_rel_close(yv_hist[b], yv)
+            assert_rel_close(xhat[b], x)
+            np.testing.assert_array_equal(flags[b], f)
 
 
 def test_recovery_sends_only_flagged_entries_to_eigvalsh(monkeypatch):
